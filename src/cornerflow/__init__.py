@@ -23,8 +23,6 @@ from .geometry import (
     ds_of_array,
     arclength_from_zero,
     detect_kinks,
-    AnalyticSurface,
-    pei_residuals,
 )
 from .kernel import (
     KernelTable,
@@ -69,7 +67,7 @@ from .diagnostics import (
     ellipse_curve,
     compactness_contradiction_demo,
 )
-from .oracle import MarchConfig, time_march, derivative_march, compare_with_mild
+from .oracle import MarchConfig, time_march, compare_with_mild
 
 __version__ = "0.1.0"
 
@@ -80,7 +78,7 @@ __all__ = [
     "NoConvergence", "StaleProfile", "OracleInstability",
     "GridFunction", "symmetric_grid", "corner_function", "smoothed_abs",
     "CurveGeometry", "geometry", "ds_derivative", "ds_of_array",
-    "arclength_from_zero", "detect_kinks", "AnalyticSurface", "pei_residuals",
+    "arclength_from_zero", "detect_kinks",
     "KernelTable", "build_kernel_table", "apply_semigroup", "apply_to_step",
     "corner_height", "regularizing_constants",
     "CornerData", "SimilarityProfile", "ReconstructedSolution",
@@ -94,5 +92,5 @@ __all__ = [
     "counterexample_phi_eps", "x_infty_norm", "subsample",
     "refinement_threshold", "circle_curve", "ellipse_curve",
     "compactness_contradiction_demo",
-    "MarchConfig", "time_march", "derivative_march", "compare_with_mild",
+    "MarchConfig", "time_march", "compare_with_mild",
 ]

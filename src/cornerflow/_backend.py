@@ -25,17 +25,3 @@ cubic_eval = _impl.cubic_eval
 sym_eval = _impl.sym_eval
 skew_sum = _impl.skew_sum
 penta_march_u = _impl.penta_march_u
-penta_march_v = _impl.penta_march_v
-
-
-def get_backend(which=None):
-    """Return the kernel module for `which` ('fast'|'slow'|None=active)."""
-    if which is None or which == name:
-        return _impl
-    if which == "slow":
-        from . import _slowpath
-        return _slowpath
-    if which == "fast":
-        from . import _fastpath
-        return _fastpath
-    raise ValueError(f"unknown backend {which!r}")

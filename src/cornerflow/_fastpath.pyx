@@ -172,27 +172,6 @@ cdef void _explicit_u(const double* u, double* out, Py_ssize_t n, double h,
     out[n - 1] = (phi[n - 1] - phi[n - 2]) / h
 
 
-cdef void _explicit_v(const double* v, double* out, Py_ssize_t n, double h,
-                      double vL, double vR, double* ve, double* phi) noexcept nogil:
-    """Same stencils as _slowpath._explicit_v; ve is n+4, phi n+2 scratch."""
-    cdef Py_ssize_t i
-    cdef double vx, vxx, vi, v2, inv2h = 0.5 / h, invh2 = 1.0 / (h * h)
-    ve[0] = vL; ve[1] = vL
-    for i in range(n):
-        ve[i + 2] = v[i]
-    ve[n + 2] = vR; ve[n + 3] = vR
-    for i in range(n + 2):
-        vi = ve[i + 1]
-        vx = (ve[i + 2] - ve[i]) * inv2h
-        vxx = (ve[i + 2] - 2.0 * vi + ve[i]) * invh2
-        v2 = vi * vi
-        phi[i] = v2 * (2.0 + v2) / ((1.0 + v2) * (1.0 + v2)) * vxx \
-            + 3.0 * vi * vx * vx / ((1.0 + v2) * (1.0 + v2) * (1.0 + v2))
-    for i in range(n):
-        out[i] = (phi[i + 2] - 2.0 * phi[i + 1] + phi[i]) * invh2
-    return
-
-
 def penta_march_u(u, nsteps, dt, h, A, B, growth_cap=10.0):
     cdef cnp.ndarray[double, ndim=1] uu = np.array(u, dtype=np.float64)
     cdef Py_ssize_t n = uu.size, i, step
@@ -237,49 +216,3 @@ def penta_march_u(u, nsteps, dt, h, A, B, growth_cap=10.0):
                 bad = 1
                 break
     return np.asarray(uu), (1 if bad else 0)
-
-
-def penta_march_v(v, nsteps, dt, h, vL, vR, growth_cap=10.0):
-    cdef cnp.ndarray[double, ndim=1] vv = np.array(v, dtype=np.float64)
-    cdef Py_ssize_t n = vv.size, i, step
-    cdef double c = dt / h ** 4, cdt = dt, ch = h, cL = vL, cR = vR
-    cdef double cap = growth_cap, sup0, sup1
-    cdef cnp.ndarray[double, ndim=2, mode='fortran'] ab = np.zeros((7, n), order='F')
-    cdef cnp.ndarray[int, ndim=1] ipiv = np.zeros(n, dtype=np.intc)
-    cdef cnp.ndarray[double, ndim=1] rhs = np.empty(n)
-    cdef cnp.ndarray[double, ndim=1] ex = np.empty(n)
-    cdef cnp.ndarray[double, ndim=1] vebuf = np.empty(n + 4)
-    cdef cnp.ndarray[double, ndim=1] pbuf = np.empty(n + 2)
-    cdef int info, bad = 0
-    cdef long ns = nsteps
-    cdef double* ab_p = &ab[0, 0]
-    cdef int* ipiv_p = &ipiv[0]
-    info = _band_factor(ab_p, ipiv_p, n, c, 1.0 + 6.0 * c, 1.0 + 6.0 * c,
-                        -4.0 * c, -4.0 * c)
-    if info != 0:
-        raise RuntimeError("banded factorization failed (info=%d)" % info)
-    with nogil:
-        for step in range(ns):
-            sup0 = 1e-300
-            for i in range(n):
-                if fabs(vv[i]) > sup0:
-                    sup0 = fabs(vv[i])
-            _explicit_v(&vv[0], &ex[0], n, ch, cL, cR, &vebuf[0], &pbuf[0])
-            for i in range(n):
-                rhs[i] = vv[i] + cdt * ex[i]
-            rhs[0] += 3.0 * cL * c
-            rhs[1] += -cL * c
-            rhs[n - 1] += 3.0 * cR * c
-            rhs[n - 2] += -cR * c
-            _band_solve(ab_p, ipiv_p, &rhs[0], n)
-            sup1 = 0.0
-            for i in range(n):
-                vv[i] = rhs[i]
-                if not isfinite(vv[i]):
-                    bad = 1
-                if fabs(vv[i]) > sup1:
-                    sup1 = fabs(vv[i])
-            if bad or sup1 > cap * sup0:
-                bad = 1
-                break
-    return np.asarray(vv), (1 if bad else 0)

@@ -115,26 +115,6 @@ def _explicit_u(u, h, A, B):
     return out
 
 
-def _explicit_v(v, h, vL, vR):
-    """dxx(alpha(v) v_xx + F(v)) for the slope equation, 2nd order.
-
-    Ghost cells extend v by the constant far values vL, vR.
-    """
-    n = v.size
-    ve = np.empty(n + 4)
-    ve[2:-2] = v
-    ve[0] = ve[1] = vL
-    ve[-1] = ve[-2] = vR
-    vx = (ve[2:] - ve[:-2]) / (2.0 * h)
-    vxx = (ve[2:] - 2.0 * ve[1:-1] + ve[:-2]) / (h * h)
-    vi = ve[1:-1]
-    v2 = vi * vi
-    phi = v2 * (2.0 + v2) / (1.0 + v2) ** 2 * vxx + 3.0 * vi * vx * vx / (1.0 + v2) ** 3
-    # phi has one ghost value each side; second difference lands on nodes
-    out = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / (h * h)
-    return out
-
-
 def penta_march_u(u, nsteps, dt, h, A, B, growth_cap=10.0):
     """Advance the height march nsteps with fixed dt.
 
@@ -156,22 +136,3 @@ def penta_march_u(u, nsteps, dt, h, A, B, growth_cap=10.0):
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > growth_cap * sup0:
             return u, 1
     return u, 0
-
-
-def penta_march_v(v, nsteps, dt, h, vL, vR, growth_cap=10.0):
-    """Advance the slope march nsteps with fixed dt. See penta_march_u."""
-    v = np.array(v, dtype=float)
-    c = dt / h ** 4
-    ab = _penta_bands(v.size, c, 1.0 + 6.0 * c, 1.0 + 6.0 * c, -4.0 * c, -4.0 * c)
-    rc = np.zeros(v.size)
-    rc[0] = 3.0 * vL * c
-    rc[1] = -vL * c
-    rc[-1] = 3.0 * vR * c
-    rc[-2] = -vR * c
-    for _ in range(nsteps):
-        sup0 = np.max(np.abs(v)) + 1e-300
-        rhs = v + dt * _explicit_v(v, h, vL, vR) + rc
-        v = solve_banded((2, 2), ab, rhs)
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > growth_cap * sup0:
-            return v, 1
-    return v, 0

@@ -14,13 +14,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import NumericalFailure, PicardDivergence, ValidationError
+from .errors import (NoConvergence, NumericalFailure, PicardDivergence,
+                     ValidationError)
 from .grid import GridFunction, symmetric_grid
 from .kernel import build_kernel_table, regularizing_constants
 from .mild import (CornerData, reconstruct_U, save_profile,
                    self_similarity_residual, solve_similarity_profile)
 from . import diagnostics
-from .oracle import MarchConfig, time_march
+from .oracle import MarchConfig, mild_gaps, time_march
 
 
 def _sha256(path):
@@ -137,11 +138,11 @@ def _solve_one(args, out):
         profile = solve_similarity_profile(
             corner, tol=args.tol, max_iter=args.max_iter, table=table,
             xs=xs, quad_nodes=args.quad_nodes, quad_method=args.quad_method)
-    except PicardDivergence as exc:
+    except (PicardDivergence, NoConvergence) as exc:
         hpath = os.path.join(out, "history.json")
         with open(hpath, "w") as fh:
             json.dump({"residual_history": list(exc.history)}, fh, indent=2)
-        print(f"Picard iteration diverged; history in {hpath}",
+        print(f"Picard iteration failed; history in {hpath}",
               file=sys.stderr)
         raise
     paths = []
@@ -302,12 +303,6 @@ def cmd_diagnose(args):
 
 def cmd_oracle_compare(args):
     out = _ensure_out(args)
-    if (args.mild_half_width != args.half_width
-            or args.mild_intervals != args.intervals):
-        raise ValidationError(
-            "sup-difference table needs matching march and mild grids; "
-            f"got L={args.half_width}/N={args.intervals} vs "
-            f"L={args.mild_half_width}/N={args.mild_intervals}")
     corner = CornerData(args.a, args.b, args.slope_cap)
     table = build_kernel_table()
     profile = solve_similarity_profile(corner, table=table)
@@ -317,13 +312,15 @@ def cmd_oracle_compare(args):
     snapshots = time_march(cfg.mollified_corner(), cfg, times)
     rows = []
     paths = []
-    lo = cfg.xs.size // 10
-    hi = cfg.xs.size - lo
     for t, snap in zip(times, snapshots):
-        sol = reconstruct_U(profile, t, table, xs=cfg.xs)
-        gap = float(np.max(np.abs(snap.ys - sol.U.ys)[lo:hi]))
-        rows.append({"t": t, "sup_diff": gap})
-        print(f"t = {t:<8g} sup|march - mild| = {gap:.4e}")
+        gaps = mild_gaps(snap, profile, table, cfg, t)
+        row = {"t": t, "sup_diff": gaps["sup_diff"],
+               "sup_diff_linear": gaps["sup_diff_linear"],
+               "duhamel_sup": gaps["duhamel_sup"]}
+        rows.append(row)
+        print(f"t = {t:<8g} sup|march - mild| = {row['sup_diff']:.4e}  "
+              f"linear-corrected = {row['sup_diff_linear']:.4e}  "
+              f"sup|duhamel| = {row['duhamel_sup']:.4e}")
         mpath = os.path.join(out, f"march_t{t:g}.csv")
         _write_csv(mpath, "x,U", snap.xs, snap.ys)
         paths.append(mpath)
@@ -403,8 +400,6 @@ def build_parser():
     p.add_argument("--slope-cap", type=float, default=0.3)
     p.add_argument("--half-width", type=float, default=20.0)
     p.add_argument("--intervals", type=int, default=4096)
-    p.add_argument("--mild-half-width", type=float, default=None)
-    p.add_argument("--mild-intervals", type=int, default=None)
     p.add_argument("--dt-max", type=float, default=2e-5)
     p.add_argument("--times", default="1",
                    help="comma-separated snapshot times")
@@ -418,11 +413,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args)
-        if args.command == "oracle-compare":
-            if args.mild_half_width is None:
-                args.mild_half_width = args.half_width
-            if args.mild_intervals is None:
-                args.mild_intervals = args.intervals
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

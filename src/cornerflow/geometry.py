@@ -159,121 +159,3 @@ def ds_of_array(ys, geom, order=1):
     if order == 2:
         g = _fd(g, geom.h, 1) / geom.metric
     return g
-
-
-class AnalyticSurface:
-    """Closed-form test surfaces: sphere(R, d), line(slope), graph(phi)."""
-
-    def __init__(self, kind, **params):
-        self.kind = kind
-        self.params = params
-
-    @classmethod
-    def sphere(cls, radius, dim):
-        if radius <= 0 or dim < 2:
-            raise ValidationError("sphere needs radius > 0 and dim >= 2")
-        return cls("sphere", radius=float(radius), dim=int(dim))
-
-    @classmethod
-    def line(cls, slope):
-        return cls("line", slope=float(slope))
-
-    @classmethod
-    def graph(cls, phi):
-        if not isinstance(phi, GridFunction):
-            raise ValidationError("graph surface needs a GridFunction")
-        return cls("graph", phi=phi)
-
-    def mean_curvature(self):
-        if self.kind == "sphere":
-            return -(self.params["dim"] - 1) / self.params["radius"]
-        if self.kind == "line":
-            return 0.0
-        raise ValidationError("graph curvature varies; use geometry()")
-
-
-def pei_residuals(surface, sample_points=None):
-    """Residuals of the four first-variation identities on a test surface.
-
-    (i) div_G x = d-1, (ii) div_G(a n) = -a H for a in {1, |x|^2},
-    (iii) grad_G(|x|^2/2) = x - n (x.n), (iv) lap_G(|x|^2/2) = d-1 + H (x.n).
-    Spheres and lines evaluate closed forms (residuals vanish identically);
-    graphs difference the identities along the curve.
-    """
-    if surface.kind == "sphere":
-        return _sphere_residuals(surface, sample_points)
-    if surface.kind == "line":
-        return _line_residuals(surface, sample_points)
-    return _graph_residuals(surface, sample_points)
-
-
-def _sphere_residuals(surface, pts):
-    R, d = surface.params["radius"], surface.params["dim"]
-    if pts is None:
-        pts = np.eye(d)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    m = pts.shape[0]
-    H = -(d - 1) / R
-    xn = R  # outward normal x/R dotted with x on the sphere
-    a2 = R * R
-    # div_G x = d - |n|^2 with |n| = 1 for the unit normal
-    r1 = np.full(m, (d - 1.0) - (d - 1.0))
-    # div_G(a n) = a div_G n = a (d-1)/R since grad_G a is tangential
-    r2a = 1.0 * ((d - 1.0) / R) + 1.0 * H
-    r2b = a2 * ((d - 1.0) / R) + a2 * H
-    r2 = np.full(m, max(abs(r2a), abs(r2b)))
-    # |x|^2 constant on the sphere: surface gradient vanishes; x = n (x.n)
-    r3 = np.zeros(m)
-    for i in range(m):
-        x = pts[i] * (R / np.linalg.norm(pts[i]))
-        rhs = x - (x / R) * xn
-        r3[i] = np.max(np.abs(0.0 - rhs))
-    r4 = np.full(m, abs(0.0 - ((d - 1.0) + H * xn)))
-    return r1, r2, r3, r4
-
-
-def _line_residuals(surface, pts):
-    c = surface.params["slope"]
-    if pts is None:
-        pts = np.linspace(-2.0, 2.0, 16)
-    x1 = np.asarray(pts, dtype=float)
-    m = x1.size
-    # tau = (1, c)/v, n = (-c, 1)/v, x tangential: every identity collapses
-    r1 = np.full(m, 1.0 - 1.0)
-    r2 = np.zeros(m)  # n constant along the line, H = 0
-    r3 = np.zeros(m)
-    for j, xx in enumerate(x1):
-        lhs = np.array([xx, xx * c])  # grad_G(|x|^2/2) = P_tan x = x here
-        rhs = np.array([xx, xx * c])
-        r3[j] = np.max(np.abs(lhs - rhs))
-    r4 = np.full(m, 1.0 - 1.0)  # lap = 1 exactly, H (x.n) = 0
-    return r1, r2, r3, r4
-
-
-def _graph_residuals(surface, pts):
-    phi = surface.params["phi"]
-    geom = geometry(phi)
-    xs, ys, h, v, k, xn = (phi.xs, phi.ys, phi.h, geom.metric,
-                           geom.curvature, geom.normal_coord)
-    margin = 2 * _EDGE_MARGIN
-    if pts is None:
-        idx = np.arange(margin, xs.size - margin)
-    else:
-        idx = np.clip(np.round((np.asarray(pts, dtype=float) - xs[0]) / h)
-                      .astype(int), margin, xs.size - 1 - margin)
-    t1 = ds_of_array(xs, geom)
-    t2 = ds_of_array(ys, geom)
-    dphi = _fd(ys, h, 1)
-    n1, n2 = -dphi / v, 1.0 / v
-    q = 0.5 * (xs * xs + ys * ys)
-    dq = ds_of_array(q, geom)
-    r1 = np.abs(t1 * t1 + t2 * t2 - 1.0)[idx]
-    r2 = np.zeros(xs.size)
-    for a in (np.ones_like(xs), xs * xs + ys * ys):
-        div = t1 * ds_of_array(a * n1, geom) + t2 * ds_of_array(a * n2, geom)
-        r2 = np.maximum(r2, np.abs(div + a * k))
-    r2 = r2[idx]
-    r3 = np.maximum(np.abs(dq * t1 - (xs - n1 * xn)),
-                    np.abs(dq * t2 - (ys - n2 * xn)))[idx]
-    r4 = np.abs(ds_of_array(q, geom, 2) - 1.0 - k * xn)[idx]
-    return r1, r2, r3, r4

@@ -59,13 +59,6 @@ class MarchConfig:
               + 0.5 * (self.A - self.B) * self.xs)
         return GridFunction(self.xs, u0, -self.B, self.A, "linear")
 
-    def step_data(self):
-        """The slope field of the corner: -B below 0, A above."""
-        v0 = np.where(self.xs >= 0.0, self.A, -self.B)
-        v0[np.abs(self.xs) < 1e-12] = 0.5 * (self.A - self.B)
-        return GridFunction(self.xs, v0, -self.B, self.A, "constant",
-                            tail_tol=np.inf)
-
 
 def _dt_schedule(cfg, t_total):
     """(dt, nsteps) segments: geometric ramp, then constant dt_max."""
@@ -87,10 +80,10 @@ def _dt_schedule(cfg, t_total):
     return segments
 
 
-def _march(values, cfg, t_span, stepper, *bc):
+def _march(values, cfg, t_span):
     for dt, nsteps in _dt_schedule(cfg, t_span):
-        values, status = stepper(values, nsteps, dt, cfg.h, *bc,
-                                 cfg.growth_cap)
+        values, status = _backend.penta_march_u(values, nsteps, dt, cfg.h,
+                                                cfg.A, cfg.B, cfg.growth_cap)
         if status != 0:
             raise OracleInstability(
                 f"sup-norm grew past {cfg.growth_cap}x in one step "
@@ -115,39 +108,16 @@ def time_march(u0, cfg, times):
     u = np.array(u0.ys, dtype=float)
     t_prev = 0.0
     for t in times:
-        u = _march(u, cfg, t - t_prev, _backend.penta_march_u,
-                   cfg.A, cfg.B)
+        u = _march(u, cfg, t - t_prev)
         out.append(GridFunction(cfg.xs, u, -cfg.B, cfg.A, "linear"))
         t_prev = t
     return out
 
 
-def derivative_march(v0, cfg, times):
-    """Advance slope data v = u_x under the divergence-form equation.
-
-    Far values are held at the constants -B / A (Dirichlet-by-ghost), the
-    natural boundary condition for step-like slope data.
-    """
-    times = [float(t) for t in times]
-    if not times or any(t <= 0.0 for t in times) or sorted(times) != times:
-        raise ValidationError("times must be positive and increasing")
-    if v0.n != cfg.xs.size or abs(v0.xs[0] - cfg.xs[0]) > 1e-9:
-        raise ValidationError("initial data grid does not match config")
-    out = []
-    v = np.array(v0.ys, dtype=float)
-    t_prev = 0.0
-    for t in times:
-        v = _march(v, cfg, t - t_prev, _backend.penta_march_v,
-                   -cfg.B, cfg.A)
-        out.append(GridFunction(cfg.xs, v, -cfg.B, cfg.A, "constant",
-                                tail_tol=np.inf))
-        t_prev = t
-    return out
-
-
-def compare_with_mild(profile, table, cfg=None, t_final=1.0):
-    """Sup-norm gap between the marched mollified corner and the
-    kernel-built solution at t_final, on the inner 80% of the march grid.
+def mild_gaps(marched, profile, table, cfg, t):
+    """Sup-norm gaps between a march snapshot at time t, started from
+    cfg.mollified_corner(), and the kernel-built solution, on the inner
+    80% of the march grid.
 
     The march starts from the mollified corner, the mild solution from the
     corner. To leading order their decaying initial difference evolves
@@ -157,28 +127,35 @@ def compare_with_mild(profile, table, cfg=None, t_final=1.0):
     `sup_diff`, it grows to the size of that term when the nonlinear part
     of the mild solution is wrong or missing.
 
-    Returns a dict with both gaps, the Duhamel size, the mollification
-    width and the two fields.
+    Returns a dict with both gaps, the Duhamel size and the mild field.
     """
     from .mild import reconstruct_U
-    if cfg is None:
-        cfg = MarchConfig(profile.corner.A, profile.corner.B)
-    u0 = cfg.mollified_corner()
-    marched = time_march(u0, cfg, [t_final])[0]
-    sol = reconstruct_U(profile, t_final, table, xs=cfg.xs)
+    sol = reconstruct_U(profile, t, table, xs=cfg.xs)
     cab = corner_function(cfg.A, cfg.B, cfg.xs)
-    bump = GridFunction(cfg.xs, u0.ys - cab.ys, 0.0, 0.0, "constant")
-    linear = apply_semigroup(bump, t_final, 0, table).ys
-    duhamel = sol.U.ys - corner_height(cfg.A, cfg.B, t_final, table,
-                                       cfg.xs).ys
+    bump = GridFunction(cfg.xs, cfg.mollified_corner().ys - cab.ys,
+                        0.0, 0.0, "constant")
+    linear = apply_semigroup(bump, t, 0, table).ys
+    duhamel = sol.U.ys - corner_height(cfg.A, cfg.B, t, table, cfg.xs).ys
     inner = slice(cfg.xs.size // 10, cfg.xs.size - cfg.xs.size // 10)
     diff = marched.ys - sol.U.ys
     return {
         "sup_diff": float(np.max(np.abs(diff[inner]))),
         "sup_diff_linear": float(np.max(np.abs(diff - linear)[inner])),
         "duhamel_sup": float(np.max(np.abs(duhamel[inner]))),
-        "moll_width": cfg.moll_width,
-        "t": t_final,
-        "marched": marched,
         "mild": sol.U,
     }
+
+
+def compare_with_mild(profile, table, cfg=None, t_final=1.0):
+    """March the mollified corner to t_final and measure it against the
+    kernel-built solution; see mild_gaps for the three gaps.
+
+    Returns a dict with both gaps, the Duhamel size, the mollification
+    width and the two fields.
+    """
+    if cfg is None:
+        cfg = MarchConfig(profile.corner.A, profile.corner.B)
+    marched = time_march(cfg.mollified_corner(), cfg, [t_final])[0]
+    out = mild_gaps(marched, profile, table, cfg, t_final)
+    out.update(moll_width=cfg.moll_width, t=t_final, marched=marched)
+    return out

@@ -1,10 +1,14 @@
-"""Shared fixtures. The kernel table and the two reference solves are
-expensive, so they are built once per session and reused across files."""
+"""Shared fixtures. The kernel table, the two reference solves and the
+default oracle comparison are expensive, so they are built once per
+session and reused across files."""
+import time
+
 import numpy as np
 import pytest
 
-from cornerflow import (CornerData, build_kernel_table, reconstruct_U,
-                        solve_similarity_profile, symmetric_grid)
+from cornerflow import (CornerData, build_kernel_table, compare_with_mild,
+                        reconstruct_U, solve_similarity_profile,
+                        symmetric_grid)
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +40,14 @@ def phi_8k(profile_8k, ktable):
 @pytest.fixture(scope="session")
 def phi_16k(profile_16k, ktable):
     return reconstruct_U(profile_16k, 1.0, ktable).phi
+
+
+@pytest.fixture(scope="session")
+def oracle_8k(profile_8k, ktable):
+    """compare_with_mild on the default march grid, and its wall time."""
+    t0 = time.perf_counter()
+    out = compare_with_mild(profile_8k, ktable)
+    return out, time.perf_counter() - t0
 
 
 @pytest.fixture()

@@ -145,10 +145,8 @@ def test_criterion_10_initial_trace(profile_8k, ktable, capsys):
              f"spread={100 * spread:.1f}%")
 
 
-def test_criterion_11_oracle_agreement(profile_8k, ktable, capsys):
-    t0 = time.perf_counter()
-    out = cf.compare_with_mild(profile_8k, ktable)
-    elapsed = time.perf_counter() - t0
+def test_criterion_11_oracle_agreement(oracle_8k, capsys):
+    out, elapsed = oracle_8k
     ok = out["sup_diff"] <= 5e-3 and elapsed < 600.0
     announce(capsys, 11, "oracle-agreement", ok,
              f"sup_diff={out['sup_diff']:.2e} "
@@ -210,11 +208,11 @@ def test_criterion_15_compactness(capsys):
              f"min deficit={lo:.12f} certified={rep['certified_not_profile']}")
 
 
-def test_criterion_16_oracle_nonlinear(profile_8k, ktable, capsys):
+def test_criterion_16_oracle_nonlinear(oracle_8k, capsys):
     # criterion 11's bound is 35x the whole Duhamel term, so it passes
     # with the nonlinearity dropped; once the mollification is evolved
     # linearly the march must match to a hundredth of that term
-    out = cf.compare_with_mild(profile_8k, ktable)
+    out, _ = oracle_8k
     thr = 1e-2 * out["duhamel_sup"]
     ok = out["sup_diff_linear"] <= thr
     announce(capsys, 16, "oracle-nonlinear", ok,

@@ -64,11 +64,6 @@ def test_march_parity(rng):
     fu, fs = fastpath.penta_march_u(u0, 50, 1e-7, h, 0.1, 0.1, 10.0)
     assert ss == fs == 0
     assert np.max(np.abs(su - fu)) < 1e-12
-    v0 = np.tanh(np.linspace(-10.0, 10.0, n)) * 0.1
-    sv, ss = _slowpath.penta_march_v(v0, 50, 1e-7, h, -0.1, 0.1, 10.0)
-    fv, fs = fastpath.penta_march_v(v0, 50, 1e-7, h, -0.1, 0.1, 10.0)
-    assert ss == fs == 0
-    assert np.max(np.abs(sv - fv)) < 1e-12
 
 
 def test_backend_env_selection():
@@ -83,6 +78,5 @@ def test_backend_env_selection():
 
 
 def test_active_backend_exposes_all_primitives():
-    for name in ("cubic_eval", "sym_eval", "skew_sum", "penta_march_u",
-                 "penta_march_v"):
+    for name in ("cubic_eval", "sym_eval", "skew_sum", "penta_march_u"):
         assert hasattr(_backend, name)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import cornerflow
 from cornerflow import GridFunction, symmetric_grid
 from cornerflow import cli
 from cornerflow.errors import PicardDivergence
@@ -77,10 +78,12 @@ def test_solve_slope_cap_exit(tmp_path, capsys):
 
 
 def test_solve_no_convergence_exit(tmp_path):
+    out = tmp_path / "s"
     code = run_cli("solve", "--a", "0.1", "--b", "0.1", "--intervals",
-                   "1024", "--max-iter", "1", "--out-dir",
-                   str(tmp_path / "s"))
+                   "1024", "--max-iter", "1", "--out-dir", str(out))
     assert code == 3
+    with open(out / "history.json") as fh:
+        assert len(json.load(fh)["residual_history"]) == 1
 
 
 def test_solve_divergence_writes_history(tmp_path, monkeypatch):
@@ -177,13 +180,6 @@ def test_diagnose_needs_a_source(tmp_path):
     assert run_cli("diagnose", "--out-dir", str(tmp_path / "d")) == 2
 
 
-def test_oracle_compare_grid_mismatch(tmp_path, capsys):
-    code = run_cli("oracle-compare", "--mild-intervals", "2048",
-                   "--out-dir", str(tmp_path / "o"))
-    assert code == 2
-    assert "matching march and mild grids" in capsys.readouterr().err
-
-
 def test_oracle_compare_short_horizon(tmp_path, capsys):
     out = tmp_path / "o"
     code = run_cli("oracle-compare", "--intervals", "512", "--dt-max",
@@ -192,12 +188,19 @@ def test_oracle_compare_short_horizon(tmp_path, capsys):
     with open(out / "oracle_compare.json") as fh:
         rows = json.load(fh)["rows"]
     assert rows[0]["sup_diff"] < 5e-2
+    for row in rows:
+        for key in ("sup_diff", "sup_diff_linear", "duhamel_sup"):
+            assert np.isfinite(row[key])
     assert (out / "march_t0.05.csv").exists()
 
 
 def test_console_entry_point():
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(cornerflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-m", "cornerflow.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "kernel" in out.stdout and "oracle-compare" in out.stdout
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cornerflow import (AnalyticSurface, GridFunction, ValidationError,
-                        corner_function, geometry, pei_residuals,
-                        symmetric_grid)
+from cornerflow import (GridFunction, ValidationError, corner_function,
+                        geometry, symmetric_grid)
 from cornerflow.errors import GridMismatch, NonFiniteGeometry
 from cornerflow.geometry import (arclength_from_zero, detect_kinks,
                                  ds_derivative, ds_of_array)
@@ -96,37 +95,28 @@ def test_refinement_order_of_curvature():
 
 
 def test_graph_identity_lap_of_half_r2():
-    # lap_G(|x|^2/2) = 1 + k (x.n) along any graph curve
+    # first-variation identities along a graph curve, with tangent
+    # tau = ds x and normal n = (-tau_2, tau_1):
+    # (i) |tau| = 1, (ii) div_G(a n) = -a k for a in {1, |x|^2},
+    # (iii) grad_G(|x|^2/2) = x - n (x.n), (iv) lap_G(|x|^2/2) = 1 + k (x.n)
     phi = _gauss(4.0, 2048)
     geom = geometry(phi)
-    q = 0.5 * (phi.xs ** 2 + phi.ys ** 2)
+    xs, ys, k, xn = phi.xs, phi.ys, geom.curvature, geom.normal_coord
+    inner = slice(8, -8)
+    t1 = ds_of_array(xs, geom)
+    t2 = ds_of_array(ys, geom)
+    n1, n2 = -t2, t1
+    assert np.max(np.abs(t1 * t1 + t2 * t2 - 1.0)[inner]) < 1e-5
+    for a in (np.ones_like(xs), xs * xs + ys * ys):
+        div = t1 * ds_of_array(a * n1, geom) + t2 * ds_of_array(a * n2, geom)
+        assert np.max(np.abs(div + a * k)[inner]) < 1e-5
+    q = 0.5 * (xs * xs + ys * ys)
+    dq = ds_of_array(q, geom)
+    assert np.max(np.abs(dq * t1 - (xs - n1 * xn))[inner]) < 1e-5
+    assert np.max(np.abs(dq * t2 - (ys - n2 * xn))[inner]) < 1e-5
     lhs = ds_of_array(q, geom, 2)
-    rhs = 1.0 + geom.curvature * geom.normal_coord
-    assert np.max(np.abs((lhs - rhs)[8:-8])) < 1e-6
-
-
-def test_pei_residuals_sphere_and_line_are_exact():
-    for d in (2, 3, 4):
-        for R in (1.0, 2.5):
-            rs = pei_residuals(AnalyticSurface.sphere(R, d))
-            assert max(np.max(np.abs(r)) for r in rs) == 0.0
-    rs = pei_residuals(AnalyticSurface.line(0.7))
-    assert max(np.max(np.abs(r)) for r in rs) == 0.0
-
-
-def test_pei_residuals_graph_small():
-    phi = _gauss(4.0, 2048)
-    rs = pei_residuals(AnalyticSurface.graph(phi))
-    assert max(np.max(np.abs(r)) for r in rs) < 1e-5
-
-
-def test_analytic_surface_validation():
-    with pytest.raises(ValidationError):
-        AnalyticSurface.sphere(-1.0, 3)
-    with pytest.raises(ValidationError):
-        AnalyticSurface.sphere(1.0, 1)
-    assert AnalyticSurface.sphere(2.0, 3).mean_curvature() == -1.0
-    assert AnalyticSurface.line(1.0).mean_curvature() == 0.0
+    rhs = 1.0 + k * xn
+    assert np.max(np.abs((lhs - rhs)[inner])) < 1e-6
 
 
 def test_geometry_rejects_nonfinite():
