@@ -95,10 +95,20 @@ def test_refinement_order_of_curvature():
 
 
 def test_graph_identity_lap_of_half_r2():
+    # lap_G(|x|^2/2) = 1 + k (x.n) along any graph curve
+    phi = _gauss(4.0, 2048)
+    geom = geometry(phi)
+    q = 0.5 * (phi.xs ** 2 + phi.ys ** 2)
+    lhs = ds_of_array(q, geom, 2)
+    rhs = 1.0 + geom.curvature * geom.normal_coord
+    assert np.max(np.abs((lhs - rhs)[8:-8])) < 1e-6
+
+
+def test_pei_residuals_graph_small():
     # first-variation identities along a graph curve, with tangent
     # tau = ds x and normal n = (-tau_2, tau_1):
     # (i) |tau| = 1, (ii) div_G(a n) = -a k for a in {1, |x|^2},
-    # (iii) grad_G(|x|^2/2) = x - n (x.n), (iv) lap_G(|x|^2/2) = 1 + k (x.n)
+    # (iii) grad_G(|x|^2/2) = x - n (x.n)
     phi = _gauss(4.0, 2048)
     geom = geometry(phi)
     xs, ys, k, xn = phi.xs, phi.ys, geom.curvature, geom.normal_coord
@@ -110,13 +120,9 @@ def test_graph_identity_lap_of_half_r2():
     for a in (np.ones_like(xs), xs * xs + ys * ys):
         div = t1 * ds_of_array(a * n1, geom) + t2 * ds_of_array(a * n2, geom)
         assert np.max(np.abs(div + a * k)[inner]) < 1e-5
-    q = 0.5 * (xs * xs + ys * ys)
-    dq = ds_of_array(q, geom)
+    dq = ds_of_array(0.5 * (xs * xs + ys * ys), geom)
     assert np.max(np.abs(dq * t1 - (xs - n1 * xn))[inner]) < 1e-5
     assert np.max(np.abs(dq * t2 - (ys - n2 * xn))[inner]) < 1e-5
-    lhs = ds_of_array(q, geom, 2)
-    rhs = 1.0 + k * xn
-    assert np.max(np.abs((lhs - rhs)[inner])) < 1e-6
 
 
 def test_geometry_rejects_nonfinite():
