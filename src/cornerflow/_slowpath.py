@@ -12,6 +12,15 @@ from .errors import GridMismatch
 NAME = "slow"
 
 
+def lagrange_weights(u):
+    """Weights of the 4-point Lagrange stencil on nodes -1, 0, 1, 2 at u."""
+    w0 = -u * (u - 1.0) * (u - 2.0) / 6.0
+    w1 = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
+    w2 = -(u + 1.0) * u * (u - 2.0) / 2.0
+    w3 = (u + 1.0) * u * (u - 1.0) / 6.0
+    return w0, w1, w2, w3
+
+
 def cubic_eval(tab, x0, h, q, fill_left, fill_right):
     """4-point Lagrange interpolation on a uniform table.
 
@@ -26,15 +35,8 @@ def cubic_eval(tab, x0, h, q, fill_left, fill_right):
     inside_hi = t <= n - 1.0
     j = np.clip(np.floor(t).astype(np.int64), 1, n - 3)
     u = t - j
-    f0 = tab[j - 1]
-    f1 = tab[j]
-    f2 = tab[j + 1]
-    f3 = tab[j + 2]
-    w0 = -u * (u - 1.0) * (u - 2.0) / 6.0
-    w1 = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
-    w2 = -(u + 1.0) * u * (u - 2.0) / 2.0
-    w3 = (u + 1.0) * u * (u - 1.0) / 6.0
-    out = w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3
+    w0, w1, w2, w3 = lagrange_weights(u)
+    out = w0 * tab[j - 1] + w1 * tab[j] + w2 * tab[j + 1] + w3 * tab[j + 2]
     out = np.where(inside_lo, out, fill_left)
     out = np.where(inside_hi, out, fill_right)
     return out
@@ -56,9 +58,11 @@ def sym_eval(tab, h, parity, q):
 def skew_sum(tab, h, parity, a, b, z, w, scale, chunk=2048):
     """out[i] = sum_j w[j] * K((a[i] - b*z[j]) * scale).
 
-    K is the symmetric table evaluation of sym_eval. Used for skewed
-    kernel-source quadratures where FFT convolution does not apply. The
-    source nodes z and weights w must have the same length.
+    K is the symmetric table evaluation of sym_eval. The mild solver uses
+    it only where both the profile and the kernel scale fall below three
+    output spacings, so neither spreading nor resampling onto the output
+    grid applies; apply_semigroup's "direct" method is the other caller.
+    The source nodes z and weights w must have the same length.
     """
     a = np.asarray(a, dtype=float)
     z = np.asarray(z, dtype=float)

@@ -21,6 +21,7 @@ from scipy.signal import fftconvolve
 from scipy.special import roots_jacobi
 
 from . import _backend
+from ._slowpath import lagrange_weights
 from .errors import (ConfigError, GridMismatch, NoConvergence,
                      PicardDivergence, StaleProfile, ValidationError)
 from .grid import GridFunction, _fd, symmetric_grid
@@ -126,8 +127,20 @@ def _coarse_stride(scale, h, n):
     return max(1, min(n // 16, int(scale / (8.0 * h))))
 
 
-def _upsample(coarse, x0, H, xs):
-    return _backend.cubic_eval(coarse, x0, H, xs, coarse[0], coarse[-1])
+def _spread(w, pos, x0, h, n):
+    """Deposit weights w at points pos onto the grid x0 + h*k, k < n.
+
+    The transpose of 4-point Lagrange interpolation (`cubic_eval`, end
+    cells included): sum_k out[k] f(x_k) interpolates sum_j w[j] f(pos[j]).
+    Points off the grid are dropped.
+    """
+    t = (pos - x0) / h
+    keep = (t >= 0.0) & (t <= n - 1.0)
+    t, w = t[keep], w[keep]
+    j = np.clip(np.floor(t).astype(np.int64), 1, n - 3)
+    lw = lagrange_weights(t - j)
+    return np.bincount(np.concatenate([j - 1, j, j + 1, j + 2]),
+                       np.concatenate([w * wk for wk in lw]), minlength=n)
 
 
 def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
@@ -135,37 +148,46 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
 
     The density n is sampled as n_tab on the profile grid n_xs; the output
     grid xs is any uniform grid and need not share its origin, spacing or
-    size. Three regimes keep the cost near-linear: when both scales resolve
-    the output grid, resample n onto it and FFT-convolve; when mu (the
-    profile scale) is tiny, quadrature lives on the profile grid and the
-    result is smooth on scale lam, so it is formed coarsely on the output
-    grid and upsampled; symmetrically when lam (the kernel scale) is tiny.
+    size. With thr three output spacings, three regimes keep the cost
+    near-linear:
+
+    - lam >= thr: the kernel resolves the output grid, so the sources go
+      onto that grid, padded out to the kernel reach, and are
+      FFT-convolved with the kernel samples g_ell(k h / lam). When
+      mu >= thr the density is resampled there. When mu < thr (the
+      profile squeezed below the grid) the quadrature weights
+      mu nh n_tab[j] are spread from the points mu n_xs[j] by the
+      transpose of 4-point Lagrange interpolation, the spreading step of
+      a non-uniform FFT; against the dense source sum its error is
+      O((h/lam)^4).
+    - lam < thr <= mu: quadrature on the kernel grid, formed coarsely on
+      the output grid (the result is smooth on scale mu) and upsampled.
+    - both below thr: the dense source sum on every output point.
     """
     h, nh = _spacing(xs), _spacing(n_xs)
     thr = 3.0 * h
     gtab, par = table.g_ell[ell], _PARITY[ell]
-    if mu >= thr and lam >= thr:
+    if lam >= thr:
         # sources up to a kernel reach outside xs still reach xs: pad the
-        # resampled density out to mu * n_xs (or that reach) on each side
+        # output grid out to mu * n_xs (or that reach) on each side
         reach = int(np.ceil(table.eta_max * lam / h))
         pl = min(reach, max(0, int(np.ceil((xs[0] - mu * n_xs[0]) / h))))
         pr = min(reach, max(0, int(np.ceil((mu * n_xs[-1] - xs[-1]) / h))))
-        xe = np.concatenate([xs[0] - h * np.arange(pl, 0, -1), xs,
-                             xs[-1] + h * np.arange(1, pr + 1)])
-        nv = _backend.cubic_eval(n_tab, n_xs[0], nh, xe / mu, 0.0, 0.0)
-        m = min(xe.size - 1, reach)
+        ne = pl + xs.size + pr
+        if mu >= thr:
+            xe = np.concatenate([xs[0] - h * np.arange(pl, 0, -1), xs,
+                                 xs[-1] + h * np.arange(1, pr + 1)])
+            src = _backend.cubic_eval(n_tab, n_xs[0], nh, xe / mu, 0.0, 0.0)
+        else:
+            src = _spread((mu * nh / h) * n_tab, mu * n_xs, xs[0] - pl * h,
+                          h, ne)
+        m = min(ne - 1, reach)
         ker = _backend.sym_eval(gtab, table.h, par,
                                 np.arange(-m, m + 1) * (h / lam))
-        conv = fftconvolve(nv, ker, mode="same") * h
-        return conv[pl:pl + xs.size]
+        return fftconvolve(src, ker, mode="same")[pl:pl + xs.size] * h
     if mu < thr:
-        stride = 1 if lam < thr else _coarse_stride(lam, h, xs.size)
-        xc = xs[::stride]
-        cc = mu * nh * _backend.skew_sum(gtab, table.h, par, xc, mu, n_xs,
-                                         n_tab, 1.0 / lam)
-        if stride == 1:
-            return cc
-        return _upsample(cc, xc[0], stride * h, xs)
+        return mu * nh * _backend.skew_sum(gtab, table.h, par, xs, mu, n_xs,
+                                           n_tab, 1.0 / lam)
     # lam < thr <= mu: integrate on the kernel grid
     stride = _coarse_stride(mu, h, xs.size)
     xc = xs[::stride]
@@ -178,7 +200,7 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
     cc = lam * (table.h * ks) * (nv @ gk)
     if stride == 1:
         return cc
-    return _upsample(cc, xc[0], stride * h, xs)
+    return _backend.cubic_eval(cc, xc[0], stride * h, xs, cc[0], cc[-1])
 
 
 def _duhamel_sum(n_tab, n_xs, xs, t, ell, table, nodes, method):

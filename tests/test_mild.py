@@ -1,6 +1,9 @@
+from math import gamma
+
 import numpy as np
 import pytest
 
+from cornerflow import _slowpath, mild
 from cornerflow import (ConfigError, CornerData, GridFunction,
                         ValidationError, alpha_coefficient,
                         constant_shift_residual, corner_height,
@@ -9,6 +12,7 @@ from cornerflow import (ConfigError, CornerData, GridFunction,
                         self_similarity_residual, solve_similarity_profile,
                         symmetric_grid)
 from cornerflow.errors import (GridMismatch, NoConvergence, StaleProfile)
+from cornerflow.kernel import _PARITY
 
 PHI0_FROZEN = 0.0779566288  # A = B = 0.1 reference, grid-converged level
 
@@ -112,6 +116,20 @@ def test_reconstruct_slope_consistency(profile_8k, ktable):
         assert (sol.phi is not None) == (t == 1.0)
 
 
+def test_slope_consistency_over_eight_decades(profile_8k, profile_16k,
+                                              ktable):
+    # the gap is the 4th-order error of a grid that resolves the length
+    # scale t^(1/4): it grows like h^4 / t, tenfold a decade down in t and
+    # sixteenfold a doubling of h
+    asym = solve_similarity_profile(CornerData(0.2, 0.03), table=ktable)
+    for prof in (profile_8k, asym):
+        for t in 10.0 ** np.arange(-4, 5):
+            assert reconstruct_U(prof, t, ktable).slope_consistency <= 1e-6
+    coarse = reconstruct_U(profile_8k, 1e-4, ktable).slope_consistency
+    fine = reconstruct_U(profile_16k, 1e-4, ktable).slope_consistency
+    assert fine <= coarse / 10.0
+
+
 # march-like grids: half the width, coarser or finer than the profile
 # grid, and one whose spacing does not divide the profile spacing
 FOREIGN_GRIDS = ((20.0, 4096), (20.0, 512), (13.7, 3000))
@@ -131,6 +149,68 @@ def test_duhamel_on_foreign_grid(profile_8k, ktable, t):
     sol = reconstruct_U(profile_8k, t, ktable, xs=xs)
     base = corner_height(0.1, 0.1, t, ktable, xs)
     assert np.max(np.abs(sol.U.ys - base.ys - own.interp(xs))) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def skew_density(ktable):
+    """Nonlinear density of an asymmetric corner on a 2048-interval grid."""
+    prof = solve_similarity_profile(CornerData(0.2, 0.03), table=ktable,
+                                    xs=symmetric_grid(20.0, 2048))
+    return (mild._nonlinear_density(prof.psi.ys, prof.psi1, prof.psi2),
+            prof.psi.xs)
+
+
+def _dense_skew(n_tab, n_xs, xs, mu, lam, ell, table):
+    # the source sum of the skew regime at every output point
+    return mu * mild._spacing(n_xs) * _slowpath.skew_sum(
+        table.g_ell[ell], table.h, _PARITY[ell], xs, mu, n_xs, n_tab,
+        1.0 / lam)
+
+
+def _spread_bound(n_tab, n_xs, xs, mu, lam, ell, table):
+    # 4-point Lagrange remainder: sup|f^(4)| h^4 / 24 times |prod(u - k)|,
+    # which is at most 15/16 on the end cells; here f = g_ell((x - .)/lam)
+    # and sup|g_ell^(4)| <= Gamma((ell + 5) / 4) / (4 pi) from the symbol
+    # exp(-k^4). The kernel table's own interpolation adds the table.h term.
+    g4 = gamma((ell + 5) / 4.0) / (4.0 * np.pi)
+    mass = mu * mild._spacing(n_xs) * np.abs(n_tab).sum()
+    return (15.0 / 16.0 / 24.0 * g4 * mass
+            * ((mild._spacing(xs) / lam) ** 4 + 3.0 * table.h ** 4))
+
+
+# the own grid, a foreign one, and a narrow window that leaves the outer
+# sources of the largest mu outside it
+SPREAD_GRIDS = ((-20.0, 20.0, 2048), (-13.7, 13.7, 3000),
+                (-0.4, 0.25, 256))
+
+
+@pytest.mark.parametrize("ell", (0, 1, 2))
+def test_spread_branch_matches_dense_sum(skew_density, ktable, ell):
+    # mu < 3h <= lam: the sources are spread onto the output grid and
+    # FFT-convolved; the dense sum is the reference
+    n_tab, n_xs = skew_density
+    for left, right, intervals in SPREAD_GRIDS:
+        xs = np.linspace(left, right, intervals + 1)
+        h = mild._spacing(xs)
+        for mu, lam in ((0.3 * h, 3.0 * h), (h, 12.0 * h),
+                        (2.9 * h, 150.0 * h)):
+            got = mild._rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
+                                             ktable)
+            ref = _dense_skew(n_tab, n_xs, xs, mu, lam, ell, ktable)
+            bound = _spread_bound(n_tab, n_xs, xs, mu, lam, ell, ktable)
+            assert np.max(np.abs(got - ref)) <= bound
+
+
+def test_spread_and_fft_branches_meet(skew_density, ktable):
+    # at mu = 3h the spread sources give way to the resampled density
+    n_tab, n_xs = skew_density
+    h = mild._spacing(n_xs)
+    for ell in (0, 1, 2):
+        lo, hi = (mild._rescaled_convolution(n_tab, n_xs, n_xs,
+                                             3.0 * h * (1.0 + s), 1.0, ell,
+                                             ktable)
+                  for s in (-1e-9, 1e-9))
+        assert np.max(np.abs(hi - lo)) <= 1e-5 * np.max(np.abs(hi))
 
 
 def test_reconstruct_validation(profile_8k, ktable):
