@@ -9,7 +9,6 @@ from .errors import (
     UnsupportedFarField,
     NumericalFailure,
     NonFiniteGeometry,
-    KernelQuadratureFailure,
     PicardDivergence,
     NoConvergence,
     StaleProfile,
@@ -74,8 +73,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CornerflowError", "ValidationError", "ConfigError", "GridMismatch",
     "InvalidTime", "UnsupportedFarField", "NumericalFailure",
-    "NonFiniteGeometry", "KernelQuadratureFailure", "PicardDivergence",
-    "NoConvergence", "StaleProfile", "OracleInstability",
+    "NonFiniteGeometry", "PicardDivergence", "NoConvergence",
+    "StaleProfile", "OracleInstability",
     "GridFunction", "symmetric_grid", "corner_function", "smoothed_abs",
     "CurveGeometry", "geometry", "ds_derivative", "ds_of_array",
     "arclength_from_zero", "detect_kinks",

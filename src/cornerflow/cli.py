@@ -104,7 +104,7 @@ def _ensure_out(args):
 
 def cmd_kernel(args):
     out = _ensure_out(args)
-    table = build_kernel_table(args.eta_max, args.nodes, args.quad_tol)
+    table = build_kernel_table(args.eta_max, args.nodes)
     csv_path = os.path.join(out, "kernel.csv")
     table.to_csv(csv_path)
     from scipy.special import gamma
@@ -221,6 +221,8 @@ def cmd_solve(args):
     out = _ensure_out(args)
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
+        if args.workers < 1:
+            raise ValidationError("--workers must be >= 1")
         jobs = []
         for v in values:
             payload = dict(vars(args))
@@ -350,7 +352,6 @@ def build_parser():
     p = sub.add_parser("kernel", help="build and export the kernel table")
     p.add_argument("--eta-max", type=float, default=40.0)
     p.add_argument("--nodes", type=int, default=16384)
-    p.add_argument("--quad-tol", type=float, default=1e-12)
     p.add_argument("--t-lo", type=float, default=0.01)
     p.add_argument("--t-hi", type=float, default=100.0)
     _add_common(p)

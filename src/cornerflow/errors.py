@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 Validation problems (bad parameters, mismatched grids) and numerical
-failures (divergence, instability, quadrature breakdown) are kept in
+failures (divergence, instability, non-finite geometry) are kept in
 separate branches so the CLI can map them to distinct exit codes.
 """
 
@@ -36,10 +36,6 @@ class NumericalFailure(CornerflowError):
 
 class NonFiniteGeometry(NumericalFailure):
     """Curve geometry produced NaN or Inf."""
-
-
-class KernelQuadratureFailure(NumericalFailure):
-    """Oscillatory kernel quadrature did not reach the requested tolerance."""
 
 
 class PicardDivergence(NumericalFailure):

@@ -212,6 +212,11 @@ def _duhamel_sum(n_tab, n_xs, xs, t, ell, table, nodes, method):
     return out
 
 
+def _check_quad_nodes(nodes):
+    if nodes < 8:
+        raise ConfigError("quadrature needs at least 8 nodes")
+
+
 def _quad_nodes(t, ell, nodes, method):
     """(mu_k, lam_k, weight_k) so that I = sum_k w_k C(mu_k, lam_k; x)."""
     if method == "tau":
@@ -246,8 +251,7 @@ def duhamel_integral(psi, t, target_deriv, table, nodes=64, method="tau",
         raise ValidationError(f"t must be positive, got {t}")
     if target_deriv not in (0, 1, 2):
         raise ValidationError("target_deriv must be 0, 1 or 2")
-    if nodes < 8:
-        raise ConfigError("quadrature needs at least 8 nodes")
+    _check_quad_nodes(nodes)
     if xs is None:
         xs = psi.xs
     A, B = psi.right_far, -psi.left_far
@@ -285,6 +289,9 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
     """
     if table is None:
         raise ValidationError("a KernelTable is required")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    _check_quad_nodes(quad_nodes)
     if not corner.within_cap():
         raise ConfigError(
             f"corner size {corner.size:.3g} exceeds slope_cap "

@@ -139,6 +139,24 @@ def test_sweep_spec_validation(tmp_path, capsys):
     code = run_cli("solve", "--a", "0.1", "--b", "0.1", "--sweep",
                    "c=0:1:2", "--out-dir", str(tmp_path / "s"))
     assert code == 2
+    # rejected before a worker pool starts
+    code = run_cli("solve", "--a", "0.1", "--b", "0.1", "--sweep",
+                   "a=0.1:0.1:0.2", "--workers", "0", "--out-dir",
+                   str(tmp_path / "w"))
+    assert code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", (
+    ("--max-iter", "0"),
+    ("--quad-nodes", "0"),
+    ("--quad-method", "s-jacobi", "--quad-nodes", "1"),
+))
+def test_solve_rejects_bad_iteration_settings(tmp_path, capsys, flags):
+    code = run_cli("solve", "--a", "0.1", "--b", "0.1", *flags,
+                   "--out-dir", str(tmp_path / "s"))
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_diagnose_counterexample(tmp_path, capsys):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 from scipy.special import gamma
 
-from cornerflow import (GridFunction, InvalidTime, KernelTable,
+from cornerflow import (ConfigError, GridFunction, InvalidTime, KernelTable,
                         ValidationError, apply_semigroup, apply_to_step,
                         build_kernel_table, corner_height,
                         regularizing_constants, symmetric_grid)
@@ -24,6 +24,26 @@ def _bump(half_width=40.0, intervals=2048, lo=0.0, hi=0.0):
     xs = symmetric_grid(half_width, intervals)
     ys = np.exp(-0.25 * xs ** 2) + lo + (hi - lo) * 0.5 * (1 + np.tanh(xs))
     return GridFunction(xs, ys, lo, hi, "constant", 1e-6)
+
+
+# Re (ik)^ell e^{ik eta} = sign * k^ell * weight(k eta)
+_FOURIER_WEIGHTS = ((1.0, "cos"), (-1.0, "sin"), (-1.0, "cos"), (1.0, "sin"))
+
+
+@pytest.mark.parametrize("eta_max, n_nodes", ((40.0, 16384), (15.0, 2048)))
+def test_tables_match_quadpack(eta_max, n_nodes):
+    # QUADPACK's oscillatory rule on [0, 3.2] (exp(-k^4) < 1e-45 beyond)
+    # is independent of the FFT; (15, 2048) has the shortest FFT period,
+    # and the last node sits nearest to the first periodic image
+    table = build_kernel_table(eta_max, n_nodes)
+    fractions = np.array([0.0, 0.03, 0.1, 0.22, 0.4, 0.74, 1.0])
+    idx = np.rint(fractions * (n_nodes - 1)).astype(int)
+    for ell, (sign, weight) in enumerate(_FOURIER_WEIGHTS):
+        for j in idx:
+            ref, _ = quad(lambda k: k ** ell * np.exp(-k ** 4) / np.pi,
+                          0.0, 3.2, weight=weight, wvar=table.etas[j],
+                          epsabs=1e-14, epsrel=0.0)
+            assert abs(table.g_ell[ell][j] - sign * ref) < 1e-14
 
 
 def test_g0_matches_closed_form(ktable):
@@ -87,6 +107,8 @@ def test_build_validation():
         build_kernel_table(eta_max=10.0)
     with pytest.raises(ValidationError):
         build_kernel_table(n_nodes=100)
+    with pytest.raises(ConfigError):
+        build_kernel_table(eta_max=1100.0, n_nodes=2048)
 
 
 def test_semigroup_property(ktable):

@@ -231,6 +231,20 @@ def test_no_convergence_path(ktable):
     assert len(err.value.history) == 2
 
 
+@pytest.mark.parametrize("kwargs, error", (
+    ({"max_iter": 0}, ValidationError),
+    ({"max_iter": -1}, ValidationError),
+    ({"quad_nodes": 0}, ConfigError),
+    ({"quad_nodes": 7}, ConfigError),
+    ({"quad_nodes": 1, "quad_method": "s-jacobi"}, ConfigError),
+), ids=("max_iter=0", "max_iter=-1", "quad_nodes=0", "quad_nodes=7",
+        "s-jacobi-1"))
+def test_solver_rejects_bad_iteration_settings(ktable, kwargs, error):
+    with pytest.raises(error, match="max_iter|at least 8 nodes"):
+        solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
+                                 **kwargs)
+
+
 def test_self_similarity_validation(profile_8k, ktable):
     with pytest.raises(ValidationError):
         self_similarity_residual(profile_8k, -1.0, 1.0, ktable)
