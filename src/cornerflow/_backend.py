@@ -1,27 +1,11 @@
-"""Select the compiled kernels if the extension built, else the NumPy twins.
+"""The one import point of the hot numerical kernels.
 
-Set CORNERFLOW_BACKEND=slow (or fast) to force a choice; forcing "fast" when
-the extension is missing raises so benchmarks cannot silently compare slow
-against itself.
+The package calls the four primitives through this module, and the
+benchmark's tracer wraps them here; their numpy implementations live in
+`_slowpath`.
 """
-import os
+from ._slowpath import cubic_eval, penta_march_u, skew_sum, sym_eval
 
-_choice = os.environ.get("CORNERFLOW_BACKEND", "").strip().lower()
+name = "numpy"
 
-if _choice == "slow":
-    from . import _slowpath as _impl
-elif _choice == "fast":
-    from . import _fastpath as _impl  # ImportError here means no extension
-elif _choice:
-    raise ImportError(f"CORNERFLOW_BACKEND={_choice!r}: expected 'fast' or 'slow'")
-else:
-    try:
-        from . import _fastpath as _impl
-    except ImportError:
-        from . import _slowpath as _impl
-
-name = _impl.NAME
-cubic_eval = _impl.cubic_eval
-sym_eval = _impl.sym_eval
-skew_sum = _impl.skew_sum
-penta_march_u = _impl.penta_march_u
+__all__ = ["name", "cubic_eval", "sym_eval", "skew_sum", "penta_march_u"]

@@ -1,15 +1,15 @@
-"""NumPy reference implementations of the hot numerical kernels.
+"""NumPy implementations of the hot numerical kernels.
 
-Mirrors the compiled module `_fastpath`; the two must agree to rounding.
-Everything here is vectorized but allocates temporaries, which is what
-the compiled twin avoids.
+The package reaches the four primitives (cubic_eval, sym_eval, skew_sum,
+penta_march_u) through `_backend`. Everything here is vectorized; skew_sum
+bounds its temporaries by evaluating SKEW_CHUNK source nodes at a time.
 """
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import GridMismatch
 
-NAME = "slow"
+SKEW_CHUNK = 2048  # source nodes per block of skew_sum's pair matrix
 
 
 def lagrange_weights(u):
@@ -55,7 +55,7 @@ def sym_eval(tab, h, parity, q):
     return vals
 
 
-def skew_sum(tab, h, parity, a, b, z, w, scale, chunk=2048):
+def skew_sum(tab, h, parity, a, b, z, w, scale):
     """out[i] = sum_j w[j] * K((a[i] - b*z[j]) * scale).
 
     K is the symmetric table evaluation of sym_eval. The mild solver uses
@@ -71,9 +71,9 @@ def skew_sum(tab, h, parity, a, b, z, w, scale, chunk=2048):
         raise GridMismatch(f"skew_sum: {z.size} source nodes but "
                            f"{w.size} weights")
     out = np.zeros(a.size, dtype=float)
-    for j0 in range(0, z.size, chunk):
-        zz = z[j0:j0 + chunk]
-        ww = w[j0:j0 + chunk]
+    for j0 in range(0, z.size, SKEW_CHUNK):
+        zz = z[j0:j0 + SKEW_CHUNK]
+        ww = w[j0:j0 + SKEW_CHUNK]
         arg = (a[:, None] - b * zz[None, :]) * scale
         out += sym_eval(tab, h, parity, arg) @ ww
     return out

@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 
+from . import _backend
 from .errors import GridMismatch, ValidationError
 
 _UNIFORM_RTOL = 1e-9
@@ -94,7 +95,6 @@ class GridFunction:
     def interp(self, x):
         """Cubic interpolation with far-field extension outside the grid."""
         x = np.asarray(x, dtype=float)
-        from . import _backend
         if self.far_kind == "constant":
             inner = _backend.cubic_eval(self.ys, self.xs[0], self._h, x,
                                         self.left_far, self.right_far)

@@ -25,6 +25,7 @@ from .grid import GridFunction, symmetric_grid
 
 _PARITY = (0, 1, 0, 1)  # g even, g' odd, g'' even, g''' odd
 ENVELOPE_RATE = 3.0 / 2.0 ** (11.0 / 3.0)  # stationary-phase decay exponent
+ENVELOPE_FLOOR = 1e-13  # rounding floor of the tables, relative to g(0)
 
 
 class KernelTable:
@@ -32,7 +33,12 @@ class KernelTable:
 
     G2 is the second antiderivative fixed by G2(-inf) = 0; it gives the
     closed-form evolution of corner data. g_env is the smallest prefactor
-    for which |g| <= g_env exp(-ENVELOPE_RATE |eta|^{4/3}) on the table.
+    for which |g| <= g_env exp(-ENVELOPE_RATE |eta|^{4/3}) on the core
+    nodes, where exp(-ENVELOPE_RATE eta^{4/3}) >= ENVELOPE_FLOOR (eta below
+    about 37.8). Past them the envelope through g(0) falls under the
+    rounding floor ENVELOPE_FLOOR |g(0)|, the tables hold rounding noise,
+    and only |g| <= max(envelope, floor) is required; weighting that noise
+    by exp(ENVELOPE_RATE eta^{4/3}) would let it set g_env.
     """
 
     def __init__(self, etas, g_tables, G, G2):
@@ -43,10 +49,10 @@ class KernelTable:
         self.g_ell = g_tables  # tuple of 4 arrays
         self.G = G
         self.G2 = G2
-        scaled = np.exp(ENVELOPE_RATE * etas ** (4.0 / 3.0), dtype=float)
-        with np.errstate(over="ignore"):
-            self.g_env = float(np.nanmax(np.where(
-                np.isfinite(scaled), np.abs(g_tables[0]) * scaled, 0.0)))
+        rate = ENVELOPE_RATE * etas ** (4.0 / 3.0)
+        core = rate < -np.log(ENVELOPE_FLOOR)
+        self.g_env = float(np.max(np.abs(g_tables[0][core])
+                                  * np.exp(rate[core])))
         self._check()
 
     def _check(self):
@@ -60,7 +66,9 @@ class KernelTable:
         if abs(mass - 1.0) > 1e-8 + 2.0 * tail:
             raise ValidationError(f"kernel mass off by {mass - 1.0:.3e}")
         env = self.g_env * np.exp(-ENVELOPE_RATE * self.etas ** (4.0 / 3.0))
-        if np.any(np.abs(self.g_ell[0]) > env * (1.0 + 1e-12) + 1e-300):
+        floor = ENVELOPE_FLOOR * abs(self.g_ell[0][0])
+        if np.any(np.abs(self.g_ell[0]) > np.maximum(env * (1.0 + 1e-12),
+                                                     floor)):
             raise ValidationError("kernel envelope violated")
 
     # -- pointwise evaluation, zero (or asymptote) beyond eta_max --

@@ -73,6 +73,20 @@ def test_decay_envelope(ktable):
     env = ktable.g_env * np.exp(-ENVELOPE_RATE * ktable.etas ** (4.0 / 3.0))
     assert np.all(np.abs(ktable.g_ell[0]) <= env * (1.0 + 1e-12) + 1e-300)
     assert ktable.g_env < 0.4
+    # wide tables: the rounding noise of the far table must not set g_env
+    # (it read 2.4e7 at eta_max 60 and 2.2e30 at 100 when it did)
+    for eta_max, n_nodes in ((60.0, 16384), (100.0, 20000)):
+        wide = build_kernel_table(eta_max, n_nodes)
+        assert wide.g_env < 0.4
+        assert abs(wide.g_env - ktable.g_env) < 1e-4
+    # past eta_max ~ 407 the envelope weight overflows a float
+    assert build_kernel_table(450.0, 4096).g_env < 0.4
+    # a far tail above the rounding floor 1e-13 g(0) is not noise
+    g0 = ktable.g_ell[0].copy()
+    g0[ktable.etas > 39.0] = 1e-12
+    with pytest.raises(ValidationError, match="envelope"):
+        KernelTable(ktable.etas, (g0, *ktable.g_ell[1:]), ktable.G,
+                    ktable.G2)
 
 
 def test_antiderivative_consistency(ktable):
