@@ -306,11 +306,12 @@ def cmd_diagnose(args):
 def cmd_oracle_compare(args):
     out = _ensure_out(args)
     corner = CornerData(args.a, args.b, args.slope_cap)
-    table = build_kernel_table()
-    profile = solve_similarity_profile(corner, table=table)
+    # march settings and times are checked before the costly profile solve
     cfg = MarchConfig(corner.A, corner.B, half_width=args.half_width,
                       intervals=args.intervals, dt_max=args.dt_max)
     times = _parse_times(args.times)
+    table = build_kernel_table()
+    profile = solve_similarity_profile(corner, table=table)
     snapshots = time_march(cfg.mollified_corner(), cfg, times)
     rows = []
     paths = []

@@ -3,10 +3,12 @@
 A semi-implicit method-of-lines scheme for the graph evolution
 u_t = -d/dx[ alpha(u_x) u_xxx + 3 u_x u_xx^2 / (1+u_x^2)^3 ]: the stiff
 linear operator -dt d_x^4 is folded into a pentadiagonal solve each step,
-the remaining nonlinearity is advanced explicitly. The linearized
-amplification factor is below one for any dt because alpha < 1 pointwise,
-so the step size is set by accuracy, not stability; a ramp from dt_init
-avoids transients from rough initial data.
+the remaining nonlinearity is advanced explicitly. The matrix I + dt D4
+is factored once per step size of the schedule, and each step only
+back-substitutes. The linearized amplification factor is below one for
+any dt because alpha < 1 pointwise, so the step size is set by accuracy,
+not stability; a ramp from dt_init avoids transients from rough initial
+data.
 
 This solver shares nothing with the kernel/Duhamel pipeline beyond the
 grid type, which is what makes the agreement check meaningful.
@@ -29,6 +31,14 @@ class MarchConfig:
 
     def __init__(self, A, B, half_width=20.0, intervals=4096, dt_max=2e-5,
                  dt_init=1e-8, ramp=1.6, moll_width=None, growth_cap=10.0):
+        settings = {"A": A, "B": B, "half_width": half_width,
+                    "dt_max": dt_max, "dt_init": dt_init, "ramp": ramp,
+                    "growth_cap": growth_cap, "moll_width": moll_width}
+        bad = [key for key, val in settings.items()
+               if val is not None and not np.isfinite(val)]
+        if bad:
+            raise ValidationError(f"non-finite march settings: "
+                                  f"{', '.join(bad)}")
         if intervals < 512:
             raise ValidationError(f"intervals = {intervals} < 512")
         if dt_max <= 0.0 or dt_init <= 0.0 or dt_init > dt_max:
@@ -86,8 +96,8 @@ def _march(values, cfg, t_span):
                                                 cfg.A, cfg.B, cfg.growth_cap)
         if status != 0:
             raise OracleInstability(
-                f"sup-norm grew past {cfg.growth_cap}x in one step "
-                f"(dt={dt:.3e}, h={cfg.h:.3e})")
+                f"sup-norm grew past {cfg.growth_cap}x or went non-finite "
+                f"in one step (dt={dt:.3e}, h={cfg.h:.3e})")
     return values
 
 

@@ -212,6 +212,18 @@ def test_oracle_compare_short_horizon(tmp_path, capsys):
     assert (out / "march_t0.05.csv").exists()
 
 
+def test_oracle_compare_checks_march_flags_first(tmp_path, monkeypatch):
+    # a bad march flag must fail before the kernel table and profile solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("profile solve ran before the march check")
+
+    monkeypatch.setattr(cli, "build_kernel_table", no_solve)
+    monkeypatch.setattr(cli, "solve_similarity_profile", no_solve)
+    code = run_cli("oracle-compare", "--dt-max", "inf", "--out-dir",
+                   str(tmp_path / "o"))
+    assert code == 2
+
+
 def test_console_entry_point():
     # the child imports the package from where this process found it
     src = os.path.dirname(os.path.dirname(cornerflow.__file__))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from cornerflow import (GridFunction, MarchConfig, ValidationError,
                         compare_with_mild, corner_function, time_march)
+from cornerflow import _slowpath
 from cornerflow.errors import OracleInstability
 
 
@@ -25,6 +27,14 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         MarchConfig(0.1, 0.1, intervals=512, half_width=10.0,
                     moll_width=1e-4)
+    # non-finite settings: an inf dt_max would stop the march short and a
+    # nan growth_cap would switch the blow-up check off
+    for key in ("A", "B", "half_width", "dt_max", "dt_init", "ramp",
+                "growth_cap", "moll_width"):
+        for bad in (np.inf, np.nan):
+            kw = {"A": 0.1, "B": 0.1, key: bad}
+            with pytest.raises(ValidationError, match=key):
+                MarchConfig(kw.pop("A"), kw.pop("B"), **kw)
 
 
 def test_mollified_corner_gap():
@@ -111,6 +121,79 @@ def test_growth_cap_trips():
     u0 = GridFunction(cfg.xs, np.zeros(cfg.xs.size), -0.3, 0.3, "linear")
     with pytest.raises(OracleInstability):
         time_march(u0, cfg, [0.1])
+
+
+def test_nonfinite_step_is_typed():
+    # the explicit flux of huge data overflows to inf/nan; the step's
+    # finite check must turn that into OracleInstability
+    cfg = _cfg()
+    u0 = GridFunction(cfg.xs, 1e160 * np.cos(cfg.xs), -0.1, 0.1, "linear")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OracleInstability):
+            time_march(u0, cfg, [0.1])
+        u, status = _slowpath.penta_march_u(u0.ys, 3, 1e-8, cfg.h, 0.1, 0.1)
+    assert status == 1 and not np.all(np.isfinite(u))
+
+
+def _reference_march(u, nsteps, dt, h, A, B, growth_cap):
+    """The march with I + dt*D4 handed to solve_banded on every step.
+
+    Returns (u, status, steps taken); the factored march must match it.
+    """
+    u = np.array(u, dtype=float)
+    n = u.size
+    c = dt / h ** 4
+    ab = np.zeros((5, n))
+    ab[0, 2:] = c
+    ab[1, 1:] = -4.0 * c
+    ab[2, :] = 1.0 + 6.0 * c
+    ab[3, :-1] = -4.0 * c
+    ab[4, :-2] = c
+    ab[2, 0] = ab[2, -1] = 1.0 + 3.0 * c
+    ab[3, 0] = ab[1, -1] = -3.0 * c
+    rc = np.zeros(n)
+    rc[0], rc[1] = 2.0 * h * B * c, -h * B * c
+    rc[-1], rc[-2] = 2.0 * h * A * c, -h * A * c
+    for step in range(1, nsteps + 1):
+        sup0 = np.max(np.abs(u)) + 1e-300
+        rhs = u + dt * _slowpath._explicit_u(u, h, A, B) + rc
+        u = solve_banded((2, 2), ab, rhs)
+        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > growth_cap * sup0:
+            return u, 1, step
+    return u, 0, nsteps
+
+
+def test_factored_march_is_bit_identical():
+    # asymmetric corner, so the two boundary rows carry different data
+    cfg = _cfg(A=0.2, B=0.03)
+    u0 = cfg.mollified_corner().ys
+    for dt, nsteps in ((cfg.dt_init * cfg.ramp ** 20, 1),
+                       (cfg.dt_max, 200)):
+        ref, ref_status, _ = _reference_march(u0, nsteps, dt, cfg.h, cfg.A,
+                                              cfg.B, cfg.growth_cap)
+        out, status = _slowpath.penta_march_u(u0, nsteps, dt, cfg.h, cfg.A,
+                                              cfg.B, cfg.growth_cap)
+        assert status == ref_status == 0
+        assert np.array_equal(out, ref)
+    # the test_growth_cap_trips data trips at the same step in both
+    trip = _cfg(A=0.3, B=0.3, growth_cap=1.5)
+    zeros = np.zeros(trip.xs.size)
+    ref, ref_status, ref_step = _reference_march(zeros, 200, trip.dt_max,
+                                                 trip.h, 0.3, 0.3, 1.5)
+    out, status = _slowpath.penta_march_u(zeros, 200, trip.dt_max, trip.h,
+                                          0.3, 0.3, 1.5)
+    # equal fields after the trip mean the same step tripped
+    assert (ref_status, ref_step) == (1, 1)
+    assert status == 1 and np.array_equal(out, ref)
+    # a bump decays until the boundary pumping overtakes it, so the cap
+    # trips mid-march, against the sup carried over from the step before
+    bump = 0.1 * np.exp(-trip.xs ** 2 / 0.5)
+    ref, ref_status, ref_step = _reference_march(bump, 200, trip.dt_max,
+                                                 trip.h, 0.3, 0.3, 1.01)
+    out, status = _slowpath.penta_march_u(bump, 200, trip.dt_max, trip.h,
+                                          0.3, 0.3, 1.01)
+    assert ref_status == 1 and 1 < ref_step < 200
+    assert status == 1 and np.array_equal(out, ref)
 
 
 def test_compare_with_mild_smoke(profile_8k, ktable):

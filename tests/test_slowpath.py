@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cornerflow import _backend, _slowpath
-from cornerflow.errors import GridMismatch
+from cornerflow.errors import GridMismatch, NumericalFailure
 
 
 def test_backend_reexports_the_numpy_kernels():
@@ -23,3 +23,30 @@ def test_skew_sum_rejects_size_mismatch():
         _slowpath.skew_sum(tab, 0.1, 0, z, 0.5, z, np.ones(17), 1.0)
     out = _slowpath.skew_sum(tab, 0.1, 0, z, 0.5, z, np.ones(33), 1.0)
     assert out.shape == z.shape
+
+
+def test_march_steps_go_through_the_module_globals(monkeypatch):
+    # bench/tracer.py times oracle.banded_solve and oracle.explicit_flux by
+    # wrapping these two names; a march that bypassed them would read 0
+    calls = {"solve_banded": 0, "_explicit_u": 0}
+    for name in calls:
+        orig = getattr(_slowpath, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(_slowpath, name, counted)
+    xs = np.linspace(-10.0, 10.0, 513)
+    u, status = _slowpath.penta_march_u(0.1 * np.abs(xs), 7, 1e-4,
+                                        xs[1] - xs[0], 0.1, 0.1)
+    assert status == 0
+    assert calls == {"solve_banded": 7, "_explicit_u": 7}
+
+
+def test_singular_band_matrix_raises(monkeypatch):
+    # a nonzero dgbtrf info is an error, never a silently wrong march
+    monkeypatch.setattr(_slowpath, "_penta_bands",
+                        lambda n, *args: np.zeros((7, n), order="F"))
+    with pytest.raises(NumericalFailure, match="dgbtrf"):
+        _slowpath.penta_march_u(np.zeros(64), 1, 1e-4, 0.1, 0.0, 0.0)
