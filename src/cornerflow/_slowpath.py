@@ -2,12 +2,16 @@
 
 The package reaches the four primitives (cubic_eval, sym_eval, skew_sum,
 penta_march_u) through `_backend`. Everything here is vectorized; skew_sum
-bounds its temporaries by evaluating SKEW_CHUNK source nodes at a time, and
-penta_march_u factors its band matrix once per step size (LAPACK dgbtrf)
-and back-substitutes each step (dgbtrs).
+bounds its temporaries by evaluating SKEW_CHUNK source nodes at a time.
+penta_march_u factors its matrix once per step size: I + dt*D4 is a
+symmetric positive definite band plus a rank-2 term from the boundary
+rows, so the band is Cholesky-factored (LAPACK dpbtrf) and the boundary
+term is applied by the Sherman-Morrison-Woodbury formula; each step is
+one dpbtrs back-substitution plus that rank-2 update.
 """
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.blas import daxpy
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import GridMismatch, NumericalFailure
 
@@ -81,41 +85,74 @@ def skew_sum(tab, h, parity, a, b, z, w, scale):
     return out
 
 
-def _penta_bands(n, c, diag0, diag_last, sub_first, sup_last):
-    """Banded (I + dt*D4) in dgbtrf's layout; boundary rows pre-modified.
+def _sym_bands(n, c):
+    """Upper band, in dpbtrf's layout, of I + c*N^2.
 
-    Rows 0-1 are the fill-in space of the LU factors, rows 2-6 hold the
-    diagonals +2 .. -2.
+    N is the second difference with Neumann end rows [-1, 1], so N^2 has
+    the D4 stencil inside, ends [2, -3, 1] and is symmetric positive
+    semidefinite. Row 2 holds the diagonal, rows 1 and 0 the first and
+    second superdiagonals.
     """
-    ab = np.zeros((7, n), order="F")
-    ab[2, 2:] = c
-    ab[3, 1:] = -4.0 * c
-    ab[4, :] = 1.0 + 6.0 * c
-    ab[5, :-1] = -4.0 * c
-    ab[6, :-2] = c
-    ab[4, 0] = diag0
-    ab[4, -1] = diag_last
-    ab[5, 0] = sub_first
-    ab[3, -1] = sup_last
+    ab = np.zeros((3, n))
+    ab[0, 2:] = c
+    ab[1, 1:] = -4.0 * c
+    ab[1, 1] = ab[1, -1] = -3.0 * c
+    ab[2, :] = 1.0 + 6.0 * c
+    ab[2, 0] = ab[2, -1] = 1.0 + 2.0 * c
     return ab
 
 
-def solve_banded(lu, piv, rhs):
-    """Solve with the dgbtrf factors (lu, piv) of a pentadiagonal matrix.
+def _factor_banded(n, c):
+    """Factors of I + c*M for solve_banded, M the boundary-closed D4.
 
-    rhs is overwritten with the solution, which is returned. Non-finite
-    values pass through unchecked; the caller tests the result.
+    The ghost rows make M = N^2 + e0 (e0 - e1)^T + e_{n-1} (e_{n-1} -
+    e_{n-2})^T: a symmetric band plus a rank-2 boundary term. The band is
+    Cholesky-factored (dpbtrf), and the rank-2 term is folded into the
+    n x 2 correction W = c Z (I + c V^T Z)^{-1} of the Sherman-Morrison-
+    Woodbury formula, where Z = (I + c N^2)^{-1} [e0, e_{n-1}] and V holds
+    the two difference rows: x = y - W V^T y, with y the band's solution.
+    Returns (cholesky band, W^T).
     """
-    x, info = dgbtrs(lu, 2, 2, rhs, piv, overwrite_b=1)
+    chol, info = dpbtrf(_sym_bands(n, c), overwrite_ab=1)
     if info != 0:
-        raise NumericalFailure(f"dgbtrs failed (info={info})")
-    return x
+        raise NumericalFailure(f"dpbtrf failed (info={info}, c={c:.3e})")
+    z = np.zeros((n, 2), order="F")
+    z[0, 0] = z[-1, 1] = 1.0
+    z, info = dpbtrs(chol, z, overwrite_b=1)
+    if info != 0:
+        raise NumericalFailure(f"dpbtrs failed (info={info})")
+    cap = np.eye(2) + c * np.array([z[0] - z[1], z[-1] - z[-2]])
+    det = cap[0, 0] * cap[1, 1] - cap[0, 1] * cap[1, 0]
+    if not np.isfinite(det) or det == 0.0:
+        raise NumericalFailure(f"singular capacitance matrix of the "
+                               f"boundary rows (det={det:.3e}, c={c:.3e})")
+    adj = np.array([[cap[1, 1], -cap[0, 1]], [-cap[1, 0], cap[0, 0]]])
+    return chol, (c / det) * (adj.T @ z.T)
+
+
+def solve_banded(factors, rhs):
+    """Solve (I + c*M) x = rhs with the _factor_banded factors.
+
+    One Cholesky back-substitution (dpbtrs) and the rank-2 boundary
+    correction. rhs is overwritten with the solution, which is returned.
+    Non-finite values pass through unchecked; the caller tests the result.
+    """
+    chol, wt = factors
+    x, info = dpbtrs(chol, rhs, overwrite_b=1)
+    if info != 0:
+        raise NumericalFailure(f"dpbtrs failed (info={info})")
+    d0, d1 = x[1] - x[0], x[-2] - x[-1]
+    x = daxpy(wt[0], x, a=d0)
+    return daxpy(wt[1], x, a=d1)
 
 
 def _explicit_u(u, h, A, B):
     """dx(alpha(w) w_xx + F(w)) for the height equation, 2nd order.
 
     Ghost cells extend u linearly with the declared far slopes -B, A.
+    With r = 1/(1+w^2), the flux is phi = w^2 (2+w^2) r^2 w_xx +
+    3 w w_x^2 r^3; it is formed from undivided differences of w, and the
+    powers of 1/h are applied once at the end.
     """
     n = u.size
     ue = np.empty(n + 4)
@@ -124,16 +161,31 @@ def _explicit_u(u, h, A, B):
     ue[0] = u[0] + 2.0 * h * B
     ue[-2] = u[-1] + h * A
     ue[-1] = u[-1] + 2.0 * h * A
-    w = (ue[2:] - ue[:-2]) / (2.0 * h)
-    wxx = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
-    wx = (w[2:] - w[:-2]) / (2.0 * h)
+    w = ue[2:] - ue[:-2]
+    w /= 2.0 * h
     wi = w[1:-1]
+    dw = w[2:] - w[:-2]                 # 2h w_x
+    ddw = -2.0 * wi                     # h^2 w_xx
+    ddw += w[2:]
+    ddw += w[:-2]
     w2 = wi * wi
-    phi = w2 * (2.0 + w2) / (1.0 + w2) ** 2 * wxx + 3.0 * wi * wx * wx / (1.0 + w2) ** 3
+    r = w2 + 1.0
+    np.reciprocal(r, out=r)
+    dw *= dw
+    dw *= wi
+    dw *= r
+    dw *= 0.75
+    ddw *= w2
+    w2 += 2.0
+    ddw *= w2
+    ddw += dw
+    r *= r
+    ddw *= r                            # h^2 phi
     out = np.empty(n)
-    out[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * h)
-    out[0] = (phi[1] - phi[0]) / h
-    out[-1] = (phi[-1] - phi[-2]) / h
+    np.subtract(ddw[2:], ddw[:-2], out=out[1:-1])
+    out[0] = 2.0 * (ddw[1] - ddw[0])
+    out[-1] = 2.0 * (ddw[-1] - ddw[-2])
+    out *= 0.5 / h ** 3
     return out
 
 
@@ -147,10 +199,7 @@ def penta_march_u(u, nsteps, dt, h, A, B, growth_cap=10.0):
     """
     u = np.array(u, dtype=float)
     c = dt / h ** 4
-    ab = _penta_bands(u.size, c, 1.0 + 3.0 * c, 1.0 + 3.0 * c, -3.0 * c, -3.0 * c)
-    lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
-    if info != 0:
-        raise NumericalFailure(f"dgbtrf failed (info={info}, dt={dt:.3e})")
+    factors = _factor_banded(u.size, c)
     rc = np.zeros(u.size)
     rc[0] = 2.0 * h * B * c
     rc[1] = -h * B * c
@@ -158,8 +207,11 @@ def penta_march_u(u, nsteps, dt, h, A, B, growth_cap=10.0):
     rc[-2] = -h * A * c
     sup = np.max(np.abs(u))
     for _ in range(nsteps):
-        rhs = u + dt * _explicit_u(u, h, A, B) + rc
-        u = solve_banded(lu, piv, rhs)
+        rhs = _explicit_u(u, h, A, B)
+        rhs *= dt
+        rhs += u
+        rhs += rc
+        u = solve_banded(factors, rhs)
         sup0, sup = sup, np.max(np.abs(u))
         if not np.isfinite(sup) or sup > growth_cap * (sup0 + 1e-300):
             return u, 1

@@ -4,15 +4,19 @@ A semi-implicit method-of-lines scheme for the graph evolution
 u_t = -d/dx[ alpha(u_x) u_xxx + 3 u_x u_xx^2 / (1+u_x^2)^3 ]: the stiff
 linear operator -dt d_x^4 is folded into a pentadiagonal solve each step,
 the remaining nonlinearity is advanced explicitly. The matrix I + dt D4
-is factored once per step size of the schedule, and each step only
-back-substitutes. The linearized amplification factor is below one for
-any dt because alpha < 1 pointwise, so the step size is set by accuracy,
-not stability; a ramp from dt_init avoids transients from rough initial
-data.
+is a symmetric positive definite band plus a rank-2 term from the
+boundary rows; the band is Cholesky-factored once per step size of the
+schedule, and each step back-substitutes and applies the rank-2 term by
+the Sherman-Morrison-Woodbury formula. The linearized amplification
+factor is below one for any dt because alpha < 1 pointwise, so the step
+size is set by accuracy, not stability; a ramp from dt_init avoids
+transients from rough initial data.
 
 This solver shares nothing with the kernel/Duhamel pipeline beyond the
 grid type, which is what makes the agreement check meaningful.
 """
+import numbers
+
 import numpy as np
 
 from . import _backend
@@ -39,6 +43,7 @@ class MarchConfig:
         if bad:
             raise ValidationError(f"non-finite march settings: "
                                   f"{', '.join(bad)}")
+        intervals = _interval_count(intervals)
         if intervals < 512:
             raise ValidationError(f"intervals = {intervals} < 512")
         if dt_max <= 0.0 or dt_init <= 0.0 or dt_init > dt_max:
@@ -50,7 +55,7 @@ class MarchConfig:
         self.A = float(A)
         self.B = float(B)
         self.half_width = float(half_width)
-        self.intervals = int(intervals)
+        self.intervals = intervals
         self.dt_max = float(dt_max)
         self.dt_init = float(dt_init)
         self.ramp = float(ramp)
@@ -68,6 +73,16 @@ class MarchConfig:
         u0 = (0.5 * (self.A + self.B) * smoothed_abs(self.xs, self.moll_width)
               + 0.5 * (self.A - self.B) * self.xs)
         return GridFunction(self.xs, u0, -self.B, self.A, "linear")
+
+
+def _interval_count(intervals):
+    """intervals as an int; integers and integral floats are accepted."""
+    if isinstance(intervals, numbers.Integral) or (
+            isinstance(intervals, numbers.Real)
+            and float(intervals).is_integer()):
+        return int(intervals)
+    raise ValidationError(f"intervals must be a whole number, "
+                          f"got {intervals!r}")
 
 
 def _dt_schedule(cfg, t_total):

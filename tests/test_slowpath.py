@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cornerflow import _backend, _slowpath
+from cornerflow import MarchConfig, _backend, _slowpath
 from cornerflow.errors import GridMismatch, NumericalFailure
 
 
@@ -27,26 +27,116 @@ def test_skew_sum_rejects_size_mismatch():
 
 def test_march_steps_go_through_the_module_globals(monkeypatch):
     # bench/tracer.py times oracle.banded_solve and oracle.explicit_flux by
-    # wrapping these two names; a march that bypassed them would read 0
-    calls = {"solve_banded": 0, "_explicit_u": 0}
+    # wrapping solve_banded and _explicit_u; a march that bypassed them
+    # would read 0. The band is Cholesky-factored once per call, i.e. once
+    # per step size of the schedule, never once per step.
+    calls = {"solve_banded": 0, "_explicit_u": 0, "dpbtrf": 0}
     for name in calls:
         orig = getattr(_slowpath, name)
 
-        def counted(*args, _orig=orig, _name=name):
+        def counted(*args, _orig=orig, _name=name, **kwargs):
             calls[_name] += 1
-            return _orig(*args)
+            return _orig(*args, **kwargs)
 
         monkeypatch.setattr(_slowpath, name, counted)
     xs = np.linspace(-10.0, 10.0, 513)
     u, status = _slowpath.penta_march_u(0.1 * np.abs(xs), 7, 1e-4,
                                         xs[1] - xs[0], 0.1, 0.1)
     assert status == 0
-    assert calls == {"solve_banded": 7, "_explicit_u": 7}
+    assert calls == {"solve_banded": 7, "_explicit_u": 7, "dpbtrf": 1}
+    u, status = _slowpath.penta_march_u(u, 3, 2e-4, xs[1] - xs[0], 0.1, 0.1)
+    assert status == 0
+    assert calls == {"solve_banded": 10, "_explicit_u": 10, "dpbtrf": 2}
 
 
 def test_singular_band_matrix_raises(monkeypatch):
-    # a nonzero dgbtrf info is an error, never a silently wrong march
-    monkeypatch.setattr(_slowpath, "_penta_bands",
-                        lambda n, *args: np.zeros((7, n), order="F"))
-    with pytest.raises(NumericalFailure, match="dgbtrf"):
+    # a nonzero dpbtrf info is an error, never a silently wrong march
+    monkeypatch.setattr(_slowpath, "_sym_bands",
+                        lambda n, c: np.zeros((3, n)))
+    with pytest.raises(NumericalFailure, match="dpbtrf"):
         _slowpath.penta_march_u(np.zeros(64), 1, 1e-4, 0.1, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", ["nan", "singular"])
+def test_bad_capacitance_matrix_raises(monkeypatch, bad):
+    # the 2 x 2 system of the rank-2 boundary term is solved in closed
+    # form; a singular or non-finite one is a typed error, not LinAlgError
+    n, dt, h = 64, 1e-4, 0.1
+    c = dt / h ** 4
+
+    def fake(ab, z, **kwargs):
+        # stands in for the solve of Z = (I + c N^2)^{-1} [e0, e_{n-1}]
+        if bad == "nan":
+            return np.full_like(z, np.nan), 0
+        z = np.zeros_like(z)
+        z[1, 0] = 1.0 / c  # zeroes the first row of I + c V^T Z
+        return z, 0
+
+    monkeypatch.setattr(_slowpath, "dpbtrs", fake)
+    with pytest.raises(NumericalFailure, match="capacitance"):
+        _slowpath.penta_march_u(np.zeros(n), 1, dt, h, 0.0, 0.0)
+
+
+def _dense_d4(n):
+    """Boundary-closed D4 as a dense matrix, straight from its stencil.
+
+    The ghost nodes u_{-j} = u_0 + j h B and u_{n-1+j} = u_{n-1} + j h A
+    contribute their linear part, the end value, to the end column; the
+    affine part is the march's separate boundary vector.
+    """
+    m = np.zeros((n, n))
+    rows = np.arange(n)
+    for offset, coef in zip(range(-2, 3), (1.0, -4.0, 6.0, -4.0, 1.0)):
+        np.add.at(m, (rows, np.clip(rows + offset, 0, n - 1)), coef)
+    return m
+
+
+def test_solve_banded_solves_the_boundary_closed_system():
+    # normwise backward error of (I + c M) x = b. Without the rank-2
+    # boundary correction, the symmetric band alone leaves 3e-5 to 1e-2.
+    n = 4097
+    m = _dense_d4(n)
+    rng = np.random.default_rng(7)
+    for c in (1.0, 300.0, 5500.0, 5e5):
+        b = rng.standard_normal(n)
+        x = _slowpath.solve_banded(_slowpath._factor_banded(n, c), b.copy())
+        resid = x + c * (m @ x) - b
+        norm_a = 1.0 + 16.0 * c  # max row sum of |I + c M|, interior rows
+        err = np.max(np.abs(resid)) / (norm_a * np.max(np.abs(x)))
+        assert err <= 1e-12, (c, err)
+
+
+def _explicit_u_reference(u, h, A, B):
+    """The flux as first written: every difference scaled where it is formed."""
+    n = u.size
+    ue = np.empty(n + 4)
+    ue[2:-2] = u
+    ue[1] = u[0] + h * B
+    ue[0] = u[0] + 2.0 * h * B
+    ue[-2] = u[-1] + h * A
+    ue[-1] = u[-1] + 2.0 * h * A
+    w = (ue[2:] - ue[:-2]) / (2.0 * h)
+    wxx = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
+    wx = (w[2:] - w[:-2]) / (2.0 * h)
+    wi = w[1:-1]
+    w2 = wi * wi
+    phi = (w2 * (2.0 + w2) / (1.0 + w2) ** 2 * wxx
+           + 3.0 * wi * wx * wx / (1.0 + w2) ** 3)
+    out = np.empty(n)
+    out[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * h)
+    out[0] = (phi[1] - phi[0]) / h
+    out[-1] = (phi[-1] - phi[-2]) / h
+    return out
+
+
+def test_explicit_flux_matches_the_reference_formula():
+    cfg = MarchConfig(0.2, 0.03)
+    xs, h = cfg.xs, cfg.h
+    cases = [(cfg.mollified_corner().ys, 0.2, 0.03),
+             # rough data, ghosts from its own end slopes 0.7 cos(7x)
+             (0.1 * np.sin(7.0 * xs), 0.7 * np.cos(7.0 * xs[-1]),
+              -0.7 * np.cos(7.0 * xs[0]))]
+    for u, A, B in cases:
+        ref = _explicit_u_reference(u, h, A, B)
+        out = _slowpath._explicit_u(u, h, A, B)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
