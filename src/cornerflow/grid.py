@@ -7,6 +7,7 @@ left_far/right_far holding the slopes). Far-field extension is what makes
 convolutions against rapidly decaying kernels well defined on a finite grid.
 """
 import json
+import numbers
 import os
 
 import numpy as np
@@ -169,6 +170,14 @@ def _fd(y, h, order):
         d[-2] = (y[-3] - 2.0 * y[-2] + y[-1]) / (h * h)
         d[-1] = (2.0 * y[-1] - 5.0 * y[-2] + 4.0 * y[-3] - y[-4]) / (h * h)
     return d
+
+
+def whole_number(value):
+    """value as an int if it is an integer or an integral float, else None."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    return None
 
 
 def symmetric_grid(half_width, intervals):

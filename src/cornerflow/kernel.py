@@ -14,6 +14,8 @@ similarity variable x t^{-1/4}, with far-field steps handled in closed form
 through the antiderivative G so that non-decaying inputs never meet the
 discrete convolution.
 """
+import numbers
+
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.signal import fftconvolve
@@ -149,10 +151,15 @@ def build_kernel_table(eta_max=40.0, n_nodes=16384):
     return KernelTable(etas, g_tables, G, G2)
 
 
+def _check_time(t):
+    """Raise InvalidTime unless t is a positive finite number."""
+    if not (isinstance(t, numbers.Real) and np.isfinite(t) and t > 0.0):
+        raise InvalidTime(f"t must be a positive finite number, got {t!r}")
+
+
 def apply_to_step(A, B, t, ell, table, xs=None):
     """Closed-form semigroup action on the step -B (x<0) -> A (x>0)."""
-    if t <= 0.0:
-        raise InvalidTime(f"t must be positive, got {t}")
+    _check_time(t)
     if xs is None:
         xs = symmetric_grid(40.0, 8192)
     xs = np.asarray(xs, dtype=float)
@@ -174,8 +181,7 @@ def _step_tail(A, B, t, table, xs):
 
 def corner_height(A, B, t, table, xs=None):
     """Closed-form semigroup action on the corner A x_+ + B x_-."""
-    if t <= 0.0:
-        raise InvalidTime(f"t must be positive, got {t}")
+    _check_time(t)
     if xs is None:
         xs = symmetric_grid(40.0, 8192)
     xs = np.asarray(xs, dtype=float)
@@ -190,8 +196,7 @@ def apply_semigroup(f, t, ell, table, method="fft"):
     The far-field step evolves in closed form; only the decaying remainder
     f - step is convolved numerically (trapezoid weights, direct sum or FFT).
     """
-    if t <= 0.0:
-        raise InvalidTime(f"t must be positive, got {t}")
+    _check_time(t)
     if not isinstance(f, GridFunction):
         raise ValidationError("apply_semigroup expects a GridFunction")
     if f.far_kind != "constant":

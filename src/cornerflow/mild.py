@@ -14,18 +14,21 @@ endpoint carries the genuine s^{-1/2} singularity; the tau substitution
 absorbs it, and plain Gauss-Legendre in tau then converges spectrally.
 """
 import json
+import numbers
 import os
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
+# unused here, but bench/tracer.py wraps mild.fftconvolve by that name
+from scipy.signal import fftconvolve  # noqa: F401
 from scipy.special import roots_jacobi
 
 from . import _backend
 from ._slowpath import lagrange_weights
 from .errors import (ConfigError, GridMismatch, NoConvergence,
                      PicardDivergence, StaleProfile, ValidationError)
-from .grid import GridFunction, _fd, symmetric_grid
-from .kernel import _PARITY, apply_to_step, corner_height
+from .grid import GridFunction, _fd, symmetric_grid, whole_number
+from .kernel import _PARITY, _check_time, apply_to_step, corner_height
 
 DEFAULT_HALF_WIDTH = 40.0
 DEFAULT_INTERVALS = 8192
@@ -35,8 +38,13 @@ class CornerData:
     """Corner slopes: right slope A, negated left slope B."""
 
     def __init__(self, A, B, slope_cap=0.3):
-        if not (np.isfinite(A) and np.isfinite(B)):
-            raise ValidationError("corner slopes must be finite")
+        if not all(isinstance(v, numbers.Real) and np.isfinite(v)
+                   for v in (A, B)):
+            raise ValidationError(f"corner slopes must be finite numbers, "
+                                  f"got A={A!r}, B={B!r}")
+        if not (isinstance(slope_cap, numbers.Real) and slope_cap > 0.0):
+            raise ValidationError(f"slope_cap must be a positive number, "
+                                  f"got {slope_cap!r}")
         self.A = float(A)
         self.B = float(B)
         self.slope_cap = float(slope_cap)
@@ -143,7 +151,36 @@ def _spread(w, pos, x0, h, n):
                        np.concatenate([w * wk for wk in lw]), minlength=n)
 
 
-def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
+def _fft_plan(n_xs, xs, mu, lam, ell, table):
+    """The grid-only part of the FFT branch of `_rescaled_convolution`.
+
+    Returns (pl, ne, m, nfft, khat, pts): the left pad pl and the padded
+    length ne of the output grid, the kernel reach m in output spacings,
+    the FFT length, the kernel spectrum rfft(g_ell(k h / lam), nfft) h for
+    |k| <= m, and the resample points xe / mu of the padded grid xe (None
+    when mu < 3h, where the density is spread instead). Nothing in it
+    depends on the density, so one plan serves every density on the same
+    (n_xs, xs, table).
+    """
+    h = _spacing(xs)
+    # sources up to a kernel reach outside xs still reach xs: pad the
+    # output grid out to mu * n_xs (or that reach) on each side
+    reach = int(np.ceil(table.eta_max * lam / h))
+    pl = min(reach, max(0, int(np.ceil((xs[0] - mu * n_xs[0]) / h))))
+    pr = min(reach, max(0, int(np.ceil((mu * n_xs[-1] - xs[-1]) / h))))
+    ne = pl + xs.size + pr
+    m = min(ne - 1, reach)
+    nfft = next_fast_len(ne + 2 * m, real=True)
+    ker = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
+                            np.arange(-m, m + 1) * (h / lam))
+    pts = None
+    if mu >= 3.0 * h:
+        pts = np.concatenate([xs[0] - h * np.arange(pl, 0, -1), xs,
+                              xs[-1] + h * np.arange(1, pr + 1)]) / mu
+    return pl, ne, m, nfft, rfft(ker, nfft) * h, pts
+
+
+def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table, plan=None):
     """C(x) = int g_ell((x-y)/lam) n(y/mu) dy on the output grid xs.
 
     The density n is sampled as n_tab on the profile grid n_xs; the output
@@ -163,28 +200,32 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
     - lam < thr <= mu: quadrature on the kernel grid, formed coarsely on
       the output grid (the result is smooth on scale mu) and upsampled.
     - both below thr: the dense source sum on every output point.
+
+    The FFT branch runs in two steps. The node plan (`_fft_plan`: pads,
+    FFT length, kernel spectrum, resample points) depends only on the
+    grids, the node and the table; the density step forms the sources
+    from n_tab and does one forward and one inverse FFT. `plan` is an
+    optional dict, keyed by (mu, lam, ell), that keeps the node plans
+    between calls on the same (n_xs, xs, table); a Picard solve passes one
+    for all its iterations.
     """
     h, nh = _spacing(xs), _spacing(n_xs)
     thr = 3.0 * h
-    gtab, par = table.g_ell[ell], _PARITY[ell]
     if lam >= thr:
-        # sources up to a kernel reach outside xs still reach xs: pad the
-        # output grid out to mu * n_xs (or that reach) on each side
-        reach = int(np.ceil(table.eta_max * lam / h))
-        pl = min(reach, max(0, int(np.ceil((xs[0] - mu * n_xs[0]) / h))))
-        pr = min(reach, max(0, int(np.ceil((mu * n_xs[-1] - xs[-1]) / h))))
-        ne = pl + xs.size + pr
-        if mu >= thr:
-            xe = np.concatenate([xs[0] - h * np.arange(pl, 0, -1), xs,
-                                 xs[-1] + h * np.arange(1, pr + 1)])
-            src = _backend.cubic_eval(n_tab, n_xs[0], nh, xe / mu, 0.0, 0.0)
+        if plan is None:
+            plan = {}
+        node = plan.get((mu, lam, ell))
+        if node is None:
+            node = plan[mu, lam, ell] = _fft_plan(n_xs, xs, mu, lam, ell,
+                                                  table)
+        pl, ne, m, nfft, khat, pts = node
+        if pts is not None:
+            src = _backend.cubic_eval(n_tab, n_xs[0], nh, pts, 0.0, 0.0)
         else:
             src = _spread((mu * nh / h) * n_tab, mu * n_xs, xs[0] - pl * h,
                           h, ne)
-        m = min(ne - 1, reach)
-        ker = _backend.sym_eval(gtab, table.h, par,
-                                np.arange(-m, m + 1) * (h / lam))
-        return fftconvolve(src, ker, mode="same")[pl:pl + xs.size] * h
+        return irfft(rfft(src, nfft) * khat, nfft)[m + pl:m + pl + xs.size]
+    gtab, par = table.g_ell[ell], _PARITY[ell]
     if mu < thr:
         return mu * nh * _backend.skew_sum(gtab, table.h, par, xs, mu, n_xs,
                                            n_tab, 1.0 / lam)
@@ -203,18 +244,27 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
     return _backend.cubic_eval(cc, xc[0], stride * h, xs, cc[0], cc[-1])
 
 
-def _duhamel_sum(n_tab, n_xs, xs, t, ell, table, nodes, method):
-    """Quadrature over the Duhamel nodes; n_tab on n_xs, output on xs."""
+def _duhamel_sum(n_tab, n_xs, xs, t, ell, table, nodes, method, plan=None):
+    """Quadrature over the Duhamel nodes; n_tab on n_xs, output on xs.
+
+    `plan` (a dict, see `_rescaled_convolution`) keeps each node's FFT plan
+    for the next sum on the same grids and table; without it the plans are
+    built and used once.
+    """
     out = np.zeros(xs.size)
     for mu, lam, w in zip(*_quad_nodes(t, ell, nodes, method)):
         out += w * _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
-                                         table)
+                                         table, plan)
     return out
 
 
 def _check_quad_nodes(nodes):
-    if nodes < 8:
-        raise ConfigError("quadrature needs at least 8 nodes")
+    """The node count as an int; it must be a whole number of at least 8."""
+    count = whole_number(nodes)
+    if count is None or count < 8:
+        raise ConfigError(f"quadrature needs a whole number of at least 8 "
+                          f"nodes, got {nodes!r}")
+    return count
 
 
 def _quad_nodes(t, ell, nodes, method):
@@ -247,11 +297,10 @@ def duhamel_integral(psi, t, target_deriv, table, nodes=64, method="tau",
     tau, which is spectrally accurate; "s-jacobi" integrates in s against
     the weight s^{-1/2} (1-s/t)^{-ell/4} instead.
     """
-    if t <= 0.0:
-        raise ValidationError(f"t must be positive, got {t}")
+    _check_time(t)
     if target_deriv not in (0, 1, 2):
         raise ValidationError("target_deriv must be 0, 1 or 2")
-    _check_quad_nodes(nodes)
+    nodes = _check_quad_nodes(nodes)
     if xs is None:
         xs = psi.xs
     A, B = psi.right_far, -psi.left_far
@@ -291,7 +340,10 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
         raise ValidationError("a KernelTable is required")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    _check_quad_nodes(quad_nodes)
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
+        raise ValidationError(f"tol must be a positive finite number, "
+                              f"got {tol!r}")
+    quad_nodes = _check_quad_nodes(quad_nodes)
     if not corner.within_cap():
         raise ConfigError(
             f"corner size {corner.size:.3g} exceeds slope_cap "
@@ -302,6 +354,7 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
     h = _spacing(xs)
     step = apply_to_step(A, B, 1.0, 0, table, xs)
     psi = step.ys.copy()
+    plan = {}  # the FFT-branch node plans, shared by every iteration
     history = []
     growing = 0
     converged = False
@@ -310,7 +363,7 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
         psi1, psi2 = _profile_derivatives(psi, xs, h, A, B, table)
         n_tab = _nonlinear_density(psi, psi1, psi2)
         duh = _duhamel_sum(n_tab, xs, xs, 1.0, 2, table, quad_nodes,
-                           quad_method)
+                           quad_method, plan)
         psi_next = step.ys + duh
         update = float(np.max(np.abs(psi_next - psi)))
         history.append(update)
@@ -346,8 +399,7 @@ def reconstruct_U(profile, t, table, xs=None):
     """
     if not profile.converged:
         raise StaleProfile("profile did not converge; refusing to reconstruct")
-    if t <= 0.0:
-        raise ValidationError(f"t must be positive, got {t}")
+    _check_time(t)
     corner = profile.corner
     if xs is None:
         xs = profile.psi.xs

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _backend
 from .errors import OracleInstability, ValidationError
-from .grid import GridFunction, corner_function, smoothed_abs, symmetric_grid
+from .grid import (GridFunction, corner_function, smoothed_abs,
+                   symmetric_grid, whole_number)
 from .kernel import apply_semigroup, corner_height
 
 
@@ -39,13 +40,18 @@ class MarchConfig:
                     "dt_max": dt_max, "dt_init": dt_init, "ramp": ramp,
                     "growth_cap": growth_cap, "moll_width": moll_width}
         bad = [key for key, val in settings.items()
-               if val is not None and not np.isfinite(val)]
+               if not ((val is None and key == "moll_width")
+                       or (isinstance(val, numbers.Real)
+                           and np.isfinite(val)))]
         if bad:
-            raise ValidationError(f"non-finite march settings: "
+            raise ValidationError(f"march settings must be finite numbers: "
                                   f"{', '.join(bad)}")
-        intervals = _interval_count(intervals)
-        if intervals < 512:
-            raise ValidationError(f"intervals = {intervals} < 512")
+        count = whole_number(intervals)
+        if count is None:
+            raise ValidationError(f"intervals must be a whole number, "
+                                  f"got {intervals!r}")
+        if count < 512:
+            raise ValidationError(f"intervals = {count} < 512")
         if dt_max <= 0.0 or dt_init <= 0.0 or dt_init > dt_max:
             raise ValidationError("need 0 < dt_init <= dt_max")
         if ramp <= 1.0:
@@ -55,7 +61,7 @@ class MarchConfig:
         self.A = float(A)
         self.B = float(B)
         self.half_width = float(half_width)
-        self.intervals = intervals
+        self.intervals = count
         self.dt_max = float(dt_max)
         self.dt_init = float(dt_init)
         self.ramp = float(ramp)
@@ -73,16 +79,6 @@ class MarchConfig:
         u0 = (0.5 * (self.A + self.B) * smoothed_abs(self.xs, self.moll_width)
               + 0.5 * (self.A - self.B) * self.xs)
         return GridFunction(self.xs, u0, -self.B, self.A, "linear")
-
-
-def _interval_count(intervals):
-    """intervals as an int; integers and integral floats are accepted."""
-    if isinstance(intervals, numbers.Integral) or (
-            isinstance(intervals, numbers.Real)
-            and float(intervals).is_integer()):
-        return int(intervals)
-    raise ValidationError(f"intervals must be a whole number, "
-                          f"got {intervals!r}")
 
 
 def _dt_schedule(cfg, t_total):

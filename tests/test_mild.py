@@ -3,7 +3,7 @@ from math import gamma
 import numpy as np
 import pytest
 
-from cornerflow import _slowpath, mild
+from cornerflow import _backend, _slowpath, mild
 from cornerflow import (ConfigError, CornerData, GridFunction,
                         ValidationError, alpha_coefficient,
                         constant_shift_residual, corner_height,
@@ -18,8 +18,12 @@ PHI0_FROZEN = 0.0779566288  # A = B = 0.1 reference, grid-converged level
 
 
 def test_corner_data_validation():
-    with pytest.raises(ValidationError):
-        CornerData(np.nan, 0.1)
+    for bad in ((np.nan, 0.1), (0.1, np.inf), ("0.1", 0.1), (0.1, None)):
+        with pytest.raises(ValidationError, match="corner slopes"):
+            CornerData(*bad)
+    for cap in ("0.3", np.nan, 0.0):
+        with pytest.raises(ValidationError, match="slope_cap"):
+            CornerData(0.1, 0.1, cap)
     c = CornerData(0.2, -0.1)
     assert c.size == 0.2 and c.within_cap()
     assert not CornerData(0.5, 0.0).within_cap()
@@ -107,6 +111,10 @@ def test_duhamel_validation(profile_8k, ktable):
         duhamel_integral(profile_8k.psi, 1.0, 2, ktable, nodes=4)
     with pytest.raises(ConfigError):
         duhamel_integral(profile_8k.psi, 1.0, 2, ktable, method="trap")
+    # a non-finite t is refused before any work, naming t
+    for t in (np.nan, np.inf, "1"):
+        with pytest.raises(ValidationError, match="t must be"):
+            duhamel_integral(profile_8k.psi, t, 1, ktable)
 
 
 def test_reconstruct_slope_consistency(profile_8k, ktable):
@@ -213,9 +221,67 @@ def test_spread_and_fft_branches_meet(skew_density, ktable):
         assert np.max(np.abs(hi - lo)) <= 1e-5 * np.max(np.abs(hi))
 
 
+def test_solve_samples_each_fft_kernel_once(ktable, monkeypatch):
+    # the FFT branch's kernel samples depend on the node, not the density:
+    # a solve takes them once per node, not once per node and iteration
+    fft_nodes, samples, inside = [], [], []
+    conv, sym = mild._rescaled_convolution, _backend.sym_eval
+
+    def counted_conv(*args):
+        xs, mu, lam, ell = args[2:6]
+        fft = lam >= 3.0 * mild._spacing(xs)
+        if fft:
+            fft_nodes.append((mu, lam, ell))
+        inside.append(fft)
+        try:
+            return conv(*args)
+        finally:
+            inside.pop()
+
+    def counted_sym(*args):
+        if inside and inside[-1]:
+            samples.append(args)
+        return sym(*args)
+
+    monkeypatch.setattr(mild, "_rescaled_convolution", counted_conv)
+    monkeypatch.setattr(_backend, "sym_eval", counted_sym)
+    prof = solve_similarity_profile(CornerData(0.2, 0.03), table=ktable,
+                                    xs=symmetric_grid(20.0, 1024))
+    nodes = set(fft_nodes)
+    assert prof.iterations >= 5 and nodes
+    assert len(fft_nodes) == prof.iterations * len(nodes)
+    assert len(samples) == len(nodes)
+
+
+def test_fft_plan_reused_across_densities(skew_density, ktable):
+    # a plan holds only what the grids and the node fix: with one plan,
+    # two different densities each give the plan-less result
+    n_tab, n_xs = skew_density
+    densities = (n_tab, np.cos(n_xs) * n_tab[::-1])
+    for left, right, intervals in SPREAD_GRIDS:
+        xs = np.linspace(left, right, intervals + 1)
+        h = mild._spacing(xs)
+        plan = {}
+        for dens in densities:
+            for ell in (0, 1, 2):
+                # mu on both sides of 3h: spread and resampled sources
+                for mu, lam in ((0.5 * h, 12.0 * h), (2.9 * h, 150.0 * h),
+                                (3.1 * h, 12.0 * h), (20.0 * h, 150.0 * h)):
+                    got = mild._rescaled_convolution(dens, n_xs, xs, mu, lam,
+                                                     ell, ktable, plan)
+                    ref = mild._rescaled_convolution(dens, n_xs, xs, mu, lam,
+                                                     ell, ktable)
+                    assert (np.max(np.abs(got - ref))
+                            <= 1e-14 * np.max(np.abs(ref)))
+        assert len(plan) == 12
+
+
 def test_reconstruct_validation(profile_8k, ktable):
     with pytest.raises(ValidationError):
         reconstruct_U(profile_8k, 0.0, ktable)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="t must be"):
+            reconstruct_U(profile_8k, t, ktable)
     stale = type(profile_8k).__new__(type(profile_8k))
     stale.__dict__.update(profile_8k.__dict__)
     stale.converged = False
@@ -231,18 +297,29 @@ def test_no_convergence_path(ktable):
     assert len(err.value.history) == 2
 
 
-@pytest.mark.parametrize("kwargs, error", (
-    ({"max_iter": 0}, ValidationError),
-    ({"max_iter": -1}, ValidationError),
-    ({"quad_nodes": 0}, ConfigError),
-    ({"quad_nodes": 7}, ConfigError),
-    ({"quad_nodes": 1, "quad_method": "s-jacobi"}, ConfigError),
+@pytest.mark.parametrize("kwargs, error, match", (
+    ({"max_iter": 0}, ValidationError, "max_iter"),
+    ({"max_iter": -1}, ValidationError, "max_iter"),
+    ({"quad_nodes": 0}, ConfigError, "at least 8 nodes"),
+    ({"quad_nodes": 7}, ConfigError, "at least 8 nodes"),
+    ({"quad_nodes": 1, "quad_method": "s-jacobi"}, ConfigError,
+     "at least 8 nodes"),
+    ({"quad_nodes": 8.5}, ConfigError, "whole number"),
+    ({"tol": np.nan}, ValidationError, "tol"),
+    ({"tol": -1.0}, ValidationError, "tol"),
 ), ids=("max_iter=0", "max_iter=-1", "quad_nodes=0", "quad_nodes=7",
-        "s-jacobi-1"))
-def test_solver_rejects_bad_iteration_settings(ktable, kwargs, error):
-    with pytest.raises(error, match="max_iter|at least 8 nodes"):
+        "s-jacobi-1", "quad_nodes=8.5", "tol=nan", "tol=-1"))
+def test_solver_rejects_bad_iteration_settings(ktable, kwargs, error, match):
+    with pytest.raises(error, match=match):
         solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
                                  **kwargs)
+
+
+def test_integral_node_count_accepted(profile_8k, ktable):
+    # a whole number of nodes given as a float is a count
+    whole = duhamel_integral(profile_8k.psi, 1.0, 2, ktable, nodes=32.0)
+    base = duhamel_integral(profile_8k.psi, 1.0, 2, ktable, nodes=32)
+    assert np.array_equal(whole.ys, base.ys)
 
 
 def test_self_similarity_validation(profile_8k, ktable):

@@ -35,6 +35,12 @@ def test_config_validation():
             kw = {"A": 0.1, "B": 0.1, key: bad}
             with pytest.raises(ValidationError, match=key):
                 MarchConfig(kw.pop("A"), kw.pop("B"), **kw)
+    # non-numeric settings are typed errors that name the setting
+    for key, bad in (("dt_max", "2e-5"), ("growth_cap", "10"), ("A", "0.1"),
+                     ("half_width", None)):
+        kw = {"A": 0.1, "B": 0.1, key: bad}
+        with pytest.raises(ValidationError, match=key):
+            MarchConfig(kw.pop("A"), kw.pop("B"), **kw)
     # intervals is a count: non-finite, fractional or textual values are
     # typed errors, integral floats and numpy integers are counts
     for bad in (np.nan, np.inf, "4096", 4096.5):
