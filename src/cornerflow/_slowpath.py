@@ -3,6 +3,10 @@
 The package reaches the four primitives (cubic_eval, sym_eval, skew_sum,
 penta_march_u) through `_backend`. Everything here is vectorized; skew_sum
 bounds its temporaries by evaluating SKEW_CHUNK source nodes at a time.
+cubic_eval and lagrange_taps share one 4-point Lagrange stencil;
+lagrange_taps returns the taps themselves, so that a caller that
+interpolates many tables at the same points, or spreads onto a grid by
+the transposed taps, computes them once.
 penta_march_u factors its matrix once per step size: I + dt*D4 is a
 symmetric positive definite band plus a rank-2 term from the boundary
 rows, so the band is Cholesky-factored (LAPACK dpbtrf) and the boundary
@@ -27,6 +31,30 @@ def lagrange_weights(u):
     return w0, w1, w2, w3
 
 
+def _cell_taps(t, n):
+    """Base node j and the 4 weights on j-1..j+2 at grid coordinates t.
+
+    The stencil of a point in an end cell is the nearest interior one.
+    """
+    j = np.clip(np.floor(t).astype(np.int64), 1, n - 3)
+    return j, lagrange_weights(t - j)
+
+
+def lagrange_taps(x0, h, n, q):
+    """The 4-point Lagrange taps of the increasing points q on x0 + h*i.
+
+    Returns (lo, base, w): the points q[lo:lo + k] are those on the grid
+    (x0 <= q <= x0 + (n-1)h), and w is the (4, k) array of their weights
+    on the nodes base + 0..3. End cells and rounding are those of
+    `cubic_eval`, whose zero fill covers the points outside the window.
+    """
+    t = (np.asarray(q, dtype=float) - x0) / h
+    lo = int(np.searchsorted(t, 0.0, side="left"))
+    hi = max(lo, int(np.searchsorted(t, n - 1.0, side="right")))
+    j, w = _cell_taps(t[lo:hi], n)
+    return lo, j - 1, np.array(w)
+
+
 def cubic_eval(tab, x0, h, q, fill_left, fill_right):
     """4-point Lagrange interpolation on a uniform table.
 
@@ -39,9 +67,7 @@ def cubic_eval(tab, x0, h, q, fill_left, fill_right):
     t = (q - x0) / h
     inside_lo = t >= 0.0
     inside_hi = t <= n - 1.0
-    j = np.clip(np.floor(t).astype(np.int64), 1, n - 3)
-    u = t - j
-    w0, w1, w2, w3 = lagrange_weights(u)
+    j, (w0, w1, w2, w3) = _cell_taps(t, n)
     out = w0 * tab[j - 1] + w1 * tab[j] + w2 * tab[j + 1] + w3 * tab[j + 2]
     out = np.where(inside_lo, out, fill_left)
     out = np.where(inside_hi, out, fill_right)

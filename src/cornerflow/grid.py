@@ -182,9 +182,15 @@ def whole_number(value):
 
 def symmetric_grid(half_width, intervals):
     """xs on [-half_width, half_width] with `intervals` cells; 0 is a node."""
-    if intervals % 2 or intervals < 16:
-        raise ValidationError("intervals must be even and >= 16")
-    return np.linspace(-float(half_width), float(half_width), intervals + 1)
+    if not (isinstance(half_width, numbers.Real)
+            and 0.0 < half_width < np.inf):
+        raise ValidationError(f"half_width must be a positive finite "
+                              f"number, got {half_width!r}")
+    count = whole_number(intervals)
+    if count is None or count % 2 or count < 16:
+        raise ValidationError(f"intervals must be an even whole number "
+                              f">= 16, got {intervals!r}")
+    return np.linspace(-float(half_width), float(half_width), count + 1)
 
 
 def corner_function(A, B, xs, tail_tol=1e-3):

@@ -23,7 +23,7 @@ from scipy.signal import fftconvolve
 from . import _backend
 from .errors import (ConfigError, InvalidTime, UnsupportedFarField,
                      ValidationError)
-from .grid import GridFunction, symmetric_grid
+from .grid import GridFunction, symmetric_grid, whole_number
 
 _PARITY = (0, 1, 0, 1)  # g even, g' odd, g'' even, g''' odd
 ENVELOPE_RATE = 3.0 / 2.0 ** (11.0 / 3.0)  # stationary-phase decay exponent
@@ -131,11 +131,14 @@ def build_kernel_table(eta_max=40.0, n_nodes=16384):
     The FFT length m is the smallest power of two >= 8 n_nodes, so the
     period m h of the trapezoid rule exceeds 8 eta_max (module docstring).
     """
-    if eta_max < 15.0:
-        raise ValidationError("eta_max must be >= 15")
-    if n_nodes < 2048:
-        raise ValidationError("n_nodes must be >= 2048")
-    n_nodes = int(n_nodes)
+    if not (isinstance(eta_max, numbers.Real) and 15.0 <= eta_max < np.inf):
+        raise ValidationError(f"eta_max must be a finite number >= 15, "
+                              f"got {eta_max!r}")
+    count = whole_number(n_nodes)
+    if count is None or count < 2048:
+        raise ValidationError(f"n_nodes must be a whole number >= 2048, "
+                              f"got {n_nodes!r}")
+    n_nodes = count
     etas = np.linspace(0.0, float(eta_max), n_nodes)
     h = etas[1] - etas[0]
     if h > 0.5:

@@ -13,6 +13,7 @@ convolutions of a single profile-dependent density n(xi). The s = 0
 endpoint carries the genuine s^{-1/2} singularity; the tau substitution
 absorbs it, and plain Gauss-Legendre in tau then converges spectrally.
 """
+import functools
 import json
 import numbers
 import os
@@ -24,7 +25,7 @@ from scipy.signal import fftconvolve  # noqa: F401
 from scipy.special import roots_jacobi
 
 from . import _backend
-from ._slowpath import lagrange_weights
+from ._slowpath import lagrange_taps
 from .errors import (ConfigError, GridMismatch, NoConvergence,
                      PicardDivergence, StaleProfile, ValidationError)
 from .grid import GridFunction, _fd, symmetric_grid, whole_number
@@ -135,49 +136,62 @@ def _coarse_stride(scale, h, n):
     return max(1, min(n // 16, int(scale / (8.0 * h))))
 
 
-def _spread(w, pos, x0, h, n):
-    """Deposit weights w at points pos onto the grid x0 + h*k, k < n.
-
-    The transpose of 4-point Lagrange interpolation (`cubic_eval`, end
-    cells included): sum_k out[k] f(x_k) interpolates sum_j w[j] f(pos[j]).
-    Points off the grid are dropped.
-    """
-    t = (pos - x0) / h
-    keep = (t >= 0.0) & (t <= n - 1.0)
-    t, w = t[keep], w[keep]
-    j = np.clip(np.floor(t).astype(np.int64), 1, n - 3)
-    lw = lagrange_weights(t - j)
-    return np.bincount(np.concatenate([j - 1, j, j + 1, j + 2]),
-                       np.concatenate([w * wk for wk in lw]), minlength=n)
-
-
 def _fft_plan(n_xs, xs, mu, lam, ell, table):
     """The grid-only part of the FFT branch of `_rescaled_convolution`.
 
-    Returns (pl, ne, m, nfft, khat, pts): the left pad pl and the padded
-    length ne of the output grid, the kernel reach m in output spacings,
-    the FFT length, the kernel spectrum rfft(g_ell(k h / lam), nfft) h for
-    |k| <= m, and the resample points xe / mu of the padded grid xe (None
-    when mu < 3h, where the density is spread instead). Nothing in it
-    depends on the density, so one plan serves every density on the same
-    (n_xs, xs, table).
+    The sources sit on the output grid xs, padded out to mu * n_xs (or the
+    kernel reach, if nearer) on each side; only the window of k padded
+    points that some source reaches is convolved. For mu >= 3h the
+    sources are the density resampled at the padded points, for mu < 3h
+    the density's quadrature weights spread from mu * n_xs; either way the
+    4-point Lagrange taps come from `lagrange_taps`, planned here.
+
+    Returns (lo, base, w, k, nfft, khat), or None when no source reaches
+    xs. For mu >= 3h the window is the k = base.size padded points that
+    fall on the profile grid, with taps (base, w) into n_tab. For mu < 3h
+    the points mu n_xs[lo:lo + base.size] fall on the padded grid and
+    deposit by the taps (base, w) onto the k-cell window, base counted
+    from its first cell. With the sources src on the window, the output
+    is irfft(rfft(src, nfft) khat, nfft)[:xs.size]. The kernel
+    g_ell(d h / lam) h is sampled only on the K lags d that join a window
+    point to an output. With a the index of the first output in the linear
+    convolution, nfft >= max(n + max(a, 0), k + K - 1 - a) keeps the
+    circular convolution free of wrap-around on the n outputs, and the
+    kernel is rotated by a before its FFT. Nothing here depends on the
+    density, so one plan serves every density on the same (n_xs, xs,
+    table).
     """
-    h = _spacing(xs)
+    h, n = _spacing(xs), xs.size
     # sources up to a kernel reach outside xs still reach xs: pad the
     # output grid out to mu * n_xs (or that reach) on each side
     reach = int(np.ceil(table.eta_max * lam / h))
     pl = min(reach, max(0, int(np.ceil((xs[0] - mu * n_xs[0]) / h))))
     pr = min(reach, max(0, int(np.ceil((mu * n_xs[-1] - xs[-1]) / h))))
-    ne = pl + xs.size + pr
-    m = min(ne - 1, reach)
-    nfft = next_fast_len(ne + 2 * m, real=True)
-    ker = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
-                            np.arange(-m, m + 1) * (h / lam))
-    pts = None
     if mu >= 3.0 * h:
         pts = np.concatenate([xs[0] - h * np.arange(pl, 0, -1), xs,
                               xs[-1] + h * np.arange(1, pr + 1)]) / mu
-    return pl, ne, m, nfft, rfft(ker, nfft) * h, pts
+        lo, base, w = lagrange_taps(n_xs[0], _spacing(n_xs), n_xs.size,
+                                    pts)
+        k, first = base.size, lo - pl
+    else:
+        lo, base, w = lagrange_taps(xs[0] - pl * h, h, pl + n + pr,
+                                    mu * n_xs)
+        if base.size:
+            # the grid cells the taps deposit onto, from base[0] on
+            k, first = int(base[-1]) + 4 - int(base[0]), int(base[0]) - pl
+            base = base - base[0]
+    if not base.size:
+        return None
+    # lags d = output - source index, within the kernel reach
+    d_lo = max(-reach, -(first + k - 1))
+    d_hi = min(reach, n - 1 - first)
+    lags = d_hi - d_lo + 1
+    a = -(first + d_lo)
+    nfft = next_fast_len(max(n + max(a, 0), k + lags - 1 - a), real=True)
+    ker = np.zeros(nfft)
+    ker[:lags] = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
+                                   (d_lo + np.arange(lags)) * (h / lam))
+    return lo, base, w, k, nfft, rfft(np.roll(ker, -a)) * h
 
 
 def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table, plan=None):
@@ -189,22 +203,24 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table, plan=None):
     near-linear:
 
     - lam >= thr: the kernel resolves the output grid, so the sources go
-      onto that grid, padded out to the kernel reach, and are
-      FFT-convolved with the kernel samples g_ell(k h / lam). When
-      mu >= thr the density is resampled there. When mu < thr (the
-      profile squeezed below the grid) the quadrature weights
-      mu nh n_tab[j] are spread from the points mu n_xs[j] by the
-      transpose of 4-point Lagrange interpolation, the spreading step of
-      a non-uniform FFT; against the dense source sum its error is
+      onto that grid, padded out to the kernel reach, and the window of
+      them that reaches xs is FFT-convolved with the kernel samples
+      g_ell(d h / lam) on the lags d that join it to xs. When mu >= thr
+      the density is resampled there by 4-point Lagrange interpolation.
+      When mu < thr (the profile squeezed below the grid) the quadrature
+      weights mu nh n_tab[j] are spread from the points mu n_xs[j] by
+      the transpose of that interpolation, the spreading step of a
+      non-uniform FFT; against the dense source sum its error is
       O((h/lam)^4).
     - lam < thr <= mu: quadrature on the kernel grid, formed coarsely on
       the output grid (the result is smooth on scale mu) and upsampled.
     - both below thr: the dense source sum on every output point.
 
-    The FFT branch runs in two steps. The node plan (`_fft_plan`: pads,
-    FFT length, kernel spectrum, resample points) depends only on the
-    grids, the node and the table; the density step forms the sources
-    from n_tab and does one forward and one inverse FFT. `plan` is an
+    The FFT branch runs in two steps. The node plan (`_fft_plan`: the
+    interpolation taps, the source window, the FFT length and the kernel
+    spectrum) depends only on the grids, the node and the table. The
+    density step is a 4-tap gather (resampled) or one `np.bincount`
+    (spread) of n_tab, then one forward and one inverse FFT. `plan` is an
     optional dict, keyed by (mu, lam, ell), that keeps the node plans
     between calls on the same (n_xs, xs, table); a Picard solve passes one
     for all its iterations.
@@ -214,17 +230,21 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table, plan=None):
     if lam >= thr:
         if plan is None:
             plan = {}
-        node = plan.get((mu, lam, ell))
+        key = (mu, lam, ell)
+        if key not in plan:
+            plan[key] = _fft_plan(n_xs, xs, mu, lam, ell, table)
+        node = plan[key]
         if node is None:
-            node = plan[mu, lam, ell] = _fft_plan(n_xs, xs, mu, lam, ell,
-                                                  table)
-        pl, ne, m, nfft, khat, pts = node
-        if pts is not None:
-            src = _backend.cubic_eval(n_tab, n_xs[0], nh, pts, 0.0, 0.0)
+            return np.zeros(xs.size)
+        lo, base, w, k, nfft, khat = node
+        if mu >= thr:
+            src = (w[0] * n_tab[base] + w[1] * n_tab[base + 1]
+                   + w[2] * n_tab[base + 2] + w[3] * n_tab[base + 3])
         else:
-            src = _spread((mu * nh / h) * n_tab, mu * n_xs, xs[0] - pl * h,
-                          h, ne)
-        return irfft(rfft(src, nfft) * khat, nfft)[m + pl:m + pl + xs.size]
+            v = (mu * nh / h) * n_tab[lo:lo + base.size]
+            src = np.bincount((base + np.arange(4)[:, None]).ravel(),
+                              (w * v).ravel(), minlength=k)
+        return irfft(rfft(src, nfft) * khat, nfft)[:xs.size]
     gtab, par = table.g_ell[ell], _PARITY[ell]
     if mu < thr:
         return mu * nh * _backend.skew_sum(gtab, table.h, par, xs, mu, n_xs,
@@ -267,10 +287,18 @@ def _check_quad_nodes(nodes):
     return count
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(nodes):
+    """The Gauss-Legendre rule of `nodes` points on [-1, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _quad_nodes(t, ell, nodes, method):
     """(mu_k, lam_k, weight_k) so that I = sum_k w_k C(mu_k, lam_k; x)."""
     if method == "tau":
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = _gauss_legendre(nodes)
         T = t ** 0.25
         tau = 0.5 * T * (x + 1.0)
         wt = 0.5 * T * w
@@ -338,8 +366,11 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
     """
     if table is None:
         raise ValidationError("a KernelTable is required")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    count = whole_number(max_iter)
+    if count is None or count < 1:
+        raise ValidationError(f"max_iter must be a whole number >= 1, "
+                              f"got {max_iter!r}")
+    max_iter = count
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
         raise ValidationError(f"tol must be a positive finite number, "
                               f"got {tol!r}")

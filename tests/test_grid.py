@@ -21,6 +21,23 @@ def test_symmetric_grid_rejects_odd_or_tiny():
         symmetric_grid(5.0, 8)
 
 
+@pytest.mark.parametrize("half_width, intervals, match", (
+    (np.nan, 100, "half_width"), (np.inf, 100, "half_width"),
+    (-5.0, 100, "half_width"), (0.0, 100, "half_width"),
+    ("5", 100, "half_width"), (20.0, 2048.5, "intervals"),
+    (20.0, np.nan, "intervals"), (20.0, "64", "intervals"),
+))
+def test_symmetric_grid_rejects_bad_settings(half_width, intervals, match):
+    with pytest.raises(ValidationError, match=match):
+        symmetric_grid(half_width, intervals)
+
+
+def test_symmetric_grid_takes_integral_float_count():
+    # a whole number of intervals given as a float is a count
+    assert np.array_equal(symmetric_grid(20.0, 2048.0),
+                          symmetric_grid(20.0, 2048))
+
+
 def test_gridfunction_validation():
     xs = np.linspace(0.0, 1.0, 32)
     with pytest.raises(ValidationError):

@@ -123,6 +123,13 @@ def test_build_validation():
         build_kernel_table(n_nodes=100)
     with pytest.raises(ConfigError):
         build_kernel_table(eta_max=1100.0, n_nodes=2048)
+    # non-finite or non-numeric settings and fractional counts are named
+    for eta_max in (np.inf, np.nan, "40"):
+        with pytest.raises(ValidationError, match="eta_max"):
+            build_kernel_table(eta_max)
+    for n_nodes in (np.nan, np.inf, 16384.5, "16384"):
+        with pytest.raises(ValidationError, match="n_nodes"):
+            build_kernel_table(40.0, n_nodes)
 
 
 def test_semigroup_property(ktable):

@@ -221,6 +221,63 @@ def test_spread_and_fft_branches_meet(skew_density, ktable):
         assert np.max(np.abs(hi - lo)) <= 1e-5 * np.max(np.abs(hi))
 
 
+def _full_length_node(n_tab, n_xs, xs, mu, lam, ell, table):
+    # the FFT-branch node as one direct linear convolution of all ne padded
+    # sources with all 2m + 1 kernel lags (ne + 2m outputs), sliced to xs
+    h, nh, n = mild._spacing(xs), mild._spacing(n_xs), xs.size
+    reach = int(np.ceil(table.eta_max * lam / h))
+    pl = min(reach, max(0, int(np.ceil((xs[0] - mu * n_xs[0]) / h))))
+    pr = min(reach, max(0, int(np.ceil((mu * n_xs[-1] - xs[-1]) / h))))
+    ne = pl + n + pr
+    m = min(ne - 1, reach)
+    xe = np.concatenate([xs[0] - h * np.arange(pl, 0, -1), xs,
+                         xs[-1] + h * np.arange(1, pr + 1)])
+    if mu >= 3.0 * h:
+        src = _slowpath.cubic_eval(n_tab, n_xs[0], nh, xe / mu, 0.0, 0.0)
+    else:
+        # the transpose of cubic_eval on the padded grid
+        t = (mu * n_xs - xe[0]) / h
+        keep = (t >= 0.0) & (t <= ne - 1.0)
+        j = np.clip(np.floor(t[keep]).astype(np.int64), 1, ne - 3)
+        src = np.zeros(ne)
+        for r, wr in enumerate(_slowpath.lagrange_weights(t[keep] - j)):
+            np.add.at(src, j - 1 + r, wr * (mu * nh / h) * n_tab[keep])
+    ker = _slowpath.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
+                             np.arange(-m, m + 1) * (h / lam))
+    return h * np.convolve(src, ker)[m + pl:m + pl + n]
+
+
+@pytest.mark.parametrize("ell", (0, 1, 2))
+def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
+                                                    ell):
+    # the branch convolves only the sources that reach xs, with only the
+    # kernel lags that join them to xs, at the shortest wrap-free length:
+    # any wrap-around or lost lag shows against the uncut convolution
+    n_tab, n_xs = skew_density
+    left_out = 0
+    for left, right, intervals in SPREAD_GRIDS:
+        xs = np.linspace(left, right, intervals + 1)
+        h = mild._spacing(xs)
+        # mu and lam of a few h, where no source reaches the first
+        # outputs; mu > 1, padded on both sides; lam far above h
+        for mu, lam in ((0.3 * h, 3.0 * h), (3.1 * h, 3.0 * h),
+                        (2.9 * h, 150.0 * h), (20.0 * h, 150.0 * h),
+                        (1.5, 1.0), (0.5, 5.0)):
+            left_out += mu * n_xs[0] - xs[0] > ktable.eta_max * lam
+            got = mild._rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
+                                             ktable)
+            ref = _full_length_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert left_out >= 4
+    # an output grid that no source reaches gets zeros, spread or resampled
+    xs = np.linspace(100.0, 110.0, 257)
+    for mu in (0.05, 1.0):
+        assert not np.any(mild._rescaled_convolution(n_tab, n_xs, xs, mu,
+                                                     0.5, ell, ktable))
+        assert not np.any(_full_length_node(n_tab, n_xs, xs, mu, 0.5, ell,
+                                            ktable))
+
+
 def test_solve_samples_each_fft_kernel_once(ktable, monkeypatch):
     # the FFT branch's kernel samples depend on the node, not the density:
     # a solve takes them once per node, not once per node and iteration
@@ -264,16 +321,18 @@ def test_fft_plan_reused_across_densities(skew_density, ktable):
         plan = {}
         for dens in densities:
             for ell in (0, 1, 2):
-                # mu on both sides of 3h: spread and resampled sources
+                # mu on both sides of 3h: spread and resampled sources;
+                # mu > 1: the density stretched past xs on both sides
                 for mu, lam in ((0.5 * h, 12.0 * h), (2.9 * h, 150.0 * h),
-                                (3.1 * h, 12.0 * h), (20.0 * h, 150.0 * h)):
+                                (3.1 * h, 12.0 * h), (20.0 * h, 150.0 * h),
+                                (1.5, 1.0)):
                     got = mild._rescaled_convolution(dens, n_xs, xs, mu, lam,
                                                      ell, ktable, plan)
                     ref = mild._rescaled_convolution(dens, n_xs, xs, mu, lam,
                                                      ell, ktable)
                     assert (np.max(np.abs(got - ref))
                             <= 1e-14 * np.max(np.abs(ref)))
-        assert len(plan) == 12
+        assert len(plan) == 15
 
 
 def test_reconstruct_validation(profile_8k, ktable):
@@ -300,6 +359,8 @@ def test_no_convergence_path(ktable):
 @pytest.mark.parametrize("kwargs, error, match", (
     ({"max_iter": 0}, ValidationError, "max_iter"),
     ({"max_iter": -1}, ValidationError, "max_iter"),
+    ({"max_iter": 2.5}, ValidationError, "max_iter"),
+    ({"max_iter": np.nan}, ValidationError, "max_iter"),
     ({"quad_nodes": 0}, ConfigError, "at least 8 nodes"),
     ({"quad_nodes": 7}, ConfigError, "at least 8 nodes"),
     ({"quad_nodes": 1, "quad_method": "s-jacobi"}, ConfigError,
@@ -307,7 +368,8 @@ def test_no_convergence_path(ktable):
     ({"quad_nodes": 8.5}, ConfigError, "whole number"),
     ({"tol": np.nan}, ValidationError, "tol"),
     ({"tol": -1.0}, ValidationError, "tol"),
-), ids=("max_iter=0", "max_iter=-1", "quad_nodes=0", "quad_nodes=7",
+), ids=("max_iter=0", "max_iter=-1", "max_iter=2.5", "max_iter=nan",
+        "quad_nodes=0", "quad_nodes=7",
         "s-jacobi-1", "quad_nodes=8.5", "tol=nan", "tol=-1"))
 def test_solver_rejects_bad_iteration_settings(ktable, kwargs, error, match):
     with pytest.raises(error, match=match):
