@@ -18,6 +18,30 @@ from .errors import GridMismatch, ValidationError
 _UNIFORM_RTOL = 1e-9
 
 
+def uniform_grid(xs):
+    """(xs, h): xs as a float array, checked to be a uniform grid.
+
+    Any 1-D array-like of at least 16 finite, strictly increasing and
+    uniformly spaced nodes passes; anything else raises ValidationError.
+    """
+    try:
+        xs = np.asarray(xs, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("grid nodes must be numbers") from None
+    if xs.ndim != 1:
+        raise ValidationError(f"a grid must be 1-D, got shape {xs.shape}")
+    if xs.size < 16:
+        raise ValidationError(f"grid too short: {xs.size} < 16 nodes")
+    if not np.all(np.isfinite(xs)):
+        raise ValidationError("grid nodes must be finite")
+    h = (xs[-1] - xs[0]) / (xs.size - 1)
+    if h <= 0.0:
+        raise ValidationError("xs must be strictly increasing")
+    if np.max(np.abs(np.diff(xs) - h)) > _UNIFORM_RTOL * max(1.0, abs(h)):
+        raise ValidationError("xs must be uniformly spaced")
+    return xs, float(h)
+
+
 class GridFunction:
     """Samples ys on the uniform grid xs plus far-field metadata.
 
@@ -28,20 +52,12 @@ class GridFunction:
 
     def __init__(self, xs, ys, left_far=0.0, right_far=0.0,
                  far_kind="constant", tail_tol=1e-3):
-        xs = np.asarray(xs, dtype=float)
+        xs, h = uniform_grid(xs)
         ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or ys.ndim != 1 or xs.size != ys.size:
+        if ys.shape != xs.shape:
             raise ValidationError("xs and ys must be 1-D arrays of equal length")
-        if xs.size < 16:
-            raise ValidationError(f"grid too short: {xs.size} < 16 nodes")
-        if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(ys)):
+        if not np.all(np.isfinite(ys)):
             raise ValidationError("grid data must be finite")
-        h = (xs[-1] - xs[0]) / (xs.size - 1)
-        if h <= 0.0:
-            raise ValidationError("xs must be strictly increasing")
-        dx = np.diff(xs)
-        if np.max(np.abs(dx - h)) > _UNIFORM_RTOL * max(1.0, abs(h)):
-            raise ValidationError("xs must be uniformly spaced")
         if far_kind not in ("constant", "linear"):
             raise ValidationError(f"unknown far_kind {far_kind!r}")
         if far_kind == "constant":
@@ -56,7 +72,7 @@ class GridFunction:
         self.right_far = float(right_far)
         self.far_kind = far_kind
         self.tail_tol = float(tail_tol)
-        self._h = float(h)
+        self._h = h
         self.meta = {}
 
     @property

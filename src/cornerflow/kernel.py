@@ -154,10 +154,11 @@ def build_kernel_table(eta_max=40.0, n_nodes=16384):
     return KernelTable(etas, g_tables, G, G2)
 
 
-def _check_time(t):
-    """Raise InvalidTime unless t is a positive finite number."""
+def _check_time(t, name="t"):
+    """Raise InvalidTime, naming t, unless t is a positive finite number."""
     if not (isinstance(t, numbers.Real) and np.isfinite(t) and t > 0.0):
-        raise InvalidTime(f"t must be a positive finite number, got {t!r}")
+        raise InvalidTime(f"{name} must be a positive finite number, "
+                          f"got {t!r}")
 
 
 def apply_to_step(A, B, t, ell, table, xs=None):

@@ -159,6 +159,55 @@ def test_duhamel_on_foreign_grid(profile_8k, ktable, t):
     assert np.max(np.abs(sol.U.ys - base.ys - own.interp(xs))) <= 1e-10
 
 
+@pytest.mark.parametrize("intervals", (128, 256))
+def test_refined_nodes_match_own_grid(profile_8k, ktable, intervals):
+    # on a coarse grid the nodes near tau = t^(1/4) have a kernel narrower
+    # than 3h; they run on the grid refined r-fold and must still see the
+    # own-grid field
+    xs = symmetric_grid(20.0, intervals)
+    h = mild._spacing(xs)
+    for t in (1e-2, 1e-3):
+        for ell in (0, 1, 2):
+            lam = mild._quad_nodes(t, ell, 64, "tau")[1]
+            assert np.min(lam) < 3.0 * h
+            own = duhamel_integral(profile_8k.psi, t, ell, ktable)
+            got = duhamel_integral(profile_8k.psi, t, ell, ktable, xs=xs)
+            assert (np.max(np.abs(got.ys - own.interp(xs)))
+                    <= 1e-9 * np.max(np.abs(own.ys)))
+
+
+def _no_nodes(*args, **kwargs):
+    raise AssertionError("a Duhamel node ran before the check")
+
+
+BAD_GRIDS = (np.linspace(20.0, -20.0, 513),
+             np.linspace(-20.0, 20.0, 513) ** 3 / 400.0,
+             np.linspace(-20.0, 20.0, 9),
+             np.where(np.arange(513) == 7, np.nan, np.linspace(-20, 20, 513)),
+             np.linspace(-20.0, 20.0, 512).reshape(2, 256),
+             ["-1", "a"] * 8)
+
+
+@pytest.mark.parametrize("xs, match", zip(BAD_GRIDS, (
+    "increasing", "uniformly", "too short", "finite", "1-D", "numbers")),
+    ids=("decreasing", "non-uniform", "short", "nan", "2-d", "strings"))
+def test_output_grid_checked_before_any_node(profile_8k, ktable, monkeypatch,
+                                             xs, match):
+    monkeypatch.setattr(mild, "_duhamel_sum", _no_nodes)
+    with pytest.raises(ValidationError, match=match):
+        duhamel_integral(profile_8k.psi, 1.0, 1, ktable, xs=xs)
+    with pytest.raises(ValidationError, match=match):
+        reconstruct_U(profile_8k, 1.0, ktable, xs=xs)
+
+
+def test_output_grid_may_be_a_list(profile_8k, ktable):
+    xs = np.linspace(-20.0, 20.0, 513)
+    for call in (lambda x: reconstruct_U(profile_8k, 1.0, ktable, xs=x).U,
+                 lambda x: duhamel_integral(profile_8k.psi, 1.0, 1, ktable,
+                                            xs=x)):
+        assert np.array_equal(call(list(xs)).ys, call(xs).ys)
+
+
 @pytest.fixture(scope="module")
 def skew_density(ktable):
     """Nonlinear density of an asymmetric corner on a 2048-interval grid."""
@@ -169,7 +218,7 @@ def skew_density(ktable):
 
 
 def _dense_skew(n_tab, n_xs, xs, mu, lam, ell, table):
-    # the source sum of the skew regime at every output point
+    # the dense source sum of a node at every output point
     return mu * mild._spacing(n_xs) * _slowpath.skew_sum(
         table.g_ell[ell], table.h, _PARITY[ell], xs, mu, n_xs, n_tab,
         1.0 / lam)
@@ -279,24 +328,21 @@ def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
 
 
 def test_solve_samples_each_fft_kernel_once(ktable, monkeypatch):
-    # the FFT branch's kernel samples depend on the node, not the density:
-    # a solve takes them once per node, not once per node and iteration
-    fft_nodes, samples, inside = [], [], []
+    # a node's kernel samples depend on the node, not the density: a solve
+    # takes them once per node, not once per node and iteration
+    calls, samples, inside = [], [], []
     conv, sym = mild._rescaled_convolution, _backend.sym_eval
 
     def counted_conv(*args):
-        xs, mu, lam, ell = args[2:6]
-        fft = lam >= 3.0 * mild._spacing(xs)
-        if fft:
-            fft_nodes.append((mu, lam, ell))
-        inside.append(fft)
+        calls.append(args[3:6])
+        inside.append(True)
         try:
             return conv(*args)
         finally:
             inside.pop()
 
     def counted_sym(*args):
-        if inside and inside[-1]:
+        if inside:
             samples.append(args)
         return sym(*args)
 
@@ -304,9 +350,9 @@ def test_solve_samples_each_fft_kernel_once(ktable, monkeypatch):
     monkeypatch.setattr(_backend, "sym_eval", counted_sym)
     prof = solve_similarity_profile(CornerData(0.2, 0.03), table=ktable,
                                     xs=symmetric_grid(20.0, 1024))
-    nodes = set(fft_nodes)
+    nodes = set(calls)
     assert prof.iterations >= 5 and nodes
-    assert len(fft_nodes) == prof.iterations * len(nodes)
+    assert len(calls) == prof.iterations * len(nodes)
     assert len(samples) == len(nodes)
 
 
@@ -384,10 +430,22 @@ def test_integral_node_count_accepted(profile_8k, ktable):
     assert np.array_equal(whole.ys, base.ys)
 
 
-def test_self_similarity_validation(profile_8k, ktable):
+def test_self_similarity_validation(profile_8k, ktable, monkeypatch):
     with pytest.raises(ValidationError):
         self_similarity_residual(profile_8k, -1.0, 1.0, ktable)
     assert self_similarity_residual(profile_8k, 1.0, 1.0, ktable) == 0.0
+    sol = reconstruct_U(profile_8k, 1.0, ktable)
+    # a bad setting is refused by name before any reconstruction
+    monkeypatch.setattr(mild, "reconstruct_U", _no_nodes)
+    monkeypatch.setattr(mild, "duhamel_integral", _no_nodes)
+    for sigma, t, name in (("2", 1.0, "sigma"), (2.0, "1", "t"),
+                           (np.nan, 1.0, "sigma"), (2.0, np.inf, "t"),
+                           (0.0, 1.0, "sigma"), (1e200, 1e200, "sigma")):
+        with pytest.raises(ValidationError, match=f"^{name} "):
+            self_similarity_residual(profile_8k, sigma, t, ktable)
+    for c in ("0.1", np.nan, None):
+        with pytest.raises(ValidationError, match="^c must be"):
+            constant_shift_residual(sol, c, ktable)
 
 
 def test_constant_shift_comes_back(profile_8k, ktable):
