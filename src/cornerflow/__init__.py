@@ -36,7 +36,6 @@ from .mild import (
     SimilarityProfile,
     ReconstructedSolution,
     alpha_coefficient,
-    nonlinearity,
     duhamel_integral,
     solve_similarity_profile,
     reconstruct_U,
@@ -81,7 +80,7 @@ __all__ = [
     "KernelTable", "build_kernel_table", "apply_semigroup", "apply_to_step",
     "corner_height", "regularizing_constants",
     "CornerData", "SimilarityProfile", "ReconstructedSolution",
-    "alpha_coefficient", "nonlinearity", "duhamel_integral",
+    "alpha_coefficient", "duhamel_integral",
     "solve_similarity_profile", "reconstruct_U", "inner_sup",
     "self_similarity_residual", "constant_shift_residual",
     "save_profile", "load_profile",

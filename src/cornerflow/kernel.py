@@ -56,6 +56,9 @@ class KernelTable:
         self.g_env = float(np.max(np.abs(g_tables[0][core])
                                   * np.exp(rate[core])))
         self._check()
+        # the grid plan of the last Picard solve on this table (see
+        # mild._picard_plan); one slot, replaced by a solve on another grid
+        self._picard_plan = None
 
     def _check(self):
         mass = 2.0 * simpson(self.g_ell[0], dx=self.h)

@@ -26,8 +26,8 @@ from scipy.special import roots_jacobi
 
 from . import _backend
 from ._slowpath import lagrange_taps
-from .errors import (ConfigError, GridMismatch, NoConvergence,
-                     PicardDivergence, StaleProfile, ValidationError)
+from .errors import (ConfigError, NoConvergence, PicardDivergence,
+                     StaleProfile, ValidationError)
 from .grid import (GridFunction, _fd, symmetric_grid, uniform_grid,
                    whole_number)
 from .kernel import _PARITY, _check_time, apply_to_step, corner_height
@@ -98,32 +98,31 @@ def alpha_coefficient(v):
     return v2 * (2.0 + v2) / (1.0 + v2) ** 2
 
 
-def nonlinearity(v, v_x, v_xx):
-    """alpha(v) v_xx + F(v) with F = 3 v v_x^2 / (1+v^2)^3."""
-    for other in (v_x, v_xx):
-        if not v.same_grid(other):
-            raise GridMismatch("nonlinearity operands on different grids")
-    v2 = v.ys ** 2
-    ys = (alpha_coefficient(v.ys) * v_xx.ys
-          + 3.0 * v.ys * v_x.ys ** 2 / (1.0 + v2) ** 3)
-    return GridFunction(v.xs, ys, ys[0], ys[-1], "constant", np.inf)
-
-
 def _profile_derivatives(psi_ys, xs, h, A, B, table):
     """psi', psi'' via the step/remainder split.
 
     The evolved step carries the non-decaying part of psi; its derivatives
     are kernel evaluations. Only the decaying remainder is differenced.
+    Profiles live at t = 1, where the step is -B + (A + B) G(xs).
     """
-    lam = 1.0  # profiles live at t = 1
-    step = -B + (A + B) * table.eval_G(xs * lam)
+    step = -B + (A + B) * table.eval_G(xs)
+    return _split_derivatives(psi_ys, h, A + B, step, table.eval_g(0, xs),
+                              table.eval_g(1, xs))
+
+
+def _split_derivatives(psi_ys, h, jump, step, g0, g1):
+    """psi', psi'' from the evolved step and its derivatives g0, g1 at t = 1.
+
+    `jump` is A + B; only the remainder psi - step is differenced.
+    """
     r = psi_ys - step
-    psi1 = (A + B) * table.eval_g(0, xs) + _fd(r, h, 1)
-    psi2 = (A + B) * table.eval_g(1, xs) + _fd(r, h, 2)
+    psi1 = jump * g0 + _fd(r, h, 1)
+    psi2 = jump * g1 + _fd(r, h, 2)
     return psi1, psi2
 
 
 def _nonlinear_density(psi_ys, psi1, psi2):
+    """alpha(psi) psi'' + F(psi) with F = 3 psi psi'^2 / (1+psi^2)^3."""
     v2 = psi_ys ** 2
     return (alpha_coefficient(psi_ys) * psi2
             + 3.0 * psi_ys * psi1 ** 2 / (1.0 + v2) ** 3)
@@ -217,8 +216,10 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table, plan=None):
     The node plan (`_fft_plan`) depends only on the grids, the node and the
     table; the density step is a 4-tap gather or one `np.bincount`, then
     one FFT pair. `plan` is an optional dict, keyed by (mu, lam, ell), that
-    keeps the node plans between calls on the same (n_xs, xs, table); a
-    Picard solve passes one for all its iterations.
+    keeps the node plans between calls on the same (n_xs, xs, table).
+    Picard solves pass the dict their table holds for the solve grid (see
+    `_picard_plan`), so every iteration of every solve on that grid reuses
+    it; a call without one builds its plan and drops it.
     """
     if plan is None:
         plan = {}
@@ -243,14 +244,36 @@ def _duhamel_sum(n_tab, n_xs, xs, t, ell, table, nodes, method, plan=None):
     """Quadrature over the Duhamel nodes; n_tab on n_xs, output on xs.
 
     `plan` (a dict, see `_rescaled_convolution`) keeps each node's FFT plan
-    for the next sum on the same grids and table; without it the plans are
-    built and used once.
+    for the next sum on the same grids, table and nodes; without it the
+    plans are built and used once. Each node goes through the module's
+    `_rescaled_convolution`, looked up at call time with these positional
+    arguments, so that bench/tracer.py, which wraps it, sees every node of
+    every sum, planned or not.
     """
     out = np.zeros(xs.size)
     for mu, lam, w in zip(*_quad_nodes(t, ell, nodes, method)):
         out += w * _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
                                          table, plan)
     return out
+
+
+def _picard_plan(table, xs, nodes, method):
+    """(node plans, g_0(xs), g_1(xs)) of a Picard solve on xs, held by table.
+
+    What a solve at t = 1 and ell = 2 takes from the table depends only on
+    the profile grid xs and the quadrature: the node-plan dict of
+    `_duhamel_sum` and the kernel samples of `_split_derivatives`. The
+    table holds one such plan, keyed by the exact grid, `nodes` and
+    `method`; a solve with the same key reuses it and any other replaces
+    it. On the default grid it holds about 17 MiB.
+    """
+    held = table._picard_plan
+    if not (held is not None and held[1] == nodes and held[2] == method
+            and np.array_equal(held[0], xs)):
+        held = (xs.copy(), nodes, method, {}, table.eval_g(0, xs),
+                table.eval_g(1, xs))
+        table._picard_plan = held
+    return held[3:]
 
 
 def _check_quad_nodes(nodes):
@@ -336,7 +359,15 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
 
     Starts from the evolved step and stops when the sup-norm update drops
     below tol. Five consecutive growing updates abort with
-    PicardDivergence; exhausting max_iter raises NoConvergence.
+    PicardDivergence; exhausting max_iter raises NoConvergence. xs is any
+    uniform grid (default: half-width 40, 8192 intervals), checked before
+    any work.
+
+    The table keeps the grid plan of its last solve (`_picard_plan`): the
+    FFT plans of the Duhamel nodes and the kernel samples on xs. A solve on
+    the same grid with the same quadrature reuses them, with results
+    bit-identical to a solve on a fresh table; a solve on another grid
+    replaces them.
     """
     if table is None:
         raise ValidationError("a KernelTable is required")
@@ -349,23 +380,24 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
         raise ValidationError(f"tol must be a positive finite number, "
                               f"got {tol!r}")
     quad_nodes = _check_quad_nodes(quad_nodes)
+    _quad_nodes(1.0, 2, quad_nodes, quad_method)  # an unknown rule raises
+    if xs is None:
+        xs = symmetric_grid(DEFAULT_HALF_WIDTH, DEFAULT_INTERVALS)
+    xs, h = uniform_grid(xs)
     if not corner.within_cap():
         raise ConfigError(
             f"corner size {corner.size:.3g} exceeds slope_cap "
             f"{corner.slope_cap:.3g}; the contraction argument needs small data")
-    if xs is None:
-        xs = symmetric_grid(DEFAULT_HALF_WIDTH, DEFAULT_INTERVALS)
     A, B = corner.A, corner.B
-    h = _spacing(xs)
     step = apply_to_step(A, B, 1.0, 0, table, xs)
     psi = step.ys.copy()
-    plan = {}  # the FFT-branch node plans, shared by every iteration
+    plan, g0, g1 = _picard_plan(table, xs, quad_nodes, quad_method)
     history = []
     growing = 0
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        psi1, psi2 = _profile_derivatives(psi, xs, h, A, B, table)
+        psi1, psi2 = _split_derivatives(psi, h, A + B, step.ys, g0, g1)
         n_tab = _nonlinear_density(psi, psi1, psi2)
         duh = _duhamel_sum(n_tab, xs, xs, 1.0, 2, table, quad_nodes,
                            quad_method, plan)
@@ -388,7 +420,7 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
         raise NoConvergence(
             f"no convergence after {max_iter} iterations "
             f"(last update {history[-1]:.3e})", history)
-    psi1, psi2 = _profile_derivatives(psi, xs, h, A, B, table)
+    psi1, psi2 = _split_derivatives(psi, h, A + B, step.ys, g0, g1)
     tail_gap = max(abs(psi[0] + B), abs(psi[-1] - A))
     psi_gf = GridFunction(xs, psi, -B, A, "constant",
                           max(4.0 * tail_gap, 1e-9))

@@ -6,14 +6,20 @@ import time
 import numpy as np
 import pytest
 
-from cornerflow import (CornerData, build_kernel_table, compare_with_mild,
-                        reconstruct_U, solve_similarity_profile,
-                        symmetric_grid)
+from cornerflow import (CornerData, KernelTable, build_kernel_table,
+                        compare_with_mild, reconstruct_U,
+                        solve_similarity_profile, symmetric_grid)
 
 
 @pytest.fixture(scope="session")
 def ktable():
     return build_kernel_table()
+
+
+@pytest.fixture()
+def new_table(ktable):
+    """Factory of tables equal to ktable that hold no solve's grid plan."""
+    return lambda: KernelTable(ktable.etas, ktable.g_ell, ktable.G, ktable.G2)
 
 
 @pytest.fixture(scope="session")

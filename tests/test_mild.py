@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from cornerflow import _backend, _slowpath, mild
-from cornerflow import (ConfigError, CornerData, GridFunction,
-                        ValidationError, alpha_coefficient,
-                        constant_shift_residual, corner_height,
-                        duhamel_integral, load_profile, nonlinearity,
+from cornerflow import (ConfigError, CornerData, ValidationError,
+                        alpha_coefficient, constant_shift_residual,
+                        corner_height, duhamel_integral, load_profile,
                         reconstruct_U, save_profile,
                         self_similarity_residual, solve_similarity_profile,
                         symmetric_grid)
-from cornerflow.errors import (GridMismatch, NoConvergence, StaleProfile)
+from cornerflow.errors import NoConvergence, StaleProfile
 from cornerflow.kernel import _PARITY
 
 PHI0_FROZEN = 0.0779566288  # A = B = 0.1 reference, grid-converged level
@@ -43,18 +42,6 @@ def test_alpha_coefficient_small_and_bounded():
     assert alpha_coefficient(np.zeros(1))[0] == 0.0
     exact = 1.0 - 1.0 / (1.0 + v ** 2) ** 2
     assert np.max(np.abs(a - exact)) < 1e-15
-
-
-def test_nonlinearity_unit_example():
-    xs = symmetric_grid(2.0, 32)
-    one = GridFunction(xs, np.ones(33), 1.0, 1.0, "constant", 1e-9)
-    out = nonlinearity(one, one, one)
-    # alpha(1) = 3/4 and F(1) = 3/8, so the density is 9/8 everywhere
-    assert np.max(np.abs(out.ys - 9.0 / 8.0)) < 1e-15
-    other = GridFunction(symmetric_grid(3.0, 32), np.ones(33), 1.0, 1.0,
-                         "constant", 1e-9)
-    with pytest.raises(GridMismatch):
-        nonlinearity(one, one, other)
 
 
 def test_linear_data_shortcut(ktable):
@@ -194,17 +181,24 @@ BAD_GRIDS = (np.linspace(20.0, -20.0, 513),
 def test_output_grid_checked_before_any_node(profile_8k, ktable, monkeypatch,
                                              xs, match):
     monkeypatch.setattr(mild, "_duhamel_sum", _no_nodes)
+    monkeypatch.setattr(mild, "apply_to_step", _no_nodes)
     with pytest.raises(ValidationError, match=match):
         duhamel_integral(profile_8k.psi, 1.0, 1, ktable, xs=xs)
     with pytest.raises(ValidationError, match=match):
         reconstruct_U(profile_8k, 1.0, ktable, xs=xs)
+    # the solve grid too, before the evolved step's tail bound or the
+    # interpolation taps can warn on a reversed or NaN grid
+    with pytest.raises(ValidationError, match=match):
+        solve_similarity_profile(CornerData(0.1, 0.1), table=ktable, xs=xs)
 
 
 def test_output_grid_may_be_a_list(profile_8k, ktable):
     xs = np.linspace(-20.0, 20.0, 513)
     for call in (lambda x: reconstruct_U(profile_8k, 1.0, ktable, xs=x).U,
                  lambda x: duhamel_integral(profile_8k.psi, 1.0, 1, ktable,
-                                            xs=x)):
+                                            xs=x),
+                 lambda x: solve_similarity_profile(
+                     CornerData(0.2, 0.03), table=ktable, xs=x).psi):
         assert np.array_equal(call(list(xs)).ys, call(xs).ys)
 
 
@@ -327,9 +321,13 @@ def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
                                             ktable))
 
 
-def test_solve_samples_each_fft_kernel_once(ktable, monkeypatch):
+PLAN_GRID = symmetric_grid(20.0, 1024)
+
+
+def test_solve_samples_each_fft_kernel_once(new_table, monkeypatch):
     # a node's kernel samples depend on the node, not the density: a solve
-    # takes them once per node, not once per node and iteration
+    # takes them once per node, not once per node and iteration, and a
+    # second solve on the grid takes none
     calls, samples, inside = [], [], []
     conv, sym = mild._rescaled_convolution, _backend.sym_eval
 
@@ -348,12 +346,88 @@ def test_solve_samples_each_fft_kernel_once(ktable, monkeypatch):
 
     monkeypatch.setattr(mild, "_rescaled_convolution", counted_conv)
     monkeypatch.setattr(_backend, "sym_eval", counted_sym)
-    prof = solve_similarity_profile(CornerData(0.2, 0.03), table=ktable,
-                                    xs=symmetric_grid(20.0, 1024))
+    table = new_table()
+    prof = solve_similarity_profile(CornerData(0.2, 0.03), table=table,
+                                    xs=PLAN_GRID)
     nodes = set(calls)
     assert prof.iterations >= 5 and nodes
     assert len(calls) == prof.iterations * len(nodes)
     assert len(samples) == len(nodes)
+    del samples[:]
+    solve_similarity_profile(CornerData(0.1, 0.1), table=table,
+                             xs=PLAN_GRID)
+    assert not samples
+
+
+def _count_plans(monkeypatch):
+    """The list that every node plan built from now on appends to."""
+    built, fft_plan = [], mild._fft_plan
+
+    def counted(*args):
+        built.append(args)
+        return fft_plan(*args)
+
+    monkeypatch.setattr(mild, "_fft_plan", counted)
+    return built
+
+
+def _plans_built(built, corner=(0.1, -0.1), **kwargs):
+    """Node plans built by one solve on PLAN_GRID (kwargs override)."""
+    before = len(built)
+    solve_similarity_profile(CornerData(*corner), **{"xs": PLAN_GRID,
+                                                     **kwargs})
+    return len(built) - before
+
+
+def test_solves_on_one_grid_share_the_plan(new_table, monkeypatch):
+    # the plan depends on the grid, the nodes and the table, not on the
+    # corner: two solves build the 64 node plans once
+    built = _count_plans(monkeypatch)
+    table = new_table()
+    assert _plans_built(built, (0.2, 0.03), table=table) == 64
+    assert _plans_built(built, (0.1, 0.1), table=table) == 0
+    # a solve refused for its rule leaves the held plan in place
+    with pytest.raises(ConfigError, match="unknown quadrature"):
+        _plans_built(built, table=table, quad_method="trap")
+    assert _plans_built(built, table=table) == 0
+    # another table builds its own and leaves the first one's in place
+    other = new_table()
+    assert _plans_built(built, table=other) == 64
+    assert _plans_built(built, table=other) == 0
+    assert _plans_built(built, table=table) == 0
+
+
+@pytest.mark.parametrize("change, count", (
+    ({"xs": symmetric_grid(30.0, 1024)}, 64),
+    ({"quad_nodes": 32}, 32),
+    ({"quad_method": "s-jacobi"}, 64),
+), ids=("half-width", "quad_nodes", "quad_method"))
+def test_plan_rebuilt_for_another_grid_or_rule(new_table, monkeypatch,
+                                               change, count):
+    # a grid of the same size but another spacing, or another rule, needs
+    # its own plan; the table holds one, so going back builds it again
+    built = _count_plans(monkeypatch)
+    table = new_table()
+    assert _plans_built(built, table=table) == 64
+    assert _plans_built(built, table=table, **change) == count
+    assert _plans_built(built, table=table, **change) == 0
+    assert _plans_built(built, table=table) == 64
+
+
+def test_warm_solve_matches_cold(new_table):
+    # nothing a solve leaves in the held plan reaches the next solve's
+    # numbers: bit for bit the same as on a fresh table
+    warm = new_table()
+    solve_similarity_profile(CornerData(0.1, 0.1), table=warm, xs=PLAN_GRID)
+    for corner in ((0.2, 0.03), (0.29, 0.29)):
+        hot, cold = (solve_similarity_profile(CornerData(*corner), table=t,
+                                              xs=PLAN_GRID)
+                     for t in (warm, new_table()))
+        for got, ref in ((hot.psi.ys, cold.psi.ys), (hot.psi1, cold.psi1),
+                         (hot.psi2, cold.psi2)):
+            assert np.array_equal(got, ref)
+        assert hot.iterations == cold.iterations >= 5
+        assert hot.residual_history == cold.residual_history
 
 
 def test_fft_plan_reused_across_densities(skew_density, ktable):
