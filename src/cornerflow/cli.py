@@ -130,9 +130,8 @@ def cmd_kernel(args):
     return 0
 
 
-def _solve_one(args, out):
+def _solve_one(args, out, table):
     corner = CornerData(args.a, args.b, args.slope_cap)
-    table = build_kernel_table()
     xs = symmetric_grid(args.half_width, args.intervals)
     try:
         profile = solve_similarity_profile(
@@ -204,17 +203,27 @@ def _parse_sweep(spec):
     return name, values
 
 
-def _sweep_worker(payload):
-    ns = argparse.Namespace(**payload)
-    try:
-        code = _solve_one(ns, _ensure_out(ns))
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        code = 3
-    return ns.out_dir, code
+def _sweep_worker(payloads):
+    """Exit codes of the solves of `payloads`, all on one kernel table.
+
+    The sweep values share the grid and quadrature, so every solve after
+    the first reuses the Picard plan that the table holds
+    (`mild._picard_plan`).
+    """
+    table = build_kernel_table()
+    codes = []
+    for payload in payloads:
+        ns = argparse.Namespace(**payload)
+        try:
+            code = _solve_one(ns, _ensure_out(ns), table)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except NumericalFailure as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            code = 3
+        codes.append(code)
+    return codes
 
 
 def cmd_solve(args):
@@ -233,14 +242,18 @@ def cmd_solve(args):
             payload["out_dir"] = os.path.join(out, f"{name}_{v:g}")
             jobs.append(payload)
         from concurrent.futures import ProcessPoolExecutor
-        worst = 0
-        with ProcessPoolExecutor(max_workers=min(len(jobs), args.workers)) \
-                as pool:
-            for run_dir, code in pool.map(_sweep_worker, jobs):
-                print(f"{run_dir}: exit {code}")
-                worst = max(worst, code)
-        return worst
-    return _solve_one(args, out)
+        # worker i solves every n-th value, so the costlier corners at one
+        # end of a sweep spread over the workers
+        n = min(len(jobs), args.workers)
+        codes = [None] * len(jobs)
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            chunks = pool.map(_sweep_worker, [jobs[i::n] for i in range(n)])
+            for i, chunk in enumerate(chunks):
+                codes[i::n] = chunk
+        for job, code in zip(jobs, codes):
+            print(f"{job['out_dir']}: exit {code}")
+        return max(codes)
+    return _solve_one(args, out, build_kernel_table())
 
 
 def cmd_diagnose(args):

@@ -265,7 +265,9 @@ def _picard_plan(table, xs, nodes, method):
     `_duhamel_sum` and the kernel samples of `_split_derivatives`. The
     table holds one such plan, keyed by the exact grid, `nodes` and
     `method`; a solve with the same key reuses it and any other replaces
-    it. On the default grid it holds about 17 MiB.
+    it. Nothing else releases it: the plan lives as long as the table,
+    about 4.7 MiB on a 2048-interval grid and 17 MiB on the default grid,
+    also when the table solves only once.
     """
     held = table._picard_plan
     if not (held is not None and held[1] == nodes and held[2] == method
@@ -367,7 +369,9 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
     FFT plans of the Duhamel nodes and the kernel samples on xs. A solve on
     the same grid with the same quadrature reuses them, with results
     bit-identical to a solve on a fresh table; a solve on another grid
-    replaces them.
+    replaces them. They stay with the table until then (about 17 MiB on
+    the default grid), so a caller that solves once and keeps the table
+    keeps them too.
     """
     if table is None:
         raise ValidationError("a KernelTable is required")

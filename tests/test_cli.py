@@ -8,7 +8,7 @@ import pytest
 
 import cornerflow
 from cornerflow import GridFunction, symmetric_grid
-from cornerflow import cli
+from cornerflow import cli, mild
 from cornerflow.errors import PicardDivergence
 
 
@@ -123,16 +123,49 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
-def test_sweep_runs_worker_pool(tmp_path):
+def test_sweep_runs_worker_pool(tmp_path, capsys):
+    # three values on two workers: one worker solves two of them, and each
+    # exit code comes back on its value's line, in sweep order
     out = tmp_path / "sweep"
     code = run_cli("solve", "--a", "0.1", "--b", "0.1", "--sweep",
-                   "a=0.05:0.05:0.1", "--intervals", "1024", "--times",
-                   "1", "--workers", "2", "--out-dir", str(out))
-    assert code == 0
-    for sub in ("a_0.05", "a_0.1"):
-        assert (out / sub / "solve_summary.json").exists()
-    with open(out / "a_0.05" / "solve_summary.json") as fh:
-        assert json.load(fh)["A"] == 0.05
+                   "a=0.05:0.05:0.15", "--slope-cap", "0.12", "--intervals",
+                   "1024", "--times", "1", "--workers", "2", "--out-dir",
+                   str(out))
+    assert code == 2
+    subs = ("a_0.05", "a_0.1", "a_0.15")
+    assert capsys.readouterr().out.splitlines() == [
+        f"{out / sub}: exit {code}" for sub, code in zip(subs, (0, 0, 2))]
+    for sub, a in zip(subs[:2], (0.05, 0.1)):
+        with open(out / sub / "solve_summary.json") as fh:
+            assert json.load(fh)["A"] == a
+    assert not (out / subs[2] / "solve_summary.json").exists()
+
+
+def test_sweep_worker_solves_on_one_table(tmp_path, monkeypatch, new_table):
+    # a worker builds one table for all its values, so its later solves
+    # find the grid plan of the first one held on that table
+    tables, held = [], []
+    picard_plan = mild._picard_plan
+
+    def build():
+        tables.append(new_table())
+        return tables[-1]
+
+    def counted(*args):
+        plan = picard_plan(*args)
+        held.append(len(plan[0]))
+        return plan
+
+    monkeypatch.setattr(cli, "build_kernel_table", build)
+    monkeypatch.setattr(mild, "_picard_plan", counted)
+    args = vars(cli.build_parser().parse_args(
+        ["solve", "--a", "0.1", "--b", "0.1", "--intervals", "512",
+         "--times", "1"]))
+    payloads = [{**args, "a": a,
+                 "out_dir": str(tmp_path / f"a_{a:g}")} for a in (0.05, 0.1)]
+    assert cli._sweep_worker(payloads) == [0, 0]
+    assert len(tables) == 1
+    assert held == [0, 64]
 
 
 def test_sweep_spec_validation(tmp_path, capsys):
