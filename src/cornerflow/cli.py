@@ -18,8 +18,8 @@ from .errors import (NoConvergence, NumericalFailure, PicardDivergence,
                      ValidationError)
 from .grid import GridFunction, symmetric_grid
 from .kernel import build_kernel_table, regularizing_constants
-from .mild import (CornerData, reconstruct_U, save_profile,
-                   self_similarity_residual, solve_similarity_profile)
+from .mild import (CornerData, _self_similarity_gap, reconstruct_U,
+                   save_profile, solve_similarity_profile)
 from . import diagnostics
 from .oracle import MarchConfig, mild_gaps, time_march
 
@@ -149,9 +149,18 @@ def _solve_one(args, out, table):
     save_profile(profile, ppath)
     paths += [ppath, os.path.join(out, "profile.meta.json")]
     times = _parse_times(args.times)
+    # U(., t) once per t: the written times and the self-similarity pairs
+    # (1, 0.5) and (1, 2) share their reconstructions
+    sols = {}
+
+    def solution(t):
+        if t not in sols:
+            sols[t] = reconstruct_U(profile, t, table)
+        return sols[t]
+
     phi0 = None
     for t in times:
-        sol = reconstruct_U(profile, t, table)
+        sol = solution(t)
         upath = os.path.join(out, f"U_t{t:g}.csv")
         _write_csv(upath, "x,U", sol.U.xs, sol.U.ys)
         paths.append(upath)
@@ -167,7 +176,7 @@ def _solve_one(args, out, table):
         "phi0": phi0,
         "linear_shortcut": bool(corner.A == -corner.B),
         "self_similarity": {
-            str(s): self_similarity_residual(profile, s, 1.0, table)
+            str(s): _self_similarity_gap(solution(1.0), solution(s), s)
             for s in (0.5, 2.0)},
     }
     if meta["linear_shortcut"]:

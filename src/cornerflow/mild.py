@@ -17,9 +17,11 @@ import functools
 import json
 import numbers
 import os
+from collections import namedtuple
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
+from scipy.sparse import csr_matrix
 # unused here, but bench/tracer.py wraps mild.fftconvolve by that name
 from scipy.signal import fftconvolve  # noqa: F401
 from scipy.special import roots_jacobi
@@ -132,25 +134,30 @@ def _spacing(xs):
     return (xs[-1] - xs[0]) / (xs.size - 1)
 
 
+# the grid-only part of one node of `_rescaled_convolution`; see `_fft_plan`
+_NodePlan = namedtuple("_NodePlan", "lo base w k nfft ker a h spread r")
+
+
 def _fft_plan(n_xs, xs, mu, lam, ell, table):
     """The grid-only part of `_rescaled_convolution` for one node.
 
     On xs, refined r-fold when lam < 3h, with spacing h and n points, the
     sources are padded out to mu * n_xs (or the kernel reach, if nearer)
     on each side, and only the window of k padded points that some source
-    reaches is convolved. Returns (lo, base, w, k, nfft, khat, spread, r),
-    or None when no source reaches xs. For mu >= 3h spread is None and the
-    window is the k = base.size padded points that fall on the profile
-    grid, with 4-point Lagrange taps (base, w) into n_tab. For mu < 3h the
-    points mu n_xs[lo:lo + base.size] fall on the padded grid and deposit
-    spread times their density by the taps (base, w) onto the k-cell
-    window, base counted from its first cell. With the sources src on the
-    window, the output on xs is irfft(rfft(src, nfft) khat, nfft)[:n:r].
-    The kernel g_ell(d h / lam) h is sampled only on the K lags d that join
-    a window point to an output. With a the index of the first output in
-    the linear convolution, nfft >= max(n + max(a, 0), k + K - 1 - a) keeps
-    the circular convolution free of wrap-around on the n outputs, and the
-    kernel is rotated by a before its FFT.
+    reaches is convolved. Returns a `_NodePlan`, or None when no source
+    reaches xs. For mu >= 3h spread is None and the window is the
+    k = base.size padded points that fall on the profile grid, with
+    4-point Lagrange taps (base, w) into n_tab. For mu < 3h the points
+    mu n_xs[lo:lo + base.size] fall on the padded grid and deposit spread
+    times their density by the taps (base, w) onto the k-cell window, base
+    counted from its first cell. With the sources src on the window, the
+    output on xs is irfft(rfft(src, N) khat, N)[:n:r] for any N >= nfft,
+    where khat = `_kernel_spectrum`(plan, N): the caller chooses the FFT
+    length. The kernel g_ell(d h / lam) is sampled as ker only on the K
+    lags d that join a window point to an output. With a the index of the
+    first output in the linear convolution, nfft >= max(n + max(a, 0),
+    k + K - 1 - a) keeps the circular convolution free of wrap-around on
+    the n outputs, and the kernel is rotated by a before its FFT.
     """
     h = _spacing(xs)
     r = 1 if lam >= 3.0 * h else int(np.ceil(24.0 * h / lam))
@@ -186,13 +193,19 @@ def _fft_plan(n_xs, xs, mu, lam, ell, table):
     lags = d_hi - d_lo + 1
     a = -(first + d_lo)
     nfft = next_fast_len(max(n + max(a, 0), k + lags - 1 - a), real=True)
+    ker = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
+                            (d_lo + np.arange(lags)) * (h / lam))
+    return _NodePlan(lo, base, w, k, nfft, ker, a, h, spread, r)
+
+
+def _kernel_spectrum(node, nfft):
+    """h rfft of the node's kernel lags, rotated by a, at length nfft."""
     ker = np.zeros(nfft)
-    ker[:lags] = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
-                                   (d_lo + np.arange(lags)) * (h / lam))
-    return lo, base, w, k, nfft, rfft(np.roll(ker, -a)) * h, spread, r
+    ker[:node.ker.size] = node.ker
+    return rfft(np.roll(ker, -node.a)) * node.h
 
 
-def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table, plan=None):
+def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
     """C(x) = int g_ell((x-y)/lam) n(y/mu) dy on the output grid xs.
 
     The density n is sampled as n_tab on the profile grid n_xs; xs is any
@@ -213,67 +226,150 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table, plan=None):
     the 8e-10 of the dense source sum. The spread nodes set this; the
     resampled ones need only r >= ceil(3h / lam).
 
-    The node plan (`_fft_plan`) depends only on the grids, the node and the
-    table; the density step is a 4-tap gather or one `np.bincount`, then
-    one FFT pair. `plan` is an optional dict, keyed by (mu, lam, ell), that
-    keeps the node plans between calls on the same (n_xs, xs, table).
-    Picard solves pass the dict their table holds for the solve grid (see
-    `_picard_plan`), so every iteration of every solve on that grid reuses
-    it; a call without one builds its plan and drops it.
+    Each call builds the node plan (`_fft_plan`), which depends only on
+    the grids, the node and the table, then takes the density through a
+    4-tap gather or one `np.bincount` and one FFT pair at the node's own
+    length. A Picard solve does not come here: it applies the held
+    `_DuhamelOperator` of its grid, made of the same node plans.
     """
-    if plan is None:
-        plan = {}
-    key = (mu, lam, ell)
-    if key not in plan:
-        plan[key] = _fft_plan(n_xs, xs, mu, lam, ell, table)
-    node = plan[key]
+    node = _fft_plan(n_xs, xs, mu, lam, ell, table)
     if node is None:
         return np.zeros(xs.size)
-    lo, base, w, k, nfft, khat, spread, r = node
-    if spread is None:
+    lo, base, w, nfft = node.lo, node.base, node.w, node.nfft
+    if node.spread is None:
         src = (w[0] * n_tab[base] + w[1] * n_tab[base + 1]
                + w[2] * n_tab[base + 2] + w[3] * n_tab[base + 3])
     else:
-        v = spread * n_tab[lo:lo + base.size]
+        v = node.spread * n_tab[lo:lo + base.size]
         src = np.bincount((base + np.arange(4)[:, None]).ravel(),
-                          (w * v).ravel(), minlength=k)
-    return irfft(rfft(src, nfft) * khat, nfft)[:r * (xs.size - 1) + 1:r]
+                          (w * v).ravel(), minlength=node.k)
+    out = irfft(rfft(src, nfft) * _kernel_spectrum(node, nfft), nfft)
+    return out[:node.r * (xs.size - 1) + 1:node.r]
 
 
-def _duhamel_sum(n_tab, n_xs, xs, t, ell, table, nodes, method, plan=None):
+def _duhamel_sum(n_tab, n_xs, xs, t, ell, table, nodes, method):
     """Quadrature over the Duhamel nodes; n_tab on n_xs, output on xs.
 
-    `plan` (a dict, see `_rescaled_convolution`) keeps each node's FFT plan
-    for the next sum on the same grids, table and nodes; without it the
-    plans are built and used once. Each node goes through the module's
+    A one-shot sum: each node goes through the module's
     `_rescaled_convolution`, looked up at call time with these positional
     arguments, so that bench/tracer.py, which wraps it, sees every node of
-    every sum, planned or not.
+    every sum, and builds its plan and drops it. `duhamel_integral` (hence
+    `reconstruct_U`) sums this way; a Picard solve, which sums on one grid
+    many times, applies the `_DuhamelOperator` its table holds instead.
     """
     out = np.zeros(xs.size)
     for mu, lam, w in zip(*_quad_nodes(t, ell, nodes, method)):
         out += w * _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
-                                         table, plan)
+                                         table)
     return out
 
 
+def _window_rows(node):
+    """(counts, cols, vals): the CSR rows that take n_tab to a node's window.
+
+    Row p of the k window points holds counts[p] entries; cols and vals
+    list them row by row, each row's columns in increasing order.
+    """
+    taps = (node.base[:, None] + np.arange(4)).ravel()
+    points = np.repeat(np.arange(node.base.size, dtype=np.int32), 4)
+    if node.spread is None:
+        # window point p takes n_tab at base[p] + 0..3
+        return (np.full(node.k, 4, dtype=np.int32), taps.astype(np.int32),
+                node.w.T.ravel())
+    # n_tab at lo + j goes onto the window cells base[j] + 0..3; listed
+    # point by point, a stable sort by cell keeps each cell's points in order
+    order = np.argsort(taps, kind="stable")
+    return (np.bincount(taps, minlength=node.k).astype(np.int32),
+            node.lo + points[order], (node.w.T * node.spread).ravel()[order])
+
+
+class _DuhamelOperator:
+    """The Duhamel sum of `_duhamel_sum` as a linear map of n_tab, held.
+
+    Built once from the node plans (`_fft_plan`) of one (n_xs, xs, t, ell,
+    table, nodes, method); calling it on n_tab gives the sum on xs. The
+    nodes go in blocks of up to BLOCK consecutive nodes of one refinement
+    r. A block's CSR matrix takes n_tab to the source windows of its
+    nodes, stacked with stride W (the block's longest window) and zero
+    beyond each window; its rows are the 4-tap resample of a mu >= 3h node
+    or the transposed spread of a mu < 3h one. The block then takes one
+    batched rfft at a common length N (its longest nfft), the product with
+    every node's kernel spectrum at N with its quadrature weight folded
+    in, summed over the nodes in Fourier space, and one irfft that keeps
+    every r-th output. The result matches the node-by-node sum to
+    rounding.
+    """
+
+    # nodes per block: bounds the temporaries of the build and the apply
+    BLOCK = 16
+
+    def __init__(self, n_xs, xs, t, ell, table, nodes, method):
+        self.n = xs.size
+        self.blocks = []  # (CSR matrix, W, N, spectra, r)
+        block = []
+        # the widest windows first: the build's temporaries peak while
+        # little of the operator is held yet
+        for mu, lam, wt in reversed(list(zip(*_quad_nodes(t, ell, nodes,
+                                                          method)))):
+            node = _fft_plan(n_xs, xs, mu, lam, ell, table)
+            if node is None:
+                continue
+            if block and (len(block) == self.BLOCK
+                          or node.r != block[0][1].r):
+                self.blocks.append(_operator_block(block, n_xs.size))
+                block = []
+            # the taps go into CSR rows at once; the kernel lags wait for
+            # the block's FFT length
+            block.append((wt, node._replace(base=None, w=None),
+                          _window_rows(node)))
+        if block:
+            self.blocks.append(_operator_block(block, n_xs.size))
+
+    def __call__(self, n_tab):
+        out = np.zeros(self.n)
+        for matrix, W, N, spectra, r in self.blocks:
+            fs = rfft((matrix @ n_tab).reshape(-1, W), N)
+            fs *= spectra
+            out += irfft(fs.sum(axis=0), N)[:r * (self.n - 1) + 1:r]
+        return out
+
+
+def _operator_block(block, n_src):
+    """(CSR matrix, W, N, spectra, r) of (weight, node plan, window rows)."""
+    W = max(node.k for _, node, _ in block)
+    N = max(node.nfft for _, node, _ in block)
+    counts = [np.zeros(1, dtype=np.int32)]
+    for _, _, (cnt, _, _) in block:
+        counts += [cnt, np.zeros(W - cnt.size, dtype=np.int32)]
+    matrix = csr_matrix(
+        (np.concatenate([rows[2] for _, _, rows in block]),
+         np.concatenate([rows[1] for _, _, rows in block]),
+         np.cumsum(np.concatenate(counts))),
+        shape=(len(block) * W, n_src))
+    spectra = np.empty((len(block), N // 2 + 1), dtype=complex)
+    for i, (wt, node, _) in enumerate(block):
+        spectra[i] = wt * _kernel_spectrum(node, N)
+    return matrix, W, N, spectra, block[0][1].r
+
+
 def _picard_plan(table, xs, nodes, method):
-    """(node plans, g_0(xs), g_1(xs)) of a Picard solve on xs, held by table.
+    """(Duhamel operator, g_0(xs), g_1(xs)) of a Picard solve on xs.
 
     What a solve at t = 1 and ell = 2 takes from the table depends only on
-    the profile grid xs and the quadrature: the node-plan dict of
-    `_duhamel_sum` and the kernel samples of `_split_derivatives`. The
-    table holds one such plan, keyed by the exact grid, `nodes` and
+    the profile grid xs and the quadrature: the `_DuhamelOperator` that
+    applies its Duhamel sum and the kernel samples of `_split_derivatives`.
+    The table holds one such plan, keyed by the exact grid, `nodes` and
     `method`; a solve with the same key reuses it and any other replaces
     it. Nothing else releases it: the plan lives as long as the table,
-    about 4.7 MiB on a 2048-interval grid and 17 MiB on the default grid,
-    also when the table solves only once.
+    also when the table solves only once. The operator holds 5.8 MiB on a
+    2048-interval grid and 21 MiB on the default grid.
     """
     held = table._picard_plan
     if not (held is not None and held[1] == nodes and held[2] == method
             and np.array_equal(held[0], xs)):
-        held = (xs.copy(), nodes, method, {}, table.eval_g(0, xs),
-                table.eval_g(1, xs))
+        held = (xs.copy(), nodes, method,
+                _DuhamelOperator(xs, xs, 1.0, 2, table, nodes, method),
+                table.eval_g(0, xs), table.eval_g(1, xs))
         table._picard_plan = held
     return held[3:]
 
@@ -366,12 +462,14 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
     any work.
 
     The table keeps the grid plan of its last solve (`_picard_plan`): the
-    FFT plans of the Duhamel nodes and the kernel samples on xs. A solve on
-    the same grid with the same quadrature reuses them, with results
-    bit-identical to a solve on a fresh table; a solve on another grid
-    replaces them. They stay with the table until then (about 17 MiB on
-    the default grid), so a caller that solves once and keeps the table
-    keeps them too.
+    Duhamel operator of the grid, which applies the sum over the
+    quadrature nodes as one sparse resample per block of nodes, batched
+    FFTs and the node sum in Fourier space, and the kernel samples on xs.
+    A solve on the same grid with the same quadrature reuses them, with
+    results bit-identical to a solve on a fresh table; a solve on another
+    grid replaces them. They stay with the table until then (21 MiB on the
+    default grid), so a caller that solves once and keeps the table keeps
+    them too.
     """
     if table is None:
         raise ValidationError("a KernelTable is required")
@@ -395,7 +493,7 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
     A, B = corner.A, corner.B
     step = apply_to_step(A, B, 1.0, 0, table, xs)
     psi = step.ys.copy()
-    plan, g0, g1 = _picard_plan(table, xs, quad_nodes, quad_method)
+    duhamel, g0, g1 = _picard_plan(table, xs, quad_nodes, quad_method)
     history = []
     growing = 0
     converged = False
@@ -403,9 +501,7 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
     for iterations in range(1, max_iter + 1):
         psi1, psi2 = _split_derivatives(psi, h, A + B, step.ys, g0, g1)
         n_tab = _nonlinear_density(psi, psi1, psi2)
-        duh = _duhamel_sum(n_tab, xs, xs, 1.0, 2, table, quad_nodes,
-                           quad_method, plan)
-        psi_next = step.ys + duh
+        psi_next = step.ys + duhamel(n_tab)
         update = float(np.max(np.abs(psi_next - psi)))
         history.append(update)
         psi = psi_next
@@ -469,7 +565,12 @@ def self_similarity_residual(profile, sigma, t, table):
     sol = reconstruct_U(profile, t, table)
     if sigma == 1.0:
         return 0.0
-    sol2 = reconstruct_U(profile, sigma * t, table)
+    return _self_similarity_gap(sol, reconstruct_U(profile, sigma * t, table),
+                                sigma)
+
+
+def _self_similarity_gap(sol, sol2, sigma):
+    """The residual of `self_similarity_residual` from U at t and sigma t."""
     fac = sigma ** -0.25
     rescaled = fac * sol2.U.interp(sol.U.xs / fac)
     return inner_sup(rescaled - sol.U.ys)

@@ -7,6 +7,8 @@ benchmark's per-layer output; this catches it in the unit tests.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from cornerflow import _backend, mild
 from cornerflow.grid import symmetric_grid
 
@@ -38,21 +40,24 @@ def test_tracer_finds_every_traced_name():
                for (module, attr), orig in zip(wrapped, before))
 
 
-def test_tracer_sees_every_node_of_a_planned_solve(new_table):
-    # solves on one grid share their node plans; the nodes must still go
-    # through the wrapped _rescaled_convolution, cold and warm alike
+def test_traced_solve_matches_untraced(new_table):
+    # the tracer's wrappers time calls and change no number: cold and warm
+    # solves give the same profile traced and untraced, bit for bit
     tracing = _load_tracer()
-    table, xs = new_table(), symmetric_grid(20.0, 1024)
-    tracer = tracing.Tracer()
-    tracing.install(tracer)
-    try:
-        for corner in ((0.2, 0.03), (0.1, 0.1)):
-            first = len(tracer.spans)
-            prof = mild.solve_similarity_profile(mild.CornerData(*corner),
-                                                 table=table, xs=xs)
-            nodes = [rec for rec in tracer.spans[first:]
-                     if rec[0].startswith("mild.convolution.")]
-            assert prof.iterations >= 5
-            assert len(nodes) == prof.iterations * 64
-    finally:
-        tracer.restore()
+    traced, plain = new_table(), new_table()
+    xs = symmetric_grid(20.0, 1024)
+    for corner in ((0.2, 0.03), (0.1, 0.1)):
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        try:
+            got = mild.solve_similarity_profile(mild.CornerData(*corner),
+                                                table=traced, xs=xs)
+        finally:
+            tracer.restore()
+        assert tracer.spans
+        ref = mild.solve_similarity_profile(mild.CornerData(*corner),
+                                            table=plain, xs=xs)
+        for a, b in ((got.psi.ys, ref.psi.ys), (got.psi1, ref.psi1),
+                     (got.psi2, ref.psi2)):
+            assert np.array_equal(a, b)
+        assert got.iterations == ref.iterations >= 5

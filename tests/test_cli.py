@@ -63,6 +63,29 @@ def test_solve_command_and_determinism(tmp_path, capsys):
     assert summary["self_similarity"]["2.0"] < 1e-3
 
 
+def test_solve_reconstructs_each_time_once(tmp_path, monkeypatch, ktable):
+    # the written times 0.1, 1, 10 and the self-similarity pairs (1, 0.5)
+    # and (1, 2) share U(., 1): five reconstructions, each t once, and the
+    # residuals of self_similarity_residual
+    seen, recon = [], cli.reconstruct_U
+
+    def counted(profile, t, table):
+        seen.append(t)
+        return recon(profile, t, table)
+
+    monkeypatch.setattr(cli, "reconstruct_U", counted)
+    out = tmp_path / "s"
+    assert run_cli("solve", "--a", "0.2", "--b", "0.03", "--intervals",
+                   "1024", "--out-dir", str(out)) == 0
+    assert sorted(seen) == [0.1, 0.5, 1.0, 2.0, 10.0]
+    with open(out / "solve_summary.json") as fh:
+        got = json.load(fh)["self_similarity"]
+    profile = mild.load_profile(out / "profile.csv", ktable)
+    assert got == {str(s): mild.self_similarity_residual(profile, s, 1.0,
+                                                         ktable)
+                   for s in (0.5, 2.0)}
+
+
 def test_solve_linear_note(tmp_path, capsys):
     code = run_cli("solve", "--a", "0.1", "--b", "-0.1", "--intervals",
                    "1024", "--times", "1", "--out-dir", str(tmp_path / "s"))
@@ -143,7 +166,7 @@ def test_sweep_runs_worker_pool(tmp_path, capsys):
 
 def test_sweep_worker_solves_on_one_table(tmp_path, monkeypatch, new_table):
     # a worker builds one table for all its values, so its later solves
-    # find the grid plan of the first one held on that table
+    # find the Duhamel operator of the first one held on that table
     tables, held = [], []
     picard_plan = mild._picard_plan
 
@@ -153,7 +176,7 @@ def test_sweep_worker_solves_on_one_table(tmp_path, monkeypatch, new_table):
 
     def counted(*args):
         plan = picard_plan(*args)
-        held.append(len(plan[0]))
+        held.append(plan[0])
         return plan
 
     monkeypatch.setattr(cli, "build_kernel_table", build)
@@ -165,7 +188,7 @@ def test_sweep_worker_solves_on_one_table(tmp_path, monkeypatch, new_table):
                  "out_dir": str(tmp_path / f"a_{a:g}")} for a in (0.05, 0.1)]
     assert cli._sweep_worker(payloads) == [0, 0]
     assert len(tables) == 1
-    assert held == [0, 64]
+    assert len(held) == 2 and held[1] is held[0]
 
 
 def test_sweep_spec_validation(tmp_path, capsys):

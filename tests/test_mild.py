@@ -326,16 +326,16 @@ PLAN_GRID = symmetric_grid(20.0, 1024)
 
 def test_solve_samples_each_fft_kernel_once(new_table, monkeypatch):
     # a node's kernel samples depend on the node, not the density: a solve
-    # takes them once per node, not once per node and iteration, and a
-    # second solve on the grid takes none
-    calls, samples, inside = [], [], []
-    conv, sym = mild._rescaled_convolution, _backend.sym_eval
+    # takes them once per node, as it builds the grid's Duhamel operator,
+    # not once per node and iteration, and a second solve on the grid
+    # takes none
+    samples, inside = [], []
+    plan, sym = mild._fft_plan, _backend.sym_eval
 
-    def counted_conv(*args):
-        calls.append(args[3:6])
+    def counted_plan(*args):
         inside.append(True)
         try:
-            return conv(*args)
+            return plan(*args)
         finally:
             inside.pop()
 
@@ -344,15 +344,13 @@ def test_solve_samples_each_fft_kernel_once(new_table, monkeypatch):
             samples.append(args)
         return sym(*args)
 
-    monkeypatch.setattr(mild, "_rescaled_convolution", counted_conv)
+    monkeypatch.setattr(mild, "_fft_plan", counted_plan)
     monkeypatch.setattr(_backend, "sym_eval", counted_sym)
     table = new_table()
     prof = solve_similarity_profile(CornerData(0.2, 0.03), table=table,
                                     xs=PLAN_GRID)
-    nodes = set(calls)
-    assert prof.iterations >= 5 and nodes
-    assert len(calls) == prof.iterations * len(nodes)
-    assert len(samples) == len(nodes)
+    assert prof.iterations >= 5
+    assert len(samples) == 64
     del samples[:]
     solve_similarity_profile(CornerData(0.1, 0.1), table=table,
                              xs=PLAN_GRID)
@@ -431,28 +429,53 @@ def test_warm_solve_matches_cold(new_table):
 
 
 def test_fft_plan_reused_across_densities(skew_density, ktable):
-    # a plan holds only what the grids and the node fix: with one plan,
-    # two different densities each give the plan-less result
+    # the held operator keeps only what the grids and the nodes fix: built
+    # once, it gives the node-by-node sum for two different densities. At
+    # t = 2 mu runs from below 3h (spread sources) past 1 (the density
+    # stretched past xs on both sides)
     n_tab, n_xs = skew_density
     densities = (n_tab, np.cos(n_xs) * n_tab[::-1])
     for left, right, intervals in SPREAD_GRIDS:
         xs = np.linspace(left, right, intervals + 1)
-        h = mild._spacing(xs)
-        plan = {}
-        for dens in densities:
-            for ell in (0, 1, 2):
-                # mu on both sides of 3h: spread and resampled sources;
-                # mu > 1: the density stretched past xs on both sides
-                for mu, lam in ((0.5 * h, 12.0 * h), (2.9 * h, 150.0 * h),
-                                (3.1 * h, 12.0 * h), (20.0 * h, 150.0 * h),
-                                (1.5, 1.0)):
-                    got = mild._rescaled_convolution(dens, n_xs, xs, mu, lam,
-                                                     ell, ktable, plan)
-                    ref = mild._rescaled_convolution(dens, n_xs, xs, mu, lam,
-                                                     ell, ktable)
-                    assert (np.max(np.abs(got - ref))
-                            <= 1e-14 * np.max(np.abs(ref)))
-        assert len(plan) == 15
+        for ell in (0, 1, 2):
+            op = mild._DuhamelOperator(n_xs, xs, 2.0, ell, ktable, 64, "tau")
+            for dens in densities:
+                ref = mild._duhamel_sum(dens, n_xs, xs, 2.0, ell, ktable, 64,
+                                        "tau")
+                assert (np.max(np.abs(op(dens) - ref))
+                        <= 1e-14 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("method", ("tau", "s-jacobi"))
+@pytest.mark.parametrize("ell", (0, 1, 2))
+def test_duhamel_operator_matches_node_sum(skew_density, ktable, ell,
+                                           method):
+    # on a coarse grid the nodes of smallest lam run refined (r > 1), in
+    # blocks of their own, and those of smallest mu spread their sources
+    n_tab, n_xs = skew_density
+    xs = symmetric_grid(20.0, 256)
+    dens = np.interp(xs, n_xs, n_tab)
+    op = mild._DuhamelOperator(xs, xs, 1.0, ell, ktable, 64, method)
+    assert len({r for *_, r in op.blocks} - {1}) >= 2
+    assert np.min(mild._quad_nodes(1.0, ell, 64, method)[0]) < 3.0 * (
+        mild._spacing(xs))
+    ref = mild._duhamel_sum(dens, xs, xs, 1.0, ell, ktable, 64, method)
+    assert np.max(np.abs(op(dens) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_held_operator_within_memory_budget(ktable):
+    # the Duhamel operator a table holds costs at most 1.5 times the node
+    # plans it replaced: taps, weights and each kernel spectrum at the
+    # node's own FFT length
+    op = mild._DuhamelOperator(PLAN_GRID, PLAN_GRID, 1.0, 2, ktable, 64,
+                               "tau")
+    held = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+               + spectra.nbytes for m, _, _, spectra, _ in op.blocks)
+    plans = 0
+    for mu, lam, _ in zip(*mild._quad_nodes(1.0, 2, 64, "tau")):
+        node = mild._fft_plan(PLAN_GRID, PLAN_GRID, mu, lam, 2, ktable)
+        plans += node.base.nbytes + node.w.nbytes + 16 * (node.nfft // 2 + 1)
+    assert held <= 1.5 * plans
 
 
 def test_reconstruct_validation(profile_8k, ktable):
