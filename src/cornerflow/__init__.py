@@ -18,7 +18,6 @@ from .grid import GridFunction, symmetric_grid, corner_function, smoothed_abs
 from .geometry import (
     CurveGeometry,
     geometry,
-    ds_derivative,
     ds_of_array,
     arclength_from_zero,
     detect_kinks,
@@ -75,7 +74,7 @@ __all__ = [
     "NonFiniteGeometry", "PicardDivergence", "NoConvergence",
     "StaleProfile", "OracleInstability",
     "GridFunction", "symmetric_grid", "corner_function", "smoothed_abs",
-    "CurveGeometry", "geometry", "ds_derivative", "ds_of_array",
+    "CurveGeometry", "geometry", "ds_of_array",
     "arclength_from_zero", "detect_kinks",
     "KernelTable", "build_kernel_table", "apply_semigroup", "apply_to_step",
     "corner_height", "regularizing_constants",

@@ -3,8 +3,9 @@
 The package reaches the four primitives (cubic_eval, sym_eval, skew_sum,
 penta_march_u) through `_backend`. Everything here is vectorized; skew_sum
 bounds its temporaries by evaluating SKEW_CHUNK source nodes at a time.
-The mild solver does not call skew_sum: its callers are
-apply_semigroup(method="direct") and the tests' dense reference.
+No code in the package calls skew_sum: the tests use it as their dense
+reference, and `_backend` exports it only because the benchmark's tracer
+wraps it there, until the benchmark records its own spans.
 cubic_eval and lagrange_taps share one 4-point Lagrange stencil;
 lagrange_taps returns the taps themselves, so that a caller that
 interpolates many tables at the same points, or spreads onto a grid by
@@ -93,9 +94,9 @@ def skew_sum(tab, h, parity, a, b, z, w, scale):
     """out[i] = sum_j w[j] * K((a[i] - b*z[j]) * scale).
 
     K is the symmetric table evaluation of sym_eval. This is the dense
-    O(a.size z.size) sum; apply_semigroup's "direct" method calls it, and
-    the tests use it as the reference for the mild solver's FFT
-    convolutions. The source nodes z and weights w must have the same
+    O(a.size z.size) sum. No package code calls it; the tests use it as
+    the reference for the FFT convolutions of the mild solver and of
+    apply_semigroup. The source nodes z and weights w must have the same
     length.
     """
     a = np.asarray(a, dtype=float)

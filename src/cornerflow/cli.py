@@ -223,15 +223,8 @@ def _sweep_worker(payloads):
     codes = []
     for payload in payloads:
         ns = argparse.Namespace(**payload)
-        try:
-            code = _solve_one(ns, _ensure_out(ns), table)
-        except ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 2
-        except NumericalFailure as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            code = 3
-        codes.append(code)
+        codes.append(_exit_code(lambda: _solve_one(ns, _ensure_out(ns),
+                                                   table)))
     return codes
 
 
@@ -432,18 +425,31 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _exit_code(run):
+    """run()'s exit code, or that of the typed error it raises.
+
+    A ValidationError exits 2 and a NumericalFailure 3, each after one
+    line on stderr.
+    """
     try:
-        _apply_config_file(args)
-        return args.func(args)
+        return run()
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+
+    def run():
+        _apply_config_file(args)
+        return args.func(args)
+
+    return _exit_code(run)
 
 
 if __name__ == "__main__":

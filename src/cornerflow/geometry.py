@@ -10,8 +10,6 @@ from scipy.integrate import cumulative_simpson
 from .errors import GridMismatch, NonFiniteGeometry, ValidationError
 from .grid import GridFunction, _fd
 
-_EDGE_MARGIN = 4  # nodes per side polluted by one-sided stencils
-
 
 class CurveGeometry:
     """Per-node metric v, curvature k, arclength s, normal coordinate x.n."""
@@ -44,12 +42,6 @@ class CurveGeometry:
     @property
     def n(self):
         return self.xs.size
-
-    def same_grid(self, other_xs):
-        other_xs = np.asarray(other_xs)
-        return (self.xs.size == other_xs.size
-                and abs(self.xs[0] - other_xs[0]) <= 1e-9
-                and abs(self.xs[-1] - other_xs[-1]) <= 1e-9)
 
 
 def detect_kinks(ys, floor_scale=1.0):
@@ -132,30 +124,20 @@ def geometry(phi):
     return CurveGeometry(phi.xs, v, k, s, xn)
 
 
-def ds_derivative(f, geom, order=1):
-    """Arclength derivative of f along the curve geom was built from.
-
-    order 1 is f'/v, order 2 applies that twice. The 2*stencil cells at
-    each boundary use one-sided formulas; they are flagged via the meta
-    dict on the result and excluded from interior sup norms elsewhere.
-    """
-    if not isinstance(f, GridFunction):
-        raise ValidationError("ds_derivative expects a GridFunction")
-    if order not in (1, 2):
-        raise ValidationError(f"order must be 1 or 2, got {order}")
-    if not geom.same_grid(f.xs):
-        raise GridMismatch("f is not sampled on the geometry's grid")
-    g = _fd(f.ys, f.h, 1) / geom.metric
-    if order == 2:
-        g = _fd(g, f.h, 1) / geom.metric
-    out = GridFunction(f.xs, g, g[0], g[-1], "constant", np.inf)
-    out.meta = {"unreliable_margin": _EDGE_MARGIN * order}
-    return out
-
-
 def ds_of_array(ys, geom, order=1):
-    """Raw-array version of ds_derivative for internal plumbing."""
-    g = _fd(np.asarray(ys, dtype=float), geom.h, 1) / geom.metric
+    """Arclength derivative d^order/ds^order of the samples ys along geom.
+
+    order 1 is ys'/v, order 2 applies that twice. The finite differences
+    are 4th order inside and one-sided at the ends, so the 4 * order nodes
+    at each end are less accurate; callers take interior sup norms.
+    """
+    if order not in (1, 2):
+        raise ValidationError(f"order must be 1 or 2, got {order!r}")
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape != geom.xs.shape:
+        raise GridMismatch(f"ys of shape {ys.shape} on a geometry of "
+                           f"{geom.n} nodes")
+    g = _fd(ys, geom.h, 1) / geom.metric
     if order == 2:
         g = _fd(g, geom.h, 1) / geom.metric
     return g

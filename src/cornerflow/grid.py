@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from . import _backend
-from .errors import GridMismatch, ValidationError
+from .errors import ValidationError
 
 _UNIFORM_RTOL = 1e-9
 
@@ -83,15 +83,6 @@ class GridFunction:
     def n(self):
         return self.xs.size
 
-    def same_grid(self, other):
-        return (self.n == other.n
-                and abs(self.xs[0] - other.xs[0]) <= _UNIFORM_RTOL
-                and abs(self.xs[-1] - other.xs[-1]) <= _UNIFORM_RTOL)
-
-    def require_same_grid(self, other, what="operand"):
-        if not self.same_grid(other):
-            raise GridMismatch(f"{what} lives on a different grid")
-
     def with_values(self, ys, left_far=None, right_far=None, far_kind=None,
                     tail_tol=None):
         """Same grid, new samples (and optionally new far-field data)."""
@@ -121,26 +112,6 @@ class GridFunction:
         right = self.ys[-1] + self.right_far * (x - self.xs[-1])
         return np.where(x < self.xs[0], left,
                         np.where(x > self.xs[-1], right, inner))
-
-    def derivative(self, order=1):
-        """d^order/dx^order, 4th order inside, 2nd order at the edges.
-
-        Far fields transform accordingly: differentiating once turns a
-        linear far field into a constant one and kills a constant one.
-        """
-        if order == 0:
-            return self
-        if order not in (1, 2):
-            raise ValidationError(f"derivative order must be 1 or 2, got {order}")
-        d = _fd(self.ys, self._h, order)
-        if self.far_kind == "linear":
-            if order == 1:
-                return GridFunction(self.xs, d, self.left_far, self.right_far,
-                                    "constant", max(self.tail_tol, 1e-6))
-            return GridFunction(self.xs, d, 0.0, 0.0, "constant",
-                                max(self.tail_tol, 1e-6))
-        return GridFunction(self.xs, d, 0.0, 0.0, "constant",
-                            max(self.tail_tol, 1e-6))
 
     def to_csv(self, path):
         """Write `x,y` rows; far-field metadata goes to a .json sidecar."""

@@ -164,11 +164,9 @@ def _check_time(t, name="t"):
                           f"got {t!r}")
 
 
-def apply_to_step(A, B, t, ell, table, xs=None):
+def apply_to_step(A, B, t, ell, table, xs):
     """Closed-form semigroup action on the step -B (x<0) -> A (x>0)."""
     _check_time(t)
-    if xs is None:
-        xs = symmetric_grid(40.0, 8192)
     xs = np.asarray(xs, dtype=float)
     lam = t ** -0.25
     if ell == 0:
@@ -186,32 +184,30 @@ def _step_tail(A, B, t, table, xs):
     return abs(A + B) * env * 8.0
 
 
-def corner_height(A, B, t, table, xs=None):
+def corner_height(A, B, t, table, xs):
     """Closed-form semigroup action on the corner A x_+ + B x_-."""
     _check_time(t)
-    if xs is None:
-        xs = symmetric_grid(40.0, 8192)
     xs = np.asarray(xs, dtype=float)
     ys = (0.5 * (A + B) * t ** 0.25 * table.eval_M(xs * t ** -0.25)
           + 0.5 * (A - B) * xs)
     return GridFunction(xs, ys, -B, A, "linear")
 
 
-def apply_semigroup(f, t, ell, table, method="fft"):
+def apply_semigroup(f, t, ell, table):
     """d^ell/dx^ell exp(-t d^4) f for f with constant far fields.
 
     The far-field step evolves in closed form; only the decaying remainder
-    f - step is convolved numerically (trapezoid weights, direct sum or FFT).
+    f - step is convolved numerically (trapezoid weights, by FFT).
     """
     _check_time(t)
+    if ell not in (0, 1, 2, 3):
+        raise ValidationError(f"ell must be in 0..3, got {ell!r}")
     if not isinstance(f, GridFunction):
         raise ValidationError("apply_semigroup expects a GridFunction")
     if f.far_kind != "constant":
         raise UnsupportedFarField(
             "only constant far fields evolve here; reconstruct heights "
             "through the mild solver instead")
-    if method not in ("fft", "direct"):
-        raise ValidationError(f"unknown method {method!r}")
     xs, h = f.xs, f.h
     # step from left_far to right_far: A = right, B = -left
     base = apply_to_step(f.right_far, -f.left_far, t, ell, table, xs).ys
@@ -221,15 +217,10 @@ def apply_semigroup(f, t, ell, table, method="fft"):
     r = f.ys - step
     lam = t ** -0.25
     pref = t ** (-(ell + 1) / 4.0) * h
-    if method == "direct":
-        conv = _backend.skew_sum(table.g_ell[ell], table.h, _PARITY[ell],
-                                 xs, 1.0, xs, r, lam) * pref
-    else:
-        m = min(xs.size - 1, int(np.ceil(table.eta_max / (lam * h))))
-        ker = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
-                                np.arange(-m, m + 1) * (h * lam))
-        conv = fftconvolve(r, ker, mode="same") * pref
-    ys = base + conv
+    m = min(xs.size - 1, int(np.ceil(table.eta_max / (lam * h))))
+    ker = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
+                            np.arange(-m, m + 1) * (h * lam))
+    ys = base + fftconvolve(r, ker, mode="same") * pref
     if ell == 0:
         return GridFunction(xs, ys, f.left_far, f.right_far, "constant",
                             max(f.tail_tol, 1e-6))

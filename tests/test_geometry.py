@@ -5,7 +5,7 @@ from cornerflow import (GridFunction, ValidationError, corner_function,
                         geometry, symmetric_grid)
 from cornerflow.errors import GridMismatch, NonFiniteGeometry
 from cornerflow.geometry import (arclength_from_zero, detect_kinks,
-                                 ds_derivative, ds_of_array)
+                                 ds_of_array)
 
 
 def _gauss(half_width=4.0, intervals=512):
@@ -63,21 +63,20 @@ def test_detect_kinks():
 def test_ds_derivative_second_of_s_squared_is_two():
     phi = _gauss(4.0, 1024)
     geom = geometry(phi)
-    s2 = GridFunction(phi.xs, geom.arclength ** 2, 0.0, 0.0,
-                      "constant", np.inf)
-    d2 = ds_derivative(s2, geom, 2)
-    m = d2.meta["unreliable_margin"]
-    assert np.max(np.abs(d2.ys[m:-m] - 2.0)) < 1e-6
+    d2 = ds_of_array(geom.arclength ** 2, geom, 2)
+    m = 8  # 4 nodes per side per order use one-sided stencils
+    assert np.max(np.abs(d2[m:-m] - 2.0)) < 1e-6
 
 
 def test_ds_derivative_validation():
     phi = _gauss()
     geom = geometry(phi)
-    with pytest.raises(ValidationError):
-        ds_derivative(phi, geom, 3)
-    other = _gauss(5.0)
-    with pytest.raises(GridMismatch):
-        ds_derivative(other, geom, 1)
+    for order in (0, 3, 1.5):
+        with pytest.raises(ValidationError, match="order"):
+            ds_of_array(phi.ys, geom, order)
+    for ys in (_gauss(4.0, 256).ys, phi.ys[None, :]):
+        with pytest.raises(GridMismatch):
+            ds_of_array(ys, geom, 1)
 
 
 def test_refinement_order_of_curvature():

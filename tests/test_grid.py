@@ -3,7 +3,6 @@ import pytest
 
 from cornerflow import GridFunction, ValidationError, corner_function, \
     smoothed_abs, symmetric_grid
-from cornerflow.errors import GridMismatch
 from cornerflow.grid import _fd
 
 
@@ -103,18 +102,6 @@ def test_fd_orders_on_polynomial():
     assert np.max(np.abs(d2[2:-2] - 12.0 * xs[2:-2] ** 2)) < 1e-9
 
 
-def test_derivative_far_kind_transitions():
-    xs = symmetric_grid(6.0, 256)
-    f = GridFunction(xs, 2.0 * xs + np.exp(-xs ** 2), 2.0, 2.0, "linear")
-    d = f.derivative(1)
-    assert d.far_kind == "constant"
-    assert d.left_far == 2.0 and d.right_far == 2.0
-    d2 = f.derivative(2)
-    assert d2.left_far == 0.0 and d2.right_far == 0.0
-    with pytest.raises(ValidationError):
-        f.derivative(3)
-
-
 def test_shift_values_moves_far_constants():
     xs = symmetric_grid(2.0, 32)
     f = GridFunction(xs, np.zeros(33), 0.0, 0.0, "constant", 1e-3)
@@ -122,15 +109,12 @@ def test_shift_values_moves_far_constants():
     assert g.left_far == 1.5 and g.ys[0] == 1.5
 
 
-def test_same_grid_and_mismatch():
+def test_with_values_keeps_the_grid():
     xs = symmetric_grid(2.0, 32)
     f = GridFunction(xs, np.zeros(33), 0.0, 0.0, "constant", np.inf)
     g = f.with_values(np.ones(33), left_far=1.0, right_far=1.0)
-    assert f.same_grid(g)
-    other = GridFunction(symmetric_grid(3.0, 32), np.zeros(33), 0.0, 0.0,
-                         "constant", np.inf)
-    with pytest.raises(GridMismatch):
-        f.require_same_grid(other)
+    assert np.array_equal(g.xs, f.xs) and np.array_equal(g.ys, np.ones(33))
+    assert g.left_far == g.right_far == 1.0 and g.tail_tol == np.inf
 
 
 def test_csv_roundtrip(tmp_path):

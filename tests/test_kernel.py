@@ -3,12 +3,13 @@ import pytest
 from scipy.integrate import quad, simpson
 from scipy.special import gamma
 
+from cornerflow import _slowpath
 from cornerflow import (ConfigError, GridFunction, InvalidTime, KernelTable,
                         ValidationError, apply_semigroup, apply_to_step,
                         build_kernel_table, corner_height,
                         regularizing_constants, symmetric_grid)
 from cornerflow.errors import UnsupportedFarField
-from cornerflow.kernel import ENVELOPE_RATE
+from cornerflow.kernel import _PARITY, ENVELOPE_RATE
 
 G0_EXACT = float(gamma(1.25) / np.pi)  # 0.28851686930823484
 
@@ -141,17 +142,29 @@ def test_semigroup_property(ktable):
 
 def test_commutation_with_derivative(ktable):
     f = _bump()
+    df = GridFunction(f.xs, -0.5 * f.xs * np.exp(-0.25 * f.xs ** 2), 0.0,
+                      0.0, "constant", 1e-6)  # f' in closed form
     lhs = apply_semigroup(f, 0.5, 1, ktable)
-    rhs = apply_semigroup(f.derivative(1), 0.5, 0, ktable)
+    rhs = apply_semigroup(df, 0.5, 0, ktable)
     inner = slice(8, -8)
     assert np.max(np.abs(lhs.ys[inner] - rhs.ys[inner])) < 1e-6
 
 
 def test_fft_matches_direct(ktable):
+    # the evolved far-field step plus the dense trapezoid sum of the
+    # decaying remainder against the kernel samples
     f = _bump(20.0, 1024, lo=-0.3, hi=0.2)
-    a = apply_semigroup(f, 0.7, 0, ktable, method="fft")
-    b = apply_semigroup(f, 0.7, 0, ktable, method="direct")
-    assert np.max(np.abs(a.ys - b.ys)) < 1e-9
+    t, xs = 0.7, f.xs
+    step = np.where(xs > 0.0, f.right_far,
+                    np.where(xs < 0.0, f.left_far,
+                             0.5 * (f.left_far + f.right_far)))
+    for ell in range(4):
+        got = apply_semigroup(f, t, ell, ktable)
+        base = apply_to_step(f.right_far, -f.left_far, t, ell, ktable, xs)
+        dense = _slowpath.skew_sum(ktable.g_ell[ell], ktable.h, _PARITY[ell],
+                                   xs, 1.0, xs, f.ys - step, t ** -0.25)
+        ref = base.ys + dense * t ** (-(ell + 1) / 4.0) * f.h
+        assert np.max(np.abs(got.ys - ref)) < 1e-9
 
 
 def test_scaling_identity(ktable):
@@ -215,9 +228,10 @@ def test_time_and_far_field_validation(ktable):
     with pytest.raises(InvalidTime):
         apply_semigroup(f, -1.0, 0, ktable)
     with pytest.raises(InvalidTime):
-        apply_to_step(0.1, 0.1, 0.0, 0, ktable)
+        apply_to_step(0.1, 0.1, 0.0, 0, ktable, f.xs)
     lin = GridFunction(f.xs, f.xs.copy(), 1.0, 1.0, "linear")
     with pytest.raises(UnsupportedFarField):
         apply_semigroup(lin, 1.0, 0, ktable)
-    with pytest.raises(ValidationError):
-        apply_semigroup(f, 1.0, 0, ktable, method="magic")
+    for ell in (-1, 4, 1.5):
+        with pytest.raises(ValidationError, match="ell"):
+            apply_semigroup(f, 1.0, ell, ktable)
