@@ -58,11 +58,23 @@ def _config_dict(args):
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _apply_config_file(args):
-    """key = value lines; file entries override command-line flags."""
+def _apply_config_file(args, parser):
+    """key = value lines; file entries override command-line flags.
+
+    Each value is parsed by the `type` of its option in `parser`'s
+    subcommand, as the flag's value would be.
+    """
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
+    command = next(a for a in parser._actions if a.dest == "command")
+    options = {a.dest: a for a in command.choices[args.command]._actions
+               if a.dest != "config" and hasattr(args, a.dest)}
+    try:
+        fh = open(args.config)
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {args.config!r}: "
+                              f"{exc.strerror}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -72,18 +84,20 @@ def _apply_config_file(args):
                     f"{args.config}:{lineno}: expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if not hasattr(args, key):
+            action = options.get(key)
+            if action is None:
                 raise ValidationError(
                     f"{args.config}:{lineno}: unknown option {key!r}")
-            current = getattr(args, key)
-            if isinstance(current, bool):
+            if action.nargs == 0:
+                # a switch such as --mollified
                 parsed = val.lower() in ("1", "true", "yes", "on")
-            elif isinstance(current, int) and not isinstance(current, bool):
-                parsed = int(val)
-            elif isinstance(current, float):
-                parsed = float(val)
             else:
-                parsed = val
+                try:
+                    parsed = action.type(val) if action.type else val
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"{args.config}:{lineno}: bad value {val!r} for "
+                        f"{key}") from exc
             setattr(args, key, parsed)
 
 
@@ -135,8 +149,7 @@ def _solve_one(args, out, table):
     xs = symmetric_grid(args.half_width, args.intervals)
     try:
         profile = solve_similarity_profile(
-            corner, tol=args.tol, max_iter=args.max_iter, table=table,
-            xs=xs, quad_nodes=args.quad_nodes, quad_method=args.quad_method)
+            corner, tol=args.tol, max_iter=args.max_iter, table=table, xs=xs)
     except (PicardDivergence, NoConvergence) as exc:
         hpath = os.path.join(out, "history.json")
         with open(hpath, "w") as fh:
@@ -215,9 +228,8 @@ def _parse_sweep(spec):
 def _sweep_worker(payloads):
     """Exit codes of the solves of `payloads`, all on one kernel table.
 
-    The sweep values share the grid and quadrature, so every solve after
-    the first reuses the Picard plan that the table holds
-    (`mild._picard_plan`).
+    The sweep values share the grid, so every solve after the first reuses
+    the Picard plan that the table holds (`mild._picard_plan`).
     """
     table = build_kernel_table()
     codes = []
@@ -381,9 +393,6 @@ def build_parser():
     p.add_argument("--slope-cap", type=float, default=0.3)
     p.add_argument("--half-width", type=float, default=40.0)
     p.add_argument("--intervals", type=int, default=8192)
-    p.add_argument("--quad-nodes", type=int, default=64)
-    p.add_argument("--quad-method", default="tau",
-                   choices=("tau", "s-jacobi"))
     p.add_argument("--times", default="0.1,1,10",
                    help="comma-separated reconstruction times")
     p.add_argument("--sweep", default=None,
@@ -446,7 +455,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     def run():
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         return args.func(args)
 
     return _exit_code(run)

@@ -16,6 +16,10 @@ from .grid import GridFunction, _fd, smoothed_abs
 from .geometry import arclength_from_zero, ds_of_array, geometry
 
 INTERIOR_MARGIN = 8  # nodes per side dropped from sup norms
+# run_diagnostics: the residual tolerance of a single-level run, relative
+# to 1 + sup|phi|, and the end-slope tolerance of its esp_check calls
+ABS_TOL = 1e-5
+ESP_TOL = 1e-9
 
 
 def interior_sup(values, margin=INTERIOR_MARGIN):
@@ -179,20 +183,19 @@ def peg_bound_check(phi):
     return _residual_gf(phi, s ** 2 - chord2)
 
 
-def counterexample_phi_eps(A, eps, half_width=None, mollified=False):
+def counterexample_phi_eps(A, eps, mollified=False):
     """The flattened corner phi_eps = A max(|y|, eps) and its D functional.
 
     Exhibits the non-existence mechanism: |x| - s tends to the constant
     eps (sqrt(1+A^2) - 1) instead of decaying, so D grows linearly. Returns
     (phi_eps, D, fit) where fit carries the fitted far slope of D, the far
-    gap |x| - s, and their closed-form targets.
+    gap |x| - s, and their closed-form targets. The grid has spacing
+    eps/16 and half-width 40 eps.
     """
     if A == 0.0 or eps <= 0.0:
         raise ValidationError("need A != 0 and eps > 0")
     h = eps / 16.0
-    if half_width is None:
-        half_width = 40.0 * eps
-    m = int(round(half_width / h))
+    m = 640  # half-width 40 eps
     xs = np.arange(-m, m + 1) * h
     if mollified:
         delta = eps / 4.0
@@ -221,7 +224,7 @@ def counterexample_phi_eps(A, eps, half_width=None, mollified=False):
     return phi, dgf, fit
 
 
-def x_infty_norm(profile, table=None, density=1):
+def x_infty_norm(profile, density=1):
     """Discrete surrogate of the solution-space norm of the evolution.
 
     sup_t of the slope sup-norm plus sup over (x0, R) of
@@ -329,14 +332,13 @@ class DiagnosticsReport:
         return paths
 
 
-def run_diagnostics(phi, phi_fine=None, abs_tol=1e-5, eval_stride=1,
-                    esp_tol=1e-9):
+def run_diagnostics(phi, phi_fine=None, eval_stride=1):
     """Run the full identity/inequality battery on a graph.
 
     With phi_fine (the same object recomputed at doubled resolution) the
     identity residuals pass when they drop by at least 2.5x between the
     two levels, i.e. they extrapolate to zero. Without it they are
-    compared against abs_tol. eval_stride coarsens the stencil spacing
+    compared against ABS_TOL. eval_stride coarsens the stencil spacing
     for solver output whose node-level noise would otherwise dominate
     the divided differences.
     """
@@ -353,7 +355,7 @@ def run_diagnostics(phi, phi_fine=None, abs_tol=1e-5, eval_stride=1,
             ok = sup <= thr
         else:
             sup = interior_sup(fn(pe).ys)
-            thr = abs_tol * (1.0 + interior_sup(pe.ys))
+            thr = ABS_TOL * (1.0 + interior_sup(pe.ys))
             ok = sup <= thr
         rep.add(name, sup, thr, ok, fn(pe))
 
@@ -393,7 +395,7 @@ def run_diagnostics(phi, phi_fine=None, abs_tol=1e-5, eval_stride=1,
         ok0 = sup0 <= thr0 and q_convexity(pf)[2] >= -thr0
     else:
         sup0 = _q_identity_sup(pe)
-        thr0 = abs_tol * (1.0 + interior_sup(pe.ys))
+        thr0 = ABS_TOL * (1.0 + interior_sup(pe.ys))
         ok0 = sup0 <= thr0 and min_d2q0 >= -thr0
     rep.add("q_convexity_identity", sup0, thr0, ok0, d2q0)
 
@@ -408,7 +410,7 @@ def run_diagnostics(phi, phi_fine=None, abs_tol=1e-5, eval_stride=1,
     scan_total = 0
     for alpha in (-1.0, 0.0, 1.0):
         for beta in (0.0, 1.0, 10.0):
-            _, verdict = esp_check(phi, alpha, beta, esp_tol)
+            _, verdict = esp_check(phi, alpha, beta, ESP_TOL)
             scan_total += 1
             scan_fail += 0 if verdict else 1
     if abs(phi0) > 1e-3:
@@ -416,7 +418,7 @@ def run_diagnostics(phi, phi_fine=None, abs_tol=1e-5, eval_stride=1,
         rep.add("esp_scan_all_fail", scan_total - scan_fail, 0.5,
                 scan_fail == scan_total)
     else:
-        _, verdict00 = esp_check(phi, 0.0, 0.0, esp_tol)
+        _, verdict00 = esp_check(phi, 0.0, 0.0, ESP_TOL)
         rep.add("esp_zero_corner", 0.0 if verdict00 else 1.0, 0.5, verdict00)
 
     a0 = phi.right_far if phi.far_kind == "linear" else 0.0

@@ -61,3 +61,26 @@ def test_traced_solve_matches_untraced(new_table):
                      (got.psi2, ref.psi2)):
             assert np.array_equal(a, b)
         assert got.iterations == ref.iterations >= 5
+
+
+def test_traced_reconstruction_matches_untraced(new_table):
+    # a reconstruction takes every Duhamel node through the wrapped
+    # mild._rescaled_convolution, the one path where the tracer reads its
+    # arguments: 64 spans each, and U bit-identical to an untraced one
+    tracing = _load_tracer()
+    table = new_table()
+    profile = mild.solve_similarity_profile(
+        mild.CornerData(0.2, 0.03), table=table,
+        xs=symmetric_grid(20.0, 1024))
+    for t in (1e-2, 1e3):
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        try:
+            got = mild.reconstruct_U(profile, t, table)
+        finally:
+            tracer.restore()
+        ref = mild.reconstruct_U(profile, t, table)
+        assert np.array_equal(got.U.ys, ref.U.ys)
+        spans = tracer.summary()
+        assert sum(row["calls"] for name, row in spans.items()
+                   if name.startswith("mild.convolution.")) == 64

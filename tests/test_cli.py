@@ -146,6 +146,26 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, match", (
+    (None, "cannot read config"),
+    ("intervals = abc\n", "bad value 'abc' for intervals"),
+    ("a = 0.1\nintervals = 512.5\n", "run.cfg:2: bad value"),
+    ("tol = 1e-x\n", "bad value '1e-x' for tol"),
+), ids=("missing", "int", "not-whole", "float"))
+def test_config_file_errors_exit_2(tmp_path, capsys, text, match):
+    # a missing file or a value its flag's type refuses is one error line
+    # and exit 2, before any solve
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    code = run_cli("solve", "--a", "0.1", "--b", "0.1", "--config",
+                   str(cfg), "--out-dir", str(tmp_path / "s"))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and match in err[0]
+    assert not (tmp_path / "s" / "manifest.json").exists()
+
+
 def test_sweep_runs_worker_pool(tmp_path, capsys):
     # three values on two workers: one worker solves two of them, and each
     # exit code comes back on its value's line, in sweep order
@@ -205,8 +225,6 @@ def test_sweep_spec_validation(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", (
     ("--max-iter", "0"),
-    ("--quad-nodes", "0"),
-    ("--quad-method", "s-jacobi", "--quad-nodes", "1"),
 ))
 def test_solve_rejects_bad_iteration_settings(tmp_path, capsys, flags):
     code = run_cli("solve", "--a", "0.1", "--b", "0.1", *flags,

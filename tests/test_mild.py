@@ -1,7 +1,9 @@
+import json
 from math import gamma
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from cornerflow import _backend, _slowpath, mild
 from cornerflow import (ConfigError, CornerData, ValidationError,
@@ -79,14 +81,56 @@ def test_decay_constants_exponents(profile_8k):
     assert abs(expo0) < 0.02
 
 
+def _tau_nodes(t, ell, count):
+    # the rule of mild._duhamel_nodes at `count` Gauss-Legendre points
+    x, w = np.polynomial.legendre.leggauss(count)
+    T = t ** 0.25
+    tau = 0.5 * T * (x + 1.0)
+    lam = (T ** 4 - tau ** 4) ** 0.25
+    return tau, lam, 0.5 * T * w * 4.0 * tau * lam ** (-(ell + 1))
+
+
+def _s_jacobi_nodes(t, ell, count):
+    # Gauss-Jacobi in s against the weight s^{-1/2} (1 - s/t)^{-ell/4}: a
+    # second substitution, kept only as a reference for the tau rule
+    x, w = roots_jacobi(count, -ell / 4.0, -0.5)
+    s = 0.5 * t * (x + 1.0)
+    lam = (t - s) ** 0.25
+    pref = (0.5 * t) ** 0.5 * 2.0 ** (ell / 4.0) * t ** (-ell / 4.0)
+    return s ** 0.25, lam, pref * w / lam
+
+
+def _density(profile, table):
+    """The nonlinear density of a profile on its grid, as duhamel_integral
+    forms it."""
+    psi = profile.psi
+    psi1, psi2 = mild._profile_derivatives(psi.ys, psi.xs, psi.h,
+                                           psi.right_far, -psi.left_far,
+                                           table)
+    return mild._nonlinear_density(psi.ys, psi1, psi2)
+
+
 def test_quadrature_self_consistency(profile_8k, ktable):
-    # doubling the nodes and switching the substitution must agree
-    base = duhamel_integral(profile_8k.psi, 1.0, 2, ktable, nodes=32)
-    fine = duhamel_integral(profile_8k.psi, 1.0, 2, ktable, nodes=64)
-    assert np.max(np.abs(base.ys - fine.ys)) < 1e-8
-    jac = duhamel_integral(profile_8k.psi, 1.0, 2, ktable, nodes=96,
-                           method="s-jacobi")
-    assert np.max(np.abs(fine.ys - jac.ys)) < 1e-6
+    # halving the nodes and switching the substitution must agree
+    n_tab, xs = _density(profile_8k, ktable), profile_8k.psi.xs
+    fine = duhamel_integral(profile_8k.psi, 1.0, 2, ktable)
+    base = mild._duhamel_sum(n_tab, xs, xs, 2, ktable,
+                             _tau_nodes(1.0, 2, 32))
+    assert np.max(np.abs(base - fine.ys)) < 1e-8
+    jac = mild._duhamel_sum(n_tab, xs, xs, 2, ktable,
+                            _s_jacobi_nodes(1.0, 2, 96))
+    assert np.max(np.abs(fine.ys - jac)) < 1e-6
+    # at the cap corner, the largest density, the 64 nodes stay within
+    # 1e-6 of the Duhamel sup of twice as many, early, at 1 and late
+    cap = solve_similarity_profile(CornerData(0.29, 0.29), table=ktable,
+                                   xs=symmetric_grid(20.0, 2048))
+    n_tab, xs = _density(cap, ktable), cap.psi.xs
+    for t in (1e-2, 1.0, 1e4):
+        for ell in (1, 2):
+            got = duhamel_integral(cap.psi, t, ell, ktable).ys
+            ref = mild._duhamel_sum(n_tab, xs, xs, ell, ktable,
+                                    _tau_nodes(t, ell, 128))
+            assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
 def test_duhamel_validation(profile_8k, ktable):
@@ -94,10 +138,6 @@ def test_duhamel_validation(profile_8k, ktable):
         duhamel_integral(profile_8k.psi, -1.0, 2, ktable)
     with pytest.raises(ValidationError):
         duhamel_integral(profile_8k.psi, 1.0, 5, ktable)
-    with pytest.raises(ConfigError):
-        duhamel_integral(profile_8k.psi, 1.0, 2, ktable, nodes=4)
-    with pytest.raises(ConfigError):
-        duhamel_integral(profile_8k.psi, 1.0, 2, ktable, method="trap")
     # a non-finite t is refused before any work, naming t
     for t in (np.nan, np.inf, "1"):
         with pytest.raises(ValidationError, match="t must be"):
@@ -155,7 +195,7 @@ def test_refined_nodes_match_own_grid(profile_8k, ktable, intervals):
     h = mild._spacing(xs)
     for t in (1e-2, 1e-3):
         for ell in (0, 1, 2):
-            lam = mild._quad_nodes(t, ell, 64, "tau")[1]
+            lam = mild._duhamel_nodes(t, ell)[1]
             assert np.min(lam) < 3.0 * h
             own = duhamel_integral(profile_8k.psi, t, ell, ktable)
             got = duhamel_integral(profile_8k.psi, t, ell, ktable, xs=xs)
@@ -397,10 +437,6 @@ def test_solves_on_one_grid_share_the_plan(new_table, monkeypatch):
     table = new_table()
     assert _plans_built(built, (0.2, 0.03), table=table) == 64
     assert _plans_built(built, (0.1, 0.1), table=table) == 0
-    # a solve refused for its rule leaves the held plan in place
-    with pytest.raises(ConfigError, match="unknown quadrature"):
-        _plans_built(built, table=table, quad_method="trap")
-    assert _plans_built(built, table=table) == 0
     # another table builds its own and leaves the first one's in place
     other = new_table()
     assert _plans_built(built, table=other) == 64
@@ -408,19 +444,16 @@ def test_solves_on_one_grid_share_the_plan(new_table, monkeypatch):
     assert _plans_built(built, table=table) == 0
 
 
-@pytest.mark.parametrize("change, count", (
-    ({"xs": symmetric_grid(30.0, 1024)}, 64),
-    ({"quad_nodes": 32}, 32),
-    ({"quad_method": "s-jacobi"}, 64),
-), ids=("half-width", "quad_nodes", "quad_method"))
+@pytest.mark.parametrize("change", ({"xs": symmetric_grid(30.0, 1024)},),
+                         ids=("half-width",))
 def test_plan_rebuilt_for_another_grid_or_rule(new_table, monkeypatch,
-                                               change, count):
-    # a grid of the same size but another spacing, or another rule, needs
-    # its own plan; the table holds one, so going back builds it again
+                                               change):
+    # a grid of the same size but another spacing needs its own plan; the
+    # table holds one, so going back builds it again
     built = _count_plans(monkeypatch)
     table = new_table()
     assert _plans_built(built, table=table) == 64
-    assert _plans_built(built, table=table, **change) == count
+    assert _plans_built(built, table=table, **change) == 64
     assert _plans_built(built, table=table, **change) == 0
     assert _plans_built(built, table=table) == 64
 
@@ -451,10 +484,10 @@ def test_fft_plan_reused_across_densities(skew_density, ktable):
     for left, right, intervals in SPREAD_GRIDS:
         xs = np.linspace(left, right, intervals + 1)
         for ell in (0, 1, 2):
-            op = mild._DuhamelOperator(n_xs, xs, 2.0, ell, ktable, 64, "tau")
+            quad = mild._duhamel_nodes(2.0, ell)
+            op = mild._DuhamelOperator(n_xs, xs, ell, ktable, quad)
             for dens in densities:
-                ref = mild._duhamel_sum(dens, n_xs, xs, 2.0, ell, ktable, 64,
-                                        "tau")
+                ref = mild._duhamel_sum(dens, n_xs, xs, ell, ktable, quad)
                 assert (np.max(np.abs(op(dens) - ref))
                         <= 1e-14 * np.max(np.abs(ref)))
 
@@ -464,15 +497,17 @@ def test_fft_plan_reused_across_densities(skew_density, ktable):
 def test_duhamel_operator_matches_node_sum(skew_density, ktable, ell,
                                            method):
     # on a coarse grid the nodes of smallest lam run refined (r > 1), in
-    # blocks of their own, and those of smallest mu spread their sources
+    # blocks of their own, and those of smallest mu spread their sources;
+    # the operator takes any nodes, so the s-Jacobi ones too
     n_tab, n_xs = skew_density
     xs = symmetric_grid(20.0, 256)
     dens = np.interp(xs, n_xs, n_tab)
-    op = mild._DuhamelOperator(xs, xs, 1.0, ell, ktable, 64, method)
+    quad = (mild._duhamel_nodes(1.0, ell) if method == "tau"
+            else _s_jacobi_nodes(1.0, ell, 64))
+    op = mild._DuhamelOperator(xs, xs, ell, ktable, quad)
     assert len({r for *_, r in op.blocks} - {1}) >= 2
-    assert np.min(mild._quad_nodes(1.0, ell, 64, method)[0]) < 3.0 * (
-        mild._spacing(xs))
-    ref = mild._duhamel_sum(dens, xs, xs, 1.0, ell, ktable, 64, method)
+    assert np.min(quad[0]) < 3.0 * mild._spacing(xs)
+    ref = mild._duhamel_sum(dens, xs, xs, ell, ktable, quad)
     assert np.max(np.abs(op(dens) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -480,12 +515,12 @@ def test_held_operator_within_memory_budget(ktable):
     # the Duhamel operator a table holds costs at most 1.5 times the node
     # plans it replaced: taps, weights and each kernel spectrum at the
     # node's own FFT length
-    op = mild._DuhamelOperator(PLAN_GRID, PLAN_GRID, 1.0, 2, ktable, 64,
-                               "tau")
+    quad = mild._duhamel_nodes(1.0, 2)
+    op = mild._DuhamelOperator(PLAN_GRID, PLAN_GRID, 2, ktable, quad)
     held = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
                + spectra.nbytes for m, _, _, spectra, _ in op.blocks)
     plans = 0
-    for mu, lam, _ in zip(*mild._quad_nodes(1.0, 2, 64, "tau")):
+    for mu, lam, _ in zip(*quad):
         node = mild._fft_plan(PLAN_GRID, PLAN_GRID, mu, lam, 2, ktable)
         plans += node.base.nbytes + node.w.nbytes + 16 * (node.nfft // 2 + 1)
     assert held <= 1.5 * plans
@@ -517,27 +552,14 @@ def test_no_convergence_path(ktable):
     ({"max_iter": -1}, ValidationError, "max_iter"),
     ({"max_iter": 2.5}, ValidationError, "max_iter"),
     ({"max_iter": np.nan}, ValidationError, "max_iter"),
-    ({"quad_nodes": 0}, ConfigError, "at least 8 nodes"),
-    ({"quad_nodes": 7}, ConfigError, "at least 8 nodes"),
-    ({"quad_nodes": 1, "quad_method": "s-jacobi"}, ConfigError,
-     "at least 8 nodes"),
-    ({"quad_nodes": 8.5}, ConfigError, "whole number"),
     ({"tol": np.nan}, ValidationError, "tol"),
     ({"tol": -1.0}, ValidationError, "tol"),
 ), ids=("max_iter=0", "max_iter=-1", "max_iter=2.5", "max_iter=nan",
-        "quad_nodes=0", "quad_nodes=7",
-        "s-jacobi-1", "quad_nodes=8.5", "tol=nan", "tol=-1"))
+        "tol=nan", "tol=-1"))
 def test_solver_rejects_bad_iteration_settings(ktable, kwargs, error, match):
     with pytest.raises(error, match=match):
         solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
                                  **kwargs)
-
-
-def test_integral_node_count_accepted(profile_8k, ktable):
-    # a whole number of nodes given as a float is a count
-    whole = duhamel_integral(profile_8k.psi, 1.0, 2, ktable, nodes=32.0)
-    base = duhamel_integral(profile_8k.psi, 1.0, 2, ktable, nodes=32)
-    assert np.array_equal(whole.ys, base.ys)
 
 
 def test_self_similarity_validation(profile_8k, ktable, monkeypatch):
@@ -579,6 +601,19 @@ def test_save_load_roundtrip(profile_8k, ktable, tmp_path):
         profile_8k.decay_constants[1])
     sol = reconstruct_U(back, 1.0, ktable)
     assert sol.slope_consistency < 1e-6
+
+
+def test_load_profile_names_a_sidecar_without_a_key(profile_8k, ktable,
+                                                    tmp_path):
+    p = tmp_path / "profile.csv"
+    save_profile(profile_8k, p)
+    meta_path = tmp_path / "profile.meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["A"], meta["converged"]
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match="profile.meta.json.* lacks "
+                                              "A, converged$"):
+        load_profile(p, ktable)
 
 
 def test_initial_trace_rate(profile_8k, ktable):
