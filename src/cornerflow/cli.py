@@ -17,7 +17,7 @@ from . import __version__
 from .errors import (NoConvergence, NumericalFailure, PicardDivergence,
                      ValidationError)
 from .grid import GridFunction, symmetric_grid
-from .kernel import build_kernel_table, regularizing_constants
+from .kernel import _check_time, build_kernel_table, regularizing_constants
 from .mild import (CornerData, _self_similarity_gap, reconstruct_U,
                    save_profile, solve_similarity_profile)
 from . import diagnostics
@@ -62,7 +62,8 @@ def _apply_config_file(args, parser):
     """key = value lines; file entries override command-line flags.
 
     Each value is parsed by the `type` of its option in `parser`'s
-    subcommand, as the flag's value would be.
+    subcommand, as the flag's value would be; a switch takes one of
+    1/true/yes/on or 0/false/no/off, in any case.
     """
     if not getattr(args, "config", None):
         return
@@ -88,16 +89,18 @@ def _apply_config_file(args, parser):
             if action is None:
                 raise ValidationError(
                     f"{args.config}:{lineno}: unknown option {key!r}")
-            if action.nargs == 0:
-                # a switch such as --mollified
-                parsed = val.lower() in ("1", "true", "yes", "on")
-            else:
-                try:
+            try:
+                if action.nargs == 0:
+                    # a switch such as --mollified
+                    parsed = {"1": True, "true": True, "yes": True,
+                              "on": True, "0": False, "false": False,
+                              "no": False, "off": False}[val.lower()]
+                else:
                     parsed = action.type(val) if action.type else val
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"{args.config}:{lineno}: bad value {val!r} for "
-                        f"{key}") from exc
+            except (KeyError, ValueError) as exc:
+                raise ValidationError(
+                    f"{args.config}:{lineno}: bad value {val!r} for "
+                    f"{key}") from exc
             setattr(args, key, parsed)
 
 
@@ -117,8 +120,14 @@ def _ensure_out(args):
 
 
 def cmd_kernel(args):
-    out = _ensure_out(args)
+    _check_time(args.t_lo, "t_lo")
+    _check_time(args.t_hi, "t_hi")
     table = build_kernel_table(args.eta_max, args.nodes)
+    # the fits check the span of the times, so they run before any output
+    t_range = np.geomspace(args.t_lo, args.t_hi, 13)
+    fits = {ell: regularizing_constants(table, ell, t_range)
+            for ell in (1, 2)}
+    out = _ensure_out(args)
     csv_path = os.path.join(out, "kernel.csv")
     table.to_csv(csv_path)
     from scipy.special import gamma
@@ -130,9 +139,7 @@ def cmd_kernel(args):
           f"diff {abs(g0 - ref):.2e})")
     print(f"kernel mass = {mass:.12f}  (diff from 1: {abs(mass - 1):.2e})")
     summary = {"g0": g0, "g0_reference": ref, "mass": mass, "exponents": {}}
-    t_range = np.geomspace(args.t_lo, args.t_hi, 13)
-    for ell in (1, 2):
-        c, expo = regularizing_constants(table, ell, t_range)
+    for ell, (c, expo) in fits.items():
         print(f"step decay ell={ell}: c = {c:.6f}, exponent = {expo:+.4f} "
               f"(expect {-ell / 4:+.4f})")
         summary["exponents"][str(ell)] = {"c": c, "exponent": expo,

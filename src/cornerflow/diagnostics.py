@@ -7,24 +7,28 @@ D0, the linear-bound criteria, and the compact-curve contradiction. All sup
 norms are taken over interior nodes; one-sided boundary stencils are never
 allowed to decide a verdict.
 """
+import numbers
+
 import numpy as np
 from scipy.integrate import simpson
 
 from . import _backend
 from .errors import ValidationError
-from .grid import GridFunction, _fd, smoothed_abs
+from .grid import GridFunction, _fd, smoothed_abs, whole_number
 from .geometry import arclength_from_zero, ds_of_array, geometry
 
 INTERIOR_MARGIN = 8  # nodes per side dropped from sup norms
 # run_diagnostics: the residual tolerance of a single-level run, relative
-# to 1 + sup|phi|, and the end-slope tolerance of its esp_check calls
+# to 1 + sup|phi|; esp_check: the tolerance of its margin and end slopes
 ABS_TOL = 1e-5
 ESP_TOL = 1e-9
 
 
-def interior_sup(values, margin=INTERIOR_MARGIN):
+def interior_sup(values):
+    """Sup norm without the INTERIOR_MARGIN nodes at each end."""
     values = np.asarray(values)
-    return float(np.max(np.abs(values[margin:values.size - margin])))
+    m = INTERIOR_MARGIN
+    return float(np.max(np.abs(values[m:-m])))
 
 
 def _residual_gf(phi, values):
@@ -59,13 +63,13 @@ def profile_equation_residual(phi):
     return _residual_gf(phi, r)
 
 
-def q_convexity(phi, alpha=0.0, beta=0.0, variant=False):
+def q_convexity(phi, variant=False):
     """Assemble Q and its arclength convexity.
 
-    Q = k^2 + (|x|^2 - s^2 + phi(0)^2 - 2 alpha s - 2 beta)/4 by default;
-    with variant=True the shifted form k^2 + |x|^2/4 - (s + |phi(0)|)^2/4
-    is used instead (alpha/beta ignored). Returns (Q, d2Q, min d2Q over
-    the interior); on a forward profile d2Q equals 2 (d_s k)^2 >= 0.
+    Q = k^2 + (|x|^2 - s^2 + phi(0)^2)/4 by default; with variant=True
+    the shifted form k^2 + |x|^2/4 - (s + |phi(0)|)^2/4 is used instead.
+    Returns (Q, d2Q, min d2Q over the interior); on a forward profile d2Q
+    equals 2 (d_s k)^2 >= 0.
     """
     geom = geometry(phi)
     i0 = int(np.argmin(np.abs(phi.xs)))
@@ -75,8 +79,7 @@ def q_convexity(phi, alpha=0.0, beta=0.0, variant=False):
     if variant:
         qv = geom.curvature ** 2 + 0.25 * r2 - 0.25 * (s + abs(phi0)) ** 2
     else:
-        qv = geom.curvature ** 2 + 0.25 * (r2 - s ** 2 + phi0 ** 2
-                                           - 2.0 * alpha * s - 2.0 * beta)
+        qv = geom.curvature ** 2 + 0.25 * (r2 - s ** 2 + phi0 ** 2)
     d2q = ds_of_array(qv, geom, 2)
     lo, hi = INTERIOR_MARGIN, phi.xs.size - INTERIOR_MARGIN
     return (_residual_gf(phi, qv), _residual_gf(phi, d2q),
@@ -98,13 +101,13 @@ def d0_and_d(phi):
     return (_residual_gf(phi, d0), _residual_gf(phi, d))
 
 
-def esp_check(phi, alpha, beta, tol=1e-9):
+def esp_check(phi, alpha, beta):
     """Margin of the linearity criterion phi(0) phi <= alpha s + beta.
 
     The on-grid minimum alone cannot certify an inequality that must hold
     on the whole line, so the verdict also requires the margin to be
-    non-decaying at both ends: slope >= -tol in s at the right end and
-    <= +tol at the left end. meta carries the pieces.
+    non-decaying at both ends: slope >= -ESP_TOL in s at the right end
+    and <= +ESP_TOL at the left end. meta carries the pieces.
     """
     s = arclength_from_zero(phi.xs, phi.ys)
     i0 = int(np.argmin(np.abs(phi.xs)))
@@ -116,9 +119,9 @@ def esp_check(phi, alpha, beta, tol=1e-9):
     m = max(2, phi.xs.size // 64)
     right_slope = (margin[-1] - margin[-1 - m]) / (s[-1] - s[-1 - m])
     left_slope = (margin[m] - margin[0]) / (s[m] - s[0])
-    verdict_grid = min_margin >= -tol
-    verdict = bool(verdict_grid and right_slope >= -tol
-                   and left_slope <= tol)
+    verdict_grid = min_margin >= -ESP_TOL
+    verdict = bool(verdict_grid and right_slope >= -ESP_TOL
+                   and left_slope <= ESP_TOL)
     gf.meta.update(verdict_grid=bool(verdict_grid),
                    min_margin=min_margin,
                    right_tail_slope=float(right_slope),
@@ -145,17 +148,17 @@ class L1Bound:
                 f"worst_gap={self.worst_gap:.3e})")
 
 
-def l1_linear_bound(phi, a0, tail_tol=1e-3):
+def l1_linear_bound(phi, a0):
     """beta = int |phi' - a0| and the bound phi(z) <= a0 z + beta.
 
-    Applicable only when |phi' - a0| has decayed below tail_tol at both
+    Applicable only when |phi' - a0| has decayed below 1e-3 at both
     grid ends; otherwise the slope defect is not integrable at grid
     precision and the result records NotApplicable.
     """
     dphi = _fd(phi.ys, phi.h, 1)
     w = np.abs(dphi - a0)
     tail_gap = float(max(w[0], w[-1]))
-    if tail_gap > tail_tol:
+    if tail_gap > 1e-3:
         return L1Bound(False, a0=a0, tail_gap=tail_gap)
     beta = float(simpson(w, dx=phi.h))
     i0 = int(np.argmin(np.abs(phi.xs)))
@@ -192,8 +195,10 @@ def counterexample_phi_eps(A, eps, mollified=False):
     gap |x| - s, and their closed-form targets. The grid has spacing
     eps/16 and half-width 40 eps.
     """
-    if A == 0.0 or eps <= 0.0:
-        raise ValidationError("need A != 0 and eps > 0")
+    if not (all(isinstance(v, numbers.Real) for v in (A, eps))
+            and np.isfinite(A) and A != 0.0 and 0.0 < eps < np.inf):
+        raise ValidationError(f"need finite A != 0 and eps > 0, got "
+                              f"A={A!r}, eps={eps!r}")
     h = eps / 16.0
     m = 640  # half-width 40 eps
     xs = np.arange(-m, m + 1) * h
@@ -263,21 +268,24 @@ def subsample(phi, stride):
     derivative level, so residuals of solver output are evaluated at a
     stencil spacing coarse enough for truncation to dominate.
     """
-    if stride <= 1:
+    stride = whole_number(stride) or 0
+    if stride < 1:
+        raise ValidationError("stride must be a whole number >= 1")
+    if stride == 1:
         return phi
     return GridFunction(phi.xs[::stride], phi.ys[::stride], phi.left_far,
                         phi.right_far, phi.far_kind, phi.tail_tol)
 
 
-def refinement_threshold(r_coarse, r_fine, factor=10.0, order=4.0):
-    """factor x the Richardson error estimate of the fine-level residual.
+def refinement_threshold(r_coarse, r_fine):
+    """10x the Richardson error estimate of the fine-level residual.
 
-    (r_coarse - r_fine)/(2^order - 1) estimates the fine-level
-    discretization error when the residual converges at the nominal
-    order; a stagnating residual pair yields a threshold near zero or
-    negative, which fails the comparison.
+    (r_coarse - r_fine)/(2^4 - 1) estimates the fine-level discretization
+    error when the residual converges at the nominal order 4; a
+    stagnating residual pair yields a threshold near zero or negative,
+    which fails the comparison.
     """
-    return factor * (r_coarse - r_fine) / (2.0 ** order - 1.0)
+    return 10.0 * (r_coarse - r_fine) / 15.0
 
 
 class DiagnosticsReport:
@@ -346,24 +354,20 @@ def run_diagnostics(phi, phi_fine=None, eval_stride=1):
     pe = subsample(phi, eval_stride)
     pf = subsample(phi_fine, eval_stride) if phi_fine is not None else None
 
+    abs_thr = ABS_TOL * (1.0 + interior_sup(pe.ys))
     for name, fn in (("key_identity", key_identity_residual),
                      ("profile_equation", profile_equation_residual)):
+        field = fn(pe)
+        sup, thr = interior_sup(field.ys), abs_thr
         if pf is not None:
-            sup_c = interior_sup(fn(pe).ys)
-            sup = interior_sup(fn(pf).ys)
-            thr = sup_c / 2.5
-            ok = sup <= thr
-        else:
-            sup = interior_sup(fn(pe).ys)
-            thr = ABS_TOL * (1.0 + interior_sup(pe.ys))
-            ok = sup <= thr
-        rep.add(name, sup, thr, ok, fn(pe))
+            sup, thr = interior_sup(fn(pf).ys), sup / 2.5
+        rep.add(name, sup, thr, sup <= thr, field)
 
     # forward and backward residuals differ by exactly d_s^2(|x|^2/2) - 1
     # when built from shared stencils; verify the algebra discretely
     # (tolerance = float non-linearity of the stencil, eps |q| / h^2)
     geom = geometry(pe)
-    r_fwd = key_identity_residual(pe).ys
+    r_fwd = rep.fields["key_identity"].ys
     r_bwd = backward_identity_residual(pe).ys
     q_arr = pe.xs ** 2 + pe.ys ** 2
     link = r_bwd - (r_fwd - ds_of_array(0.5 * q_arr, geom, 2) + 1.0)
@@ -374,30 +378,29 @@ def run_diagnostics(phi, phi_fine=None, eval_stride=1):
             interior_sup(link) <= link_tol)
 
     # variant Q must equal k^2 + D0/4 node for node
-    qv, d2qv, min_d2q = q_convexity(pe, variant=True)
+    qv = q_convexity(pe, variant=True)[0]
     d0, _ = d0_and_d(pe)
     qalg = qv.ys - (geom.curvature ** 2 + 0.25 * d0.ys)
     qtol = 1e-12 * (1.0 + float(np.max(np.abs(qv.ys))))
     rep.add("q_variant_identity", interior_sup(qalg), qtol,
             interior_sup(qalg) <= qtol)
 
-    def _q_identity_sup(p):
-        # on a profile d_s^2 Q equals 2 (d_s k)^2 exactly (the halves cancel)
+    def _q_identity(p):
+        # on a profile d_s^2 Q equals 2 (d_s k)^2 exactly (the halves
+        # cancel); (sup of that residual, d2Q, min d2Q)
         g = geometry(p)
-        d2 = q_convexity(p)[1].ys
-        return interior_sup(d2 - 2.0 * ds_of_array(g.curvature, g) ** 2)
+        _, d2q, min_d2q = q_convexity(p)
+        return (interior_sup(d2q.ys - 2.0 * ds_of_array(g.curvature, g) ** 2),
+                d2q, min_d2q)
 
-    _, d2q0, min_d2q0 = q_convexity(pe)
+    sup0, d2q0, min_d2q = _q_identity(pe)
+    thr0 = abs_thr
     if pf is not None:
-        sup_c = _q_identity_sup(pe)
-        sup0 = _q_identity_sup(pf)
+        sup_c = sup0
+        sup0, _, min_d2q = _q_identity(pf)
         thr0 = refinement_threshold(sup_c, sup0)
-        ok0 = sup0 <= thr0 and q_convexity(pf)[2] >= -thr0
-    else:
-        sup0 = _q_identity_sup(pe)
-        thr0 = ABS_TOL * (1.0 + interior_sup(pe.ys))
-        ok0 = sup0 <= thr0 and min_d2q0 >= -thr0
-    rep.add("q_convexity_identity", sup0, thr0, ok0, d2q0)
+    rep.add("q_convexity_identity", sup0, thr0,
+            sup0 <= thr0 and min_d2q >= -thr0, d2q0)
 
     peg = peg_bound_check(phi)
     peg_tol = 1e-10 * (1.0 + float(np.max(phi.xs ** 2 + phi.ys ** 2)))
@@ -406,19 +409,14 @@ def run_diagnostics(phi, phi_fine=None, eval_stride=1):
 
     i0 = int(np.argmin(np.abs(phi.xs)))
     phi0 = phi.ys[i0]
-    scan_fail = 0
-    scan_total = 0
-    for alpha in (-1.0, 0.0, 1.0):
-        for beta in (0.0, 1.0, 10.0):
-            _, verdict = esp_check(phi, alpha, beta, ESP_TOL)
-            scan_total += 1
-            scan_fail += 0 if verdict else 1
     if abs(phi0) > 1e-3:
         # nonlinear candidate: no (alpha, beta) in the scan may certify
-        rep.add("esp_scan_all_fail", scan_total - scan_fail, 0.5,
-                scan_fail == scan_total)
+        passes = sum(esp_check(phi, alpha, beta)[1]
+                     for alpha in (-1.0, 0.0, 1.0)
+                     for beta in (0.0, 1.0, 10.0))
+        rep.add("esp_scan_all_fail", passes, 0.5, passes == 0)
     else:
-        _, verdict00 = esp_check(phi, 0.0, 0.0, ESP_TOL)
+        _, verdict00 = esp_check(phi, 0.0, 0.0)
         rep.add("esp_zero_corner", 0.0 if verdict00 else 1.0, 0.5, verdict00)
 
     a0 = phi.right_far if phi.far_kind == "linear" else 0.0
@@ -483,13 +481,17 @@ def compactness_contradiction_demo(points):
     a profile.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 16:
-        raise ValidationError("need an (n,2) array of closed-curve samples")
+    if (pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 16
+            or not np.all(np.isfinite(pts))):
+        raise ValidationError("need an (n,2) array of finite closed-curve "
+                              "samples")
     x, y = pts[:, 0], pts[:, 1]
     dth = 2.0 * np.pi / pts.shape[0]
     xd, yd = _periodic_d(x, dth), _periodic_d(y, dth)
     xdd, ydd = _periodic_d(xd, dth), _periodic_d(yd, dth)
     v = np.hypot(xd, yd)
+    if not np.all(v > 0.0):
+        raise ValidationError("the curve's speed vanishes at a sample")
     k = (xd * ydd - yd * xdd) / v ** 3
     q = k ** 2 + 0.25 * (x ** 2 + y ** 2)
     dq = _periodic_d(q, dth) / v

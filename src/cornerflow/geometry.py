@@ -44,19 +44,19 @@ class CurveGeometry:
         return self.xs.size
 
 
-def detect_kinks(ys, floor_scale=1.0):
+def detect_kinks(ys):
     """Indices where the second difference spikes like a slope break.
 
     A node is a kink when its second difference dominates both neighbours
-    by 8x, carries at least a quarter of the global maximum, and clears an
-    absolute floor (so smooth profiles report none).
+    by 8x, carries at least a quarter of the global maximum, and clears the
+    floor 1e-12 max(1, max|ys|) (so smooth profiles report none).
     """
     ys = np.asarray(ys, dtype=float)
     d2 = np.abs(ys[:-2] - 2.0 * ys[1:-1] + ys[2:])
     if d2.size == 0 or not np.any(d2 > 0.0):
         return []
     gmax = d2.max()
-    floor = 1e-12 * max(1.0, float(floor_scale))
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(ys))))
     kinks = []
     for i in range(d2.size):
         left = d2[i - 1] if i > 0 else 0.0
@@ -90,7 +90,7 @@ def arclength_from_zero(xs, ys):
     i0 = int(np.argmin(np.abs(xs)))
     if abs(xs[i0]) > 1e-9 * h:
         raise ValidationError("grid must contain x = 0 as a node")
-    bounds = [0] + detect_kinks(ys, np.max(np.abs(ys))) + [n - 1]
+    bounds = [0] + detect_kinks(ys) + [n - 1]
     bounds = sorted(set(bounds))
     s = np.empty(n)
     s[0] = 0.0

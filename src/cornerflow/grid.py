@@ -83,15 +83,13 @@ class GridFunction:
     def n(self):
         return self.xs.size
 
-    def with_values(self, ys, left_far=None, right_far=None, far_kind=None,
-                    tail_tol=None):
-        """Same grid, new samples (and optionally new far-field data)."""
+    def with_values(self, ys, left_far=None, right_far=None):
+        """Same grid and far kind, new samples (and optionally far values)."""
         return GridFunction(
             self.xs, ys,
             self.left_far if left_far is None else left_far,
             self.right_far if right_far is None else right_far,
-            self.far_kind if far_kind is None else far_kind,
-            self.tail_tol if tail_tol is None else tail_tol)
+            self.far_kind, self.tail_tol)
 
     def shift_values(self, c):
         """Add the constant c to the samples (far values follow suit)."""
@@ -180,11 +178,11 @@ def symmetric_grid(half_width, intervals):
     return np.linspace(-float(half_width), float(half_width), count + 1)
 
 
-def corner_function(A, B, xs, tail_tol=1e-3):
+def corner_function(A, B, xs):
     """The wedge A*x (x>=0) / -B*x (x<0) as a linear-far GridFunction."""
     xs = np.asarray(xs, dtype=float)
     ys = np.where(xs >= 0.0, A * xs, -B * xs)
-    return GridFunction(xs, ys, -B, A, "linear", tail_tol)
+    return GridFunction(xs, ys, -B, A, "linear")
 
 
 def smoothed_abs(x, delta):

@@ -237,6 +237,8 @@ def regularizing_constants(table, ell, t_range):
     if ell not in (0, 1, 2, 3):
         raise ValidationError("ell must be in 0..3")
     t_range = np.asarray(t_range, dtype=float)
+    for t in t_range:
+        _check_time(t, "every time in t_range")
     if t_range.size < 3 or t_range.max() / t_range.min() < 1e3 * (1 - 1e-9):
         raise ValidationError("t_range must span at least three decades")
     sups = []

@@ -412,9 +412,9 @@ def duhamel_integral(psi, t, target_deriv, table, xs=None):
                         max(np.abs(out[[0, -1]]).max() * 4.0, 1e-9))
 
 
-def _decay_fit(psi_ys, psi1, psi2, xs, table, t_lo=0.01, t_hi=100.0):
-    """Fitted (C_ell, exponent) of sup|d^ell v(.,t)| across [t_lo, t_hi]."""
-    ts = np.geomspace(t_lo, t_hi, 9)
+def _decay_fit(psi_ys, psi1, psi2, xs):
+    """Fitted (C_ell, exponent) of sup|d^ell v(., t)| over 0.01 <= t <= 100."""
+    ts = np.geomspace(0.01, 100.0, 9)
     tables = {0: psi_ys, 1: psi1, 2: psi2}
     fits = {}
     for ell, tab in tables.items():
@@ -498,7 +498,7 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
     tail_gap = max(abs(psi[0] + B), abs(psi[-1] - A))
     psi_gf = GridFunction(xs, psi, -B, A, "constant",
                           max(4.0 * tail_gap, 1e-9))
-    decay = _decay_fit(psi, psi1, psi2, xs, table)
+    decay = _decay_fit(psi, psi1, psi2, xs)
     return SimilarityProfile(psi_gf, corner, iterations, history, decay,
                              converged, psi1, psi2)
 
@@ -524,10 +524,10 @@ def reconstruct_U(profile, t, table, xs=None):
     return ReconstructedSolution(U, t, phi, slope_consistency, corner)
 
 
-def inner_sup(values, frac=0.8):
-    """Sup norm over the central `frac` portion of the samples."""
+def inner_sup(values):
+    """Sup norm over the central 80% of the samples."""
     values = np.asarray(values)
-    skip = int(round(values.size * (1.0 - frac) / 2.0))
+    skip = int(round(values.size * (1.0 - 0.8) / 2.0))
     return float(np.max(np.abs(values[skip:values.size - skip])))
 
 

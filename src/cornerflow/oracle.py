@@ -9,7 +9,7 @@ boundary rows; the band is Cholesky-factored once per step size of the
 schedule, and each step back-substitutes and applies the rank-2 term by
 the Sherman-Morrison-Woodbury formula. The linearized amplification
 factor is below one for any dt because alpha < 1 pointwise, so the step
-size is set by accuracy, not stability; a ramp from dt_init avoids
+size is set by accuracy, not stability; a ramp from DT_INIT avoids
 transients from rough initial data.
 
 This solver shares nothing with the kernel/Duhamel pipeline beyond the
@@ -26,53 +26,41 @@ from .grid import (GridFunction, corner_function, smoothed_abs,
 from .kernel import apply_semigroup, corner_height
 
 
+DT_INIT = 1e-8  # the first step of every march
+RAMP = 1.6  # dt grows by this factor per step, up to dt_max
+GROWTH_CAP = 10.0  # a step that grows sup|u| more than this is unstable
+
+
 class MarchConfig:
     """Grid, step-size and boundary description for the time marcher.
 
     Boundary rows extrapolate linearly with slopes -B (left) and A
-    (right); corner data must be mollified over moll_width (default 8h)
-    before marching, since the scheme assumes four bounded derivatives.
+    (right); corner data are mollified over moll_width = 8h before
+    marching, since the scheme assumes four bounded derivatives.
     """
 
-    def __init__(self, A, B, half_width=20.0, intervals=4096, dt_max=2e-5,
-                 dt_init=1e-8, ramp=1.6, moll_width=None, growth_cap=10.0):
-        settings = {"A": A, "B": B, "half_width": half_width,
-                    "dt_max": dt_max, "dt_init": dt_init, "ramp": ramp,
-                    "growth_cap": growth_cap, "moll_width": moll_width}
+    def __init__(self, A, B, half_width=20.0, intervals=4096, dt_max=2e-5):
+        settings = {"A": A, "B": B, "dt_max": dt_max}
         bad = [key for key, val in settings.items()
-               if not ((val is None and key == "moll_width")
-                       or (isinstance(val, numbers.Real)
-                           and np.isfinite(val)))]
+               if not (isinstance(val, numbers.Real) and np.isfinite(val))]
         if bad:
             raise ValidationError(f"march settings must be finite numbers: "
                                   f"{', '.join(bad)}")
         count = whole_number(intervals)
-        if count is None:
-            raise ValidationError(f"intervals must be a whole number, "
+        if count is None or count < 512:
+            raise ValidationError(f"intervals must be a whole number >= 512, "
                                   f"got {intervals!r}")
-        if count < 512:
-            raise ValidationError(f"intervals = {count} < 512")
-        if dt_max <= 0.0 or dt_init <= 0.0 or dt_init > dt_max:
-            raise ValidationError("need 0 < dt_init <= dt_max")
-        if ramp <= 1.0:
-            raise ValidationError("ramp factor must exceed 1")
-        if growth_cap <= 1.0:
-            raise ValidationError("growth cap must exceed 1")
+        if dt_max < DT_INIT:
+            raise ValidationError(f"dt_max = {dt_max!r} is below the first "
+                                  f"step {DT_INIT:g}")
         self.A = float(A)
         self.B = float(B)
-        self.half_width = float(half_width)
         self.intervals = count
         self.dt_max = float(dt_max)
-        self.dt_init = float(dt_init)
-        self.ramp = float(ramp)
-        self.growth_cap = float(growth_cap)
-        self.xs = symmetric_grid(self.half_width, self.intervals)
+        # checks half_width, and that intervals is even
+        self.xs = symmetric_grid(half_width, count)
         self.h = float(self.xs[1] - self.xs[0])
-        self.moll_width = (8.0 * self.h if moll_width is None
-                           else float(moll_width))
-        if self.moll_width < 2.0 * self.h:
-            raise ValidationError("mollification width below 2h is not "
-                                  "resolved by the stencil")
+        self.moll_width = 8.0 * self.h
 
     def mollified_corner(self):
         """phi_{A,B} with the kink replaced by its Gaussian mollification."""
@@ -85,11 +73,11 @@ def _dt_schedule(cfg, t_total):
     """(dt, nsteps) segments: geometric ramp, then constant dt_max."""
     segments = []
     t = 0.0
-    dt = cfg.dt_init
+    dt = DT_INIT
     while dt < cfg.dt_max and t + dt < t_total:
         segments.append((dt, 1))
         t += dt
-        dt = min(dt * cfg.ramp, cfg.dt_max)
+        dt = min(dt * RAMP, cfg.dt_max)
     remaining = t_total - t
     if remaining > 1e-15 * max(t_total, 1.0):
         n_full = int(remaining / cfg.dt_max)
@@ -104,10 +92,10 @@ def _dt_schedule(cfg, t_total):
 def _march(values, cfg, t_span):
     for dt, nsteps in _dt_schedule(cfg, t_span):
         values, status = _backend.penta_march_u(values, nsteps, dt, cfg.h,
-                                                cfg.A, cfg.B, cfg.growth_cap)
+                                                cfg.A, cfg.B, GROWTH_CAP)
         if status != 0:
             raise OracleInstability(
-                f"sup-norm grew past {cfg.growth_cap}x or went non-finite "
+                f"sup-norm grew past {GROWTH_CAP}x or went non-finite "
                 f"in one step (dt={dt:.3e}, h={cfg.h:.3e})")
     return values
 
@@ -120,11 +108,13 @@ def time_march(u0, cfg, times):
     order in space for the nonlinear terms and unconditionally stable in
     the linear part.
     """
+    if (not isinstance(u0, GridFunction) or u0.n != cfg.xs.size
+            or abs(u0.xs[0] - cfg.xs[0]) > 1e-9):
+        raise ValidationError("initial data must be a GridFunction on the "
+                              "config's grid")
     times = [float(t) for t in times]
     if not times or any(t <= 0.0 for t in times) or sorted(times) != times:
         raise ValidationError("times must be positive and increasing")
-    if u0.n != cfg.xs.size or abs(u0.xs[0] - cfg.xs[0]) > 1e-9:
-        raise ValidationError("initial data grid does not match config")
     out = []
     u = np.array(u0.ys, dtype=float)
     t_prev = 0.0

@@ -5,6 +5,10 @@ is gone from the package, so a rename in the package breaks the
 benchmark's per-layer output; this catches it in the unit tests.
 """
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -84,3 +88,29 @@ def test_traced_reconstruction_matches_untraced(new_table):
         spans = tracer.summary()
         assert sum(row["calls"] for name, row in spans.items()
                    if name.startswith("mild.convolution.")) == 64
+
+
+def test_traced_solve_run_reports_every_metric(tmp_path):
+    # the traced benchmark run end to end, on a copy of bench/*.py and src/
+    # so that its results file lands outside the repository: it must exit
+    # 0 and end with one JSON line in which every metric is a number
+    root = TRACER.parents[1]
+    (tmp_path / "bench").mkdir()
+    for path in (root / "bench").glob("*.py"):
+        shutil.copy(path, tmp_path / "bench" / path.name)
+    shutil.copytree(root / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    out = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "solve", "--seconds",
+         "0", "--trace", "1"], cwd=tmp_path, capture_output=True, text=True,
+        timeout=300)
+    assert out.returncode == 0, out.stderr
+
+    def no_constant(name):
+        raise ValueError(f"{name} in the result line")
+
+    result = json.loads(out.stdout.splitlines()[-1],
+                        parse_constant=no_constant)
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    assert result["failed"] == 0 and values
+    assert all(type(v) in (int, float) for v in values.values()), values

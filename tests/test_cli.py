@@ -43,6 +43,21 @@ def test_kernel_rejects_bad_grid(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", (
+    ("--t-lo", "0"), ("--t-lo", "-1"), ("--t-hi", "inf"),
+    ("--t-lo", "1", "--t-hi", "10"),
+), ids=("zero", "negative", "inf", "one-decade"))
+def test_kernel_rejects_bad_fit_times(tmp_path, capsys, flags):
+    # refused with one error line before any output is written
+    out = tmp_path / "k"
+    code = run_cli("kernel", "--eta-max", "20", "--nodes", "2048", *flags,
+                   "--out-dir", str(out))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_solve_command_and_determinism(tmp_path, capsys):
     outs = []
     for name in ("s1", "s2"):
@@ -164,6 +179,34 @@ def test_config_file_errors_exit_2(tmp_path, capsys, text, match):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and match in err[0]
     assert not (tmp_path / "s" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("value, flag, expect", (
+    ("1", (), True), ("TRUE", (), True), ("yes", (), True), ("On", (), True),
+    ("0", ("--mollified",), False), ("False", ("--mollified",), False),
+    ("no", ("--mollified",), False), ("OFF", ("--mollified",), False),
+))
+def test_config_file_switch_values(tmp_path, value, flag, expect):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mollified = {value}\n")
+    out = tmp_path / "d"
+    code = run_cli("diagnose", "--counterexample", "--a", "1", "--eps", "0.1",
+                   *flag, "--config", str(cfg), "--out-dir", str(out))
+    assert code == 0
+    assert _manifest(out)["config"]["mollified"] is expect
+
+
+def test_config_file_switch_typo_exits_2(tmp_path, capsys):
+    # a misspelt switch value is an error, not a silent False
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.1\nmollified = ture\n")
+    out = tmp_path / "d"
+    code = run_cli("diagnose", "--counterexample", "--a", "1", "--config",
+                   str(cfg), "--out-dir", str(out))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cfg}:2: bad value 'ture' for mollified"]
+    assert not (out / "manifest.json").exists()
 
 
 def test_sweep_runs_worker_pool(tmp_path, capsys):

@@ -80,6 +80,10 @@ def test_counterexample_validation():
         dg.counterexample_phi_eps(0.0, 0.1)
     with pytest.raises(ValidationError):
         dg.counterexample_phi_eps(1.0, -0.5)
+    # non-finite inputs are refused before the grid is built
+    for A, eps in ((1.0, np.inf), (np.nan, 0.1), (1.0, np.nan)):
+        with pytest.raises(ValidationError, match="finite"):
+            dg.counterexample_phi_eps(A, eps)
 
 
 def test_peg_bound_on_random_graphs(rng):
@@ -146,6 +150,11 @@ def test_compactness_validation():
         dg.compactness_contradiction_demo(np.zeros((8, 2)))
     with pytest.raises(ValidationError):
         dg.compactness_contradiction_demo(np.zeros((64, 3)))
+    # no verdict for a curve that is not finite, or that has no tangent
+    with pytest.raises(ValidationError, match="finite"):
+        dg.compactness_contradiction_demo(np.full((64, 2), np.nan))
+    with pytest.raises(ValidationError, match="speed"):
+        dg.compactness_contradiction_demo(dg.circle_curve(0.0))
 
 
 def test_x_infty_norm_linear_profile(ktable):
@@ -169,6 +178,10 @@ def test_subsample_and_threshold():
     assert sub.n == (phi.n - 1) // 8 + 1
     assert np.min(np.abs(sub.xs)) == 0.0
     assert dg.subsample(phi, 1) is phi
+    assert dg.subsample(phi, 8.0).n == sub.n
+    for bad in (2.5, 0, -8, np.nan, "8"):
+        with pytest.raises(ValidationError, match="stride"):
+            dg.subsample(phi, bad)
     assert dg.refinement_threshold(17.0, 2.0) == pytest.approx(10.0)
     assert dg.refinement_threshold(1.0, 2.0) < 0.0
 

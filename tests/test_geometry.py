@@ -55,9 +55,9 @@ def test_arclength_requires_zero_node():
 def test_detect_kinks():
     xs = symmetric_grid(5.0, 640)
     cab = corner_function(0.3, 0.7, xs)
-    kinks = detect_kinks(cab.ys, np.max(np.abs(cab.ys)))
+    kinks = detect_kinks(cab.ys)
     assert kinks == [int(np.argmin(np.abs(xs)))]
-    assert detect_kinks(np.exp(-xs ** 2), 1.0) == []
+    assert detect_kinks(np.exp(-xs ** 2)) == []
 
 
 def test_ds_derivative_second_of_s_squared_is_two():

@@ -221,6 +221,11 @@ def test_step_decay_exponents(ktable):
         regularizing_constants(ktable, 5, ts)
     with pytest.raises(ValidationError):
         regularizing_constants(ktable, 1, np.array([0.5, 1.0, 2.0]))
+    # a time that is not positive and finite is a typed error, not a
+    # divide-by-zero warning
+    for bad in ([0.0, 1.0, 1e4], [-1.0, 1.0, 1e4], [1.0, 10.0, np.inf]):
+        with pytest.raises(ValidationError, match="t_range"):
+            regularizing_constants(ktable, 1, bad)
 
 
 def test_time_and_far_field_validation(ktable):

@@ -3,8 +3,9 @@ import pytest
 from scipy.linalg import solve_banded
 
 from cornerflow import (GridFunction, MarchConfig, ValidationError,
-                        compare_with_mild, corner_function, time_march)
-from cornerflow import _slowpath
+                        compare_with_mild, corner_function, smoothed_abs,
+                        time_march)
+from cornerflow import _slowpath, oracle
 from cornerflow.errors import OracleInstability
 
 
@@ -18,26 +19,19 @@ def _cfg(**kw):
 def test_config_validation():
     with pytest.raises(ValidationError):
         MarchConfig(0.1, 0.1, intervals=256)
-    with pytest.raises(ValidationError):
-        MarchConfig(0.1, 0.1, dt_init=1e-3, dt_max=1e-5)
-    with pytest.raises(ValidationError):
-        MarchConfig(0.1, 0.1, ramp=0.9)
-    with pytest.raises(ValidationError):
-        MarchConfig(0.1, 0.1, growth_cap=0.5)
-    with pytest.raises(ValidationError):
-        MarchConfig(0.1, 0.1, intervals=512, half_width=10.0,
-                    moll_width=1e-4)
-    # non-finite settings: an inf dt_max would stop the march short and a
-    # nan growth_cap would switch the blow-up check off
-    for key in ("A", "B", "half_width", "dt_max", "dt_init", "ramp",
-                "growth_cap", "moll_width"):
+    # dt_max below the first step of the ramp, or not positive
+    for bad in (0.5 * oracle.DT_INIT, 0.0, -1e-5):
+        with pytest.raises(ValidationError, match="dt_max"):
+            MarchConfig(0.1, 0.1, dt_max=bad)
+    assert MarchConfig(0.1, 0.1, dt_max=oracle.DT_INIT).dt_max == 1e-8
+    # non-finite settings: an inf dt_max would stop the march short
+    for key in ("A", "B", "half_width", "dt_max"):
         for bad in (np.inf, np.nan):
             kw = {"A": 0.1, "B": 0.1, key: bad}
             with pytest.raises(ValidationError, match=key):
                 MarchConfig(kw.pop("A"), kw.pop("B"), **kw)
     # non-numeric settings are typed errors that name the setting
-    for key, bad in (("dt_max", "2e-5"), ("growth_cap", "10"), ("A", "0.1"),
-                     ("half_width", None)):
+    for key, bad in (("dt_max", "2e-5"), ("A", "0.1"), ("half_width", None)):
         kw = {"A": 0.1, "B": 0.1, key: bad}
         with pytest.raises(ValidationError, match=key):
             MarchConfig(kw.pop("A"), kw.pop("B"), **kw)
@@ -99,13 +93,17 @@ def test_space_self_convergence_order():
     # smooth data, fixed small dt: interior error order ~2 between grids
     errs = []
     grids = (512, 1024, 2048)
-    ref_cfg = MarchConfig(0.1, 0.1, half_width=10.0, intervals=4096,
-                          dt_max=2e-5, moll_width=1.0)
-    ref = time_march(ref_cfg.mollified_corner(), ref_cfg, [0.02])[0]
-    for n in grids:
+    def march(n):
+        # the corner (0.1, 0.1) mollified over width 1
         cfg = MarchConfig(0.1, 0.1, half_width=10.0, intervals=n,
-                          dt_max=2e-5, moll_width=1.0)
-        out = time_march(cfg.mollified_corner(), cfg, [0.02])[0]
+                          dt_max=2e-5)
+        u0 = GridFunction(cfg.xs, 0.1 * smoothed_abs(cfg.xs, 1.0), -0.1, 0.1,
+                          "linear")
+        return time_march(u0, cfg, [0.02])[0]
+
+    ref = march(4096)
+    for n in grids:
+        out = march(n)
         stride = 4096 // n
         errs.append(np.max(np.abs(out.ys - ref.ys[::stride])[8:-8]))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -125,12 +123,15 @@ def test_times_and_grid_validation():
                         dt_max=1e-4)
     with pytest.raises(ValidationError):
         time_march(u0, other, [0.1])
+    # bare samples are not initial data
+    with pytest.raises(ValidationError, match="GridFunction"):
+        time_march(np.zeros(cfg.xs.size), cfg, [0.1])
 
 
 def test_growth_cap_trips():
     # data inconsistent with the declared far slopes: the boundary terms
     # pump the sup norm up from zero, which the per-step cap must catch
-    cfg = _cfg(A=0.3, B=0.3, growth_cap=1.5)
+    cfg = _cfg(A=0.3, B=0.3)
     u0 = GridFunction(cfg.xs, np.zeros(cfg.xs.size), -0.3, 0.3, "linear")
     with pytest.raises(OracleInstability):
         time_march(u0, cfg, [0.1])
@@ -186,16 +187,16 @@ def test_factored_march_matches_per_step_solve():
     # asymmetric corner, so the two boundary rows carry different data
     cfg = _cfg(A=0.2, B=0.03)
     u0 = cfg.mollified_corner().ys
-    for dt, nsteps in ((cfg.dt_init * cfg.ramp ** 20, 1),
+    for dt, nsteps in ((oracle.DT_INIT * oracle.RAMP ** 20, 1),
                        (cfg.dt_max, 200)):
         ref, ref_status, _ = _reference_march(u0, nsteps, dt, cfg.h, cfg.A,
-                                              cfg.B, cfg.growth_cap)
+                                              cfg.B, oracle.GROWTH_CAP)
         out, status = _slowpath.penta_march_u(u0, nsteps, dt, cfg.h, cfg.A,
-                                              cfg.B, cfg.growth_cap)
+                                              cfg.B, oracle.GROWTH_CAP)
         assert status == ref_status == 0
         assert _close(out, ref)
     # the test_growth_cap_trips data trips at the same step in both
-    trip = _cfg(A=0.3, B=0.3, growth_cap=1.5)
+    trip = _cfg(A=0.3, B=0.3)
     zeros = np.zeros(trip.xs.size)
     ref, ref_status, ref_step = _reference_march(zeros, 200, trip.dt_max,
                                                  trip.h, 0.3, 0.3, 1.5)
