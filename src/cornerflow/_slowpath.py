@@ -9,7 +9,9 @@ wraps it there, until the benchmark records its own spans.
 cubic_eval and lagrange_taps share one 4-point Lagrange stencil;
 lagrange_taps returns the taps themselves, so that a caller that
 interpolates many tables at the same points, or spreads onto a grid by
-the transposed taps, computes them once.
+the transposed taps, computes them once. quintic_eval is the 6-point
+stencil, with the same end cells, for the smooth convolutions that the
+mild solver takes from a coarser grid onto its output grid.
 penta_march_u factors its matrix once per step size: I + dt*D4 is a
 symmetric positive definite band plus a rank-2 term from the boundary
 rows, so the band is Cholesky-factored (LAPACK dpbtrf) and the boundary
@@ -75,6 +77,28 @@ def cubic_eval(tab, x0, h, q, fill_left, fill_right):
     out = np.where(inside_lo, out, fill_left)
     out = np.where(inside_hi, out, fill_right)
     return out
+
+
+def quintic_eval(tab, x0, h, q):
+    """6-point Lagrange interpolation on a uniform table x0 + h*i.
+
+    A point in cell [j, j+1] takes the nodes j-2..j+3; as in `cubic_eval`,
+    the stencil of a point in an end cell is the nearest interior one.
+    There is no fill: a point off the table takes the end stencil.
+    """
+    tab = np.asarray(tab, dtype=float)
+    t = (np.asarray(q, dtype=float) - x0) / h
+    j = np.clip(np.floor(t).astype(np.int64), 2, tab.size - 4)
+    u = t - j
+    p, m = u + 2.0, u - 3.0  # the factors of the outer nodes
+    u1, u_1, u2 = u - 1.0, u + 1.0, u - 2.0
+    inner = u_1 * u * u1 * u2  # the four inner factors
+    return (-inner * m / 120.0 * tab[j - 2]
+            + p * u * u1 * u2 * m / 24.0 * tab[j - 1]
+            - p * u_1 * u1 * u2 * m / 12.0 * tab[j]
+            + p * u_1 * u * u2 * m / 12.0 * tab[j + 1]
+            - p * u_1 * u * u1 * m / 24.0 * tab[j + 2]
+            + p * inner / 120.0 * tab[j + 3])
 
 
 def sym_eval(tab, h, parity, q):

@@ -179,7 +179,9 @@ def apply_to_step(A, B, t, ell, table, xs):
 
 
 def _step_tail(A, B, t, table, xs):
-    edge = min(-xs[0], xs[-1]) * t ** -0.25
+    # a grid on one side of 0 has no edge distance: the bound is the
+    # envelope's top
+    edge = max(0.0, min(-xs[0], xs[-1])) * t ** -0.25
     env = table.g_env * np.exp(-ENVELOPE_RATE * edge ** (4.0 / 3.0))
     return abs(A + B) * env * 8.0
 

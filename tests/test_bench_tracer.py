@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cornerflow import _backend, mild
 from cornerflow.grid import symmetric_grid
@@ -90,10 +91,12 @@ def test_traced_reconstruction_matches_untraced(new_table):
                    if name.startswith("mild.convolution.")) == 64
 
 
-def test_traced_solve_run_reports_every_metric(tmp_path):
+@pytest.mark.parametrize("workload", ("solve", "reconstruct-late"))
+def test_traced_solve_run_reports_every_metric(tmp_path, workload):
     # the traced benchmark run end to end, on a copy of bench/*.py and src/
     # so that its results file lands outside the repository: it must exit
-    # 0 and end with one JSON line in which every metric is a number
+    # 0 and end with one JSON line in which every metric is a number. The
+    # late reconstructions take most nodes through the source-grid path
     root = TRACER.parents[1]
     (tmp_path / "bench").mkdir()
     for path in (root / "bench").glob("*.py"):
@@ -101,7 +104,7 @@ def test_traced_solve_run_reports_every_metric(tmp_path):
     shutil.copytree(root / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     out = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "solve", "--seconds",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds",
          "0", "--trace", "1"], cwd=tmp_path, capture_output=True, text=True,
         timeout=300)
     assert out.returncode == 0, out.stderr

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from cornerflow import _backend, _slowpath, mild
+from cornerflow import _backend, _slowpath, kernel, mild
 from cornerflow import (ConfigError, CornerData, ValidationError,
                         alpha_coefficient, constant_shift_residual,
                         corner_height, duhamel_integral, load_profile,
@@ -79,6 +79,31 @@ def test_decay_constants_exponents(profile_8k):
         assert c > 0.0
     _, expo0 = profile_8k.decay_constants[0]
     assert abs(expo0) < 0.02
+
+
+def _masked_decay_fit(psi_ys, psi1, psi2, xs):
+    # the fit of mild._decay_fit as one masked maximum per table and t
+    ts = np.geomspace(0.01, 100.0, 9)
+    fits = {}
+    for ell, tab in enumerate((psi_ys, psi1, psi2)):
+        sups = [t ** (-ell / 4.0)
+                * np.max(np.abs(tab[np.abs(xs) <= xs[-1] * t ** -0.25]))
+                for t in ts]
+        slope, intercept = np.polyfit(np.log(ts),
+                                      np.log(np.maximum(sups, 1e-300)), 1)
+        fits[ell] = (float(np.exp(intercept)), float(slope))
+    return fits
+
+
+def test_decay_fit_matches_masked_maxima(profile_8k, rng):
+    # one running maximum over |xs| in order takes the same sets as the
+    # masks, so the fits are bit-identical, also on a lopsided grid
+    psi = profile_8k.psi
+    cases = [(psi.ys, profile_8k.psi1, profile_8k.psi2, psi.xs)]
+    xs = np.linspace(-13.7, 20.0, 2049)
+    cases.append((*rng.standard_normal((3, xs.size)), xs))
+    for case in cases:
+        assert mild._decay_fit(*case) == _masked_decay_fit(*case)
 
 
 def _tau_nodes(t, ell, count):
@@ -232,6 +257,23 @@ def test_output_grid_checked_before_any_node(profile_8k, ktable, monkeypatch,
         solve_similarity_profile(CornerData(0.1, 0.1), table=ktable, xs=xs)
 
 
+@pytest.mark.parametrize("xs", (np.linspace(5.0, 10.0, 513),
+                                np.linspace(0.5, 40.0, 1025)),
+                         ids=("5-to-10", "0.5-to-40"))
+def test_solve_grid_must_straddle_zero(ktable, monkeypatch, xs):
+    # the profile joins -B and A across 0: a grid on one side is refused,
+    # naming it, before the evolved step or any node
+    monkeypatch.setattr(mild, "_picard_plan", _no_nodes)
+    monkeypatch.setattr(mild, "apply_to_step", _no_nodes)
+    with pytest.raises(ValidationError, match=r"solve grid \[.*\] must "
+                                              r"straddle 0"):
+        solve_similarity_profile(CornerData(0.1, 0.1), table=ktable, xs=xs)
+    # the step's tail bound takes such a grid without a warning: no edge
+    # distance, so the envelope's top
+    step = kernel.apply_to_step(0.1, 0.1, 1.0, 0, ktable, xs)
+    assert step.tail_tol == 0.2 * ktable.g_env * 8.0
+
+
 def test_output_grid_may_be_a_list(profile_8k, ktable):
     xs = np.linspace(-20.0, 20.0, 513)
     for call in (lambda x: reconstruct_U(profile_8k, 1.0, ktable, xs=x).U,
@@ -346,9 +388,12 @@ def _full_length_node(n_tab, n_xs, xs, mu, lam, ell, table):
 @pytest.mark.parametrize("ell", (0, 1, 2))
 def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
                                                     ell):
-    # the branch convolves only the sources that reach xs, with only the
-    # kernel lags that join them to xs, at the shortest wrap-free length:
-    # any wrap-around or lost lag shows against the uncut convolution
+    # the planned path convolves only the sources that reach xs, with only
+    # the kernel lags that join them to xs, at the shortest wrap-free
+    # length: any wrap-around or lost lag shows against the uncut
+    # convolution. (1.5, 1) and (0.5, 5) on the finer grids take the
+    # source-grid path in `_rescaled_convolution`, so the planned path is
+    # called directly
     n_tab, n_xs = skew_density
     left_out = 0
     for left, right, intervals in SPREAD_GRIDS:
@@ -360,8 +405,8 @@ def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
                         (2.9 * h, 150.0 * h), (20.0 * h, 150.0 * h),
                         (1.5, 1.0), (0.5, 5.0)):
             left_out += mu * n_xs[0] - xs[0] > ktable.eta_max * lam
-            got = mild._rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
-                                             ktable)
+            got = mild._planned_convolution(n_tab, n_xs, xs, mu, lam, ell,
+                                            ktable)
             ref = _full_length_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert left_out >= 4
@@ -372,6 +417,69 @@ def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
                                                      0.5, ell, ktable))
         assert not np.any(_full_length_node(n_tab, n_xs, xs, mu, 0.5, ell,
                                             ktable))
+
+
+@pytest.mark.parametrize("ell", (0, 1, 2))
+def test_source_grid_nodes_match_dense_sum(skew_density, ktable, ell):
+    # H = mu nh >= 2h and lam >= 3H: the node is convolved on its source
+    # grid, with the density as sampled, and taken to xs by 6-point
+    # interpolation. The dense sum is exact up to the kernel table, so the
+    # gap is the interpolation's; resampling the density onto xs instead
+    # misses 1e-10 by up to 300-fold. The dense sum runs on every 16th
+    # output
+    n_tab, n_xs = skew_density
+    for left, right, intervals in SPREAD_GRIDS:
+        xs = np.linspace(left, right, intervals + 1)
+        for mu, lam in ((2.5, 1.0), (5.0, 4.0), (10.0, 9.0)):
+            H = mu * mild._spacing(n_xs)
+            assert H >= 2.0 * mild._spacing(xs) and lam >= 3.0 * H
+            got = mild._rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
+                                             ktable)[::16]
+            ref = _dense_skew(n_tab, n_xs, xs[::16], mu, lam, ell, ktable)
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_late_duhamel_term_matches_finer_profile(ktable):
+    # at t = 1e4 most nodes take the source-grid path; the Duhamel term of
+    # U on the 2048-interval grid must agree with that of the profile
+    # solved on twice the intervals, to 1e-9 of its sup
+    coarse, fine = (solve_similarity_profile(CornerData(0.1, 0.1),
+                                             table=ktable,
+                                             xs=symmetric_grid(20.0, n))
+                    for n in (2048, 4096))
+    xs = coarse.psi.xs
+    got = duhamel_integral(coarse.psi, 1e4, 1, ktable).ys
+    ref = duhamel_integral(fine.psi, 1e4, 1, ktable, xs=xs).ys
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_wrap_free_length_is_exact_and_shortest(rng):
+    # over all small windows, lags, rotations and kept outputs lo..hi-1:
+    # at the length given, the rotated circular convolution holds the
+    # linear one's outputs; one shorter, it does not
+    from scipy.fft import irfft, rfft
+
+    def kept(src, ker, a, lo, hi, N):
+        rolled = np.zeros(N)
+        rolled[:ker.size] = ker
+        rolled = np.roll(rolled, -(a + lo))
+        return irfft(rfft(src, N) * rfft(rolled), N)[:hi - lo]
+
+    for a in range(-6, 7):
+        for k in range(1, 5):
+            for lags in range(1, 5):
+                src, ker = rng.standard_normal(k), rng.standard_normal(lags)
+                lin = np.convolve(src, ker)
+                for lo in range(5):
+                    for hi in range(lo + 1, lo + 6):
+                        want = [lin[o + a] if 0 <= o + a < lin.size else 0.0
+                                for o in range(lo, hi)]
+                        N = mild._wrap_free_length(a, k, lags, lo, hi)
+                        got = kept(src, ker, a, lo, hi, N)
+                        assert np.max(np.abs(got - want)) <= 1e-12
+                        if N - 1 >= max(k, lags, hi - lo):
+                            got = kept(src, ker, a, lo, hi, N - 1)
+                            assert np.max(np.abs(got - want)) > 1e-12
 
 
 PLAN_GRID = symmetric_grid(20.0, 1024)
@@ -475,19 +583,21 @@ def test_warm_solve_matches_cold(new_table):
 
 
 def test_fft_plan_reused_across_densities(skew_density, ktable):
-    # the held operator keeps only what the grids and the nodes fix: built
+    # the held operator keeps only what the grid and the nodes fix: built
     # once, it gives the node-by-node sum for two different densities. At
     # t = 2 mu runs from below 3h (spread sources) past 1 (the density
-    # stretched past xs on both sides)
+    # stretched past xs on both sides). The operator lives on one grid, so
+    # each grid gets the densities interpolated onto it
     n_tab, n_xs = skew_density
-    densities = (n_tab, np.cos(n_xs) * n_tab[::-1])
     for left, right, intervals in SPREAD_GRIDS:
         xs = np.linspace(left, right, intervals + 1)
+        densities = [np.interp(xs, n_xs, dens)
+                     for dens in (n_tab, np.cos(n_xs) * n_tab[::-1])]
         for ell in (0, 1, 2):
             quad = mild._duhamel_nodes(2.0, ell)
-            op = mild._DuhamelOperator(n_xs, xs, ell, ktable, quad)
+            op = mild._DuhamelOperator(xs, ell, ktable, quad)
             for dens in densities:
-                ref = mild._duhamel_sum(dens, n_xs, xs, ell, ktable, quad)
+                ref = mild._duhamel_sum(dens, xs, xs, ell, ktable, quad)
                 assert (np.max(np.abs(op(dens) - ref))
                         <= 1e-14 * np.max(np.abs(ref)))
 
@@ -504,11 +614,27 @@ def test_duhamel_operator_matches_node_sum(skew_density, ktable, ell,
     dens = np.interp(xs, n_xs, n_tab)
     quad = (mild._duhamel_nodes(1.0, ell) if method == "tau"
             else _s_jacobi_nodes(1.0, ell, 64))
-    op = mild._DuhamelOperator(xs, xs, ell, ktable, quad)
+    op = mild._DuhamelOperator(xs, ell, ktable, quad)
     assert len({r for *_, r in op.blocks} - {1}) >= 2
     assert np.min(quad[0]) < 3.0 * mild._spacing(xs)
     ref = mild._duhamel_sum(dens, xs, xs, ell, ktable, quad)
     assert np.max(np.abs(op(dens) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_duhamel_operator_trims_refined_blocks(skew_density, ktable):
+    # at t = 1e-3 on a coarse grid every node runs refined and its sources
+    # reach only the middle of xs: each block computes only the outputs
+    # its nodes reach and still gives the node sum
+    n_tab, n_xs = skew_density
+    xs = symmetric_grid(20.0, 256)
+    dens = np.interp(xs, n_xs, n_tab)
+    for ell in (0, 1, 2):
+        quad = mild._duhamel_nodes(1e-3, ell)
+        op = mild._DuhamelOperator(xs, ell, ktable, quad)
+        assert all(r > 1 and 0 < keep.start < keep.stop < xs.size
+                   for *_, keep, r in op.blocks)
+        ref = mild._duhamel_sum(dens, xs, xs, ell, ktable, quad)
+        assert np.max(np.abs(op(dens) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_held_operator_within_memory_budget(ktable):
@@ -516,9 +642,9 @@ def test_held_operator_within_memory_budget(ktable):
     # plans it replaced: taps, weights and each kernel spectrum at the
     # node's own FFT length
     quad = mild._duhamel_nodes(1.0, 2)
-    op = mild._DuhamelOperator(PLAN_GRID, PLAN_GRID, 2, ktable, quad)
+    op = mild._DuhamelOperator(PLAN_GRID, 2, ktable, quad)
     held = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-               + spectra.nbytes for m, _, _, spectra, _ in op.blocks)
+               + spectra.nbytes for m, _, _, spectra, *_ in op.blocks)
     plans = 0
     for mu, lam, _ in zip(*quad):
         node = mild._fft_plan(PLAN_GRID, PLAN_GRID, mu, lam, 2, ktable)
