@@ -7,9 +7,9 @@ No code in the package calls skew_sum: the tests use it as their dense
 reference, and `_backend` exports it only because the benchmark's tracer
 wraps it there, until the benchmark records its own spans.
 cubic_eval and lagrange_taps share one 4-point Lagrange stencil;
-lagrange_taps returns the taps themselves, so that a caller that
-interpolates many tables at the same points, or spreads onto a grid by
-the transposed taps, computes them once. quintic_eval is the 6-point
+lagrange_taps returns the taps themselves, so that the mild solver's node
+plans for sources off the output nodes, which resample or spread the
+density by them, compute them once per node. quintic_eval is the 6-point
 stencil, with the same end cells, for the smooth convolutions that the
 mild solver takes from a coarser grid onto its output grid.
 penta_march_u factors its matrix once per step size: I + dt*D4 is a

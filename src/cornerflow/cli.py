@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .errors import (NoConvergence, NumericalFailure, PicardDivergence,
                      ValidationError)
-from .grid import GridFunction, symmetric_grid
+from .grid import GridFunction, _write_csv, symmetric_grid
 from .kernel import _check_time, build_kernel_table, regularizing_constants
 from .mild import (CornerData, _self_similarity_gap, reconstruct_U,
                    save_profile, solve_similarity_profile)
@@ -44,13 +44,6 @@ def _write_manifest(out_dir, command, config, paths):
     with open(mpath, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return mpath
-
-
-def _write_csv(path, header, *columns):
-    arr = np.column_stack(columns)
-    np.savetxt(path, arr, delimiter=",", header=header, comments="",
-               fmt="%.17g")
-    return path
 
 
 def _config_dict(args):

@@ -14,7 +14,7 @@ from scipy.integrate import simpson
 
 from . import _backend
 from .errors import ValidationError
-from .grid import GridFunction, _fd, smoothed_abs, whole_number
+from .grid import GridFunction, _fd, _sidecar, smoothed_abs, whole_number
 from .geometry import arclength_from_zero, ds_of_array, geometry
 
 INTERIOR_MARGIN = 8  # nodes per side dropped from sup norms
@@ -24,11 +24,18 @@ ABS_TOL = 1e-5
 ESP_TOL = 1e-9
 
 
+def _interior(values):
+    """values without the INTERIOR_MARGIN nodes at each end, if any remain."""
+    values, m = np.asarray(values), INTERIOR_MARGIN
+    if values.size <= 2 * m:
+        raise ValidationError(f"{values.size} nodes leave no interior "
+                              f"inside the {m}-node margin at each end")
+    return values[m:-m]
+
+
 def interior_sup(values):
     """Sup norm without the INTERIOR_MARGIN nodes at each end."""
-    values = np.asarray(values)
-    m = INTERIOR_MARGIN
-    return float(np.max(np.abs(values[m:-m])))
+    return float(np.max(np.abs(_interior(values))))
 
 
 def _residual_gf(phi, values):
@@ -81,9 +88,8 @@ def q_convexity(phi, variant=False):
     else:
         qv = geom.curvature ** 2 + 0.25 * (r2 - s ** 2 + phi0 ** 2)
     d2q = ds_of_array(qv, geom, 2)
-    lo, hi = INTERIOR_MARGIN, phi.xs.size - INTERIOR_MARGIN
     return (_residual_gf(phi, qv), _residual_gf(phi, d2q),
-            float(np.min(d2q[lo:hi])))
+            float(np.min(_interior(d2q))))
 
 
 def d0_and_d(phi):
@@ -114,8 +120,7 @@ def esp_check(phi, alpha, beta):
     phi0 = phi.ys[i0]
     margin = alpha * s + beta - phi0 * phi.ys
     gf = _residual_gf(phi, margin)
-    lo, hi = INTERIOR_MARGIN, phi.xs.size - INTERIOR_MARGIN
-    min_margin = float(np.min(margin[lo:hi]))
+    min_margin = float(np.min(_interior(margin)))
     m = max(2, phi.xs.size // 64)
     right_slope = (margin[-1] - margin[-1 - m]) / (s[-1] - s[-1 - m])
     left_slope = (margin[m] - margin[0]) / (s[m] - s[0])
@@ -326,10 +331,7 @@ class DiagnosticsReport:
         for name, field in self.fields.items():
             p = os.path.join(out_dir, f"{name}.csv")
             field.to_csv(p)
-            paths.append(p)
-            side = os.path.splitext(p)[0] + ".json"
-            if os.path.exists(side):
-                paths.append(side)
+            paths += [p, _sidecar(p)]
         p = os.path.join(out_dir, "summary.csv")
         with open(p, "w") as fh:
             fh.write("name,sup_residual,threshold,pass\n")

@@ -53,18 +53,13 @@ def detect_kinks(ys):
     """
     ys = np.asarray(ys, dtype=float)
     d2 = np.abs(ys[:-2] - 2.0 * ys[1:-1] + ys[2:])
-    if d2.size == 0 or not np.any(d2 > 0.0):
-        return []
-    gmax = d2.max()
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(ys))))
-    kinks = []
-    for i in range(d2.size):
-        left = d2[i - 1] if i > 0 else 0.0
-        right = d2[i + 1] if i + 1 < d2.size else 0.0
-        if (d2[i] > floor and d2[i] >= 0.25 * gmax
-                and d2[i] >= 8.0 * max(left, right, floor)):
-            kinks.append(i + 1)  # d2[i] sits at node i+1
-    return kinks
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(ys), initial=0.0)))
+    # the larger neighbour of each d2, 0 past the ends, or the floor
+    pad = np.concatenate([[0.0], d2, [0.0]])
+    near = np.maximum(np.maximum(pad[:-2], pad[2:]), floor)
+    kink = ((d2 > floor) & (d2 >= 0.25 * d2.max(initial=0.0))
+            & (d2 >= 8.0 * near))
+    return (np.flatnonzero(kink) + 1).tolist()  # d2[i] sits at node i+1
 
 
 def _segment_slopes(ys, h):

@@ -114,9 +114,7 @@ class GridFunction:
     def to_csv(self, path):
         """Write `x,y` rows; far-field metadata goes to a .json sidecar."""
         path = os.fspath(path)
-        arr = np.column_stack([self.xs, self.ys])
-        np.savetxt(path, arr, delimiter=",", header="x,y", comments="",
-                   fmt="%.17g")
+        _write_csv(path, "x,y", self.xs, self.ys)
         with open(_sidecar(path), "w") as fh:
             json.dump({"left_far": self.left_far, "right_far": self.right_far,
                        "far_kind": self.far_kind, "tail_tol": self.tail_tol},
@@ -135,6 +133,12 @@ class GridFunction:
 def _sidecar(path):
     root, _ = os.path.splitext(path)
     return root + ".json"
+
+
+def _write_csv(path, header, *columns):
+    """The columns as CSV rows under the header line, to full precision."""
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
+               comments="", fmt="%.17g")
 
 
 def _fd(y, h, order):

@@ -23,7 +23,7 @@ from scipy.signal import fftconvolve
 from . import _backend
 from .errors import (ConfigError, InvalidTime, UnsupportedFarField,
                      ValidationError)
-from .grid import GridFunction, symmetric_grid, whole_number
+from .grid import GridFunction, _write_csv, symmetric_grid, whole_number
 
 _PARITY = (0, 1, 0, 1)  # g even, g' odd, g'' even, g''' odd
 ENVELOPE_RATE = 3.0 / 2.0 ** (11.0 / 3.0)  # stationary-phase decay exponent
@@ -110,9 +110,7 @@ class KernelTable:
         return float(np.max(np.abs(self.g_ell[ell])))
 
     def to_csv(self, path):
-        arr = np.column_stack([self.etas, *self.g_ell, self.G])
-        np.savetxt(path, arr, delimiter=",", header="eta,g0,g1,g2,g3,G",
-                   comments="", fmt="%.17g")
+        _write_csv(path, "eta,g0,g1,g2,g3,G", self.etas, *self.g_ell, self.G)
 
     @classmethod
     def from_csv(cls, path):
@@ -195,11 +193,30 @@ def corner_height(A, B, t, table, xs):
     return GridFunction(xs, ys, -B, A, "linear")
 
 
+def _sampled_convolution(f, scale, ell, table, lo, hi):
+    """sum_j g_ell((i - j) scale) f_j at the nodes i = lo .. hi-1 of the
+    samples' own grid, also beyond them: one `fftconvolve` of the samples
+    and kernel lags that reach an output; the other outputs read 0."""
+    out = np.zeros(hi - lo)
+    reach = int(np.ceil(table.eta_max / scale))
+    d_lo, d_hi = max(-reach, lo - (f.size - 1)), min(reach, hi - 1)
+    if d_lo > d_hi:
+        return out
+    j0, j1 = max(0, lo - d_hi), min(f.size, hi - d_lo)
+    ker = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
+                            (d_lo + np.arange(d_hi - d_lo + 1)) * scale)
+    # entry p of the linear convolution is output j0 + d_lo + p
+    a, b = max(lo, j0 + d_lo), min(hi, j1 + d_hi)
+    out[a - lo:b - lo] = fftconvolve(f[j0:j1], ker)[a - j0 - d_lo:
+                                                    b - j0 - d_lo]
+    return out
+
+
 def apply_semigroup(f, t, ell, table):
     """d^ell/dx^ell exp(-t d^4) f for f with constant far fields.
 
     The far-field step evolves in closed form; only the decaying remainder
-    f - step is convolved numerically (trapezoid weights, by FFT).
+    f - step is convolved numerically (trapezoid sum, `_sampled_convolution`).
     """
     _check_time(t)
     if ell not in (0, 1, 2, 3):
@@ -217,12 +234,9 @@ def apply_semigroup(f, t, ell, table):
                     np.where(xs < 0.0, f.left_far,
                              0.5 * (f.left_far + f.right_far)))
     r = f.ys - step
-    lam = t ** -0.25
     pref = t ** (-(ell + 1) / 4.0) * h
-    m = min(xs.size - 1, int(np.ceil(table.eta_max / (lam * h))))
-    ker = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
-                            np.arange(-m, m + 1) * (h * lam))
-    ys = base + fftconvolve(r, ker, mode="same") * pref
+    ys = base + _sampled_convolution(r, h * t ** -0.25, ell, table, 0,
+                                     xs.size) * pref
     if ell == 0:
         return GridFunction(xs, ys, f.left_far, f.right_far, "constant",
                             max(f.tail_tol, 1e-6))

@@ -28,9 +28,10 @@ from . import _backend
 from ._slowpath import lagrange_taps, quintic_eval
 from .errors import (ConfigError, NoConvergence, PicardDivergence,
                      StaleProfile, ValidationError)
-from .grid import (GridFunction, _fd, symmetric_grid, uniform_grid,
-                   whole_number)
-from .kernel import _PARITY, _check_time, apply_to_step, corner_height
+from .grid import (GridFunction, _fd, _write_csv, symmetric_grid,
+                   uniform_grid, whole_number)
+from .kernel import (_PARITY, _check_time, _sampled_convolution,
+                     apply_to_step, corner_height)
 
 DEFAULT_HALF_WIDTH = 40.0
 DEFAULT_INTERVALS = 8192
@@ -142,7 +143,7 @@ _NodePlan = namedtuple("_NodePlan",
 
 
 def _fft_plan(n_xs, xs, mu, lam, ell, table):
-    """The grid-only part of `_planned_convolution` for one node.
+    """The grid-only part of one planned node of `_rescaled_convolution`.
 
     On xs, refined r-fold when lam < 3h, with spacing h and n points, the
     sources are padded out to mu * n_xs (or the kernel reach, if nearer)
@@ -239,31 +240,6 @@ def _kernel_spectrum(node, nfft, lo):
     return rfft(np.roll(ker, -(node.a + lo))) * node.h
 
 
-def _planned_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
-    """One node on xs by its plan (`_fft_plan`): C of `_rescaled_convolution`.
-
-    The density goes onto the window through a 4-tap gather or one
-    `np.bincount`, then one FFT pair at the node's own length.
-    """
-    node = _fft_plan(n_xs, xs, mu, lam, ell, table)
-    out = np.zeros(xs.size)
-    if node is None:
-        return out
-    lo, base, w, nfft = node.lo, node.base, node.w, node.nfft
-    if node.spread is None:
-        src = (w[0] * n_tab[base] + w[1] * n_tab[base + 1]
-               + w[2] * n_tab[base + 2] + w[3] * n_tab[base + 3])
-    else:
-        v = node.spread * n_tab[lo:lo + base.size]
-        src = np.bincount((base + np.arange(4)[:, None]).ravel(),
-                          (w * v).ravel(), minlength=node.k)
-    r, out0, nout = node.r, node.out0, node.nout
-    conv = irfft(rfft(src, nfft) * _kernel_spectrum(node, nfft, r * out0),
-                 nfft)
-    out[out0:out0 + nout] = conv[:r * (nout - 1) + 1:r]
-    return out
-
-
 def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
     """C(x) = int g_ell((x-y)/lam) n(y/mu) dy on the output grid xs.
 
@@ -273,8 +249,8 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
     one of two paths.
 
     When H >= 2h and the kernel is resolved on Y (lam >= 3H), the node is
-    convolved on its source grid: `_planned_convolution` on Y, which
-    covers xs with 3 nodes to spare on each side, takes the density as
+    convolved on its source grid: `_sampled_convolution` on the nodes of Y
+    that cover xs with 3 to spare on each side takes the density as
     sampled (the trapezoid rule on its own nodes, no upsampling), and a
     6-point Lagrange evaluator (`quintic_eval`) takes the smooth result
     from Y to xs. Against the dense source sum it is within 2e-11 of the
@@ -288,10 +264,10 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
     1.2e-8 to 1.6e-8 of its sup from that of a profile solved on twice
     the intervals, against 4e-10 with 6 points.
 
-    Every other node goes through `_planned_convolution` on xs: the
-    sources go onto xs, padded out to the kernel reach, and the window of
-    them that reaches xs is FFT-convolved with the kernel samples
-    g_ell(d h / lam). When mu >= 3h the density is resampled there by
+    Every other node, its sources off the nodes of xs, takes its plan on
+    xs: the sources go onto xs, padded out to the kernel reach, and the
+    window of them that reaches xs is FFT-convolved with the kernel
+    samples g_ell(d h / lam). When mu >= 3h the density is resampled by
     4-point Lagrange interpolation; when mu < 3h the quadrature weights
     mu nh n_tab[j] are spread from the points mu n_xs[j] by the transposed
     interpolation, the spreading step of a non-uniform FFT (Greengard &
@@ -314,13 +290,28 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
     nh = _spacing(n_xs)
     H = mu * nh
     if H >= 2.0 * _spacing(xs) and lam >= 3.0 * H:
-        j = np.arange(np.floor((xs[0] / mu - n_xs[0]) / nh) - 3,
-                      np.ceil((xs[-1] / mu - n_xs[0]) / nh) + 4)
-        ys = mu * (n_xs[0] + nh * j)
+        lo = int(np.floor((xs[0] / mu - n_xs[0]) / nh)) - 3
+        hi = int(np.ceil((xs[-1] / mu - n_xs[0]) / nh)) + 4
         return quintic_eval(
-            _planned_convolution(n_tab, n_xs, ys, mu, lam, ell, table),
-            ys[0], _spacing(ys), xs)
-    return _planned_convolution(n_tab, n_xs, xs, mu, lam, ell, table)
+            H * _sampled_convolution(n_tab, H / lam, ell, table, lo, hi),
+            mu * (n_xs[0] + nh * lo), H, xs)
+    node = _fft_plan(n_xs, xs, mu, lam, ell, table)
+    out = np.zeros(xs.size)
+    if node is None:
+        return out
+    lo, base, w, nfft = node.lo, node.base, node.w, node.nfft
+    if node.spread is None:
+        src = (w[0] * n_tab[base] + w[1] * n_tab[base + 1]
+               + w[2] * n_tab[base + 2] + w[3] * n_tab[base + 3])
+    else:
+        v = node.spread * n_tab[lo:lo + base.size]
+        src = np.bincount((base + np.arange(4)[:, None]).ravel(),
+                          (w * v).ravel(), minlength=node.k)
+    r, out0, nout = node.r, node.out0, node.nout
+    conv = irfft(rfft(src, nfft) * _kernel_spectrum(node, nfft, r * out0),
+                 nfft)
+    out[out0:out0 + nout] = conv[:r * (nout - 1) + 1:r]
+    return out
 
 
 def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
@@ -364,10 +355,10 @@ class _DuhamelOperator:
 
     Built once from the node plans (`_fft_plan`) of one (xs, ell, table)
     and the nodes quad = (mu, lam, w), with n_tab sampled on xs itself;
-    calling it on n_tab gives the sum on xs. Every node takes the planned
-    path on xs (`_planned_convolution`): on its own grid a node reaches
-    the source-grid path of `_rescaled_convolution` only at mu >= 2, and a
-    Picard solve at t = 1 has mu <= 1. The nodes go in blocks of up to
+    calling it on n_tab gives the sum on xs. Every node takes its plan on
+    xs: on its own grid a node reaches the source-grid path of
+    `_rescaled_convolution` only at mu >= 2, and a Picard solve at t = 1
+    has mu <= 1. The nodes go in blocks of up to
     BLOCK consecutive nodes of one refinement r. A block's CSR matrix
     takes n_tab to the source windows of its nodes, stacked with stride W
     (the block's longest window) and zero beyond each window; its rows are
@@ -487,8 +478,9 @@ def duhamel_integral(psi, t, target_deriv, table, xs=None):
     (0.29, 0.29) and t from 1e-2 to 1e4. Each node is the trapezoid sum
     over the density's samples up to the interpolation of
     `_rescaled_convolution`; at late t most nodes take its source-grid
-    path, and at t = 1e4 the term on that grid is within 4e-10 of the sup
-    of the term of the profile solved on twice the intervals.
+    path, which convolves the samples as they are, and at t = 1e4 the
+    term on that grid is within 4e-10 of the sup of the term of the
+    profile solved on twice the intervals.
     """
     _check_time(t)
     if target_deriv not in (0, 1, 2):
@@ -680,9 +672,7 @@ def constant_shift_residual(solution, c, table):
 def save_profile(profile, csv_path):
     """CSV `xi,psi` plus a JSON sidecar with the solve record."""
     csv_path = os.fspath(csv_path)
-    arr = np.column_stack([profile.psi.xs, profile.psi.ys])
-    np.savetxt(csv_path, arr, delimiter=",", header="xi,psi", comments="",
-               fmt="%.17g")
+    _write_csv(csv_path, "xi,psi", profile.psi.xs, profile.psi.ys)
     root, _ = os.path.splitext(csv_path)
     meta = {
         "A": profile.corner.A,

@@ -305,6 +305,17 @@ def test_diagnose_input_csv(tmp_path, capsys):
     assert (out / "report.json").exists()
 
 
+def test_diagnose_input_without_interior_exits_2(tmp_path, capsys):
+    xs = np.linspace(-7.0, 8.0, 16)
+    src = tmp_path / "short.csv"
+    GridFunction(xs, 0.25 * xs, 0.25, 0.25, "linear").to_csv(src)
+    code = run_cli("diagnose", "--input", str(src), "--out-dir",
+                   str(tmp_path / "d"))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: 16 nodes")
+
+
 def test_diagnose_missing_input(tmp_path, capsys):
     code = run_cli("diagnose", "--input", str(tmp_path / "nope.csv"),
                    "--out-dir", str(tmp_path / "d"))

@@ -206,6 +206,17 @@ def test_run_diagnostics_two_level_mode(phi_8k, phi_16k):
     assert rep.flags["d0_growing"]
 
 
+def test_grid_without_interior_raises_validation_error():
+    # 16 nodes pass the grid check but leave nothing inside the margins
+    xs = np.linspace(-7.0, 8.0, 16)
+    phi = GridFunction(xs, 0.25 * xs, 0.25, 0.25, "linear")
+    for call in (lambda: dg.interior_sup(phi.ys), lambda: dg.q_convexity(phi),
+                 lambda: dg.esp_check(phi, 0.0, 0.0),
+                 lambda: dg.run_diagnostics(phi)):
+        with pytest.raises(ValidationError, match="16 nodes"):
+            call()
+
+
 def test_report_serialization(tmp_path):
     xs = symmetric_grid(10.0, 2048)
     lin = GridFunction(xs, 0.25 * xs, 0.25, 0.25, "linear")

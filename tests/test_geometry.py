@@ -60,6 +60,42 @@ def test_detect_kinks():
     assert detect_kinks(np.exp(-xs ** 2)) == []
 
 
+def _loop_kinks(ys):
+    # the node-by-node rule of detect_kinks, the reference of its masks
+    d2 = np.abs(ys[:-2] - 2.0 * ys[1:-1] + ys[2:])
+    if d2.size == 0 or not np.any(d2 > 0.0):
+        return []
+    gmax = d2.max()
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(ys))))
+    kinks = []
+    for i in range(d2.size):
+        left = d2[i - 1] if i > 0 else 0.0
+        right = d2[i + 1] if i + 1 < d2.size else 0.0
+        if (d2[i] > floor and d2[i] >= 0.25 * gmax
+                and d2[i] >= 8.0 * max(left, right, floor)):
+            kinks.append(i + 1)
+    return kinks
+
+
+def test_detect_kinks_matches_node_loop(rng):
+    # short arrays with a few spikes, steps and flat runs, so that kinks at
+    # the ends, adjacent spikes and ties with the neighbours all occur; a
+    # lone spike under 8 floors is none
+    cases = [np.zeros(0), np.zeros(1), np.zeros(2), np.zeros(3),
+             np.array([0.0, 1.0, 0.0]), np.array([0.0, 3e-12, 0.0]),
+             np.array([0.0, 0.0, 1.0, 1.0]), np.abs(np.arange(-4.0, 5.0))]
+    for _ in range(2000):
+        n = int(rng.integers(2, 40))
+        ys = rng.choice((0.0, 1.0, -3.0), n) * (rng.random(n) < 0.2)
+        ys = np.cumsum(ys) if rng.random() < 0.5 else ys
+        cases.append(ys + 1e-13 * rng.standard_normal(n) * rng.integers(2))
+    for ys in cases:
+        got = detect_kinks(ys)
+        assert got == _loop_kinks(ys)
+        assert all(type(i) is int for i in got)
+    assert any(_loop_kinks(ys) for ys in cases)
+
+
 def test_ds_derivative_second_of_s_squared_is_two():
     phi = _gauss(4.0, 1024)
     geom = geometry(phi)

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad, simpson
 from scipy.special import gamma
 
-from cornerflow import _slowpath
+from cornerflow import _slowpath, kernel
 from cornerflow import (ConfigError, GridFunction, InvalidTime, KernelTable,
                         ValidationError, apply_semigroup, apply_to_step,
                         build_kernel_table, corner_height,
@@ -165,6 +165,24 @@ def test_fft_matches_direct(ktable):
                                    xs, 1.0, xs, f.ys - step, t ** -0.25)
         ref = base.ys + dense * t ** (-(ell + 1) / 4.0) * f.h
         assert np.max(np.abs(got.ys - ref)) < 1e-9
+
+
+@pytest.mark.parametrize("ell", range(4))
+def test_sampled_convolution_matches_direct_sum(ktable, rng, ell):
+    # outputs on, across and beyond the 50 samples, against the direct sum
+    # over every sample; at scale 2 the table reaches 20 lags, so the last
+    # two windows lie past every sample's reach and must read 0
+    f = rng.standard_normal(50)
+    bound = 1e-13 * np.abs(f).sum() * ktable.sup_norm(ell)
+    for lo, hi in ((0, 50), (-30, 10), (40, 100), (-5, 60), (69, 90),
+                   (-100, -80), (70, 90)):
+        got = kernel._sampled_convolution(f, 2.0, ell, ktable, lo, hi)
+        lags = np.arange(lo, hi)[:, None] - np.arange(50)
+        want = ktable.eval_g(ell, 2.0 * lags) @ f
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= bound
+    assert not np.any(got) and not np.any(
+        kernel._sampled_convolution(f, 2.0, ell, ktable, -100, -80))
 
 
 def test_scaling_identity(ktable):

@@ -392,21 +392,21 @@ def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
     # the kernel lags that join them to xs, at the shortest wrap-free
     # length: any wrap-around or lost lag shows against the uncut
     # convolution. (1.5, 1) and (0.5, 5) on the finer grids take the
-    # source-grid path in `_rescaled_convolution`, so the planned path is
-    # called directly
+    # source-grid path (test_source_grid_nodes_match_dense_sum)
     n_tab, n_xs = skew_density
     left_out = 0
-    for left, right, intervals in SPREAD_GRIDS:
+    planned = (((1.5, 1.0), (0.5, 5.0)), ((0.5, 5.0),), ())
+    for (left, right, intervals), extra in zip(SPREAD_GRIDS, planned):
         xs = np.linspace(left, right, intervals + 1)
         h = mild._spacing(xs)
         # mu and lam of a few h, where no source reaches the first
         # outputs; mu > 1, padded on both sides; lam far above h
         for mu, lam in ((0.3 * h, 3.0 * h), (3.1 * h, 3.0 * h),
                         (2.9 * h, 150.0 * h), (20.0 * h, 150.0 * h),
-                        (1.5, 1.0), (0.5, 5.0)):
+                        *extra):
             left_out += mu * n_xs[0] - xs[0] > ktable.eta_max * lam
-            got = mild._planned_convolution(n_tab, n_xs, xs, mu, lam, ell,
-                                            ktable)
+            got = mild._rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
+                                             ktable)
             ref = _full_length_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert left_out >= 4
@@ -419,6 +419,16 @@ def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
                                             ktable))
 
 
+# SPREAD_GRIDS, then an output grid wider than mu n_xs for every mu, whose
+# source grid Y starts below the first source, each with its (mu, lam)
+SOURCE_GRID_CASES = (
+    ((-20.0, 20.0, 2048), ((2.5, 1.0), (5.0, 4.0), (10.0, 9.0))),
+    ((-13.7, 13.7, 3000), ((2.5, 1.0), (5.0, 4.0), (10.0, 9.0), (1.5, 1.0))),
+    ((-0.4, 0.25, 256), ((2.5, 1.0), (5.0, 4.0), (10.0, 9.0), (1.5, 1.0),
+                         (0.5, 5.0))),
+    ((-120.0, 120.0, 12000), ((2.5, 1.0), (5.0, 4.0))))
+
+
 @pytest.mark.parametrize("ell", (0, 1, 2))
 def test_source_grid_nodes_match_dense_sum(skew_density, ktable, ell):
     # H = mu nh >= 2h and lam >= 3H: the node is convolved on its source
@@ -428,15 +438,34 @@ def test_source_grid_nodes_match_dense_sum(skew_density, ktable, ell):
     # misses 1e-10 by up to 300-fold. The dense sum runs on every 16th
     # output
     n_tab, n_xs = skew_density
-    for left, right, intervals in SPREAD_GRIDS:
+    for (left, right, intervals), cases in SOURCE_GRID_CASES:
         xs = np.linspace(left, right, intervals + 1)
-        for mu, lam in ((2.5, 1.0), (5.0, 4.0), (10.0, 9.0)):
+        for mu, lam in cases:
             H = mu * mild._spacing(n_xs)
             assert H >= 2.0 * mild._spacing(xs) and lam >= 3.0 * H
             got = mild._rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
                                              ktable)[::16]
             ref = _dense_skew(n_tab, n_xs, xs[::16], mu, lam, ell, ktable)
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # the wide grid's Y reaches past both ends of the sources for mu <= 5
+    assert xs[0] / 5.0 < n_xs[0] and xs[-1] / 5.0 > n_xs[-1]
+
+
+def test_late_reconstruction_takes_few_lagrange_taps(ktable, monkeypatch):
+    # at t = 1e4 on a 2048-interval grid of half-width 20, 45 of the 64
+    # nodes sit on their source grids and take no interpolation taps;
+    # only the 19 others go through a node plan
+    prof = solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
+                                    xs=symmetric_grid(20.0, 2048))
+    calls, taps = [], mild.lagrange_taps
+
+    def counted(*args):
+        calls.append(args)
+        return taps(*args)
+
+    monkeypatch.setattr(mild, "lagrange_taps", counted)
+    reconstruct_U(prof, 1e4, ktable)
+    assert len(calls) == 19
 
 
 def test_late_duhamel_term_matches_finer_profile(ktable):
