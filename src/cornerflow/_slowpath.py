@@ -11,7 +11,10 @@ lagrange_taps returns the taps themselves, so that the mild solver's node
 plans for sources off the output nodes, which resample or spread the
 density by them, compute them once per node. quintic_eval is the 6-point
 stencil, with the same end cells, for the smooth convolutions that the
-mild solver takes from a coarser grid onto its output grid.
+mild solver takes from a coarser grid onto its output grid. The stencils
+build their weights and sums in place, from one gather index shifted by
+views (tab[k:][j] is node j + k), but keep the operation order of the
+plain formulas, so their bits are those of the formulas.
 penta_march_u factors its matrix once per step size: I + dt*D4 is a
 symmetric positive definite band plus a rank-2 term from the boundary
 rows, so the band is Cholesky-factored (LAPACK dpbtrf) and the boundary
@@ -28,12 +31,31 @@ SKEW_CHUNK = 2048  # source nodes per block of skew_sum's pair matrix
 
 
 def lagrange_weights(u):
-    """Weights of the 4-point Lagrange stencil on nodes -1, 0, 1, 2 at u."""
-    w0 = -u * (u - 1.0) * (u - 2.0) / 6.0
-    w1 = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
-    w2 = -(u + 1.0) * u * (u - 2.0) / 2.0
-    w3 = (u + 1.0) * u * (u - 1.0) / 6.0
-    return w0, w1, w2, w3
+    """Weights of the 4-point Lagrange stencil on nodes -1, 0, 1, 2 at u.
+
+    u is an array of one or more dimensions; row r of the returned
+    (4,) + u.shape array is the weight of node r - 1. Each weight is the
+    product of its factors taken left to right, -u (u-1) (u-2) / 6 for
+    node -1; a negative weight is negated last, which rounds alike since
+    negation is exact.
+    """
+    um1, um2, up1 = u - 1.0, u - 2.0, u + 1.0
+    w = np.empty((4,) + u.shape)
+    w0, w1, w2, w3 = w
+    np.multiply(u, um1, out=w0)
+    w0 *= um2
+    w0 /= 6.0
+    np.negative(w0, out=w0)
+    np.multiply(up1, um1, out=w1)
+    w1 *= um2
+    w1 /= 2.0
+    np.multiply(up1, u, out=w2)  # (u+1) u opens both w2 and w3
+    np.multiply(w2, um1, out=w3)
+    w3 /= 6.0
+    w2 *= um2
+    w2 /= 2.0
+    np.negative(w2, out=w2)
+    return w
 
 
 def _cell_taps(t, n):
@@ -41,7 +63,9 @@ def _cell_taps(t, n):
 
     The stencil of a point in an end cell is the nearest interior one.
     """
-    j = np.clip(np.floor(t).astype(np.int64), 1, n - 3)
+    j = np.floor(t).astype(np.int64)
+    np.maximum(j, 1, out=j)
+    np.minimum(j, n - 3, out=j)
     return j, lagrange_weights(t - j)
 
 
@@ -57,7 +81,7 @@ def lagrange_taps(x0, h, n, q):
     lo = int(np.searchsorted(t, 0.0, side="left"))
     hi = max(lo, int(np.searchsorted(t, n - 1.0, side="right")))
     j, w = _cell_taps(t[lo:hi], n)
-    return lo, j - 1, np.array(w)
+    return lo, j - 1, w
 
 
 def cubic_eval(tab, x0, h, q, fill_left, fill_right):
@@ -69,14 +93,18 @@ def cubic_eval(tab, x0, h, q, fill_left, fill_right):
     tab = np.asarray(tab, dtype=float)
     q = np.asarray(q, dtype=float)
     n = tab.size
-    t = (q - x0) / h
-    inside_lo = t >= 0.0
-    inside_hi = t <= n - 1.0
-    j, (w0, w1, w2, w3) = _cell_taps(t, n)
-    out = w0 * tab[j - 1] + w1 * tab[j] + w2 * tab[j + 1] + w3 * tab[j + 2]
-    out = np.where(inside_lo, out, fill_left)
-    out = np.where(inside_hi, out, fill_right)
-    return out
+    t = (q.reshape(-1) - x0) / h
+    j, w = _cell_taps(t, n)
+    j -= 1  # the stencil's first node; tab[k:][j] is node j + k
+    out = w[0]
+    out *= tab[j]
+    for k in (1, 2, 3):
+        tap = w[k]
+        tap *= tab[k:][j]
+        out += tap
+    np.copyto(out, fill_left, where=t < 0.0)
+    np.copyto(out, fill_right, where=~(t <= n - 1.0))  # NaN included
+    return out.reshape(q.shape)
 
 
 def quintic_eval(tab, x0, h, q):
@@ -84,21 +112,56 @@ def quintic_eval(tab, x0, h, q):
 
     A point in cell [j, j+1] takes the nodes j-2..j+3; as in `cubic_eval`,
     the stencil of a point in an end cell is the nearest interior one.
-    There is no fill: a point off the table takes the end stencil.
+    There is no fill: a point off the table takes the end stencil. The
+    six terms are summed in node order, each weight a product of its
+    factors taken left to right; node j-2's term, whose weight is
+    negative, is subtracted with its sign flipped, which rounds alike.
     """
     tab = np.asarray(tab, dtype=float)
     t = (np.asarray(q, dtype=float) - x0) / h
-    j = np.clip(np.floor(t).astype(np.int64), 2, tab.size - 4)
+    j = np.floor(t).astype(np.int64)
+    np.maximum(j, 2, out=j)
+    np.minimum(j, tab.size - 4, out=j)
     u = t - j
+    j -= 2  # the stencil's first node; tab[k:][j] is node j + k
     p, m = u + 2.0, u - 3.0  # the factors of the outer nodes
     u1, u_1, u2 = u - 1.0, u + 1.0, u - 2.0
-    inner = u_1 * u * u1 * u2  # the four inner factors
-    return (-inner * m / 120.0 * tab[j - 2]
-            + p * u * u1 * u2 * m / 24.0 * tab[j - 1]
-            - p * u_1 * u1 * u2 * m / 12.0 * tab[j]
-            + p * u_1 * u * u2 * m / 12.0 * tab[j + 1]
-            - p * u_1 * u * u1 * m / 24.0 * tab[j + 2]
-            + p * inner / 120.0 * tab[j + 3])
+    inner = u_1 * u  # the four inner factors
+    inner *= u1
+    inner *= u2
+    out = p * u  # node j-1: p u u1 u2 m / 24
+    out *= u1
+    out *= u2
+    out *= m
+    out /= 24.0
+    out *= tab[1:][j]
+    term = inner * m  # node j-2: -inner m / 120
+    term /= 120.0
+    term *= tab[j]
+    out -= term
+    pu_1 = p * u_1
+    np.multiply(pu_1, u1, out=term)  # node j: -p u_1 u1 u2 m / 12
+    term *= u2
+    term *= m
+    term /= 12.0
+    term *= tab[2:][j]
+    out -= term
+    pu_1 *= u  # p u_1 u opens the terms of nodes j+1 and j+2
+    np.multiply(pu_1, u2, out=term)  # node j+1: p u_1 u u2 m / 12
+    term *= m
+    term /= 12.0
+    term *= tab[3:][j]
+    out += term
+    pu_1 *= u1  # node j+2: -p u_1 u u1 m / 24
+    pu_1 *= m
+    pu_1 /= 24.0
+    pu_1 *= tab[4:][j]
+    out -= pu_1
+    np.multiply(p, inner, out=term)  # node j+3: p inner / 120
+    term /= 120.0
+    term *= tab[5:][j]
+    out += term
+    return out
 
 
 def sym_eval(tab, h, parity, q):
@@ -107,10 +170,9 @@ def sym_eval(tab, h, parity, q):
     parity 0: K(-u) = K(u); parity 1: K(-u) = -K(u). Zero beyond the table.
     """
     q = np.asarray(q, dtype=float)
-    aq = np.abs(q)
-    vals = cubic_eval(tab, 0.0, h, aq, 0.0, 0.0)
+    vals = cubic_eval(tab, 0.0, h, np.abs(q), 0.0, 0.0)
     if parity:
-        vals = np.where(q < 0.0, -vals, vals)
+        np.negative(vals, out=vals, where=q < 0.0)
     return vals
 
 

@@ -180,6 +180,11 @@ def _solve_one(args, out, table):
         if sol.phi is not None:
             i0 = int(np.argmin(np.abs(sol.phi.xs)))
             phi0 = float(sol.phi.ys[i0])
+    # phi = U(., 1) with its far-field sidecar, which `diagnose --input`
+    # reads
+    fpath = os.path.join(out, "phi.csv")
+    solution(1.0).phi.to_csv(fpath)
+    paths += [fpath, os.path.join(out, "phi.json")]
     meta = {
         "A": corner.A,
         "B": corner.B,

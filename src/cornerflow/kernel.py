@@ -193,18 +193,37 @@ def corner_height(A, B, t, table, xs):
     return GridFunction(xs, ys, -B, A, "linear")
 
 
+def _kernel_lags(table, ell, d_lo, d_hi, scale):
+    """g_ell(d scale) at the lags d = d_lo .. d_hi, the table sampled once
+    per |d|: one `sym_eval` on min|d| .. max|d| (from 0 when the lags
+    straddle 0), then gathered by |d|, negated at d < 0 for odd ell.
+
+    Bit for bit the samples of the lags themselves: |d| scale is the
+    magnitude of d scale, and g_ell(-x) = +-g_ell(x) holds exactly in
+    `sym_eval`.
+    """
+    m0 = max(d_lo, -d_hi, 0)
+    vals = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
+                             (m0 + np.arange(max(-d_lo, d_hi) - m0 + 1))
+                             * scale)
+    ker = vals[np.abs(np.arange(d_lo, d_hi + 1)) - m0]
+    if _PARITY[ell] and d_lo < 0:
+        np.negative(ker[:-d_lo], out=ker[:-d_lo])
+    return ker
+
+
 def _sampled_convolution(f, scale, ell, table, lo, hi):
     """sum_j g_ell((i - j) scale) f_j at the nodes i = lo .. hi-1 of the
     samples' own grid, also beyond them: one `fftconvolve` of the samples
-    and kernel lags that reach an output; the other outputs read 0."""
+    and kernel lags that reach an output, the kernel sampled once per
+    |lag| (`_kernel_lags`); the other outputs read 0."""
     out = np.zeros(hi - lo)
     reach = int(np.ceil(table.eta_max / scale))
     d_lo, d_hi = max(-reach, lo - (f.size - 1)), min(reach, hi - 1)
     if d_lo > d_hi:
         return out
     j0, j1 = max(0, lo - d_hi), min(f.size, hi - d_lo)
-    ker = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
-                            (d_lo + np.arange(d_hi - d_lo + 1)) * scale)
+    ker = _kernel_lags(table, ell, d_lo, d_hi, scale)
     # entry p of the linear convolution is output j0 + d_lo + p
     a, b = max(lo, j0 + d_lo), min(hi, j1 + d_hi)
     out[a - lo:b - lo] = fftconvolve(f[j0:j1], ker)[a - j0 - d_lo:

@@ -30,7 +30,7 @@ from .errors import (ConfigError, NoConvergence, PicardDivergence,
                      StaleProfile, ValidationError)
 from .grid import (GridFunction, _fd, _write_csv, symmetric_grid,
                    uniform_grid, whole_number)
-from .kernel import (_PARITY, _check_time, _sampled_convolution,
+from .kernel import (_check_time, _kernel_lags, _sampled_convolution,
                      apply_to_step, corner_height)
 
 DEFAULT_HALF_WIDTH = 40.0
@@ -155,9 +155,10 @@ def _fft_plan(n_xs, xs, mu, lam, ell, table):
     mu n_xs[lo:lo + base.size] fall on the padded grid and deposit spread
     times their density by the taps (base, w) onto the k-cell window, base
     counted from its first cell. The kernel g_ell(d h / lam) is sampled as
-    ker only on the K lags d that join a window point to an output; a is
-    the index of output 0 in the linear convolution of the window with
-    them.
+    ker only on the K lags d that join a window point to an output, and
+    there once per |d| (`_kernel_lags`): the lags run nearly symmetric
+    about 0, so that halves the table evaluations. a is the index of
+    output 0 in the linear convolution of the window with them.
 
     The node gives the nout outputs xs[out0:out0 + nout]; the others are
     zero. Unrefined, they are all of xs; refined, they are the outputs of
@@ -211,8 +212,7 @@ def _fft_plan(n_xs, xs, mu, lam, ell, table):
     nfft = next_fast_len(_wrap_free_length(a, k, lags, r * out0,
                                            r * (out0 + nout - 1) + 1),
                          real=True)
-    ker = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
-                            (d_lo + np.arange(lags)) * (h / lam))
+    ker = _kernel_lags(table, ell, d_lo, d_hi, h / lam)
     return _NodePlan(lo, base, w, k, nfft, ker, a, h, spread, r, out0, nout)
 
 
@@ -234,10 +234,17 @@ def _wrap_free_length(a, k, lags, lo, hi):
 
 
 def _kernel_spectrum(node, nfft, lo):
-    """h rfft of the node's kernel lags, rotated by a + lo, at length nfft."""
+    """h rfft of the node's kernel lags, rotated by a + lo, at length nfft.
+
+    Lag p goes to index (p - a - lo) mod nfft of a zero buffer: the lags
+    from (a + lo) mod nfft on open it, the lags before that close it.
+    """
     ker = np.zeros(nfft)
-    ker[:node.ker.size] = node.ker
-    return rfft(np.roll(ker, -(node.a + lo))) * node.h
+    k, s = node.ker.size, (node.a + lo) % nfft
+    head = min(s, k)
+    ker[nfft - s:nfft - s + head] = node.ker[:head]
+    ker[:k - head] = node.ker[head:]
+    return rfft(ker) * node.h
 
 
 def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
@@ -301,8 +308,12 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
         return out
     lo, base, w, nfft = node.lo, node.base, node.w, node.nfft
     if node.spread is None:
-        src = (w[0] * n_tab[base] + w[1] * n_tab[base + 1]
-               + w[2] * n_tab[base + 2] + w[3] * n_tab[base + 3])
+        # the 4 taps summed in order; n_tab[k:][base] is n_tab[base + k]
+        src = w[0] * n_tab[base]
+        for k in (1, 2, 3):
+            tap = n_tab[k:][base]
+            tap *= w[k]
+            src += tap
     else:
         v = node.spread * n_tab[lo:lo + base.size]
         src = np.bincount((base + np.arange(4)[:, None]).ravel(),

@@ -5,10 +5,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cornerflow import (CornerData, KernelTable, build_kernel_table,
                         compare_with_mild, reconstruct_U,
                         solve_similarity_profile, symmetric_grid)
+
+# property tests draw the same examples on every run, a few dozen each,
+# with no per-example time limit
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          max_examples=40)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -305,6 +305,23 @@ def test_diagnose_input_csv(tmp_path, capsys):
     assert (out / "report.json").exists()
 
 
+def test_diagnose_reads_the_phi_that_solve_writes(tmp_path, capsys):
+    # solve writes phi = U(., 1) with its far-field sidecar, and lists
+    # both; diagnose --input takes it as it is
+    out = tmp_path / "s"
+    assert run_cli("solve", "--a", "0.2", "--b", "0.03", "--intervals",
+                   "1024", "--times", "0.1", "--out-dir", str(out)) == 0
+    assert {"phi.csv", "phi.json"} <= set(_manifest(out)["artifacts"])
+    phi = GridFunction.from_csv(out / "phi.csv")
+    assert (phi.left_far, phi.right_far, phi.far_kind) == (-0.03, 0.2,
+                                                          "linear")
+    diag = tmp_path / "d"
+    assert run_cli("diagnose", "--input", str(out / "phi.csv"),
+                   "--out-dir", str(diag)) == 0
+    assert (diag / "report.json").exists()
+    assert "key_identity" in capsys.readouterr().out
+
+
 def test_diagnose_input_without_interior_exits_2(tmp_path, capsys):
     xs = np.linspace(-7.0, 8.0, 16)
     src = tmp_path / "short.csv"

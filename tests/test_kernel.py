@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 from scipy.special import gamma
 
-from cornerflow import _slowpath, kernel
+from cornerflow import _backend, _slowpath, kernel
 from cornerflow import (ConfigError, GridFunction, InvalidTime, KernelTable,
                         ValidationError, apply_semigroup, apply_to_step,
                         build_kernel_table, corner_height,
@@ -183,6 +185,50 @@ def test_sampled_convolution_matches_direct_sum(ktable, rng, ell):
         assert np.max(np.abs(got - want)) <= bound
     assert not np.any(got) and not np.any(
         kernel._sampled_convolution(f, 2.0, ell, ktable, -100, -80))
+
+
+def _direct_lags(table, ell, d_lo, d_hi, scale):
+    # every lag sampled by itself
+    return _slowpath.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
+                              (d_lo + np.arange(d_hi - d_lo + 1)) * scale)
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("ell", range(4))
+def test_kernel_lags_equal_direct_samples(ktable, monkeypatch, ell):
+    # symmetric, lopsided either way, entirely positive or negative, the
+    # single lag 0 and single lags off it; the last range reaches past the
+    # table, where both read 0. One table evaluation, on min|d| .. max|d|.
+    points, sym = [], _backend.sym_eval
+
+    def counted(tab, h, parity, q):
+        points.append(np.size(q))
+        return sym(tab, h, parity, q)
+
+    monkeypatch.setattr(_backend, "sym_eval", counted)
+    for d_lo, d_hi in ((-40, 40), (-7, 300), (-300, 12), (5, 90),
+                       (-90, -5), (0, 0), (-3, -3), (4, 4), (0, 17),
+                       (-17, 0), (-4000, 2500)):
+        for scale in (0.37, 2.0, 0.0123):
+            got = kernel._kernel_lags(ktable, ell, d_lo, d_hi, scale)
+            assert _same_bits(got, _direct_lags(ktable, ell, d_lo, d_hi,
+                                                scale))
+            near = 0 if d_lo <= 0 <= d_hi else min(abs(d_lo), abs(d_hi))
+            assert points == [max(-d_lo, d_hi) - near + 1]
+            del points[:]
+
+
+@given(d_lo=st.integers(-3000, 3000), width=st.integers(0, 3000),
+       scale=st.floats(1e-3, 4.0), ell=st.integers(0, 3))
+def test_kernel_lags_equal_direct_samples_drawn(ktable, d_lo, width, scale,
+                                                ell):
+    got = kernel._kernel_lags(ktable, ell, d_lo, d_lo + width, scale)
+    assert _same_bits(got, _direct_lags(ktable, ell, d_lo, d_lo + width,
+                                        scale))
 
 
 def test_scaling_identity(ktable):

@@ -468,6 +468,60 @@ def test_late_reconstruction_takes_few_lagrange_taps(ktable, monkeypatch):
     assert len(calls) == 19
 
 
+def test_early_reconstruction_samples_each_lag_magnitude_once(ktable,
+                                                             monkeypatch):
+    # a node plan samples the kernel once, on the |lags| only: at most
+    # max(|d_lo|, |d_hi|) + 1 points for its d_hi - d_lo + 1 lags, which
+    # run nearly symmetric about 0, so about half as many
+    prof = solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
+                                    xs=symmetric_grid(20.0, 2048))
+    plans, inside = [], []
+    lags, sym = mild._kernel_lags, _backend.sym_eval
+
+    def counted_lags(table, ell, d_lo, d_hi, scale):
+        plans.append([d_lo, d_hi])
+        inside.append(True)
+        try:
+            return lags(table, ell, d_lo, d_hi, scale)
+        finally:
+            inside.pop()
+
+    def counted_sym(tab, h, parity, q):
+        if inside:
+            plans[-1].append(np.size(q))
+        return sym(tab, h, parity, q)
+
+    monkeypatch.setattr(mild, "_kernel_lags", counted_lags)
+    monkeypatch.setattr(_backend, "sym_eval", counted_sym)
+    reconstruct_U(prof, 1e-2, ktable)
+    assert len(plans) == 64
+    for d_lo, d_hi, *points in plans:
+        assert len(points) == 1
+        assert points[0] <= max(-d_lo, d_hi) + 1
+    total = sum(d_hi - d_lo + 1 for d_lo, d_hi, _ in plans)
+    assert sum(p for _, _, p in plans) < 0.51 * total
+
+
+def _rolled_spectrum(node, nfft, lo):
+    # the spectrum as the zero-padded lags, rotated by np.roll
+    ker = np.zeros(nfft)
+    ker[:node.ker.size] = node.ker
+    return np.fft.rfft(np.roll(ker, -(node.a + lo))) * node.h
+
+
+def test_kernel_spectrum_matches_rolled_lags(rng):
+    # rotations a + lo before 0, at 0, inside the lags, at their end, past
+    # them and past the FFT length
+    lags = rng.standard_normal(37)
+    for nfft in (37, 40, 96):
+        for shift in (-50, -5, 0, 1, 12, 36, 37, 50, nfft - 1, nfft + 7):
+            node = mild._NodePlan._make([None] * 12)._replace(
+                ker=lags, a=shift - 3, h=0.21)
+            got = mild._kernel_spectrum(node, nfft, 3)
+            want = _rolled_spectrum(node, nfft, 3)
+            assert np.array_equal(got, want)
+
+
 def test_late_duhamel_term_matches_finer_profile(ktable):
     # at t = 1e4 most nodes take the source-grid path; the Duhamel term of
     # U on the 2048-interval grid must agree with that of the profile

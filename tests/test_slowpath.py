@@ -159,3 +159,100 @@ def test_explicit_flux_matches_the_reference_formula():
         ref = _explicit_u_reference(u, h, A, B)
         out = _slowpath._explicit_u(u, h, A, B)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# the stencils as plain expressions, each weight and sum left to right;
+# the kernels build them in place and must give the same bits
+
+
+def _weights_reference(u):
+    return (-u * (u - 1.0) * (u - 2.0) / 6.0,
+            (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0,
+            -(u + 1.0) * u * (u - 2.0) / 2.0,
+            (u + 1.0) * u * (u - 1.0) / 6.0)
+
+
+def _cubic_reference(tab, x0, h, q, fill_left, fill_right):
+    t = (np.asarray(q, dtype=float) - x0) / h
+    j = np.clip(np.floor(t).astype(np.int64), 1, tab.size - 3)
+    w0, w1, w2, w3 = _weights_reference(t - j)
+    out = w0 * tab[j - 1] + w1 * tab[j] + w2 * tab[j + 1] + w3 * tab[j + 2]
+    out = np.where(t >= 0.0, out, fill_left)
+    return np.where(t <= tab.size - 1.0, out, fill_right)
+
+
+def _quintic_reference(tab, x0, h, q):
+    t = (np.asarray(q, dtype=float) - x0) / h
+    j = np.clip(np.floor(t).astype(np.int64), 2, tab.size - 4)
+    u = t - j
+    p, m = u + 2.0, u - 3.0
+    u1, u_1, u2 = u - 1.0, u + 1.0, u - 2.0
+    inner = u_1 * u * u1 * u2
+    return (-inner * m / 120.0 * tab[j - 2]
+            + p * u * u1 * u2 * m / 24.0 * tab[j - 1]
+            - p * u_1 * u1 * u2 * m / 12.0 * tab[j]
+            + p * u_1 * u * u2 * m / 12.0 * tab[j + 1]
+            - p * u_1 * u * u1 * m / 24.0 * tab[j + 2]
+            + p * inner / 120.0 * tab[j + 3])
+
+
+def _sym_reference(tab, h, parity, q):
+    vals = _cubic_reference(tab, 0.0, h, np.abs(q), 0.0, 0.0)
+    return np.where(q < 0.0, -vals, vals) if parity else vals
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.fixture()
+def stencil_case(rng):
+    """(table, x0, h, queries): random points over and past the table, its
+    nodes, the end cells and both ends exactly."""
+    tab = rng.standard_normal(60)
+    x0, h = -1.3, 0.07
+    nodes = x0 + h * np.arange(60)
+    q = np.concatenate([rng.uniform(x0 - 0.5, x0 + 60 * h + 0.5, 4000),
+                        nodes, x0 + h * rng.uniform(0.0, 1.0, 50),
+                        x0 + h * rng.uniform(58.0, 59.0, 50),
+                        [x0, nodes[-1], x0 - 1e-300, 0.0, -0.0]])
+    return tab, x0, h, q
+
+
+def test_lagrange_weights_match_reference(rng):
+    # interior cells (0 <= u < 1), the end cells (-1 <= u < 0, 1 <= u <= 2)
+    # and the nodes themselves, signed zeros included
+    u = np.concatenate([rng.uniform(-1.0, 2.0, 5000),
+                        [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0]])
+    got = _slowpath.lagrange_weights(u)
+    assert got.shape == (4, u.size)
+    for g, want in zip(got, _weights_reference(u)):
+        assert _same_bits(g, want)
+
+
+def test_cubic_eval_matches_reference(stencil_case):
+    tab, x0, h, q = stencil_case
+    for fills in ((0.0, 0.0), (-0.3, 2.5)):
+        assert _same_bits(_slowpath.cubic_eval(tab, x0, h, q, *fills),
+                          _cubic_reference(tab, x0, h, q, *fills))
+    # a scalar query gives a 0-d array, inside, below and above the table
+    for x in (x0 + 7.3 * h, x0 - 1.0, x0 + 70 * h):
+        got = _slowpath.cubic_eval(tab, x0, h, x, -0.3, 2.5)
+        assert _same_bits(got, _cubic_reference(tab, x0, h, x, -0.3, 2.5))
+
+
+def test_quintic_eval_matches_reference(stencil_case):
+    # points off the table take the end stencils, as on it
+    tab, x0, h, q = stencil_case
+    assert _same_bits(_slowpath.quintic_eval(tab, x0, h, q),
+                      _quintic_reference(tab, x0, h, q))
+
+
+def test_sym_eval_matches_reference(stencil_case):
+    tab, _, h, q = stencil_case
+    q = np.concatenate([q, -q])
+    for parity in (0, 1):
+        assert _same_bits(_slowpath.sym_eval(tab, h, parity, q),
+                          _sym_reference(tab, h, parity, q))
