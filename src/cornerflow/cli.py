@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 parameter/validation error, 3 numerical failure
 configuration: no timestamps, no unseeded randomness.
 """
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -17,7 +18,8 @@ from . import __version__
 from .errors import (NoConvergence, NumericalFailure, PicardDivergence,
                      ValidationError)
 from .grid import GridFunction, _write_csv, symmetric_grid
-from .kernel import _check_time, build_kernel_table, regularizing_constants
+from .kernel import (_check_time, _check_times, build_kernel_table,
+                     regularizing_constants)
 from .mild import (CornerData, _self_similarity_gap, reconstruct_U,
                    save_profile, solve_similarity_profile)
 from . import diagnostics
@@ -32,23 +34,27 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir, command, config, paths):
-    manifest = {
-        "command": command,
+def _write_json(path, obj):
+    """obj as indented JSON with sorted keys; returns [path]."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+    return [path]
+
+
+def _write_manifest(args, paths):
+    """manifest.json in args.out_dir, with the sha256 of each path."""
+    _write_json(os.path.join(args.out_dir, "manifest.json"), {
+        "command": args.command,
         "version": __version__,
-        "config": {k: config[k] for k in sorted(config)},
-        "artifacts": {os.path.relpath(p, out_dir): _sha256(p)
+        "config": _config_dict(args),
+        "artifacts": {os.path.relpath(p, args.out_dir): _sha256(p)
                       for p in sorted(paths)},
-    }
-    mpath = os.path.join(out_dir, "manifest.json")
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return mpath
+    })
 
 
 def _config_dict(args):
-    skip = {"func", "config"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in vars(args).items()
+            if k not in ("func", "config")}
 
 
 def _apply_config_file(args, parser):
@@ -102,9 +108,7 @@ def _parse_times(spec):
         times = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad time list {spec!r}") from exc
-    if not times or any(t <= 0 for t in times) or sorted(times) != times:
-        raise ValidationError("times must be positive and increasing")
-    return times
+    return _check_times(times)
 
 
 def _ensure_out(args):
@@ -121,70 +125,52 @@ def cmd_kernel(args):
     fits = {ell: regularizing_constants(table, ell, t_range)
             for ell in (1, 2)}
     out = _ensure_out(args)
-    csv_path = os.path.join(out, "kernel.csv")
-    table.to_csv(csv_path)
+    paths = table.to_csv(os.path.join(out, "kernel.csv"))
     from scipy.special import gamma
     g0 = float(table.eval_g(0, np.array([0.0]))[0])
     ref = float(gamma(1.25) / np.pi)
-    from scipy.integrate import simpson
-    mass = float(2.0 * simpson(table.g_ell[0], dx=table.h))
     print(f"g(0)      = {g0:.12f}  (Gamma(5/4)/pi = {ref:.12f}, "
           f"diff {abs(g0 - ref):.2e})")
-    print(f"kernel mass = {mass:.12f}  (diff from 1: {abs(mass - 1):.2e})")
-    summary = {"g0": g0, "g0_reference": ref, "mass": mass, "exponents": {}}
+    print(f"kernel mass = {table.mass:.12f}  "
+          f"(diff from 1: {abs(table.mass - 1):.2e})")
+    summary = {"g0": g0, "g0_reference": ref, "mass": table.mass,
+               "exponents": {}}
     for ell, (c, expo) in fits.items():
         print(f"step decay ell={ell}: c = {c:.6f}, exponent = {expo:+.4f} "
               f"(expect {-ell / 4:+.4f})")
         summary["exponents"][str(ell)] = {"c": c, "exponent": expo,
                                           "expected": -ell / 4}
-    spath = os.path.join(out, "kernel_summary.json")
-    with open(spath, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    _write_manifest(out, "kernel", _config_dict(args), [csv_path, spath])
+    paths += _write_json(os.path.join(out, "kernel_summary.json"), summary)
+    _write_manifest(args, paths)
     return 0
 
 
-def _solve_one(args, out, table):
+def _solve_one(args, times, table):
     corner = CornerData(args.a, args.b, args.slope_cap)
     xs = symmetric_grid(args.half_width, args.intervals)
     try:
         profile = solve_similarity_profile(
             corner, tol=args.tol, max_iter=args.max_iter, table=table, xs=xs)
     except (PicardDivergence, NoConvergence) as exc:
-        hpath = os.path.join(out, "history.json")
-        with open(hpath, "w") as fh:
-            json.dump({"residual_history": list(exc.history)}, fh, indent=2)
+        hpath = os.path.join(_ensure_out(args), "history.json")
+        _write_json(hpath, {"residual_history": exc.history})
         print(f"Picard iteration failed; history in {hpath}",
               file=sys.stderr)
         raise
-    paths = []
-    ppath = os.path.join(out, "profile.csv")
-    save_profile(profile, ppath)
-    paths += [ppath, os.path.join(out, "profile.meta.json")]
-    times = _parse_times(args.times)
+    out = _ensure_out(args)
+    paths = save_profile(profile, os.path.join(out, "profile.csv"))
     # U(., t) once per t: the written times and the self-similarity pairs
     # (1, 0.5) and (1, 2) share their reconstructions
-    sols = {}
-
-    def solution(t):
-        if t not in sols:
-            sols[t] = reconstruct_U(profile, t, table)
-        return sols[t]
-
-    phi0 = None
+    solution = functools.cache(lambda t: reconstruct_U(profile, t, table))
     for t in times:
         sol = solution(t)
-        upath = os.path.join(out, f"U_t{t:g}.csv")
-        _write_csv(upath, "x,U", sol.U.xs, sol.U.ys)
-        paths.append(upath)
-        if sol.phi is not None:
-            i0 = int(np.argmin(np.abs(sol.phi.xs)))
-            phi0 = float(sol.phi.ys[i0])
+        paths += _write_csv(os.path.join(out, f"U_t{t:g}.csv"), "x,U",
+                            sol.U.xs, sol.U.ys)
     # phi = U(., 1) with its far-field sidecar, which `diagnose --input`
     # reads
-    fpath = os.path.join(out, "phi.csv")
-    solution(1.0).phi.to_csv(fpath)
-    paths += [fpath, os.path.join(out, "phi.json")]
+    phi = solution(1.0).phi
+    paths += phi.to_csv(os.path.join(out, "phi.csv"))
+    phi0 = float(phi.ys[int(np.argmin(np.abs(phi.xs)))])
     meta = {
         "A": corner.A,
         "B": corner.B,
@@ -200,13 +186,10 @@ def _solve_one(args, out, table):
     if meta["linear_shortcut"]:
         print(f"note: A == -B, the data is linear and psi is the constant "
               f"{corner.A:g}")
-    mpath = os.path.join(out, "solve_summary.json")
-    with open(mpath, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    paths.append(mpath)
+    paths += _write_json(os.path.join(out, "solve_summary.json"), meta)
     print(f"converged={profile.converged} iterations={profile.iterations} "
           f"final_residual={profile.final_residual:.3e} phi0={phi0}")
-    _write_manifest(out, "solve", _config_dict(args), paths)
+    _write_manifest(args, paths)
     return 0
 
 
@@ -240,26 +223,21 @@ def _sweep_worker(payloads):
     codes = []
     for payload in payloads:
         ns = argparse.Namespace(**payload)
-        codes.append(_exit_code(lambda: _solve_one(ns, _ensure_out(ns),
-                                                   table)))
+        codes.append(_exit_code(lambda: _solve_one(
+            ns, _parse_times(ns.times), table)))
     return codes
 
 
 def cmd_solve(args):
-    out = _ensure_out(args)
+    # the times are checked once, before any output or solve
+    times = _parse_times(args.times)
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
         if args.workers < 1:
             raise ValidationError("--workers must be >= 1")
-        jobs = []
-        for v in values:
-            payload = dict(vars(args))
-            payload.pop("func", None)
-            payload.pop("config", None)
-            payload[name] = v
-            payload["sweep"] = None
-            payload["out_dir"] = os.path.join(out, f"{name}_{v:g}")
-            jobs.append(payload)
+        jobs = [{**_config_dict(args), name: v, "sweep": None,
+                 "out_dir": os.path.join(args.out_dir, f"{name}_{v:g}")}
+                for v in values]
         from concurrent.futures import ProcessPoolExecutor
         # worker i solves every n-th value, so the costlier corners at one
         # end of a sweep spread over the workers
@@ -272,30 +250,24 @@ def cmd_solve(args):
         for job, code in zip(jobs, codes):
             print(f"{job['out_dir']}: exit {code}")
         return max(codes)
-    return _solve_one(args, out, build_kernel_table())
+    return _solve_one(args, times, build_kernel_table())
 
 
 def cmd_diagnose(args):
-    out = _ensure_out(args)
     if args.counterexample:
         phi, d, fit = diagnostics.counterexample_phi_eps(
             args.a, args.eps, mollified=args.mollified)
-        paths = []
-        dpath = os.path.join(out, "counterexample_D.csv")
-        _write_csv(dpath, "x,D", d.xs, d.ys)
-        paths.append(dpath)
-        fpath = os.path.join(out, "counterexample_phi.csv")
-        _write_csv(fpath, "x,phi", phi.xs, phi.ys)
-        paths.append(fpath)
-        rpath = os.path.join(out, "counterexample.json")
-        with open(rpath, "w") as fh:
-            json.dump(fit, fh, indent=2, sort_keys=True)
-        paths.append(rpath)
+        out = _ensure_out(args)
+        paths = (_write_csv(os.path.join(out, "counterexample_D.csv"), "x,D",
+                            d.xs, d.ys)
+                 + _write_csv(os.path.join(out, "counterexample_phi.csv"),
+                              "x,phi", phi.xs, phi.ys))
+        paths += _write_json(os.path.join(out, "counterexample.json"), fit)
         print(f"far gap |x|-s = {fit['gap_far']:.12f} "
               f"(expected {fit['gap_expected']:.12f})")
         print(f"fitted D slope = {fit['d_slope']:.12f} "
               f"(expected {fit['d_slope_expected']:.12f})")
-        _write_manifest(out, "diagnose", _config_dict(args), paths)
+        _write_manifest(args, paths)
         return 0
 
     if args.from_solve:
@@ -312,12 +284,8 @@ def cmd_diagnose(args):
         report = diagnostics.run_diagnostics(phis[0], phi_fine=phis[1],
                                              eval_stride=8)
     elif args.input:
-        try:
-            phi = GridFunction.from_csv(args.input)
-        except (OSError, ValueError, KeyError) as exc:
-            raise ValidationError(f"cannot read profile {args.input!r}: "
-                                  f"{exc}") from exc
-        report = diagnostics.run_diagnostics(phi)
+        report = diagnostics.run_diagnostics(
+            GridFunction.from_csv(args.input))
     else:
         raise ValidationError(
             "diagnose needs --input, --from-solve, or --counterexample")
@@ -329,19 +297,19 @@ def cmd_diagnose(args):
               f"{'pass' if row['pass'] else 'FAIL'}")
     for key, val in report.flags.items():
         print(f"flag {key} = {val}")
-    paths = report.to_csv(out)
-    paths.append(report.to_json(os.path.join(out, "report.json")))
-    _write_manifest(out, "diagnose", _config_dict(args), paths)
+    paths = report.to_csv(args.out_dir)
+    paths.append(report.to_json(os.path.join(args.out_dir, "report.json")))
+    _write_manifest(args, paths)
     return 0
 
 
 def cmd_oracle_compare(args):
-    out = _ensure_out(args)
     corner = CornerData(args.a, args.b, args.slope_cap)
-    # march settings and times are checked before the costly profile solve
+    # march settings and times are checked before any output or solve
     cfg = MarchConfig(corner.A, corner.B, half_width=args.half_width,
                       intervals=args.intervals, dt_max=args.dt_max)
     times = _parse_times(args.times)
+    out = _ensure_out(args)
     table = build_kernel_table()
     profile = solve_similarity_profile(corner, table=table)
     snapshots = time_march(cfg.mollified_corner(), cfg, times)
@@ -356,15 +324,11 @@ def cmd_oracle_compare(args):
         print(f"t = {t:<8g} sup|march - mild| = {row['sup_diff']:.4e}  "
               f"linear-corrected = {row['sup_diff_linear']:.4e}  "
               f"sup|duhamel| = {row['duhamel_sup']:.4e}")
-        mpath = os.path.join(out, f"march_t{t:g}.csv")
-        _write_csv(mpath, "x,U", snap.xs, snap.ys)
-        paths.append(mpath)
-    rpath = os.path.join(out, "oracle_compare.json")
-    with open(rpath, "w") as fh:
-        json.dump({"rows": rows, "moll_width": cfg.moll_width}, fh,
-                  indent=2, sort_keys=True)
-    paths.append(rpath)
-    _write_manifest(out, "oracle-compare", _config_dict(args), paths)
+        paths += _write_csv(os.path.join(out, f"march_t{t:g}.csv"), "x,U",
+                            snap.xs, snap.ys)
+    paths += _write_json(os.path.join(out, "oracle_compare.json"),
+                         {"rows": rows, "moll_width": cfg.moll_width})
+    _write_manifest(args, paths)
     return 0
 
 

@@ -14,7 +14,7 @@ from scipy.integrate import simpson
 
 from . import _backend
 from .errors import ValidationError
-from .grid import GridFunction, _fd, _sidecar, smoothed_abs, whole_number
+from .grid import GridFunction, _fd, smoothed_abs, whole_number
 from .geometry import arclength_from_zero, ds_of_array, geometry
 
 INTERIOR_MARGIN = 8  # nodes per side dropped from sup norms
@@ -39,28 +39,27 @@ def interior_sup(values):
 
 
 def _residual_gf(phi, values):
-    out = GridFunction(phi.xs, values, values[0], values[-1], "constant",
-                       np.inf)
-    out.meta = {"unreliable_margin": INTERIOR_MARGIN}
-    return out
+    return GridFunction(phi.xs, values, values[0], values[-1], "constant",
+                        np.inf)
+
+
+def _identity_residual(phi, sign):
+    """d_s^2(k^2 + sign |x|^2/4) - sign/2 - 2 (d_s k)^2 for sign = +-1."""
+    geom = geometry(phi)
+    q = geom.curvature ** 2 + sign * 0.25 * (phi.xs ** 2 + phi.ys ** 2)
+    r = (ds_of_array(q, geom, 2) - sign * 0.5
+         - 2.0 * ds_of_array(geom.curvature, geom) ** 2)
+    return _residual_gf(phi, r)
 
 
 def key_identity_residual(phi):
     """d_s^2(k^2 + |x|^2/4) - 1/2 - 2 (d_s k)^2; zero on forward profiles."""
-    geom = geometry(phi)
-    q = geom.curvature ** 2 + 0.25 * (phi.xs ** 2 + phi.ys ** 2)
-    r = (ds_of_array(q, geom, 2) - 0.5
-         - 2.0 * ds_of_array(geom.curvature, geom) ** 2)
-    return _residual_gf(phi, r)
+    return _identity_residual(phi, 1.0)
 
 
 def backward_identity_residual(phi):
     """d_s^2(k^2 - |x|^2/4) + 1/2 - 2 (d_s k)^2; the backward-profile analogue."""
-    geom = geometry(phi)
-    q = geom.curvature ** 2 - 0.25 * (phi.xs ** 2 + phi.ys ** 2)
-    r = (ds_of_array(q, geom, 2) + 0.5
-         - 2.0 * ds_of_array(geom.curvature, geom) ** 2)
-    return _residual_gf(phi, r)
+    return _identity_residual(phi, -1.0)
 
 
 def profile_equation_residual(phi):
@@ -239,11 +238,14 @@ def x_infty_norm(profile, density=1):
 
     sup_t of the slope sup-norm plus sup over (x0, R) of
     R^{2/7} ||u_xx||_{L^7(B_R(x0) x (R^4/2, R^4))}, all suprema over log
-    or coarse scan grids whose density scales with `density`.
+    or coarse scan grids whose density scales with `density` (whole, >= 1).
     """
+    d = whole_number(density) or 0
+    if d < 1:
+        raise ValidationError(f"density must be a whole number >= 1, got "
+                              f"{density!r}")
     psi = profile.psi
     psi1 = profile.psi1
-    d = max(1, int(density))
     ts = np.geomspace(1e-3, 1e3, 16 * d)
     xs_scan = np.linspace(-20.0, 20.0, 16 * d + 1)
     grad_sup = 0.0
@@ -329,9 +331,7 @@ class DiagnosticsReport:
         os.makedirs(out_dir, exist_ok=True)
         paths = []
         for name, field in self.fields.items():
-            p = os.path.join(out_dir, f"{name}.csv")
-            field.to_csv(p)
-            paths += [p, _sidecar(p)]
+            paths += field.to_csv(os.path.join(out_dir, f"{name}.csv"))
         p = os.path.join(out_dir, "summary.csv")
         with open(p, "w") as fh:
             fh.write("name,sup_residual,threshold,pass\n")

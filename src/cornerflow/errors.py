@@ -38,20 +38,20 @@ class NonFiniteGeometry(NumericalFailure):
     """Curve geometry produced NaN or Inf."""
 
 
-class PicardDivergence(NumericalFailure):
+class PicardFailure(NumericalFailure):
+    """A fixed-point iteration failed; history holds its residuals."""
+
+    def __init__(self, message, history):
+        super().__init__(message)
+        self.history = list(history)
+
+
+class PicardDivergence(PicardFailure):
     """Fixed-point updates grew for several consecutive iterations."""
 
-    def __init__(self, message, history):
-        super().__init__(message)
-        self.history = list(history)
 
-
-class NoConvergence(NumericalFailure):
+class NoConvergence(PicardFailure):
     """Fixed-point iteration hit the iteration cap before tolerance."""
-
-    def __init__(self, message, history):
-        super().__init__(message)
-        self.history = list(history)
 
 
 class StaleProfile(NumericalFailure):

@@ -60,6 +60,11 @@ class GridFunction:
             raise ValidationError("grid data must be finite")
         if far_kind not in ("constant", "linear"):
             raise ValidationError(f"unknown far_kind {far_kind!r}")
+        far = (left_far, right_far, tail_tol)
+        if not (all(isinstance(v, numbers.Real) for v in far)
+                and np.all(np.isfinite(far[:2])) and tail_tol >= 0.0):
+            raise ValidationError(f"far values and tail_tol {far!r} must be "
+                                  f"finite numbers, tail_tol >= 0")
         if far_kind == "constant":
             gap = max(abs(ys[0] - left_far), abs(ys[-1] - right_far))
             if gap > tail_tol:
@@ -112,33 +117,65 @@ class GridFunction:
                         np.where(x > self.xs[-1], right, inner))
 
     def to_csv(self, path):
-        """Write `x,y` rows; far-field metadata goes to a .json sidecar."""
-        path = os.fspath(path)
-        _write_csv(path, "x,y", self.xs, self.ys)
-        with open(_sidecar(path), "w") as fh:
-            json.dump({"left_far": self.left_far, "right_far": self.right_far,
-                       "far_kind": self.far_kind, "tail_tol": self.tail_tol},
-                      fh, indent=1)
+        """Write `x,y` rows and the far-field metadata as a .json sidecar;
+        returns both paths."""
+        return _write_csv(path, "x,y", self.xs, self.ys, meta={
+            "left_far": self.left_far, "right_far": self.right_far,
+            "far_kind": self.far_kind, "tail_tol": self.tail_tol})
 
     @classmethod
     def from_csv(cls, path):
-        path = os.fspath(path)
-        arr = np.loadtxt(path, delimiter=",", skiprows=1)
-        with open(_sidecar(path)) as fh:
-            meta = json.load(fh)
-        return cls(arr[:, 0], arr[:, 1], meta["left_far"], meta["right_far"],
+        (xs, ys), meta = _read_csv(path, 2,
+                                   ("left_far", "right_far", "far_kind"))
+        return cls(xs, ys, meta["left_far"], meta["right_far"],
                    meta["far_kind"], meta.get("tail_tol", 1e-3))
 
 
-def _sidecar(path):
-    root, _ = os.path.splitext(path)
-    return root + ".json"
-
-
-def _write_csv(path, header, *columns):
-    """The columns as CSV rows under the header line, to full precision."""
+def _write_csv(path, header, *columns, meta=None, suffix=".json"):
+    """The columns as CSV rows under the header line, to full precision,
+    and meta, if given, as a JSON sidecar: path with its extension
+    replaced by suffix. Returns the paths written."""
+    path = os.fspath(path)
     np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
                comments="", fmt="%.17g")
+    if meta is None:
+        return [path]
+    side = os.path.splitext(path)[0] + suffix
+    with open(side, "w") as fh:
+        json.dump(meta, fh, indent=1)
+    return [path, side]
+
+
+def _read_csv(path, ncols, keys=None, suffix=".json"):
+    """(columns, sidecar) of what `_write_csv` wrote to path: the ncols
+    columns, and with keys the sidecar's dict, which must hold them (else
+    None). A missing or unparsable file, fewer than two rows of ncols
+    columns, a value that is not finite, or a missing key raises
+    ValidationError naming the file.
+    """
+    path = name = os.fspath(path)
+    try:
+        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if arr.shape[0] < 2 or arr.shape[1] != ncols:
+            raise ValidationError(f"{path!r} holds {arr.shape[0]} rows of "
+                                  f"{arr.shape[1]} columns, not 2 or more "
+                                  f"of {ncols}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{path!r} holds values that are not finite")
+        if keys is None:
+            return arr.T, None
+        name = os.path.splitext(path)[0] + suffix
+        with open(name) as fh:
+            meta = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {name!r}: "
+                              f"{getattr(exc, 'strerror', None) or exc}"
+                              ) from exc
+    missing = [key for key in keys
+               if not isinstance(meta, dict) or key not in meta]
+    if missing:
+        raise ValidationError(f"sidecar {name!r} lacks {', '.join(missing)}")
+    return arr.T, meta
 
 
 def _fd(y, h, order):

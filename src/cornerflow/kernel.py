@@ -23,7 +23,8 @@ from scipy.signal import fftconvolve
 from . import _backend
 from .errors import (ConfigError, InvalidTime, UnsupportedFarField,
                      ValidationError)
-from .grid import GridFunction, _write_csv, symmetric_grid, whole_number
+from .grid import (GridFunction, _read_csv, _write_csv, symmetric_grid,
+                   whole_number)
 
 _PARITY = (0, 1, 0, 1)  # g even, g' odd, g'' even, g''' odd
 ENVELOPE_RATE = 3.0 / 2.0 ** (11.0 / 3.0)  # stationary-phase decay exponent
@@ -40,7 +41,8 @@ class KernelTable:
     about 37.8). Past them the envelope through g(0) falls under the
     rounding floor ENVELOPE_FLOOR |g(0)|, the tables hold rounding noise,
     and only |g| <= max(envelope, floor) is required; weighting that noise
-    by exp(ENVELOPE_RATE eta^{4/3}) would let it set g_env.
+    by exp(ENVELOPE_RATE eta^{4/3}) would let it set g_env. mass is the
+    integral of g over the window, checked against 1.
     """
 
     def __init__(self, etas, g_tables, G, G2):
@@ -61,7 +63,7 @@ class KernelTable:
         self._picard_plan = None
 
     def _check(self):
-        mass = 2.0 * simpson(self.g_ell[0], dx=self.h)
+        self.mass = mass = float(2.0 * simpson(self.g_ell[0], dx=self.h))
         # the window integral misses the tail beyond eta_max; budget it by
         # the envelope bound int_L^inf e^{-c m^{4/3}} dm <= 3/(4c) L^{-1/3}
         # e^{-c L^{4/3}} (negligible at the default eta_max = 40)
@@ -110,12 +112,12 @@ class KernelTable:
         return float(np.max(np.abs(self.g_ell[ell])))
 
     def to_csv(self, path):
-        _write_csv(path, "eta,g0,g1,g2,g3,G", self.etas, *self.g_ell, self.G)
+        return _write_csv(path, "eta,g0,g1,g2,g3,G", self.etas, *self.g_ell,
+                          self.G)
 
     @classmethod
     def from_csv(cls, path):
-        arr = np.loadtxt(path, delimiter=",", skiprows=1)
-        etas, g0, g1, g2, g3, G = arr.T
+        (etas, g0, g1, g2, g3, G), _ = _read_csv(path, 6)
         G2 = _second_antiderivative(G, float(etas[1] - etas[0]))
         return cls(etas, (g0, g1, g2, g3), G, G2)
 
@@ -160,6 +162,19 @@ def _check_time(t, name="t"):
     if not (isinstance(t, numbers.Real) and np.isfinite(t) and t > 0.0):
         raise InvalidTime(f"{name} must be a positive finite number, "
                           f"got {t!r}")
+
+
+def _check_times(times):
+    """times as a list of floats; InvalidTime unless they are a non-empty,
+    strictly increasing list of positive finite numbers (`_check_time`)."""
+    times = list(times) if np.iterable(times) else []
+    if not times:
+        raise InvalidTime("times must be a non-empty list")
+    for t in times:
+        _check_time(t, "every time")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise InvalidTime(f"times must be strictly increasing, got {times}")
+    return [float(t) for t in times]
 
 
 def apply_to_step(A, B, t, ell, table, xs):

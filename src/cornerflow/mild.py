@@ -13,9 +13,7 @@ convolutions of a single profile-dependent density n(xi). The s = 0
 endpoint carries the genuine s^{-1/2} singularity; the tau substitution
 absorbs it, and plain Gauss-Legendre in tau then converges spectrally.
 """
-import json
 import numbers
-import os
 from collections import namedtuple
 
 import numpy as np
@@ -28,8 +26,8 @@ from . import _backend
 from ._slowpath import lagrange_taps, quintic_eval
 from .errors import (ConfigError, NoConvergence, PicardDivergence,
                      StaleProfile, ValidationError)
-from .grid import (GridFunction, _fd, _write_csv, symmetric_grid,
-                   uniform_grid, whole_number)
+from .grid import (GridFunction, _fd, _read_csv, _write_csv,
+                   symmetric_grid, uniform_grid, whole_number)
 from .kernel import (_check_time, _kernel_lags, _sampled_convolution,
                      apply_to_step, corner_height)
 
@@ -681,10 +679,8 @@ def constant_shift_residual(solution, c, table):
 
 
 def save_profile(profile, csv_path):
-    """CSV `xi,psi` plus a JSON sidecar with the solve record."""
-    csv_path = os.fspath(csv_path)
-    _write_csv(csv_path, "xi,psi", profile.psi.xs, profile.psi.ys)
-    root, _ = os.path.splitext(csv_path)
+    """CSV `xi,psi` plus a .meta.json sidecar with the solve record;
+    returns both paths."""
     meta = {
         "A": profile.corner.A,
         "B": profile.corner.B,
@@ -696,30 +692,20 @@ def save_profile(profile, csv_path):
         "converged": profile.converged,
         "far_tail_tol": profile.psi.tail_tol,
     }
-    with open(root + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=1)
+    return _write_csv(csv_path, "xi,psi", profile.psi.xs, profile.psi.ys,
+                      meta=meta, suffix=".meta.json")
 
 
 def load_profile(csv_path, table):
     """The profile `save_profile` wrote to csv_path and its sidecar."""
-    csv_path = os.fspath(csv_path)
-    arr = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    root, _ = os.path.splitext(csv_path)
-    meta_path = root + ".meta.json"
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    missing = [key for key in ("A", "B", "iterations", "residual_history",
-                               "decay_constants", "converged")
-               if key not in meta]
-    if missing:
-        raise ValidationError(f"profile sidecar {meta_path!r} lacks "
-                              f"{', '.join(missing)}")
+    (xs, ys), meta = _read_csv(
+        csv_path, 2, ("A", "B", "iterations", "residual_history",
+                      "decay_constants", "converged"), ".meta.json")
     corner = CornerData(meta["A"], meta["B"], meta.get("slope_cap", 0.3))
-    xs, ys = arr[:, 0], arr[:, 1]
     psi = GridFunction(xs, ys, -corner.B, corner.A, "constant",
                        meta.get("far_tail_tol", 1e-3))
-    h = psi.h
-    psi1, psi2 = _profile_derivatives(ys, xs, h, corner.A, corner.B, table)
+    psi1, psi2 = _profile_derivatives(ys, xs, psi.h, corner.A, corner.B,
+                                      table)
     decay = {int(k): tuple(v) for k, v in meta["decay_constants"].items()}
     return SimilarityProfile(psi, corner, meta["iterations"],
                              meta["residual_history"], decay,

@@ -23,7 +23,7 @@ from . import _backend
 from .errors import OracleInstability, ValidationError
 from .grid import (GridFunction, corner_function, smoothed_abs,
                    symmetric_grid, whole_number)
-from .kernel import apply_semigroup, corner_height
+from .kernel import _check_times, apply_semigroup, corner_height
 
 
 DT_INIT = 1e-8  # the first step of every march
@@ -103,8 +103,8 @@ def _march(values, cfg, t_span):
 def time_march(u0, cfg, times):
     """Advance height data to each requested time; returns GridFunctions.
 
-    times must be positive and strictly increasing. The scheme is the
-    semi-implicit splitting described in the module docstring, second
+    times must be positive, finite and strictly increasing. The scheme is
+    the semi-implicit splitting described in the module docstring, second
     order in space for the nonlinear terms and unconditionally stable in
     the linear part.
     """
@@ -112,9 +112,7 @@ def time_march(u0, cfg, times):
             or abs(u0.xs[0] - cfg.xs[0]) > 1e-9):
         raise ValidationError("initial data must be a GridFunction on the "
                               "config's grid")
-    times = [float(t) for t in times]
-    if not times or any(t <= 0.0 for t in times) or sorted(times) != times:
-        raise ValidationError("times must be positive and increasing")
+    times = _check_times(times)
     out = []
     u = np.array(u0.ys, dtype=float)
     t_prev = 0.0

@@ -78,6 +78,39 @@ def test_solve_command_and_determinism(tmp_path, capsys):
     assert summary["self_similarity"]["2.0"] < 1e-3
 
 
+@pytest.mark.parametrize("times", ("0.1,-1", "0.1,nan", "0.1,0.1", "x"))
+@pytest.mark.parametrize("sweep", ((), ("--sweep", "a=0.05:0.05:0.1")),
+                         ids=("one", "sweep"))
+def test_solve_checks_times_first(tmp_path, capsys, monkeypatch, times,
+                                  sweep):
+    # refused with one error line before any output or solve, once for a
+    # whole sweep
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the times were checked")
+
+    monkeypatch.setattr(cli, "build_kernel_table", no_solve)
+    monkeypatch.setattr(cli, "solve_similarity_profile", no_solve)
+    out = tmp_path / "s"
+    code = run_cli("solve", "--a", "0.1", "--b", "0.1", "--intervals",
+                   "1024", "--times", times, *sweep, "--out-dir", str(out))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_solve_fills_phi0_without_time_1(tmp_path):
+    # phi0 = U(0, 1) is read from the phi that solve always writes
+    phi0 = []
+    for times in ("1", "0.1,10"):
+        out = tmp_path / times
+        assert run_cli("solve", "--a", "0.2", "--b", "0.03", "--intervals",
+                       "1024", "--times", times, "--out-dir", str(out)) == 0
+        with open(out / "solve_summary.json") as fh:
+            phi0.append(json.load(fh)["phi0"])
+    assert isinstance(phi0[1], float) and phi0[1] == phi0[0]
+
+
 def test_solve_reconstructs_each_time_once(tmp_path, monkeypatch, ktable):
     # the written times 0.1, 1, 10 and the self-similarity pairs (1, 0.5)
     # and (1, 2) share U(., 1): five reconstructions, each t once, and the
@@ -113,6 +146,7 @@ def test_solve_slope_cap_exit(tmp_path, capsys):
                    str(tmp_path / "s"))
     assert code == 2
     assert "slope_cap" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_solve_no_convergence_exit(tmp_path):
@@ -333,10 +367,31 @@ def test_diagnose_input_without_interior_exits_2(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: 16 nodes")
 
 
+@pytest.mark.parametrize("case", ("one-row", "no-far-kind"))
+def test_diagnose_input_unreadable_exits_2(tmp_path, capsys, case):
+    # the reader's typed error: one error line naming the file, exit 2
+    xs = symmetric_grid(10.0, 64)
+    src = tmp_path / "phi.csv"
+    GridFunction(xs, 0.25 * xs, 0.25, 0.25, "linear").to_csv(src)
+    if case == "one-row":
+        src.write_text("x,y\n0,0\n")
+    else:
+        meta = json.loads((tmp_path / "phi.json").read_text())
+        del meta["far_kind"]
+        (tmp_path / "phi.json").write_text(json.dumps(meta))
+    code = run_cli("diagnose", "--input", str(src), "--out-dir",
+                   str(tmp_path / "d"))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "phi.csv" in err[0] or "phi.json" in err[0]
+
+
 def test_diagnose_missing_input(tmp_path, capsys):
     code = run_cli("diagnose", "--input", str(tmp_path / "nope.csv"),
                    "--out-dir", str(tmp_path / "d"))
     assert code == 2
+    assert not (tmp_path / "d").exists()
 
 
 def test_diagnose_needs_a_source(tmp_path):
@@ -381,8 +436,21 @@ def test_console_entry_point():
 
 
 def test_manifest_checksums_match_files(tmp_path):
-    out = tmp_path / "d"
-    run_cli("diagnose", "--counterexample", "--out-dir", str(out))
-    man = _manifest(out)
-    for rel, digest in man["artifacts"].items():
-        assert cli._sha256(os.path.join(out, rel)) == digest
+    # every file a run leaves, apart from the manifest, is listed in it
+    # with its checksum, and every listed file is there
+    runs = {
+        "cx": ("diagnose", "--counterexample"),
+        "k": ("kernel", "--eta-max", "20", "--nodes", "2048"),
+        "s": ("solve", "--a", "0.2", "--b", "0.03", "--intervals", "1024",
+              "--times", "0.1,10"),
+        "d": ("diagnose", "--input", str(tmp_path / "s" / "phi.csv")),
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert run_cli(*argv, "--out-dir", str(out)) == 0
+        man = _manifest(out)
+        files = {str(p.relative_to(out)) for p in out.rglob("*")
+                 if p.is_file()}
+        assert files - {"manifest.json"} == set(man["artifacts"])
+        for rel, digest in man["artifacts"].items():
+            assert cli._sha256(os.path.join(out, rel)) == digest

@@ -172,6 +172,36 @@ def test_x_infty_norm_scan_density_stable(profile_8k):
     assert v1 > 0.1  # nonlinear profile exceeds its slope data
 
 
+@pytest.mark.parametrize("density", (0, -3, np.nan, 1.5, "2"))
+def test_x_infty_norm_rejects_bad_density(profile_8k, density):
+    with pytest.raises(ValidationError, match="density"):
+        dg.x_infty_norm(profile_8k, density=density)
+
+
+def _smooth_graph(rng):
+    xs = symmetric_grid(6.0, 1024)
+    c = rng.normal(size=4)
+    ys = (c[0] * np.sin(xs) + c[1] * np.cos(0.7 * xs) + c[2] * xs
+          + c[3] * np.exp(-xs ** 2))
+    return GridFunction(xs, ys, 0.0, 0.0, "linear")
+
+
+@pytest.mark.parametrize("source", ("phi_8k", "random"))
+def test_identity_residuals_equal_their_formulas(source, request, rng):
+    # the forward and backward residuals share one body with sign +-1;
+    # bit for bit the two formulas written out
+    from cornerflow.geometry import ds_of_array, geometry
+    phi = (request.getfixturevalue("phi_8k") if source == "phi_8k"
+           else _smooth_graph(rng))
+    geom = geometry(phi)
+    k2, r2 = geom.curvature ** 2, phi.xs ** 2 + phi.ys ** 2
+    dk2 = 2.0 * ds_of_array(geom.curvature, geom) ** 2
+    fwd = ds_of_array(k2 + 0.25 * r2, geom, 2) - 0.5 - dk2
+    bwd = ds_of_array(k2 - 0.25 * r2, geom, 2) + 0.5 - dk2
+    assert np.array_equal(dg.key_identity_residual(phi).ys, fwd)
+    assert np.array_equal(dg.backward_identity_residual(phi).ys, bwd)
+
+
 def test_subsample_and_threshold():
     phi = _parabola()
     sub = dg.subsample(phi, 8)

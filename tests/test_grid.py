@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from cornerflow import GridFunction, ValidationError, corner_function, \
-    smoothed_abs, symmetric_grid
+from cornerflow import GridFunction, KernelTable, ValidationError, \
+    corner_function, load_profile, smoothed_abs, symmetric_grid
 from cornerflow.grid import _fd
 
 
@@ -126,6 +128,65 @@ def test_csv_roundtrip(tmp_path):
     g = GridFunction.from_csv(p)
     assert np.array_equal(f.ys, g.ys)
     assert g.far_kind == "constant" and g.tail_tol == np.inf
+
+
+@pytest.mark.parametrize("read", (
+    GridFunction.from_csv, KernelTable.from_csv,
+    lambda path: load_profile(path, None),
+), ids=("grid-function", "kernel-table", "profile"))
+@pytest.mark.parametrize("text", (None, "x,y\n0.5,1.5\n"),
+                         ids=("missing", "one-row"))
+def test_csv_readers_name_the_file(tmp_path, read, text):
+    # every reader refuses a missing file and a file of one row with a
+    # ValidationError that names it, before it looks at a sidecar
+    p = tmp_path / "short.csv"
+    if text is not None:
+        p.write_text(text)
+    with pytest.raises(ValidationError, match="short.csv"):
+        read(p)
+
+
+@pytest.mark.parametrize("meta, match", (
+    ({"left_far": 0.0, "right_far": 0.0}, "lacks far_kind$"),
+    ([0.0], "lacks left_far, right_far, far_kind$"),
+    ({"left_far": "x", "right_far": 0.0, "far_kind": "linear"},
+     "far values"),
+    ({"left_far": 0.0, "right_far": 0.0, "far_kind": "constant",
+      "tail_tol": None}, "far values"),
+), ids=("no-far-kind", "not-an-object", "text-far-value", "null-tail-tol"))
+def test_from_csv_refuses_a_bad_sidecar(tmp_path, meta, match):
+    xs = symmetric_grid(3.0, 64)
+    p = tmp_path / "f.csv"
+    GridFunction(xs, 0.0 * xs, 0.0, 0.0, "constant").to_csv(p)
+    (tmp_path / "f.json").write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match=match):
+        GridFunction.from_csv(p)
+
+
+def test_to_csv_returns_both_paths(tmp_path):
+    xs = symmetric_grid(3.0, 64)
+    p = tmp_path / "f.csv"
+    assert GridFunction(xs, 0.0 * xs).to_csv(p) == [str(p),
+                                                    str(tmp_path / "f.json")]
+
+
+def test_csv_reader_counts_columns(tmp_path):
+    xs = symmetric_grid(3.0, 64)
+    p = tmp_path / "f.csv"
+    GridFunction(xs, 0.0 * xs).to_csv(p)
+    with pytest.raises(ValidationError, match="f.csv.* 65 rows of 2 "
+                                              "columns, not 2 or more of 6"):
+        KernelTable.from_csv(p)
+
+
+@pytest.mark.parametrize("far", (
+    (np.nan, 0.0, 1e-3), (0.0, np.inf, 1e-3), (0.0, 0.0, np.nan),
+    (0.0, 0.0, -1.0), ("0", 0.0, 1e-3),
+))
+def test_grid_function_rejects_bad_far_values(far):
+    xs = symmetric_grid(3.0, 64)
+    with pytest.raises(ValidationError, match="far values"):
+        GridFunction(xs, 0.0 * xs, far[0], far[1], "linear", far[2])
 
 
 def test_corner_function_shape():

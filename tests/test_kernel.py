@@ -57,6 +57,7 @@ def test_g0_matches_closed_form(ktable):
 def test_mass_and_frozen_norms(ktable):
     mass = 2.0 * simpson(ktable.g_ell[0], dx=ktable.h)
     assert abs(mass - 1.0) < 1e-8
+    assert ktable.mass == mass  # the table keeps the mass it checked
     assert ktable.G2[0] == pytest.approx(G2_AT_ZERO, abs=1e-10)
     # l1 norms ride Simpson over |g| whose kinks at sign changes cost ~1e-7
     assert ktable.l1_norm(1) == pytest.approx(L1_G1, abs=5e-7)
@@ -109,7 +110,7 @@ def test_antiderivative_consistency(ktable):
 
 def test_csv_roundtrip(ktable, tmp_path):
     p = tmp_path / "kernel.csv"
-    ktable.to_csv(p)
+    assert ktable.to_csv(p) == [str(p)]
     back = KernelTable.from_csv(p)
     eta = np.linspace(-5.0, 5.0, 101)
     for ell in range(4):
@@ -117,6 +118,18 @@ def test_csv_roundtrip(ktable, tmp_path):
                              - ktable.eval_g(ell, eta))) < 1e-14
     assert np.max(np.abs(back.eval_G(eta) - ktable.eval_G(eta))) < 1e-14
     assert np.max(np.abs(back.eval_G2(eta) - ktable.eval_G2(eta))) < 1e-9
+
+
+def test_csv_with_non_finite_values_is_refused(ktable, tmp_path):
+    # nan samples would pass the mass and envelope checks (nan compares
+    # false), so the reader refuses them, naming the file
+    p = tmp_path / "kernel.csv"
+    ktable.to_csv(p)
+    lines = p.read_text().splitlines()
+    lines[100] = ",".join(["nan"] * 6)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="kernel.csv.* not finite"):
+        KernelTable.from_csv(p)
 
 
 def test_build_validation():
@@ -290,6 +303,24 @@ def test_step_decay_exponents(ktable):
     for bad in ([0.0, 1.0, 1e4], [-1.0, 1.0, 1e4], [1.0, 10.0, np.inf]):
         with pytest.raises(ValidationError, match="t_range"):
             regularizing_constants(ktable, 1, bad)
+
+
+@pytest.mark.parametrize("times, match", (
+    ([], "non-empty"), (0.1, "non-empty"), ([np.nan], "positive finite"),
+    ([np.inf], "positive finite"), ([0.1, np.nan], "positive finite"),
+    ([0.1, -1.0], "positive finite"), (["0.1"], "positive finite"),
+    ([0.2, 0.1], "strictly increasing"), ([0.1, 0.1], "strictly increasing"),
+), ids=("empty", "scalar", "nan", "inf", "then-nan", "then-negative",
+        "text", "decreasing", "repeated"))
+def test_check_times_refuses(times, match):
+    with pytest.raises(InvalidTime, match=match):
+        kernel._check_times(times)
+
+
+def test_check_times_returns_floats():
+    got = kernel._check_times(np.array([1, 2]))
+    assert got == [1.0, 2.0] and all(type(t) is float for t in got)
+    assert kernel._check_times((t for t in (0.5, 3))) == [0.5, 3.0]
 
 
 def test_time_and_far_field_validation(ktable):

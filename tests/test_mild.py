@@ -801,7 +801,8 @@ def test_constant_shift_comes_back(profile_8k, ktable):
 
 def test_save_load_roundtrip(profile_8k, ktable, tmp_path):
     p = tmp_path / "profile.csv"
-    save_profile(profile_8k, p)
+    assert save_profile(profile_8k, p) == [
+        str(p), str(tmp_path / "profile.meta.json")]
     back = load_profile(p, ktable)
     assert np.array_equal(back.psi.ys, profile_8k.psi.ys)
     assert back.iterations == profile_8k.iterations

@@ -128,6 +128,16 @@ def test_times_and_grid_validation():
         time_march(np.zeros(cfg.xs.size), cfg, [0.1])
 
 
+@pytest.mark.parametrize("times", ([np.nan], [np.inf], [0.1, np.nan]),
+                         ids=("nan", "inf", "then-nan"))
+def test_march_refuses_non_finite_times(times):
+    # such a time would return the initial data or the state after the
+    # ramp, labelled with the time that was asked for
+    cfg = _cfg()
+    with pytest.raises(ValidationError, match="positive finite"):
+        time_march(cfg.mollified_corner(), cfg, times)
+
+
 def test_growth_cap_trips():
     # data inconsistent with the declared far slopes: the boundary terms
     # pump the sup norm up from zero, which the per-step cap must catch
