@@ -17,14 +17,14 @@ discrete convolution.
 import numbers
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import cumulative_simpson, simpson
-from scipy.signal import fftconvolve
 
 from . import _backend
 from .errors import (ConfigError, InvalidTime, UnsupportedFarField,
                      ValidationError)
 from .grid import (GridFunction, _read_csv, _write_csv, symmetric_grid,
-                   whole_number)
+                   uniform_grid, whole_number)
 
 _PARITY = (0, 1, 0, 1)  # g even, g' odd, g'' even, g''' odd
 ENVELOPE_RATE = 3.0 / 2.0 ** (11.0 / 3.0)  # stationary-phase decay exponent
@@ -42,10 +42,27 @@ class KernelTable:
     rounding floor ENVELOPE_FLOOR |g(0)|, the tables hold rounding noise,
     and only |g| <= max(envelope, floor) is required; weighting that noise
     by exp(ENVELOPE_RATE eta^{4/3}) would let it set g_env. mass is the
-    integral of g over the window, checked against 1.
+    integral of g over the window, checked against 1. etas must be a
+    uniform grid from 0, and every table must hold one finite sample per
+    node; anything else raises ValidationError.
     """
 
     def __init__(self, etas, g_tables, G, G2):
+        etas, _ = uniform_grid(etas)
+        if etas[0] != 0.0:
+            raise ValidationError(f"a kernel table starts at eta = 0, got "
+                                  f"{etas[0]!r}")
+        g_tables = tuple(g_tables)
+        if len(g_tables) != 4:
+            raise ValidationError(f"a kernel table holds g0 .. g3, got "
+                                  f"{len(g_tables)} tables")
+        # nan samples would pass the mass and envelope checks (nan compares
+        # false)
+        for name, ys in zip(("g0", "g1", "g2", "g3", "G", "G2"),
+                            (*g_tables, G, G2)):
+            if not (np.shape(ys) == etas.shape and np.all(np.isfinite(ys))):
+                raise ValidationError(f"kernel table {name} must hold "
+                                      f"{etas.size} finite samples")
         self.etas = etas
         self.eta_max = float(etas[-1])
         self.n_nodes = etas.size
@@ -227,11 +244,27 @@ def _kernel_lags(table, ell, d_lo, d_hi, scale):
     return ker
 
 
+def _fftconvolve(a, b):
+    """The full linear convolution of the 1-D real arrays a and b, through
+    one real FFT of the next fast length >= a.size + b.size - 1.
+
+    Bit for bit SciPy's `fftconvolve(a, b)`, which also multiplies without
+    an FFT where an input has length 1. Kept in the package so that
+    importing it does not load SciPy's signal module.
+    """
+    if a.size == 1 or b.size == 1:
+        return a * b
+    size = a.size + b.size - 1
+    n = next_fast_len(size, real=True)
+    return irfft(rfft(a, n) * rfft(b, n), n)[:size]
+
+
 def _sampled_convolution(f, scale, ell, table, lo, hi):
     """sum_j g_ell((i - j) scale) f_j at the nodes i = lo .. hi-1 of the
-    samples' own grid, also beyond them: one `fftconvolve` of the samples
-    and kernel lags that reach an output, the kernel sampled once per
-    |lag| (`_kernel_lags`); the other outputs read 0."""
+    samples' own grid, also beyond them: one FFT convolution
+    (`_fftconvolve`) of the samples and kernel lags that reach an output,
+    the kernel sampled once per |lag| (`_kernel_lags`); the other outputs
+    read 0."""
     out = np.zeros(hi - lo)
     reach = int(np.ceil(table.eta_max / scale))
     d_lo, d_hi = max(-reach, lo - (f.size - 1)), min(reach, hi - 1)
@@ -241,8 +274,8 @@ def _sampled_convolution(f, scale, ell, table, lo, hi):
     ker = _kernel_lags(table, ell, d_lo, d_hi, scale)
     # entry p of the linear convolution is output j0 + d_lo + p
     a, b = max(lo, j0 + d_lo), min(hi, j1 + d_hi)
-    out[a - lo:b - lo] = fftconvolve(f[j0:j1], ker)[a - j0 - d_lo:
-                                                    b - j0 - d_lo]
+    out[a - lo:b - lo] = _fftconvolve(f[j0:j1], ker)[a - j0 - d_lo:
+                                                     b - j0 - d_lo]
     return out
 
 

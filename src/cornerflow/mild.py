@@ -19,8 +19,6 @@ from collections import namedtuple
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.sparse import csr_matrix
-# unused here, but bench/tracer.py wraps mild.fftconvolve by that name
-from scipy.signal import fftconvolve  # noqa: F401
 
 from . import _backend
 from ._slowpath import lagrange_taps, quintic_eval
@@ -30,6 +28,8 @@ from .grid import (GridFunction, _fd, _read_csv, _write_csv,
                    symmetric_grid, uniform_grid, whole_number)
 from .kernel import (_check_time, _kernel_lags, _sampled_convolution,
                      apply_to_step, corner_height)
+# unused here, but bench/tracer.py wraps mild.fftconvolve by that name
+from .kernel import _fftconvolve as fftconvolve  # noqa: F401
 
 DEFAULT_HALF_WIDTH = 40.0
 DEFAULT_INTERVALS = 8192

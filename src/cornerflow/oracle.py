@@ -109,7 +109,7 @@ def time_march(u0, cfg, times):
     the linear part.
     """
     if (not isinstance(u0, GridFunction) or u0.n != cfg.xs.size
-            or abs(u0.xs[0] - cfg.xs[0]) > 1e-9):
+            or np.max(np.abs(u0.xs - cfg.xs)) > 1e-9):
         raise ValidationError("initial data must be a GridFunction on the "
                               "config's grid")
     times = _check_times(times)

@@ -435,6 +435,20 @@ def test_console_entry_point():
     assert "kernel" in out.stdout and "oracle-compare" in out.stdout
 
 
+def test_import_leaves_scipy_signal_unloaded():
+    # SciPy's signal module brings stats, ndimage and more with it, about
+    # 24 MiB of the process's peak; a later user of it (say `czt`) imports
+    # it inside the function that needs it, not at module level
+    src = os.path.dirname(os.path.dirname(cornerflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, cornerflow, cornerflow.cli; "
+            "assert 'scipy.signal' not in sys.modules")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+
+
 def test_manifest_checksums_match_files(tmp_path):
     # every file a run leaves, apart from the manifest, is listed in it
     # with its checksum, and every listed file is there

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
+from scipy.signal import fftconvolve
 from scipy.special import gamma
 
 from cornerflow import _backend, _slowpath, kernel
@@ -93,6 +94,33 @@ def test_decay_envelope(ktable):
                     ktable.G2)
 
 
+def test_table_refuses_non_finite_samples(ktable):
+    # nan compares false, so the mass and envelope checks alone let a nan
+    # sample through and read mass = g_env = nan
+    for k in range(6):
+        arrays = [*ktable.g_ell, ktable.G, ktable.G2]
+        arrays[k] = arrays[k].copy()
+        arrays[k][100] = (np.nan, np.inf)[k % 2]
+        with pytest.raises(ValidationError, match="finite"):
+            KernelTable(ktable.etas, arrays[:4], arrays[4], arrays[5])
+
+
+def test_table_refuses_foreign_grids(ktable):
+    # the table reads h off the first two nodes and evaluates as if every
+    # node sat at a multiple of h from 0
+    tables = (ktable.g_ell, ktable.G, ktable.G2)
+    moved = ktable.etas.copy()
+    moved[5000] += 0.3 * ktable.h
+    with pytest.raises(ValidationError, match="uniformly spaced"):
+        KernelTable(moved, *tables)
+    with pytest.raises(ValidationError, match="starts at eta = 0"):
+        KernelTable(ktable.etas + 1.0, *tables)
+    with pytest.raises(ValidationError, match="g0 .. g3"):
+        KernelTable(ktable.etas, ktable.g_ell[:3], ktable.G, ktable.G2)
+    with pytest.raises(ValidationError, match="G2 must hold"):
+        KernelTable(ktable.etas, ktable.g_ell, ktable.G, ktable.G2[:-1])
+
+
 def test_antiderivative_consistency(ktable):
     # G' = g and G(+inf) = 1 tie the tables together
     eta = ktable.etas[200:-200:100]
@@ -180,6 +208,19 @@ def test_fft_matches_direct(ktable):
                                    xs, 1.0, xs, f.ys - step, t ** -0.25)
         ref = base.ys + dense * t ** (-(ell + 1) / 4.0) * f.h
         assert np.max(np.abs(got.ys - ref)) < 1e-9
+
+
+# length-1 inputs, primes, and full lengths 1024 | 1025 and 1080 | 1081
+# on either side of a step of next_fast_len (1024, 1080, 1080, 1125)
+@pytest.mark.parametrize("sizes", ((1, 17), (5, 1), (1, 1), (13, 7),
+                                   (101, 211), (997, 991), (600, 425),
+                                   (600, 426), (540, 541), (540, 542)))
+def test_fftconvolve_matches_scipy(rng, sizes):
+    a, b = (rng.standard_normal(n) for n in sizes)
+    got = kernel._fftconvolve(a, b)
+    assert _same_bits(got, fftconvolve(a, b))
+    scale = np.convolve(np.abs(a), np.abs(b)).max()
+    assert np.max(np.abs(got - np.convolve(a, b))) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("ell", range(4))

@@ -123,6 +123,12 @@ def test_times_and_grid_validation():
                         dt_max=1e-4)
     with pytest.raises(ValidationError):
         time_march(u0, other, [0.1])
+    # same size and first node, but on [xs[0], 0]: marched as if on the
+    # config's grid, it came back relabelled onto that grid
+    half = GridFunction(np.linspace(cfg.xs[0], 0.0, cfg.xs.size), u0.ys,
+                        u0.left_far, u0.right_far, "linear")
+    with pytest.raises(ValidationError, match="config's grid"):
+        time_march(half, cfg, [0.1])
     # bare samples are not initial data
     with pytest.raises(ValidationError, match="GridFunction"):
         time_march(np.zeros(cfg.xs.size), cfg, [0.1])
