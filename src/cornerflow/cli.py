@@ -8,7 +8,6 @@ configuration: no timestamps, no unseeded randomness.
 import argparse
 import functools
 import hashlib
-import json
 import os
 import sys
 
@@ -17,7 +16,8 @@ import numpy as np
 from . import __version__
 from .errors import (NoConvergence, NumericalFailure, PicardDivergence,
                      ValidationError)
-from .grid import GridFunction, _write_csv, symmetric_grid
+from .grid import (GridFunction, _origin, _write_csv, _write_json,
+                   symmetric_grid)
 from .kernel import (_check_time, _check_times, build_kernel_table,
                      regularizing_constants)
 from .mild import (CornerData, _self_similarity_gap, reconstruct_U,
@@ -32,13 +32,6 @@ def _sha256(path):
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_json(path, obj):
-    """obj as indented JSON with sorted keys; returns [path]."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-    return [path]
 
 
 def _write_manifest(args, paths):
@@ -170,7 +163,7 @@ def _solve_one(args, times, table):
     # reads
     phi = solution(1.0).phi
     paths += phi.to_csv(os.path.join(out, "phi.csv"))
-    phi0 = float(phi.ys[int(np.argmin(np.abs(phi.xs)))])
+    phi0 = float(phi.ys[_origin(phi.xs)])
     meta = {
         "A": corner.A,
         "B": corner.B,

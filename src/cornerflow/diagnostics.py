@@ -14,7 +14,8 @@ from scipy.integrate import simpson
 
 from . import _backend
 from .errors import ValidationError
-from .grid import GridFunction, _fd, smoothed_abs, whole_number
+from .grid import (GridFunction, _fd, _origin, _write_json, smoothed_abs,
+                   whole_number)
 from .geometry import arclength_from_zero, ds_of_array, geometry
 
 INTERIOR_MARGIN = 8  # nodes per side dropped from sup norms
@@ -78,8 +79,7 @@ def q_convexity(phi, variant=False):
     equals 2 (d_s k)^2 >= 0.
     """
     geom = geometry(phi)
-    i0 = int(np.argmin(np.abs(phi.xs)))
-    phi0 = phi.ys[i0]
+    phi0 = phi.ys[_origin(phi.xs)]
     r2 = phi.xs ** 2 + phi.ys ** 2
     s = geom.arclength
     if variant:
@@ -98,8 +98,7 @@ def d0_and_d(phi):
     genuine nonlinear profile D0 must grow unboundedly along a direction.
     """
     s = arclength_from_zero(phi.xs, phi.ys)
-    i0 = int(np.argmin(np.abs(phi.xs)))
-    phi0 = phi.ys[i0]
+    phi0 = phi.ys[_origin(phi.xs)]
     r2 = phi.xs ** 2 + phi.ys ** 2
     d0 = r2 - (s + abs(phi0)) ** 2
     d = r2 - s ** 2
@@ -115,8 +114,7 @@ def esp_check(phi, alpha, beta):
     and <= +ESP_TOL at the left end. meta carries the pieces.
     """
     s = arclength_from_zero(phi.xs, phi.ys)
-    i0 = int(np.argmin(np.abs(phi.xs)))
-    phi0 = phi.ys[i0]
+    phi0 = phi.ys[_origin(phi.xs)]
     margin = alpha * s + beta - phi0 * phi.ys
     gf = _residual_gf(phi, margin)
     min_margin = float(np.min(_interior(margin)))
@@ -157,15 +155,15 @@ def l1_linear_bound(phi, a0):
 
     Applicable only when |phi' - a0| has decayed below 1e-3 at both
     grid ends; otherwise the slope defect is not integrable at grid
-    precision and the result records NotApplicable.
+    precision and the result records NotApplicable. x = 0 must be a node.
     """
+    i0 = _origin(phi.xs)
     dphi = _fd(phi.ys, phi.h, 1)
     w = np.abs(dphi - a0)
     tail_gap = float(max(w[0], w[-1]))
     if tail_gap > 1e-3:
         return L1Bound(False, a0=a0, tail_gap=tail_gap)
     beta = float(simpson(w, dx=phi.h))
-    i0 = int(np.argmin(np.abs(phi.xs)))
     gap = phi.ys - (phi.ys[i0] + a0 * phi.xs + beta)
     worst = float(np.max(gap))
     return L1Bound(True, beta=beta, a0=a0,
@@ -179,10 +177,11 @@ def peg_bound_check(phi):
     Algebraically the right side minus |x|^2 is s^2 - x^2 - (phi-phi(0))^2,
     the squared-arclength-beats-chord inequality. The discrete margin uses
     the polyline arclength, for which the chord bound is a finite triangle
-    inequality, so it is nonnegative to roundoff on every graph.
+    inequality, so it is nonnegative to roundoff on every graph whose grid
+    has a node at x = 0.
     """
     xs, ys = phi.xs, phi.ys
-    i0 = int(np.argmin(np.abs(xs)))
+    i0 = _origin(xs)
     seg = np.hypot(np.diff(xs), np.diff(ys))
     s = np.concatenate([[0.0], np.cumsum(seg)])
     s = s - s[i0]
@@ -319,11 +318,8 @@ class DiagnosticsReport:
         return all(row["pass"] for row in self.summary)
 
     def to_json(self, path):
-        import json
-        with open(path, "w") as fh:
-            json.dump({"checks": self.summary, "flags": self.flags}, fh,
-                      indent=2)
-        return path
+        return _write_json(path, {"checks": self.summary,
+                                  "flags": self.flags})[0]
 
     def to_csv(self, out_dir):
         """One CSV per stored residual field, plus the summary table."""
@@ -409,8 +405,7 @@ def run_diagnostics(phi, phi_fine=None, eval_stride=1):
     rep.add("peg_lower_bound", max(0.0, -float(np.min(peg.ys))), peg_tol,
             float(np.min(peg.ys)) >= -peg_tol, peg)
 
-    i0 = int(np.argmin(np.abs(phi.xs)))
-    phi0 = phi.ys[i0]
+    phi0 = phi.ys[_origin(phi.xs)]
     if abs(phi0) > 1e-3:
         # nonlinear candidate: no (alpha, beta) in the scan may certify
         passes = sum(esp_check(phi, alpha, beta)[1]
@@ -431,7 +426,7 @@ def run_diagnostics(phi, phi_fine=None, eval_stride=1):
 
     # informational flags: nonlinearity of the profile and per-direction
     # growth of the distance functional (not pass/fail criteria)
-    izero = int(np.argmin(np.abs(pe.xs)))
+    izero = _origin(pe.xs)
     rep.flags = {
         "phi0": float(phi0),
         "phi0_nonzero": bool(abs(phi0) > 1e-3),

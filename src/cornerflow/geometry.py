@@ -8,7 +8,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .errors import GridMismatch, NonFiniteGeometry, ValidationError
-from .grid import GridFunction, _fd
+from .grid import GridFunction, _fd, _origin, uniform_grid
 
 
 class CurveGeometry:
@@ -76,15 +76,16 @@ def arclength_from_zero(xs, ys):
 
     Within each smooth segment the slope comes from one-sided stencils that
     stay inside the segment, then the metric is integrated by cumulative
-    Simpson. Exact for piecewise-linear ys.
+    Simpson. Exact for piecewise-linear ys on a uniform grid with a node at
+    x = 0; ys of another shape than xs raise GridMismatch.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs, h = uniform_grid(xs)
     ys = np.asarray(ys, dtype=float)
+    if ys.shape != xs.shape:
+        raise GridMismatch(f"ys of shape {ys.shape} on a grid of {xs.size} "
+                           f"nodes")
     n = xs.size
-    h = (xs[-1] - xs[0]) / (n - 1)
-    i0 = int(np.argmin(np.abs(xs)))
-    if abs(xs[i0]) > 1e-9 * h:
-        raise ValidationError("grid must contain x = 0 as a node")
+    i0 = _origin(xs)
     bounds = [0] + detect_kinks(ys) + [n - 1]
     bounds = sorted(set(bounds))
     s = np.empty(n)

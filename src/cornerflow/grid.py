@@ -42,6 +42,21 @@ def uniform_grid(xs):
     return xs, float(h)
 
 
+def _origin(xs):
+    """Index of the node at x = 0 (within 1e-9 h) of the uniform grid xs."""
+    i0 = int(np.argmin(np.abs(xs)))
+    if abs(xs[i0]) > 1e-9 * (xs[-1] - xs[0]) / (xs.size - 1):
+        raise ValidationError("grid must contain x = 0 as a node")
+    return i0
+
+
+def _inner(values):
+    """The central 80% of values: round(n (1 - 0.8) / 2) off each end."""
+    values = np.asarray(values)
+    skip = int(round(values.size * (1.0 - 0.8) / 2.0))
+    return values[skip:values.size - skip]
+
+
 class GridFunction:
     """Samples ys on the uniform grid xs plus far-field metadata.
 
@@ -140,10 +155,14 @@ def _write_csv(path, header, *columns, meta=None, suffix=".json"):
                comments="", fmt="%.17g")
     if meta is None:
         return [path]
-    side = os.path.splitext(path)[0] + suffix
-    with open(side, "w") as fh:
-        json.dump(meta, fh, indent=1)
-    return [path, side]
+    return [path] + _write_json(os.path.splitext(path)[0] + suffix, meta)
+
+
+def _write_json(path, obj):
+    """obj as JSON with indent 2 and sorted keys; returns [path]."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+    return [path]
 
 
 def _read_csv(path, ncols, keys=None, suffix=".json"):

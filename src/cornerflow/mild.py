@@ -20,11 +20,10 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.sparse import csr_matrix
 
-from . import _backend
 from ._slowpath import lagrange_taps, quintic_eval
 from .errors import (ConfigError, NoConvergence, PicardDivergence,
                      StaleProfile, ValidationError)
-from .grid import (GridFunction, _fd, _read_csv, _write_csv,
+from .grid import (GridFunction, _fd, _inner, _read_csv, _write_csv,
                    symmetric_grid, uniform_grid, whole_number)
 from .kernel import (_check_time, _kernel_lags, _sampled_convolution,
                      apply_to_step, corner_height)
@@ -619,18 +618,14 @@ def reconstruct_U(profile, t, table, xs=None):
     duh = duhamel_integral(profile.psi, t, 1, table, xs=xs)
     U = GridFunction(xs, base.ys + duh.ys, -corner.B, corner.A, "linear")
     ux = _fd(U.ys, U.h, 1)
-    target = profile.psi.interp(xs * t ** -0.25)
-    lo, hi = xs.size // 10, xs.size - xs.size // 10
-    slope_consistency = float(np.max(np.abs(ux - target)[lo:hi]))
+    slope_consistency = inner_sup(ux - profile.psi.interp(xs * t ** -0.25))
     phi = U if abs(t - 1.0) <= 1e-12 else None
     return ReconstructedSolution(U, t, phi, slope_consistency, corner)
 
 
 def inner_sup(values):
-    """Sup norm over the central 80% of the samples."""
-    values = np.asarray(values)
-    skip = int(round(values.size * (1.0 - 0.8) / 2.0))
-    return float(np.max(np.abs(values[skip:values.size - skip])))
+    """Sup norm over the central 80% of the samples (`grid._inner`)."""
+    return float(np.max(np.abs(_inner(values))))
 
 
 def self_similarity_residual(profile, sigma, t, table):
@@ -638,10 +633,10 @@ def self_similarity_residual(profile, sigma, t, table):
     _check_time(t)
     _check_time(sigma, "sigma")
     _check_time(sigma * t, "sigma * t")
-    sol = reconstruct_U(profile, t, table)
-    if sigma == 1.0:
+    if sigma == 1.0 and profile.converged:  # reconstruct_U refuses the rest
         return 0.0
-    return _self_similarity_gap(sol, reconstruct_U(profile, sigma * t, table),
+    return _self_similarity_gap(reconstruct_U(profile, t, table),
+                                reconstruct_U(profile, sigma * t, table),
                                 sigma)
 
 
@@ -664,12 +659,10 @@ def constant_shift_residual(solution, c, table):
         raise ValidationError(f"c must be a finite number, got {c!r}")
     U, t, corner = solution.U, solution.t, solution.corner
     shifted = U.shift_values(c)
-    lam = t ** -0.25
-    w = _fd(shifted.ys, shifted.h, 1)
-    xi = shifted.xs * lam
-    psi_w = _backend.cubic_eval(w, xi[0], shifted.h * lam, xi, -corner.B,
-                                corner.A)
-    psi_gf = GridFunction(xi, psi_w, -corner.B, corner.A, "constant",
+    # psi(xi) = U_x(xi t^{1/4}), sampled on the nodes xs t^{-1/4}
+    psi_w = _fd(shifted.ys, shifted.h, 1)
+    psi_gf = GridFunction(shifted.xs * t ** -0.25, psi_w, -corner.B,
+                          corner.A, "constant",
                           max(1e-6, 4.0 * max(abs(psi_w[0] + corner.B),
                                               abs(psi_w[-1] - corner.A))))
     base = corner_height(corner.A, corner.B, t, table, shifted.xs)

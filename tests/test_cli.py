@@ -451,13 +451,18 @@ def test_import_leaves_scipy_signal_unloaded():
 
 def test_manifest_checksums_match_files(tmp_path):
     # every file a run leaves, apart from the manifest, is listed in it
-    # with its checksum, and every listed file is there
+    # with its checksum, and every listed file is there; every JSON file
+    # (for solve: the summary, the two CSV sidecars and the manifest) has
+    # indent 2 and sorted keys
     runs = {
         "cx": ("diagnose", "--counterexample"),
         "k": ("kernel", "--eta-max", "20", "--nodes", "2048"),
         "s": ("solve", "--a", "0.2", "--b", "0.03", "--intervals", "1024",
               "--times", "0.1,10"),
         "d": ("diagnose", "--input", str(tmp_path / "s" / "phi.csv")),
+        "df": ("diagnose", "--from-solve", "--intervals", "1024"),
+        "o": ("oracle-compare", "--intervals", "512", "--dt-max", "1e-4",
+              "--times", "0.05"),
     }
     for name, argv in runs.items():
         out = tmp_path / name
@@ -468,3 +473,7 @@ def test_manifest_checksums_match_files(tmp_path):
         assert files - {"manifest.json"} == set(man["artifacts"])
         for rel, digest in man["artifacts"].items():
             assert cli._sha256(os.path.join(out, rel)) == digest
+        for path in out.rglob("*.json"):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2,
+                                      sort_keys=True), path

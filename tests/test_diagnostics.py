@@ -122,6 +122,24 @@ def test_l1_bound_arctan_and_not_applicable():
     assert "NotApplicable" in repr(res2)
 
 
+def test_origin_checks_need_a_node_at_zero():
+    # the nearest nodes of linspace(-20, 20, 2048) sit at x = +-h/2; the
+    # peg margin of a straight line taken about one of them reads -0.39
+    xs = np.linspace(-20.0, 20.0, 2048)
+    line = GridFunction(xs, 0.1 * xs, 0.1, 0.1, "linear")
+    for call in (lambda: dg.peg_bound_check(line),
+                 lambda: dg.l1_linear_bound(line, 0.1),
+                 lambda: dg.q_convexity(line), lambda: dg.d0_and_d(line),
+                 lambda: dg.esp_check(line, 0.0, 0.0),
+                 lambda: dg.run_diagnostics(line)):
+        with pytest.raises(ValidationError, match="x = 0"):
+            call()
+    xs = symmetric_grid(20.0, 2048)
+    line = GridFunction(xs, 0.1 * xs, 0.1, 0.1, "linear")
+    assert np.min(dg.peg_bound_check(line).ys) >= -1e-10
+    assert dg.l1_linear_bound(line, 0.1).bound_holds
+
+
 def test_compactness_unit_circle_exact():
     rep = dg.compactness_contradiction_demo(dg.circle_curve(1.0))
     assert np.max(np.abs(rep["deficit"] - 0.5)) < 1e-10

@@ -52,6 +52,17 @@ def test_arclength_requires_zero_node():
         arclength_from_zero(xs, np.zeros(33))
 
 
+def test_arclength_checks_its_grid():
+    # 17 nodes spaced 0.5 left of 0 and 0.25 right of it, with a node at 0
+    xs = np.concatenate([np.arange(-4.0, 0.0, 0.5), np.arange(0.0, 2.1, 0.25)])
+    assert xs.size == 17 and 0.0 in xs
+    with pytest.raises(ValidationError, match="uniformly spaced"):
+        arclength_from_zero(xs, 0.5 * np.abs(xs))
+    xs = symmetric_grid(4.0, 32)
+    with pytest.raises(GridMismatch, match="32,"):
+        arclength_from_zero(xs, np.zeros(32))
+
+
 def test_detect_kinks():
     xs = symmetric_grid(5.0, 640)
     cab = corner_function(0.3, 0.7, xs)

@@ -789,6 +789,27 @@ def test_self_similarity_validation(profile_8k, ktable, monkeypatch):
             constant_shift_residual(sol, c, ktable)
 
 
+def test_self_similarity_at_sigma_one_reconstructs_nothing(profile_8k,
+                                                           ktable,
+                                                           monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reconstruct_U(*args, **kwargs)
+
+    monkeypatch.setattr(mild, "reconstruct_U", counted)
+    assert self_similarity_residual(profile_8k, 1.0, 2.0, ktable) == 0.0
+    assert calls == []
+    self_similarity_residual(profile_8k, 2.0, 1.0, ktable)
+    assert len(calls) == 2
+    # a profile that did not converge is still refused at sigma = 1
+    stale = type(profile_8k).__new__(type(profile_8k))
+    stale.__dict__.update(profile_8k.__dict__, converged=False)
+    with pytest.raises(StaleProfile):
+        self_similarity_residual(stale, 1.0, 1.0, ktable)
+
+
 def test_constant_shift_comes_back(profile_8k, ktable):
     # away from t = 1 the re-extracted profile lives on x t^{-1/4}, a grid
     # foreign to the output grid
