@@ -139,11 +139,11 @@ def cmd_kernel(args):
 
 
 def _solve_one(args, times, table):
-    corner = CornerData(args.a, args.b, args.slope_cap)
+    corner = CornerData(args.a, args.b)
     xs = symmetric_grid(args.half_width, args.intervals)
     try:
-        profile = solve_similarity_profile(
-            corner, tol=args.tol, max_iter=args.max_iter, table=table, xs=xs)
+        profile = solve_similarity_profile(corner, tol=args.tol, table=table,
+                                           xs=xs)
     except (PicardDivergence, NoConvergence) as exc:
         hpath = os.path.join(_ensure_out(args), "history.json")
         _write_json(hpath, {"residual_history": exc.history})
@@ -264,7 +264,7 @@ def cmd_diagnose(args):
         return 0
 
     if args.from_solve:
-        corner = CornerData(args.a, args.b, args.slope_cap)
+        corner = CornerData(args.a, args.b)
         table = build_kernel_table()
         phis = []
         for n in (args.intervals, 2 * args.intervals):
@@ -297,7 +297,7 @@ def cmd_diagnose(args):
 
 
 def cmd_oracle_compare(args):
-    corner = CornerData(args.a, args.b, args.slope_cap)
+    corner = CornerData(args.a, args.b)
     # march settings and times are checked before any output or solve
     cfg = MarchConfig(corner.A, corner.B, half_width=args.half_width,
                       intervals=args.intervals, dt_max=args.dt_max)
@@ -351,8 +351,6 @@ def build_parser():
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--slope-cap", type=float, default=0.3)
     p.add_argument("--half-width", type=float, default=40.0)
     p.add_argument("--intervals", type=int, default=8192)
     p.add_argument("--times", default="0.1,1,10",
@@ -375,7 +373,6 @@ def build_parser():
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--mollified", action="store_true")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--slope-cap", type=float, default=0.3)
     p.add_argument("--half-width", type=float, default=40.0)
     p.add_argument("--intervals", type=int, default=8192)
     _add_common(p)
@@ -385,7 +382,6 @@ def build_parser():
                        help="cross-validate against the time marcher")
     p.add_argument("--a", type=float, default=0.1)
     p.add_argument("--b", type=float, default=0.1)
-    p.add_argument("--slope-cap", type=float, default=0.3)
     p.add_argument("--half-width", type=float, default=20.0)
     p.add_argument("--intervals", type=int, default=4096)
     p.add_argument("--dt-max", type=float, default=2e-5)

@@ -24,7 +24,7 @@ from ._slowpath import lagrange_taps, quintic_eval
 from .errors import (ConfigError, NoConvergence, PicardDivergence,
                      StaleProfile, ValidationError)
 from .grid import (GridFunction, _fd, _inner, _read_csv, _write_csv,
-                   symmetric_grid, uniform_grid, whole_number)
+                   symmetric_grid, uniform_grid)
 from .kernel import (_check_time, _kernel_lags, _sampled_convolution,
                      apply_to_step, corner_height)
 # unused here, but bench/tracer.py wraps mild.fftconvolve by that name
@@ -32,6 +32,10 @@ from .kernel import _fftconvolve as fftconvolve  # noqa: F401
 
 DEFAULT_HALF_WIDTH = 40.0
 DEFAULT_INTERVALS = 8192
+# Picard runs only below SLOPE_CAP, the small-data hypothesis of its
+# contraction (Koch & Lamm 2012); there it needs at most 11 iterations
+SLOPE_CAP = 0.3
+MAX_ITER = 50
 # the 64-point Gauss-Legendre rule on [-1, 1] of the Duhamel quadrature in
 # tau (`_duhamel_nodes`), read-only
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
@@ -41,24 +45,20 @@ _GL_X.flags.writeable = _GL_W.flags.writeable = False
 class CornerData:
     """Corner slopes: right slope A, negated left slope B."""
 
-    def __init__(self, A, B, slope_cap=0.3):
+    def __init__(self, A, B):
         if not all(isinstance(v, numbers.Real) and np.isfinite(v)
                    for v in (A, B)):
             raise ValidationError(f"corner slopes must be finite numbers, "
                                   f"got A={A!r}, B={B!r}")
-        if not (isinstance(slope_cap, numbers.Real) and slope_cap > 0.0):
-            raise ValidationError(f"slope_cap must be a positive number, "
-                                  f"got {slope_cap!r}")
         self.A = float(A)
         self.B = float(B)
-        self.slope_cap = float(slope_cap)
 
     @property
     def size(self):
         return max(abs(self.A), abs(self.B))
 
     def within_cap(self):
-        return self.size < self.slope_cap
+        return self.size < SLOPE_CAP
 
     def __repr__(self):
         return f"CornerData(A={self.A}, B={self.B})"
@@ -525,15 +525,15 @@ def _decay_fit(psi_ys, psi1, psi2, xs):
     return fits
 
 
-def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
-                             xs=None):
+def solve_similarity_profile(corner, tol=1e-10, table=None, xs=None):
     """Picard-iterate the profile equation at t = 1.
 
     Starts from the evolved step and stops when the sup-norm update drops
-    below tol. Five consecutive growing updates abort with
-    PicardDivergence; exhausting max_iter raises NoConvergence. xs is any
-    uniform grid with xs[0] < 0 < xs[-1] (default: half-width 40, 8192
-    intervals), checked before any work.
+    below tol. A corner of size SLOPE_CAP or more is refused with
+    ConfigError. Five consecutive growing updates abort with
+    PicardDivergence; MAX_ITER iterations without convergence raise
+    NoConvergence. xs is any uniform grid with xs[0] < 0 < xs[-1]
+    (default: half-width 40, 8192 intervals), checked before any work.
 
     The table keeps the grid plan of its last solve (`_picard_plan`): the
     Duhamel operator of the grid, which applies the sum over the
@@ -546,11 +546,6 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
     """
     if table is None:
         raise ValidationError("a KernelTable is required")
-    count = whole_number(max_iter)
-    if count is None or count < 1:
-        raise ValidationError(f"max_iter must be a whole number >= 1, "
-                              f"got {max_iter!r}")
-    max_iter = count
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
         raise ValidationError(f"tol must be a positive finite number, "
                               f"got {tol!r}")
@@ -564,7 +559,7 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
     if not corner.within_cap():
         raise ConfigError(
             f"corner size {corner.size:.3g} exceeds slope_cap "
-            f"{corner.slope_cap:.3g}; the contraction argument needs small data")
+            f"{SLOPE_CAP:.3g}; the contraction argument needs small data")
     A, B = corner.A, corner.B
     step = apply_to_step(A, B, 1.0, 0, table, xs)
     psi = step.ys.copy()
@@ -573,7 +568,7 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
     growing = 0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         psi1, psi2 = _split_derivatives(psi, h, A + B, step.ys, g0, g1)
         n_tab = _nonlinear_density(psi, psi1, psi2)
         psi_next = step.ys + duhamel(n_tab)
@@ -593,8 +588,8 @@ def solve_similarity_profile(corner, tol=1e-10, max_iter=50, table=None,
             growing = 0
     if not converged:
         raise NoConvergence(
-            f"no convergence after {max_iter} iterations "
-            f"(last update {history[-1]:.3e})", history)
+            f"no convergence within the iteration limit MAX_ITER = "
+            f"{MAX_ITER} (last update {history[-1]:.3e})", history)
     psi1, psi2 = _split_derivatives(psi, h, A + B, step.ys, g0, g1)
     tail_gap = max(abs(psi[0] + B), abs(psi[-1] - A))
     psi_gf = GridFunction(xs, psi, -B, A, "constant",
@@ -625,7 +620,11 @@ def reconstruct_U(profile, t, table, xs=None):
 
 def inner_sup(values):
     """Sup norm over the central 80% of the samples (`grid._inner`)."""
-    return float(np.max(np.abs(_inner(values))))
+    inner = _inner(values)
+    if not inner.size:
+        raise ValidationError("inner_sup needs at least one value, got an "
+                              "empty array")
+    return float(np.max(np.abs(inner)))
 
 
 def self_similarity_residual(profile, sigma, t, table):
@@ -677,7 +676,6 @@ def save_profile(profile, csv_path):
     meta = {
         "A": profile.corner.A,
         "B": profile.corner.B,
-        "slope_cap": profile.corner.slope_cap,
         "iterations": profile.iterations,
         "residual_history": profile.residual_history,
         "decay_constants": {str(k): v for k, v in
@@ -694,7 +692,8 @@ def load_profile(csv_path, table):
     (xs, ys), meta = _read_csv(
         csv_path, 2, ("A", "B", "iterations", "residual_history",
                       "decay_constants", "converged"), ".meta.json")
-    corner = CornerData(meta["A"], meta["B"], meta.get("slope_cap", 0.3))
+    # an older sidecar's "slope_cap" key is ignored
+    corner = CornerData(meta["A"], meta["B"])
     psi = GridFunction(xs, ys, -corner.B, corner.A, "constant",
                        meta.get("far_tail_tol", 1e-3))
     psi1, psi2 = _profile_derivatives(ys, xs, psi.h, corner.A, corner.B,

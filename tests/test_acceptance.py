@@ -66,7 +66,7 @@ def test_criterion_03_linear_invariance(ktable, capsys):
 def test_criterion_04_nonlinear_existence(ktable, capsys):
     t0 = time.perf_counter()
     prof = cf.solve_similarity_profile(cf.CornerData(0.1, 0.1),
-                                       table=ktable, tol=1e-10, max_iter=50)
+                                       table=ktable, tol=1e-10)
     phi = cf.reconstruct_U(prof, 1.0, ktable).phi
     elapsed = time.perf_counter() - t0
     phi0 = float(phi.ys[np.argmin(np.abs(phi.xs))])

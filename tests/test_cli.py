@@ -149,10 +149,11 @@ def test_solve_slope_cap_exit(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
-def test_solve_no_convergence_exit(tmp_path):
+def test_solve_no_convergence_exit(tmp_path, monkeypatch):
+    monkeypatch.setattr(mild, "MAX_ITER", 1)
     out = tmp_path / "s"
     code = run_cli("solve", "--a", "0.1", "--b", "0.1", "--intervals",
-                   "1024", "--max-iter", "1", "--out-dir", str(out))
+                   "1024", "--out-dir", str(out))
     assert code == 3
     with open(out / "history.json") as fh:
         assert len(json.load(fh)["residual_history"]) == 1
@@ -193,6 +194,20 @@ def test_config_file_unknown_key(tmp_path, capsys):
                    str(cfg), "--out-dir", str(tmp_path / "s"))
     assert code == 2
     assert "unknown option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ("slope_cap", "max_iter"))
+def test_config_file_solver_constants_are_unknown(tmp_path, capsys, key):
+    # the slope cap and the iteration limit belong to the solver
+    # (mild.SLOPE_CAP, mild.MAX_ITER); a config file cannot set them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {0.2 if key == 'slope_cap' else 5}\n")
+    code = run_cli("solve", "--a", "0.1", "--b", "0.1", "--config",
+                   str(cfg), "--out-dir", str(tmp_path / "s"))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cfg}:1: unknown option {key!r}"]
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("text, match", (
@@ -245,17 +260,17 @@ def test_config_file_switch_typo_exits_2(tmp_path, capsys):
 
 def test_sweep_runs_worker_pool(tmp_path, capsys):
     # three values on two workers: one worker solves two of them, and each
-    # exit code comes back on its value's line, in sweep order
+    # exit code comes back on its value's line, in sweep order; the last
+    # value reaches the slope cap 0.3
     out = tmp_path / "sweep"
     code = run_cli("solve", "--a", "0.1", "--b", "0.1", "--sweep",
-                   "a=0.05:0.05:0.15", "--slope-cap", "0.12", "--intervals",
-                   "1024", "--times", "1", "--workers", "2", "--out-dir",
-                   str(out))
+                   "a=0.2:0.05:0.3", "--intervals", "1024", "--times", "1",
+                   "--workers", "2", "--out-dir", str(out))
     assert code == 2
-    subs = ("a_0.05", "a_0.1", "a_0.15")
+    subs = ("a_0.2", "a_0.25", "a_0.3")
     assert capsys.readouterr().out.splitlines() == [
         f"{out / sub}: exit {code}" for sub, code in zip(subs, (0, 0, 2))]
-    for sub, a in zip(subs[:2], (0.05, 0.1)):
+    for sub, a in zip(subs[:2], (0.2, 0.25)):
         with open(out / sub / "solve_summary.json") as fh:
             assert json.load(fh)["A"] == a
     assert not (out / subs[2] / "solve_summary.json").exists()
@@ -298,16 +313,6 @@ def test_sweep_spec_validation(tmp_path, capsys):
                    str(tmp_path / "w"))
     assert code == 2
     assert "--workers" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flags", (
-    ("--max-iter", "0"),
-))
-def test_solve_rejects_bad_iteration_settings(tmp_path, capsys, flags):
-    code = run_cli("solve", "--a", "0.1", "--b", "0.1", *flags,
-                   "--out-dir", str(tmp_path / "s"))
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def test_diagnose_counterexample(tmp_path, capsys):
@@ -461,6 +466,9 @@ def test_manifest_checksums_match_files(tmp_path):
               "--times", "0.1,10"),
         "d": ("diagnose", "--input", str(tmp_path / "s" / "phi.csv")),
         "df": ("diagnose", "--from-solve", "--intervals", "1024"),
+        # the origin, node 500, is off the diagnostics' stride of 8
+        "df1000": ("diagnose", "--from-solve", "--half-width", "10",
+                   "--intervals", "1000"),
         "o": ("oracle-compare", "--intervals", "512", "--dt-max", "1e-4",
               "--times", "0.05"),
     }

@@ -234,6 +234,19 @@ def test_subsample_and_threshold():
     assert dg.refinement_threshold(1.0, 2.0) < 0.0
 
 
+def test_subsample_keeps_the_origin_off_the_stride():
+    # the origin of symmetric_grid(10, 1000) is node 500, not a multiple
+    # of 8: the stride runs from node 4, so x = 0 stays in the subsample
+    xs = symmetric_grid(10.0, 1000)
+    lin = GridFunction(xs, 0.25 * xs, 0.25, 0.25, "linear")
+    sub = dg.subsample(lin, 8)
+    assert sub.xs[0] == xs[4] and sub.n == 125 and 0.0 in sub.xs
+    assert dg.run_diagnostics(lin, eval_stride=8).all_pass
+    # with the origin on the stride nothing moves
+    phi = _parabola(1024)
+    assert np.array_equal(dg.subsample(phi, 8).xs, phi.xs[::8])
+
+
 def test_run_diagnostics_absolute_mode():
     xs = symmetric_grid(10.0, 2048)
     lin = GridFunction(xs, 0.25 * xs, 0.25, 0.25, "linear")

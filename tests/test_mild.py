@@ -8,11 +8,11 @@ from scipy.special import roots_jacobi
 from cornerflow import _backend, _slowpath, kernel, mild
 from cornerflow import (ConfigError, CornerData, ValidationError,
                         alpha_coefficient, constant_shift_residual,
-                        corner_height, duhamel_integral, load_profile,
-                        reconstruct_U, save_profile,
+                        corner_height, duhamel_integral, inner_sup,
+                        load_profile, reconstruct_U, save_profile,
                         self_similarity_residual, solve_similarity_profile,
                         symmetric_grid)
-from cornerflow.errors import NoConvergence, StaleProfile
+from cornerflow.errors import NoConvergence, PicardDivergence, StaleProfile
 from cornerflow.kernel import _PARITY
 
 PHI0_FROZEN = 0.0779566288  # A = B = 0.1 reference, grid-converged level
@@ -22,9 +22,6 @@ def test_corner_data_validation():
     for bad in ((np.nan, 0.1), (0.1, np.inf), ("0.1", 0.1), (0.1, None)):
         with pytest.raises(ValidationError, match="corner slopes"):
             CornerData(*bad)
-    for cap in ("0.3", np.nan, 0.0):
-        with pytest.raises(ValidationError, match="slope_cap"):
-            CornerData(0.1, 0.1, cap)
     c = CornerData(0.2, -0.1)
     assert c.size == 0.2 and c.within_cap()
     assert not CornerData(0.5, 0.0).within_cap()
@@ -748,23 +745,37 @@ def test_reconstruct_validation(profile_8k, ktable):
         reconstruct_U(stale, 1.0, ktable)
 
 
-def test_no_convergence_path(ktable):
-    with pytest.raises(NoConvergence) as err:
+def test_no_convergence_path(ktable, monkeypatch):
+    monkeypatch.setattr(mild, "MAX_ITER", 2)
+    with pytest.raises(NoConvergence, match="MAX_ITER = 2") as err:
         solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
-                                 max_iter=2,
                                  xs=symmetric_grid(40.0, 1024))
     assert len(err.value.history) == 2
 
 
+def test_divergence_guard(ktable, monkeypatch):
+    # a Duhamel operator whose output 2^k - 1 on call k doubles the update
+    # on each call: the updates read 1, 2, 4, 8, 16, 32, and the fifth
+    # growing one in a row, at iteration 6, aborts the solve
+    calls = []
+
+    def doubling(n_tab):
+        calls.append(None)
+        return np.full(n_tab.size, 2.0 ** len(calls) - 1.0)
+
+    monkeypatch.setattr(mild, "_picard_plan", lambda table, xs: (
+        doubling, np.zeros(xs.size), np.zeros(xs.size)))
+    with pytest.raises(PicardDivergence, match="5 consecutive") as err:
+        solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
+                                 xs=symmetric_grid(20.0, 256))
+    assert len(err.value.history) == 6 == len(calls)
+    assert err.value.history == pytest.approx([1, 2, 4, 8, 16, 32])
+
+
 @pytest.mark.parametrize("kwargs, error, match", (
-    ({"max_iter": 0}, ValidationError, "max_iter"),
-    ({"max_iter": -1}, ValidationError, "max_iter"),
-    ({"max_iter": 2.5}, ValidationError, "max_iter"),
-    ({"max_iter": np.nan}, ValidationError, "max_iter"),
     ({"tol": np.nan}, ValidationError, "tol"),
     ({"tol": -1.0}, ValidationError, "tol"),
-), ids=("max_iter=0", "max_iter=-1", "max_iter=2.5", "max_iter=nan",
-        "tol=nan", "tol=-1"))
+), ids=("tol=nan", "tol=-1"))
 def test_solver_rejects_bad_iteration_settings(ktable, kwargs, error, match):
     with pytest.raises(error, match=match):
         solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
@@ -834,6 +845,28 @@ def test_save_load_roundtrip(profile_8k, ktable, tmp_path):
     assert sol.slope_consistency < 1e-6
 
 
+def test_load_profile_ignores_an_old_slope_cap_key(profile_8k, ktable,
+                                                  tmp_path):
+    # the cap is the solver's constant: a sidecar no longer holds it, and
+    # one written while it did still loads
+    p = tmp_path / "profile.csv"
+    save_profile(profile_8k, p)
+    meta_path = tmp_path / "profile.meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert "slope_cap" not in meta
+    meta_path.write_text(json.dumps({**meta, "slope_cap": 0.3}))
+    back = load_profile(p, ktable)
+    assert np.array_equal(back.psi.ys, profile_8k.psi.ys)
+    assert not hasattr(back.corner, "slope_cap")
+
+
+def test_slope_cap_is_the_solver_constant(ktable):
+    assert CornerData(0.2999, -0.2999).within_cap()
+    assert not CornerData(0.0, -mild.SLOPE_CAP).within_cap()
+    with pytest.raises(ConfigError, match="size 0.3 exceeds slope_cap 0.3;"):
+        solve_similarity_profile(CornerData(0.0, -0.3), table=ktable)
+
+
 def test_load_profile_names_a_sidecar_without_a_key(profile_8k, ktable,
                                                     tmp_path):
     p = tmp_path / "profile.csv"
@@ -856,3 +889,9 @@ def test_initial_trace_rate(profile_8k, ktable):
         cab = corner_function(0.1, 0.1, sol.U.xs)
         ratios.append(inner_sup(sol.U.ys - cab.ys) / t ** 0.25)
     assert max(ratios) / min(ratios) < 1.2
+
+
+def test_inner_sup_refuses_an_empty_input():
+    with pytest.raises(ValidationError, match="empty"):
+        inner_sup([])
+    assert inner_sup([-2.0]) == 2.0
