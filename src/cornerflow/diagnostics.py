@@ -10,12 +10,11 @@ allowed to decide a verdict.
 import numbers
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import _backend
 from .errors import ValidationError
-from .grid import (GridFunction, _fd, _origin, _write_json, smoothed_abs,
-                   whole_number)
+from .grid import (GridFunction, _fd, _origin, _simpson, _write_json,
+                   smoothed_abs, whole_number)
 from .geometry import arclength_from_zero, ds_of_array, geometry
 
 INTERIOR_MARGIN = 8  # nodes per side dropped from sup norms
@@ -163,7 +162,7 @@ def l1_linear_bound(phi, a0):
     tail_gap = float(max(w[0], w[-1]))
     if tail_gap > 1e-3:
         return L1Bound(False, a0=a0, tail_gap=tail_gap)
-    beta = float(simpson(w, dx=phi.h))
+    beta = float(_simpson(w, phi.h))
     gap = phi.ys - (phi.ys[i0] + a0 * phi.xs + beta)
     worst = float(np.max(gap))
     return L1Bound(True, beta=beta, a0=a0,

@@ -5,10 +5,10 @@ origin) and is computed piecewise between detected slope breaks, which keeps
 it exact for piecewise-linear profiles such as corner data.
 """
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import GridMismatch, NonFiniteGeometry, ValidationError
-from .grid import GridFunction, _fd, _origin, uniform_grid
+from .grid import (GridFunction, _cumulative_simpson, _fd, _origin,
+                   uniform_grid)
 
 
 class CurveGeometry:
@@ -96,7 +96,7 @@ def arclength_from_zero(xs, ys):
         if seg.size == 2:
             local = np.array([0.0, 0.5 * h * (v[0] + v[1])])
         else:
-            local = cumulative_simpson(v, dx=h, initial=0.0)
+            local = _cumulative_simpson(v, h)
         s[a:b + 1] = s[a] + local
     return s - s[i0]
 

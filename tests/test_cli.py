@@ -440,15 +440,20 @@ def test_console_entry_point():
     assert "kernel" in out.stdout and "oracle-compare" in out.stdout
 
 
-def test_import_leaves_scipy_signal_unloaded():
+def test_import_leaves_scipy_signal_and_integrate_unloaded():
     # SciPy's signal module brings stats, ndimage and more with it, about
-    # 24 MiB of the process's peak; a later user of it (say `czt`) imports
-    # it inside the function that needs it, not at module level
+    # 24 MiB of the process's peak, and its integrate module optimize,
+    # spatial and constants, about 17 MiB; the package keeps its own FFT
+    # convolution and Simpson rules. A later user of SciPy's heavier
+    # modules (say `newton_krylov` for a Newton-Krylov solve, or
+    # `solve_bvp` for the profile's boundary-value problem) imports them
+    # inside the function that needs them, not at module level
     src = os.path.dirname(os.path.dirname(cornerflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, cornerflow, cornerflow.cli; "
-            "assert 'scipy.signal' not in sys.modules")
+            "loaded = {'scipy.signal', 'scipy.integrate'} & set(sys.modules); "
+            "assert not loaded, loaded")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
     assert out.returncode == 0, out.stderr

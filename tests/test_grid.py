@@ -1,11 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from cornerflow import GridFunction, KernelTable, ValidationError, \
-    corner_function, load_profile, smoothed_abs, symmetric_grid
-from cornerflow.grid import _fd
+    corner_function, diagnostics, load_profile, smoothed_abs, symmetric_grid
+from cornerflow.grid import _cumulative_simpson, _fd, _simpson
 
 
 def test_symmetric_grid_contains_zero():
@@ -208,3 +209,48 @@ def test_smoothed_abs_limits():
     assert smoothed_abs(np.array([0.0]), 0.1)[0] == pytest.approx(
         0.1 * np.sqrt(2.0 / np.pi))
     assert np.array_equal(smoothed_abs(x, 0.0), np.abs(x))
+
+
+def _assert_simpson_pair_is_scipys(ys, dx):
+    from scipy.integrate import cumulative_simpson, simpson
+    assert _simpson(ys, dx) == simpson(ys, dx=dx)
+    assert np.array_equal(_cumulative_simpson(ys, dx),
+                          cumulative_simpson(ys, dx=dx, initial=0.0))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 2049, 16384))
+def test_simpson_pair_is_scipys_bit_for_bit(rng, n):
+    # odd node counts are Simpson throughout; even ones end on SciPy's own
+    # weights for the last interval
+    for dx in (1.0, 0.1, 40.0 / 16383):
+        _assert_simpson_pair_is_scipys(rng.standard_normal(n), dx)
+
+
+def test_simpson_pair_is_scipys_on_the_package_inputs(ktable, monkeypatch):
+    for ys in (ktable.g_ell[0], 1.0 - ktable.G,
+               *(np.abs(g) for g in ktable.g_ell)):
+        _assert_simpson_pair_is_scipys(ys, ktable.h)
+    # the package exports a function named geometry over the module's name
+    geometry = sys.modules["cornerflow.geometry"]
+    seen = []
+
+    def record(integrate):
+        def wrapped(ys, dx):
+            seen.append((np.array(ys), dx))
+            return integrate(ys, dx)
+        return wrapped
+
+    monkeypatch.setattr(geometry, "_cumulative_simpson",
+                        record(_cumulative_simpson))
+    monkeypatch.setattr(diagnostics, "_simpson", record(_simpson))
+    # corner segments of odd and even node counts, and smooth slopes
+    for xs in (symmetric_grid(5.0, 640), np.linspace(-5.0, 7.01, 1202)):
+        cab = corner_function(0.3, 0.7, xs)
+        geometry.arclength_from_zero(cab.xs, cab.ys)
+    for xs in (symmetric_grid(40.0, 4096), np.linspace(-40.0, 40.02, 4002)):
+        at = GridFunction(xs, np.arctan(xs), 0.0, 0.0, "linear")
+        geometry.arclength_from_zero(at.xs, at.ys)
+        assert diagnostics.l1_linear_bound(at, 0.0).applicable
+    assert {ys.size % 2 for ys, _ in seen} == {0, 1} and len(seen) == 8
+    for ys, dx in seen:
+        _assert_simpson_pair_is_scipys(ys, dx)

@@ -50,6 +50,17 @@ def test_tables_match_quadpack(eta_max, n_nodes):
             assert abs(table.g_ell[ell][j] - sign * ref) < 1e-14
 
 
+@pytest.mark.parametrize("eta_max, n_nodes", ((40.0, 16384), (15.0, 2048)))
+def test_tables_satisfy_the_kernel_ode(eta_max, n_nodes):
+    # u = t^{-1/4} g(x t^{-1/4}) solves u_t = -u_xxxx, so g'''' = (eta g)'/4
+    # and, both sides decaying, g''' = eta g / 4. A periodic image within
+    # reach of the last node breaks it first: an FFT period of 2 eta_max
+    # misses it by 1e-4
+    table = build_kernel_table(eta_max, n_nodes)
+    gap = table.g_ell[3] - table.etas * table.g_ell[0] / 4.0
+    assert np.max(np.abs(gap)) <= 1e-15
+
+
 def test_g0_matches_closed_form(ktable):
     g0 = float(ktable.eval_g(0, np.array([0.0]))[0])
     assert abs(g0 - G0_EXACT) < 1e-12
