@@ -142,8 +142,7 @@ def _solve_one(args, times, table):
     corner = CornerData(args.a, args.b)
     xs = symmetric_grid(args.half_width, args.intervals)
     try:
-        profile = solve_similarity_profile(corner, tol=args.tol, table=table,
-                                           xs=xs)
+        profile = solve_similarity_profile(corner, table=table, xs=xs)
     except (PicardDivergence, NoConvergence) as exc:
         hpath = os.path.join(_ensure_out(args), "history.json")
         _write_json(hpath, {"residual_history": exc.history})
@@ -269,8 +268,7 @@ def cmd_diagnose(args):
         phis = []
         for n in (args.intervals, 2 * args.intervals):
             xs = symmetric_grid(args.half_width, n)
-            profile = solve_similarity_profile(corner, tol=args.tol,
-                                               table=table, xs=xs)
+            profile = solve_similarity_profile(corner, table=table, xs=xs)
             phis.append(reconstruct_U(profile, 1.0, table).phi)
         # solver output carries node-level quadrature noise, so residual
         # stencils are evaluated on a stride-8 subsample (see diagnostics)
@@ -350,7 +348,6 @@ def build_parser():
     p = sub.add_parser("solve", help="compute a similarity profile")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--half-width", type=float, default=40.0)
     p.add_argument("--intervals", type=int, default=8192)
     p.add_argument("--times", default="0.1,1,10",
@@ -372,7 +369,6 @@ def build_parser():
     p.add_argument("--b", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--mollified", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--half-width", type=float, default=40.0)
     p.add_argument("--intervals", type=int, default=8192)
     _add_common(p)

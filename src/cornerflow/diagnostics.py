@@ -39,8 +39,9 @@ def interior_sup(values):
 
 
 def _residual_gf(phi, values):
+    # the far values are the end samples: their gap is exactly 0
     return GridFunction(phi.xs, values, values[0], values[-1], "constant",
-                        np.inf)
+                        0.0)
 
 
 def _identity_residual(phi, sign):

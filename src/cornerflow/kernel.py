@@ -14,7 +14,10 @@ to 0 past k = 746^{1/4}, so only the bins below it are filled.
 Every application of the semigroup then reduces to interpolation in the
 similarity variable x t^{-1/4}, with far-field steps handled in closed form
 through the antiderivative G so that non-decaying inputs never meet the
-discrete convolution.
+discrete convolution. The kernel solves g''' = eta g / 4; integrated once
+from -inf (by parts, int_{-inf}^eta y g = eta G - int_{-inf}^eta G) this
+gives the second antiderivative exactly as eta G - 4 g'', so corners evolve
+in closed form from the tables of G and g'' (`corner_height`).
 """
 import numbers
 
@@ -33,10 +36,11 @@ ENVELOPE_FLOOR = 1e-13  # rounding floor of the tables, relative to g(0)
 
 
 class KernelTable:
-    """Half-line tables of g, g', g'', g''' plus antiderivatives G and G2.
+    """Five half-line tables: g, g', g'', g''' and the antiderivative G.
 
-    G2 is the second antiderivative fixed by G2(-inf) = 0; it gives the
-    closed-form evolution of corner data. g_env is the smallest prefactor
+    The second antiderivative, eta G - 4 g'' (module docstring), needs no
+    table; it gives the closed-form evolution of corner data. g_env is the
+    smallest prefactor
     for which |g| <= g_env exp(-ENVELOPE_RATE |eta|^{4/3}) on the core
     nodes, where exp(-ENVELOPE_RATE eta^{4/3}) >= ENVELOPE_FLOOR (eta below
     about 37.8). Past them the envelope through g(0) falls under the
@@ -48,7 +52,7 @@ class KernelTable:
     node; anything else raises ValidationError.
     """
 
-    def __init__(self, etas, g_tables, G, G2):
+    def __init__(self, etas, g_tables, G):
         etas, _ = uniform_grid(etas)
         if etas[0] != 0.0:
             raise ValidationError(f"a kernel table starts at eta = 0, got "
@@ -59,8 +63,7 @@ class KernelTable:
                                   f"{len(g_tables)} tables")
         # nan samples would pass the mass and envelope checks (nan compares
         # false)
-        for name, ys in zip(("g0", "g1", "g2", "g3", "G", "G2"),
-                            (*g_tables, G, G2)):
+        for name, ys in zip(("g0", "g1", "g2", "g3", "G"), (*g_tables, G)):
             if not (np.shape(ys) == etas.shape and np.all(np.isfinite(ys))):
                 raise ValidationError(f"kernel table {name} must hold "
                                       f"{etas.size} finite samples")
@@ -70,7 +73,6 @@ class KernelTable:
         self.h = float(etas[1] - etas[0])
         self.g_ell = g_tables  # tuple of 4 arrays
         self.G = G
-        self.G2 = G2
         rate = ENVELOPE_RATE * etas ** (4.0 / 3.0)
         core = rate < -np.log(ENVELOPE_FLOOR)
         self.g_env = float(np.max(np.abs(g_tables[0][core])
@@ -110,18 +112,6 @@ class KernelTable:
         return np.where(np.abs(x) > self.eta_max,
                         np.where(x > 0.0, 1.0, 0.0), out)
 
-    def eval_G2(self, x):
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        pos = _backend.cubic_eval(self.G2, 0.0, self.h, ax, self.G2[0], 0.0)
-        pos = np.where(ax > self.eta_max, ax, pos)
-        return np.where(x >= 0.0, pos, pos + x)
-
-    def eval_M(self, x):
-        """Even profile M with M(x) ~ |x|; evolves |x|-type corners."""
-        x = np.asarray(x, dtype=float)
-        return 2.0 * self.eval_G2(x) - x
-
     def l1_norm(self, ell):
         """integral of |g_ell| over the line (tables are even/odd)."""
         return 2.0 * _simpson(np.abs(self.g_ell[ell]), self.h)
@@ -136,14 +126,7 @@ class KernelTable:
     @classmethod
     def from_csv(cls, path):
         (etas, g0, g1, g2, g3, G), _ = _read_csv(path, 6)
-        G2 = _second_antiderivative(G, float(etas[1] - etas[0]))
-        return cls(etas, (g0, g1, g2, g3), G, G2)
-
-
-def _second_antiderivative(G, h):
-    """G2 on the half line from G, anchored by G2(0) = int_0^inf (1-G)."""
-    g2_zero = _simpson(1.0 - G, h)
-    return g2_zero + _cumulative_simpson(G, h)
+        return cls(etas, (g0, g1, g2, g3), G)
 
 
 def build_kernel_table(eta_max=40.0, n_nodes=16384):
@@ -184,8 +167,7 @@ def build_kernel_table(eta_max=40.0, n_nodes=16384):
     # handed back to the system, and faulted in again, at every apply
     g_tables = tuple(np.fft.irfft(spectra, n=m)[:, :n_nodes] / h)
     G = 0.5 + _cumulative_simpson(g_tables[0], h)
-    G2 = _second_antiderivative(G, h)
-    return KernelTable(etas, g_tables, G, G2)
+    return KernelTable(etas, g_tables, G)
 
 
 def _check_time(t, name="t"):
@@ -231,11 +213,20 @@ def _step_tail(A, B, t, table, xs):
 
 
 def corner_height(A, B, t, table, xs):
-    """Closed-form semigroup action on the corner A x_+ + B x_-."""
+    """Closed-form semigroup action on the corner A x_+ + B x_-.
+
+    By the second antiderivative eta G - 4 g'' (module docstring) this is
+    x times the evolved step, less 4 (A + B) t^{1/4} g''(x t^{-1/4}). The
+    odd part (A - B) x / 2 passes unchanged; the even part is taken at |x|,
+    so that A = B evolves to an exactly even profile.
+    """
     _check_time(t)
     xs = np.asarray(xs, dtype=float)
-    ys = (0.5 * (A + B) * t ** 0.25 * table.eval_M(xs * t ** -0.25)
-          + 0.5 * (A - B) * xs)
+    ax = np.abs(xs)
+    xi = ax * t ** -0.25
+    ys = (0.5 * (A - B) * xs
+          + (A + B) * (ax * (table.eval_G(xi) - 0.5)
+                       - 4.0 * t ** 0.25 * table.eval_g(2, xi)))
     return GridFunction(xs, ys, -B, A, "linear")
 
 

@@ -26,7 +26,7 @@ def ktable():
 @pytest.fixture()
 def new_table(ktable):
     """Factory of tables equal to ktable that hold no solve's grid plan."""
-    return lambda: KernelTable(ktable.etas, ktable.g_ell, ktable.G, ktable.G2)
+    return lambda: KernelTable(ktable.etas, ktable.g_ell, ktable.G)
 
 
 @pytest.fixture(scope="session")

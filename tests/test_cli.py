@@ -21,6 +21,10 @@ def _manifest(out_dir):
         return json.load(fh)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_kernel_command(tmp_path, capsys):
     out = tmp_path / "k"
     code = run_cli("kernel", "--eta-max", "20", "--nodes", "2048",
@@ -196,10 +200,11 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ("slope_cap", "max_iter"))
+@pytest.mark.parametrize("key", ("slope_cap", "max_iter", "tol"))
 def test_config_file_solver_constants_are_unknown(tmp_path, capsys, key):
-    # the slope cap and the iteration limit belong to the solver
-    # (mild.SLOPE_CAP, mild.MAX_ITER); a config file cannot set them
+    # the slope cap, the iteration limit and the tolerance belong to the
+    # solver (mild.SLOPE_CAP, mild.MAX_ITER, the default tol 1e-10); a
+    # config file cannot set them
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {0.2 if key == 'slope_cap' else 5}\n")
     code = run_cli("solve", "--a", "0.1", "--b", "0.1", "--config",
@@ -214,7 +219,7 @@ def test_config_file_solver_constants_are_unknown(tmp_path, capsys, key):
     (None, "cannot read config"),
     ("intervals = abc\n", "bad value 'abc' for intervals"),
     ("a = 0.1\nintervals = 512.5\n", "run.cfg:2: bad value"),
-    ("tol = 1e-x\n", "bad value '1e-x' for tol"),
+    ("half_width = 1e-x\n", "bad value '1e-x' for half_width"),
 ), ids=("missing", "int", "not-whole", "float"))
 def test_config_file_errors_exit_2(tmp_path, capsys, text, match):
     # a missing file or a value its flag's type refuses is one error line
@@ -462,8 +467,8 @@ def test_import_leaves_scipy_signal_and_integrate_unloaded():
 def test_manifest_checksums_match_files(tmp_path):
     # every file a run leaves, apart from the manifest, is listed in it
     # with its checksum, and every listed file is there; every JSON file
-    # (for solve: the summary, the two CSV sidecars and the manifest) has
-    # indent 2 and sorted keys
+    # (for solve: the summary, the two CSV sidecars and the manifest) is
+    # strict JSON (no Infinity or NaN) with indent 2 and sorted keys
     runs = {
         "cx": ("diagnose", "--counterexample"),
         "k": ("kernel", "--eta-max", "20", "--nodes", "2048"),
@@ -488,5 +493,6 @@ def test_manifest_checksums_match_files(tmp_path):
             assert cli._sha256(os.path.join(out, rel)) == digest
         for path in out.rglob("*.json"):
             text = path.read_text()
-            assert text == json.dumps(json.loads(text), indent=2,
-                                      sort_keys=True), path
+            assert text == json.dumps(json.loads(
+                text, parse_constant=_refuse_constant), indent=2,
+                sort_keys=True), path

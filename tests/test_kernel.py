@@ -16,9 +16,11 @@ from cornerflow.kernel import _PARITY, ENVELOPE_RATE
 
 G0_EXACT = float(gamma(1.25) / np.pi)  # 0.28851686930823484
 
+# S(1)|x| at x = 0: twice the second antiderivative of g at 0, which is
+# -8 g''(0) = (2/pi) int_0^inf k^2 exp(-k^4) dk
+M_AT_ZERO = float(2.0 * gamma(0.75) / np.pi)  # 0.7801245021788135
 # frozen from an independent high-precision quadrature of the Fourier
 # integrals (direct mpmath-style evaluation, not this module's code path)
-G2_AT_ZERO = 0.39006225108939213
 L1_G1 = 0.7158455096361571
 SUP_G2 = 0.09751556277235175
 L1_G3 = 0.48837974951004337
@@ -70,7 +72,6 @@ def test_mass_and_frozen_norms(ktable):
     mass = 2.0 * simpson(ktable.g_ell[0], dx=ktable.h)
     assert abs(mass - 1.0) < 1e-8
     assert ktable.mass == mass  # the table keeps the mass it checked
-    assert ktable.G2[0] == pytest.approx(G2_AT_ZERO, abs=1e-10)
     # l1 norms ride Simpson over |g| whose kinks at sign changes cost ~1e-7
     assert ktable.l1_norm(1) == pytest.approx(L1_G1, abs=5e-7)
     assert ktable.sup_norm(2) == pytest.approx(SUP_G2, abs=1e-10)
@@ -101,25 +102,24 @@ def test_decay_envelope(ktable):
     g0 = ktable.g_ell[0].copy()
     g0[ktable.etas > 39.0] = 1e-12
     with pytest.raises(ValidationError, match="envelope"):
-        KernelTable(ktable.etas, (g0, *ktable.g_ell[1:]), ktable.G,
-                    ktable.G2)
+        KernelTable(ktable.etas, (g0, *ktable.g_ell[1:]), ktable.G)
 
 
 def test_table_refuses_non_finite_samples(ktable):
     # nan compares false, so the mass and envelope checks alone let a nan
     # sample through and read mass = g_env = nan
-    for k in range(6):
-        arrays = [*ktable.g_ell, ktable.G, ktable.G2]
+    for k in range(5):
+        arrays = [*ktable.g_ell, ktable.G]
         arrays[k] = arrays[k].copy()
         arrays[k][100] = (np.nan, np.inf)[k % 2]
         with pytest.raises(ValidationError, match="finite"):
-            KernelTable(ktable.etas, arrays[:4], arrays[4], arrays[5])
+            KernelTable(ktable.etas, arrays[:4], arrays[4])
 
 
 def test_table_refuses_foreign_grids(ktable):
     # the table reads h off the first two nodes and evaluates as if every
     # node sat at a multiple of h from 0
-    tables = (ktable.g_ell, ktable.G, ktable.G2)
+    tables = (ktable.g_ell, ktable.G)
     moved = ktable.etas.copy()
     moved[5000] += 0.3 * ktable.h
     with pytest.raises(ValidationError, match="uniformly spaced"):
@@ -127,9 +127,9 @@ def test_table_refuses_foreign_grids(ktable):
     with pytest.raises(ValidationError, match="starts at eta = 0"):
         KernelTable(ktable.etas + 1.0, *tables)
     with pytest.raises(ValidationError, match="g0 .. g3"):
-        KernelTable(ktable.etas, ktable.g_ell[:3], ktable.G, ktable.G2)
-    with pytest.raises(ValidationError, match="G2 must hold"):
-        KernelTable(ktable.etas, ktable.g_ell, ktable.G, ktable.G2[:-1])
+        KernelTable(ktable.etas, ktable.g_ell[:3], ktable.G)
+    with pytest.raises(ValidationError, match="G must hold"):
+        KernelTable(ktable.etas, ktable.g_ell, ktable.G[:-1])
 
 
 def test_antiderivative_consistency(ktable):
@@ -140,11 +140,12 @@ def test_antiderivative_consistency(ktable):
     g = ktable.eval_g(0, eta)
     assert np.max(np.abs(dG - g)) < 5e-7
     assert float(ktable.eval_G(np.array([ktable.eta_max + 1.0]))[0]) == 1.0
-    # M is even with M ~ |x| far out
-    x = np.array([25.0])
-    assert float(ktable.eval_M(x)[0] - ktable.eval_M(-x)[0]) == 0.0
-    assert float(ktable.eval_M(np.array([ktable.eta_max + 2.0]))[0]) \
-        == ktable.eta_max + 2.0
+    # S(1)|x| is even, and |x| itself past eta_max
+    U = corner_height(1.0, 1.0, 1.0, ktable, symmetric_grid(25.0, 16))
+    assert np.array_equal(U.ys, U.ys[::-1])
+    far = ktable.eta_max + 2.0
+    U = corner_height(1.0, 1.0, 1.0, ktable, symmetric_grid(far, 16))
+    assert U.ys[0] == U.ys[-1] == far
 
 
 def test_csv_roundtrip(ktable, tmp_path):
@@ -156,7 +157,10 @@ def test_csv_roundtrip(ktable, tmp_path):
         assert np.max(np.abs(back.eval_g(ell, eta)
                              - ktable.eval_g(ell, eta))) < 1e-14
     assert np.max(np.abs(back.eval_G(eta) - ktable.eval_G(eta))) < 1e-14
-    assert np.max(np.abs(back.eval_G2(eta) - ktable.eval_G2(eta))) < 1e-9
+    xs = symmetric_grid(5.0, 100)
+    assert np.max(np.abs(corner_height(0.2, 0.1, 1.0, back, xs).ys
+                         - corner_height(0.2, 0.1, 1.0, ktable, xs).ys)) \
+        < 1e-14
 
 
 def test_csv_with_non_finite_values_is_refused(ktable, tmp_path):
@@ -329,6 +333,32 @@ def test_apply_to_step_matches_general_path(ktable):
         a = apply_to_step(0.2, 0.1, 0.8, ell, ktable, xs)
         b = apply_semigroup(step, 0.8, ell, ktable)
         assert np.max(np.abs(a.ys - b.ys)) < 1e-12
+
+
+@pytest.mark.parametrize("eta_max, n_nodes",
+                         ((40.0, 16384), (20.0, 2048), (15.0, 2048)))
+def test_corner_height_at_origin_is_exact(eta_max, n_nodes):
+    # the exact value takes in the tail past eta_max, which a second
+    # antiderivative summed inside the window misses (by 1.1e-5 at 15)
+    table = build_kernel_table(eta_max, n_nodes)
+    U = corner_height(1.0, 1.0, 1.0, table, symmetric_grid(1.0, 16))
+    assert abs(U.ys[8] - M_AT_ZERO) <= 1e-14
+
+
+def test_corner_height_from_the_narrowest_table(ktable):
+    # inside |xi| <= 15 the (15, 2048) table evolves the benchmark's
+    # corners as the default one does, up to its cubic interpolation of
+    # g'' next to the origin (3.5e-11); past 15 it holds no kernel, and the
+    # heights differ by up to 5.6e-6 (A + B) t^{1/4}
+    small = build_kernel_table(15.0, 2048)
+    xs = symmetric_grid(20.0, 2048)
+    for A, B in ((0.1, 0.1), (0.29, 0.0), (0.2, 0.03)):
+        for t in np.geomspace(1e-4, 1e4, 33):
+            inside = np.abs(xs) * t ** -0.25 <= small.eta_max
+            gap = (corner_height(A, B, t, small, xs).ys
+                   - corner_height(A, B, t, ktable, xs).ys)[inside]
+            assert np.max(np.abs(gap), initial=0.0) \
+                <= 1e-10 * (A + B) * t ** 0.25
 
 
 def test_corner_height_slope_is_evolved_step(ktable):
