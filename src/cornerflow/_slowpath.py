@@ -7,11 +7,13 @@ No code in the package calls skew_sum: the tests use it as their dense
 reference, and `_backend` exports it only because the benchmark's tracer
 wraps it there, until the benchmark records its own spans.
 cubic_eval and lagrange_taps share one 4-point Lagrange stencil;
-lagrange_taps returns the taps themselves, so that the mild solver's node
-plans for sources off the output nodes, which resample or spread the
-density by them, compute them once per node. quintic_eval is the 6-point
-stencil, with the same end cells, for the smooth convolutions that the
-mild solver takes from a coarser grid onto its output grid. The stencils
+lagrange_taps returns the taps themselves, each point's stencil and its
+offset in it, so that the mild solver's node plans for sources off the
+output nodes, which resample or spread the density by them, compute them
+once per node, and their weights (`lagrange_weights` of the offsets) for
+a whole block of nodes at once. quintic_eval is the 6-point stencil,
+with the same end cells, for the smooth convolutions that the mild
+solver takes from a coarser grid onto its output grid. The stencils
 build their weights and sums in place, from one gather index shifted by
 views (tab[k:][j] is node j + k), but keep the operation order of the
 plain formulas, so their bits are those of the formulas.
@@ -58,30 +60,32 @@ def lagrange_weights(u):
     return w
 
 
-def _cell_taps(t, n):
-    """Base node j and the 4 weights on j-1..j+2 at grid coordinates t.
+def _cells(t, n):
+    """Base node j of the 4-point stencil on j-1..j+2 at grid coordinates
+    t, and the offsets t - j, whose `lagrange_weights` are its weights.
 
     The stencil of a point in an end cell is the nearest interior one.
     """
     j = np.floor(t).astype(np.int64)
     np.maximum(j, 1, out=j)
     np.minimum(j, n - 3, out=j)
-    return j, lagrange_weights(t - j)
+    return j, t - j
 
 
 def lagrange_taps(x0, h, n, q):
     """The 4-point Lagrange taps of the increasing points q on x0 + h*i.
 
-    Returns (lo, base, w): the points q[lo:lo + k] are those on the grid
-    (x0 <= q <= x0 + (n-1)h), and w is the (4, k) array of their weights
-    on the nodes base + 0..3. End cells and rounding are those of
-    `cubic_eval`, whose zero fill covers the points outside the window.
+    Returns (lo, base, u): the points q[lo:lo + k] are those on the grid
+    (x0 <= q <= x0 + (n-1)h), and lagrange_weights(u) is the (4, k) array
+    of their weights on the nodes base + 0..3. End cells and rounding are
+    those of `cubic_eval`, whose zero fill covers the points outside the
+    window.
     """
     t = (np.asarray(q, dtype=float) - x0) / h
     lo = int(np.searchsorted(t, 0.0, side="left"))
     hi = max(lo, int(np.searchsorted(t, n - 1.0, side="right")))
-    j, w = _cell_taps(t[lo:hi], n)
-    return lo, j - 1, w
+    j, u = _cells(t[lo:hi], n)
+    return lo, j - 1, u
 
 
 def cubic_eval(tab, x0, h, q, fill_left, fill_right):
@@ -94,7 +98,8 @@ def cubic_eval(tab, x0, h, q, fill_left, fill_right):
     q = np.asarray(q, dtype=float)
     n = tab.size
     t = (q.reshape(-1) - x0) / h
-    j, w = _cell_taps(t, n)
+    j, u = _cells(t, n)
+    w = lagrange_weights(u)
     j -= 1  # the stencil's first node; tab[k:][j] is node j + k
     out = w[0]
     out *= tab[j]

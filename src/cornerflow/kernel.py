@@ -231,22 +231,38 @@ def corner_height(A, B, t, table, xs):
 
 
 def _kernel_lags(table, ell, d_lo, d_hi, scale):
-    """g_ell(d scale) at the lags d = d_lo .. d_hi, the table sampled once
-    per |d|: one `sym_eval` on min|d| .. max|d| (from 0 when the lags
-    straddle 0), then gathered by |d|, negated at d < 0 for odd ell.
+    """g_ell(d scale) at the lags d = d_lo .. d_hi (`_block_kernel_lags`
+    of the one span)."""
+    return _block_kernel_lags(table, ell, [(d_lo, d_hi, scale)])[0]
+
+
+def _block_kernel_lags(table, ell, spans):
+    """[g_ell(d scale) at the lags d = d_lo .. d_hi for each span (d_lo,
+    d_hi, scale)], the table sampled once per |d| of each span: one
+    `sym_eval` on the spans' min|d| .. max|d| (from 0 when the lags
+    straddle 0), concatenated; a span's lags d < 0 read its samples
+    backwards, negated for odd ell, and its lags d >= 0 forwards.
 
     Bit for bit the samples of the lags themselves: |d| scale is the
     magnitude of d scale, and g_ell(-x) = +-g_ell(x) holds exactly in
-    `sym_eval`.
+    `sym_eval`, which samples each point by itself.
     """
-    m0 = max(d_lo, -d_hi, 0)
+    starts = [max(d_lo, -d_hi, 0) for d_lo, d_hi, _ in spans]
+    mags = [(m0 + np.arange(max(-d_lo, d_hi) - m0 + 1)) * scale
+            for m0, (d_lo, d_hi, scale) in zip(starts, spans)]
     vals = _backend.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
-                             (m0 + np.arange(max(-d_lo, d_hi) - m0 + 1))
-                             * scale)
-    ker = vals[np.abs(np.arange(d_lo, d_hi + 1)) - m0]
-    if _PARITY[ell] and d_lo < 0:
-        np.negative(ker[:-d_lo], out=ker[:-d_lo])
-    return ker
+                             np.concatenate(mags))
+    kers, off = [], 0
+    for m0, mag, (d_lo, d_hi, _) in zip(starts, mags, spans):
+        # the samples of |d| = m0, m0 + 1, ...
+        seg = vals[off:off + mag.size]
+        off += mag.size
+        neg = seg[max(-d_hi, 1) - m0:-d_lo - m0 + 1][::-1]
+        if _PARITY[ell]:
+            neg = -neg
+        kers.append(np.concatenate((neg, seg[max(d_lo, 0) - m0:
+                                             d_hi - m0 + 1])))
+    return kers
 
 
 def _fftconvolve(a, b):

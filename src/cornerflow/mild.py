@@ -20,12 +20,12 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.sparse import csr_matrix
 
-from ._slowpath import lagrange_taps, quintic_eval
+from ._slowpath import lagrange_taps, lagrange_weights, quintic_eval
 from .errors import (ConfigError, NoConvergence, PicardDivergence,
                      StaleProfile, ValidationError)
 from .grid import (GridFunction, _fd, _inner, _read_csv, _write_csv,
                    symmetric_grid, uniform_grid)
-from .kernel import (_check_time, _kernel_lags, _sampled_convolution,
+from .kernel import (_block_kernel_lags, _check_time, _sampled_convolution,
                      apply_to_step, corner_height)
 # unused here, but bench/tracer.py wraps mild.fftconvolve by that name
 from .kernel import _fftconvolve as fftconvolve  # noqa: F401
@@ -40,6 +40,12 @@ MAX_ITER = 50
 # tau (`_duhamel_nodes`), read-only
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 _GL_X.flags.writeable = _GL_W.flags.writeable = False
+# the rows of a one-shot block of Duhamel nodes at its FFT length, and of
+# the share of a held block's kernel spectra transformed at once
+# (`_kernel_spectra`); a block's tap weights take up to 4 times as much.
+# With twice as much, reconstructions at t = 10 to 1e4 on a 2048-interval
+# grid raised the peak resident size by 1.6 MiB
+BLOCK_BYTES = 1 << 17
 
 
 class CornerData:
@@ -134,13 +140,13 @@ def _spacing(xs):
     return (xs[-1] - xs[0]) / (xs.size - 1)
 
 
-# the grid-only part of one node of `_rescaled_convolution`; see `_fft_plan`
+# the grid-only part of one planned node of `_duhamel_sum`; see `_fft_plan`
 _NodePlan = namedtuple("_NodePlan",
-                       "lo base w k nfft ker a h spread r out0 nout")
+                       "lo base u k nfft lags a h spread r out0 nout")
 
 
 def _fft_plan(n_xs, xs, mu, lam, ell, table):
-    """The grid-only part of one planned node of `_rescaled_convolution`.
+    """The grid-only part of one planned node of `_duhamel_sum`.
 
     On xs, refined r-fold when lam < 3h, with spacing h and n points, the
     sources are padded out to mu * n_xs (or the kernel reach, if nearer)
@@ -148,22 +154,25 @@ def _fft_plan(n_xs, xs, mu, lam, ell, table):
     reaches is convolved. Returns a `_NodePlan`, or None when no source
     reaches xs. For mu >= 3h spread is None and the window is the
     k = base.size padded points that fall on the profile grid, with
-    4-point Lagrange taps (base, w) into n_tab. For mu < 3h the points
-    mu n_xs[lo:lo + base.size] fall on the padded grid and deposit spread
-    times their density by the taps (base, w) onto the k-cell window, base
-    counted from its first cell. The kernel g_ell(d h / lam) is sampled as
-    ker only on the K lags d that join a window point to an output, and
-    there once per |d| (`_kernel_lags`): the lags run nearly symmetric
-    about 0, so that halves the table evaluations. a is the index of
-    output 0 in the linear convolution of the window with them.
+    4-point Lagrange taps (base, u) into n_tab: the stencils base + 0..3
+    and the weights lagrange_weights(u) on them, which the block of nodes
+    evaluates at once. For mu < 3h the points mu n_xs[lo:lo + base.size]
+    fall on the padded grid and deposit spread times their density by the
+    taps (base, u) onto the k-cell window, base counted from its first
+    cell. The kernel g_ell(d h / lam) is needed only on the lags
+    d = d_lo .. d_hi that join a window point to an output; lags =
+    (d_lo, d_hi, h / lam) are the arguments of `_block_kernel_lags`, which
+    samples them for a whole block of nodes. a is the index of output 0
+    in the linear convolution of the window with the lags.
 
     The node gives the nout outputs xs[out0:out0 + nout]; the others are
     zero. Unrefined, they are all of xs; refined, they are the outputs of
     xs that some source reaches, which at small t are a few per cent of
     them. With the sources src on the window and lo = r out0, they are
     irfft(rfft(src, N) khat, N)[:r (nout - 1) + 1:r] for any N >= nfft,
-    where khat = `_kernel_spectrum`(plan, N, lo): the caller chooses the
-    FFT length, at least nfft (`_wrap_free_length`).
+    where khat is h rfft of the lags rotated by a + lo at length N
+    (`_kernel_spectra`): the block of nodes chooses the FFT length, at
+    least nfft (`_wrap_free_length`, `_block_layout`).
     """
     h = _spacing(xs)
     r = 1 if lam >= 3.0 * h else int(np.ceil(24.0 * h / lam))
@@ -178,14 +187,15 @@ def _fft_plan(n_xs, xs, mu, lam, ell, table):
     pr = min(reach, max(0, int(np.ceil((mu * n_xs[-1] - xs[-1]) / h))))
     spread = None
     if mu >= 3.0 * h:
-        pts = np.concatenate([xs[0] - h * np.arange(pl, 0, -1), xs,
-                              xs[-1] + h * np.arange(1, pr + 1)]) / mu
-        lo, base, w = lagrange_taps(n_xs[0], _spacing(n_xs), n_xs.size,
+        pts = xs / mu if not pl + pr else np.concatenate(
+            [xs[0] - h * np.arange(pl, 0, -1), xs,
+             xs[-1] + h * np.arange(1, pr + 1)]) / mu
+        lo, base, u = lagrange_taps(n_xs[0], _spacing(n_xs), n_xs.size,
                                     pts)
         k, first = base.size, lo - pl
     else:
         spread = mu * _spacing(n_xs) / h
-        lo, base, w = lagrange_taps(xs[0] - pl * h, h, pl + n + pr,
+        lo, base, u = lagrange_taps(xs[0] - pl * h, h, pl + n + pr,
                                     mu * n_xs)
         if base.size:
             # the grid cells the taps deposit onto, from base[0] on
@@ -209,8 +219,8 @@ def _fft_plan(n_xs, xs, mu, lam, ell, table):
     nfft = next_fast_len(_wrap_free_length(a, k, lags, r * out0,
                                            r * (out0 + nout - 1) + 1),
                          real=True)
-    ker = _kernel_lags(table, ell, d_lo, d_hi, h / lam)
-    return _NodePlan(lo, base, w, k, nfft, ker, a, h, spread, r, out0, nout)
+    return _NodePlan(lo, base, u, k, nfft, (d_lo, d_hi, h / lam), a, h,
+                     spread, r, out0, nout)
 
 
 def _wrap_free_length(a, k, lags, lo, hi):
@@ -230,113 +240,223 @@ def _wrap_free_length(a, k, lags, lo, hi):
     return need
 
 
-def _kernel_spectrum(node, nfft, lo):
-    """h rfft of the node's kernel lags, rotated by a + lo, at length nfft.
-
-    Lag p goes to index (p - a - lo) mod nfft of a zero buffer: the lags
-    from (a + lo) mod nfft on open it, the lags before that close it.
-    """
-    ker = np.zeros(nfft)
-    k, s = node.ker.size, (node.a + lo) % nfft
-    head = min(s, k)
-    ker[nfft - s:nfft - s + head] = node.ker[:head]
-    ker[:k - head] = node.ker[head:]
-    return rfft(ker) * node.h
+def _on_source_grid(n_xs, xs, mu, lam):
+    """Whether a node is convolved on its source grid: H = mu nh >= 2h and
+    the kernel resolved there, lam >= 3H (`_rescaled_convolution`)."""
+    H = mu * _spacing(n_xs)
+    return H >= 2.0 * _spacing(xs) and lam >= 3.0 * H
 
 
 def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
-    """C(x) = int g_ell((x-y)/lam) n(y/mu) dy on the output grid xs.
+    """C(x) = int g_ell((x-y)/lam) n(y/mu) dy on xs, convolved on the
+    node's source grid.
 
     The density n is sampled as n_tab on the profile grid n_xs; xs is any
     uniform grid of spacing h. The sources mu n_xs[j] lie on the source
-    grid Y = mu (n_xs[0] + nh j), of spacing H = mu nh. Each node takes
-    one of two paths.
-
-    When H >= 2h and the kernel is resolved on Y (lam >= 3H), the node is
-    convolved on its source grid: `_sampled_convolution` on the nodes of Y
-    that cover xs with 3 to spare on each side takes the density as
+    grid Y = mu (n_xs[0] + nh j), of spacing H = mu nh. `_duhamel_sum`
+    sends here the nodes with H >= 2h whose kernel is resolved on Y
+    (lam >= 3H, `_on_source_grid`): `_sampled_convolution` on the nodes of
+    Y that cover xs with 3 to spare on each side takes the density as
     sampled (the trapezoid rule on its own nodes, no upsampling), and a
     6-point Lagrange evaluator (`quintic_eval`) takes the smooth result
     from Y to xs. Against the dense source sum it is within 2e-11 of the
     node's sup at (mu, lam) = (2.5, 1), (5, 4) and (10, 9) on a
-    2048-interval density, where the path below, which upsamples the
-    density up to H/h-fold by 4-point interpolation, is off by up to
-    3.4e-8. Why 2h: with the switch at H > h, the nodes with 1 < H/h < 2
-    made a reconstruction 1-3% slower (t = 10 on a 2048-interval grid of
+    2048-interval density, where a node plan, which upsamples the density
+    up to H/h-fold by 4-point interpolation, is off by up to 3.4e-8. Why
+    2h: with the switch at H > h, the nodes with 1 < H/h < 2 made a
+    reconstruction 1-3% slower (t = 10 on a 2048-interval grid of
     half-width 20, and t = 1 on a 4096-interval output grid). Why 6
     points: with 4-point interpolation from Y the late Duhamel term sat
     1.2e-8 to 1.6e-8 of its sup from that of a profile solved on twice
     the intervals, against 4e-10 with 6 points.
 
-    Every other node, its sources off the nodes of xs, takes its plan on
-    xs: the sources go onto xs, padded out to the kernel reach, and the
-    window of them that reaches xs is FFT-convolved with the kernel
-    samples g_ell(d h / lam). When mu >= 3h the density is resampled by
-    4-point Lagrange interpolation; when mu < 3h the quadrature weights
-    mu nh n_tab[j] are spread from the points mu n_xs[j] by the transposed
-    interpolation, the spreading step of a non-uniform FFT (Greengard &
-    Lee 2004), with error O((h/lam)^4) against the dense source sum.
-
-    When lam < 3h the kernel is not resolved on xs, so the node runs on xs
-    refined r-fold, r = ceil(24 h / lam), keeps every r-th output, and
-    computes only the refined outputs that some source reaches. Why 24:
-    against the own-grid Duhamel terms (t = 1e-2 and 1e-3, 128 and 256
-    cells on [-20, 20]) the worst gap over the Duhamel sup reads 3e-5 at
-    r = ceil(3h / lam), 6e-7 at 6h, 3e-9 at 12h and 1e-10 at 24h, below
-    the 8e-10 of the dense source sum. The spread nodes set this; the
-    resampled ones need only r >= ceil(3h / lam).
-
-    Each call builds its node plan (`_fft_plan`), which depends only on
-    the grids, the node and the table, and drops it. A Picard solve does
-    not come here: it applies the held `_DuhamelOperator` of its grid,
-    made of the same node plans.
+    Each node comes here by itself, under this module-level name, which
+    bench/tracer.py wraps.
     """
     nh = _spacing(n_xs)
     H = mu * nh
-    if H >= 2.0 * _spacing(xs) and lam >= 3.0 * H:
-        lo = int(np.floor((xs[0] / mu - n_xs[0]) / nh)) - 3
-        hi = int(np.ceil((xs[-1] / mu - n_xs[0]) / nh)) + 4
-        return quintic_eval(
-            H * _sampled_convolution(n_tab, H / lam, ell, table, lo, hi),
-            mu * (n_xs[0] + nh * lo), H, xs)
-    node = _fft_plan(n_xs, xs, mu, lam, ell, table)
-    out = np.zeros(xs.size)
-    if node is None:
-        return out
-    lo, base, w, nfft = node.lo, node.base, node.w, node.nfft
-    if node.spread is None:
-        # the 4 taps summed in order; n_tab[k:][base] is n_tab[base + k]
-        src = w[0] * n_tab[base]
-        for k in (1, 2, 3):
-            tap = n_tab[k:][base]
-            tap *= w[k]
-            src += tap
-    else:
-        v = node.spread * n_tab[lo:lo + base.size]
-        src = np.bincount((base + np.arange(4)[:, None]).ravel(),
-                          (w * v).ravel(), minlength=node.k)
-    r, out0, nout = node.r, node.out0, node.nout
-    conv = irfft(rfft(src, nfft) * _kernel_spectrum(node, nfft, r * out0),
-                 nfft)
-    out[out0:out0 + nout] = conv[:r * (nout - 1) + 1:r]
-    return out
+    lo = int(np.floor((xs[0] / mu - n_xs[0]) / nh)) - 3
+    hi = int(np.ceil((xs[-1] / mu - n_xs[0]) / nh)) + 4
+    return quintic_eval(
+        H * _sampled_convolution(n_tab, H / lam, ell, table, lo, hi),
+        mu * (n_xs[0] + nh * lo), H, xs)
 
 
 def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
     """Sum over the nodes quad = (mu, lam, w); n_tab on n_xs, output on xs.
 
-    A one-shot sum: each node goes through the module's
-    `_rescaled_convolution`, looked up at call time with these positional
-    arguments, so that bench/tracer.py, which wraps it, sees every node of
-    every sum, and builds its plan and drops it. `duhamel_integral` (hence
-    `reconstruct_U`) sums this way; a Picard solve, which sums on one grid
-    many times, applies the `_DuhamelOperator` its table holds instead.
+    A one-shot sum: each node's convolution C(x) = int g_ell((x-y)/lam)
+    n(y/mu) dy takes one of two paths, and the sum keeps no plan.
+    `duhamel_integral` (hence `reconstruct_U`) sums this way; a Picard
+    solve, which sums on one grid many times, applies the
+    `_DuhamelOperator` its table holds instead.
+
+    A node on its source grid (`_on_source_grid`) goes by itself through
+    the module's `_rescaled_convolution`, looked up at call time with
+    these positional arguments, so that bench/tracer.py, which wraps it,
+    sees it.
+
+    Every other node, its sources off the nodes of xs, takes its plan on
+    xs (`_fft_plan`): the sources go onto xs, padded out to the kernel
+    reach, and the window of them that reaches xs is FFT-convolved with
+    the kernel samples g_ell(d h / lam). When mu >= 3h the density is
+    resampled by 4-point Lagrange interpolation; when mu < 3h the
+    quadrature weights mu nh n_tab[j] are spread from the points mu n_xs[j]
+    by the transposed interpolation, the spreading step of a non-uniform
+    FFT (Greengard & Lee 2004), with error O((h/lam)^4) against the dense
+    source sum. When lam < 3h the kernel is not resolved on xs, so the
+    node runs on xs refined r-fold, r = ceil(24 h / lam), keeps every r-th
+    output, and computes only the refined outputs that some source
+    reaches. Why 24: against the own-grid Duhamel terms (t = 1e-2 and
+    1e-3, 128 and 256 cells on [-20, 20]) the worst gap over the Duhamel
+    sup reads 3e-5 at r = ceil(3h / lam), 6e-7 at 6h, 3e-9 at 12h and
+    1e-10 at 24h, below the 8e-10 of the dense source sum. The spread
+    nodes set this; the resampled ones need only r >= ceil(3h / lam).
+
+    The planned nodes go in blocks of consecutive nodes of one r
+    (`_node_blocks`), each held to BLOCK_BYTES an array: one
+    `_block_kernel_lags` call samples the kernel for the whole block
+    (`_kernel_spectra`), one `lagrange_weights` call weighs the taps of
+    all its nodes, the resampled or spread sources of its nodes fill the
+    rows of one array, and one batched rfft of it, the weighted node sum
+    in Fourier space and one irfft that keeps every r-th output give the
+    block's share (`_add_block`). That matches the node-by-node sum to
+    rounding.
     """
     out = np.zeros(xs.size)
+    planned = []
     for mu, lam, w in zip(*quad):
-        out += w * _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
-                                         table)
+        if _on_source_grid(n_xs, xs, mu, lam):
+            out += w * _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
+                                             table)
+        else:
+            planned.append((mu, lam, w))
+    plans = ((w, _fft_plan(n_xs, xs, mu, lam, ell, table))
+             for mu, lam, w in planned)
+    for block in _node_blocks(plans, _fits_bytes):
+        N, keep, r = _block_layout(block)
+        spectra = _kernel_spectra(block, ell, table, N, r * keep.start)
+        sizes = [node.base.size for _, node in block]
+        taps = np.split(lagrange_weights(
+            np.concatenate([node.u for _, node in block])),
+            np.cumsum(sizes[:-1]), axis=1)
+        src = np.zeros((len(block), N))
+        # each node's quadrature weight goes onto its k sources
+        for row, (wt, node), w in zip(src, block, taps):
+            _window_sources(row[:node.k], node, w, n_tab)
+            row[:node.k] *= wt
+        _add_block(out, rfft(src), spectra, N, keep, r)
     return out
+
+
+def _fits_bytes(block, item):
+    """Whether a node joins a one-shot block: the block's rows at its FFT
+    length stay within BLOCK_BYTES, or the block holds one node so far.
+
+    A block of one node pays the block's costs and batches nothing: on
+    the default grid, where one row passes BLOCK_BYTES, such blocks made
+    reconstructions 9% slower than the node-by-node sum, and blocks of two
+    made them 11% faster.
+    """
+    if len(block) < 2:
+        return True
+    # unrefined nodes all give every output, so their block's length is
+    # that of its longest node
+    N = (max(item[1].nfft, *(node.nfft for _, node in block))
+         if item[1].r == 1 else _block_layout(block + [item])[0])
+    return 8 * N * (len(block) + 1) <= BLOCK_BYTES
+
+
+def _node_blocks(items, fits):
+    """The items (weight, node plan, ...) in blocks of consecutive nodes of
+    one refinement r; items whose plan is None are dropped, and a block
+    also closes before an item that fits(block, item) refuses."""
+    block = []
+    for item in items:
+        node = item[1]
+        if node is None:
+            continue
+        if block and (node.r != block[0][1].r or not fits(block, item)):
+            yield block
+            block = []
+        block.append(item)
+    if block:
+        yield block
+
+
+def _block_layout(block):
+    """(N, kept outputs, r) of a block of (weight, node plan, ...): the
+    outputs are the union of the nodes' ones, and N the shortest fast
+    length that gives them all unwrapped."""
+    r = block[0][1].r
+    out0 = min(node.out0 for _, node, *_ in block)
+    end = max(node.out0 + node.nout for _, node, *_ in block)
+    lo, hi = r * out0, r * (end - 1) + 1
+    N = next_fast_len(max(_wrap_free_length(node.a, node.k,
+                                            node.lags[1] - node.lags[0] + 1,
+                                            lo, hi)
+                          for _, node, *_ in block), real=True)
+    return N, slice(out0, end), r
+
+
+def _kernel_spectra(block, ell, table, N, lo):
+    """The (nodes, N // 2 + 1) kernel spectra of a block of (weight, node
+    plan, ...): row i is h_i rfft of node i's lags rotated by a_i + lo at
+    length N.
+
+    Lag p goes to index (p - a - lo) mod N of a zero row: the lags from
+    (a + lo) mod N on open it, the lags before that close it. The rows go
+    in chunks of at most BLOCK_BYTES, a one-shot block in one: one
+    `_block_kernel_lags` call samples the chunk's lags and one batched
+    rfft transforms its rows, each spectrum that of its row alone, bit for
+    bit. Sampling a held 16-node block in one call raised the Python peak
+    of the operator build on the default grid from 25.5 to 29.4 MiB.
+    """
+    step = max(1, BLOCK_BYTES // (8 * N))
+    spectra = (np.empty((len(block), N // 2 + 1), dtype=complex)
+               if len(block) > step else None)
+    for i in range(0, len(block), step):
+        chunk = block[i:i + step]
+        kers = _block_kernel_lags(table, ell,
+                                  [node.lags for _, node, *_ in chunk])
+        rows = np.zeros((len(chunk), N))
+        for row, (_, node, *_), ker in zip(rows, chunk, kers):
+            k, s = ker.size, (node.a + lo) % N
+            head = min(s, k)
+            row[N - s:N - s + head] = ker[:head]
+            row[:k - head] = ker[head:]
+        if spectra is None:
+            spectra = rfft(rows)
+        else:
+            spectra[i:i + len(chunk)] = rfft(rows)
+    spectra *= np.array([node.h for _, node, *_ in block])[:, None]
+    return spectra
+
+
+def _window_sources(row, node, w, n_tab):
+    """A node's sources on its window, into row (length node.k): n_tab
+    resampled by the 4 taps of weights w, summed in order, or spread by
+    them."""
+    base = node.base
+    if node.spread is None:
+        # n_tab[k:][base] is n_tab[base + k]
+        np.multiply(w[0], n_tab[base], out=row)
+        for k in (1, 2, 3):
+            tap = n_tab[k:][base]
+            tap *= w[k]
+            row += tap
+    else:
+        v = node.spread * n_tab[node.lo:node.lo + base.size]
+        row[:] = np.bincount((base + np.arange(4)[:, None]).ravel(),
+                             (w * v).ravel(), minlength=node.k)
+
+
+def _add_block(out, fs, spectra, N, keep, r):
+    """out[keep] += every r-th output of the block's node sum, from the
+    rffts fs of its nodes' sources at length N (overwritten)."""
+    fs *= spectra
+    out[keep] += irfft(fs.sum(axis=0),
+                       N)[:r * (keep.stop - keep.start - 1) + 1:r]
 
 
 def _window_rows(node):
@@ -347,15 +467,16 @@ def _window_rows(node):
     """
     taps = (node.base[:, None] + np.arange(4)).ravel()
     points = np.repeat(np.arange(node.base.size, dtype=np.int32), 4)
+    w = lagrange_weights(node.u)
     if node.spread is None:
         # window point p takes n_tab at base[p] + 0..3
         return (np.full(node.k, 4, dtype=np.int32), taps.astype(np.int32),
-                node.w.T.ravel())
+                w.T.ravel())
     # n_tab at lo + j goes onto the window cells base[j] + 0..3; listed
     # point by point, a stable sort by cell keeps each cell's points in order
     order = np.argsort(taps, kind="stable")
     return (np.bincount(taps, minlength=node.k).astype(np.int32),
-            node.lo + points[order], (node.w.T * node.spread).ravel()[order])
+            node.lo + points[order], (w.T * node.spread).ravel()[order])
 
 
 class _DuhamelOperator:
@@ -365,18 +486,21 @@ class _DuhamelOperator:
     and the nodes quad = (mu, lam, w), with n_tab sampled on xs itself;
     calling it on n_tab gives the sum on xs. Every node takes its plan on
     xs: on its own grid a node reaches the source-grid path of
-    `_rescaled_convolution` only at mu >= 2, and a Picard solve at t = 1
-    has mu <= 1. The nodes go in blocks of up to
-    BLOCK consecutive nodes of one refinement r. A block's CSR matrix
-    takes n_tab to the source windows of its nodes, stacked with stride W
-    (the block's longest window) and zero beyond each window; its rows are
-    the 4-tap resample of a mu >= 3h node or the transposed spread of a
-    mu < 3h one. The block then takes one batched rfft at a common length
-    N, the product with every node's kernel spectrum at N with its
-    quadrature weight folded in, summed over the nodes in Fourier space,
-    and one irfft that keeps every r-th output of the outputs its nodes
-    give (all of xs when r = 1). The result matches the node-by-node sum
-    to rounding.
+    `_duhamel_sum` only at mu >= 2, and a Picard solve at t = 1 has
+    mu <= 1. The nodes go in blocks of up to BLOCK consecutive nodes of
+    one refinement r (`_node_blocks`), the layout of the one-shot sum with
+    a count in place of its byte bound. A block's CSR matrix takes n_tab
+    to the source windows of its nodes, stacked with stride W (the
+    block's longest window) and zero beyond each window; its rows are the
+    4-tap resample of a mu >= 3h node or the transposed spread of a
+    mu < 3h one. Its kernel spectra are those of the one-shot sum
+    (`_kernel_spectra`, one kernel sampling per chunk of rows) times the
+    quadrature weights, held, bit for bit those of nodes sampled and
+    transformed one by one. A call
+    takes one batched rfft per block at its length N, the product with
+    the spectra summed over the nodes in Fourier space, and one irfft that
+    keeps every r-th output of the outputs its nodes give (all of xs when
+    r = 1). The result matches the node-by-node sum to rounding.
     """
 
     # nodes per block: bounds the temporaries of the build and the apply
@@ -384,47 +508,36 @@ class _DuhamelOperator:
 
     def __init__(self, xs, ell, table, quad):
         self.n = xs.size
-        self.blocks = []  # (CSR matrix, W, N, spectra, kept outputs, r)
-        block = []
-        # the widest windows first: the build's temporaries peak while
-        # little of the operator is held yet
-        for mu, lam, wt in reversed(list(zip(*quad))):
-            node = _fft_plan(xs, xs, mu, lam, ell, table)
-            if node is None:
-                continue
-            if block and (len(block) == self.BLOCK
-                          or node.r != block[0][1].r):
-                self.blocks.append(_operator_block(block, xs.size))
-                block = []
-            # the taps go into CSR rows at once; the kernel lags wait for
-            # the block's FFT length
-            block.append((wt, node._replace(base=None, w=None),
-                          _window_rows(node)))
-        if block:
-            self.blocks.append(_operator_block(block, xs.size))
+        blocks = _node_blocks(_operator_nodes(xs, ell, table, quad),
+                              lambda block, _: len(block) < self.BLOCK)
+        # (CSR matrix, W, N, spectra, kept outputs, r) of each block
+        self.blocks = [_operator_block(block, xs.size, ell, table)
+                       for block in blocks]
 
     def __call__(self, n_tab):
         out = np.zeros(self.n)
         for matrix, W, N, spectra, keep, r in self.blocks:
-            fs = rfft((matrix @ n_tab).reshape(-1, W), N)
-            fs *= spectra
-            out[keep] += irfft(fs.sum(axis=0),
-                               N)[:r * (keep.stop - keep.start - 1) + 1:r]
+            _add_block(out, rfft((matrix @ n_tab).reshape(-1, W), N),
+                       spectra, N, keep, r)
         return out
 
 
-def _operator_block(block, n_src):
-    """(CSR matrix, W, N, spectra, kept outputs, r) of (weight, node plan,
-    window rows): the outputs are the union of the nodes' ones, and N the
-    shortest length that gives them all unwrapped."""
+def _operator_nodes(xs, ell, table, quad):
+    """(weight, node plan, window rows) of the nodes on xs: the taps go
+    into CSR rows at once, and the plan keeps no taps."""
+    # the widest windows first: the build's temporaries peak while little
+    # of the operator is held yet
+    for mu, lam, wt in reversed(list(zip(*quad))):
+        node = _fft_plan(xs, xs, mu, lam, ell, table)
+        if node is not None:
+            yield wt, node._replace(base=None, u=None), _window_rows(node)
+
+
+def _operator_block(block, n_src, ell, table):
+    """(CSR matrix, W, N, spectra, kept outputs, r) of a block of (weight,
+    node plan, window rows)."""
     W = max(node.k for _, node, _ in block)
-    r = block[0][1].r
-    out0 = min(node.out0 for _, node, _ in block)
-    end = max(node.out0 + node.nout for _, node, _ in block)
-    lo, hi = r * out0, r * (end - 1) + 1
-    N = next_fast_len(max(_wrap_free_length(node.a, node.k, node.ker.size,
-                                            lo, hi) for _, node, _ in block),
-                      real=True)
+    N, keep, r = _block_layout(block)
     counts = [np.zeros(1, dtype=np.int32)]
     for _, _, (cnt, _, _) in block:
         counts += [cnt, np.zeros(W - cnt.size, dtype=np.int32)]
@@ -433,10 +546,11 @@ def _operator_block(block, n_src):
          np.concatenate([rows[1] for _, _, rows in block]),
          np.cumsum(np.concatenate(counts))),
         shape=(len(block) * W, n_src))
-    spectra = np.empty((len(block), N // 2 + 1), dtype=complex)
-    for i, (wt, node, _) in enumerate(block):
-        spectra[i] = wt * _kernel_spectrum(node, N, lo)
-    return matrix, W, N, spectra, slice(out0, end), r
+    spectra = _kernel_spectra(block, ell, table, N, r * keep.start)
+    # the quadrature weights go onto the spectra, the node sum of a call
+    # then needs none
+    spectra *= np.array([wt for wt, _, _ in block])[:, None]
+    return matrix, W, N, spectra, keep, r
 
 
 def _picard_plan(table, xs):
@@ -542,7 +656,9 @@ def solve_similarity_profile(corner, tol=1e-10, table=None, xs=None):
     A solve on the same grid reuses them, with results bit-identical to a
     solve on a fresh table; a solve on another grid replaces them. They
     stay with the table until then (21 MiB on the default grid), so a
-    caller that solves once and keeps the table keeps them too.
+    caller that solves once and keeps the table keeps them too. Linear
+    data (A = -B) have the density 0 exactly, so their solve applies no
+    Duhamel sum and returns psi = A, bit for bit, at iteration 1.
     """
     if table is None:
         raise ValidationError("a KernelTable is required")
@@ -571,7 +687,9 @@ def solve_similarity_profile(corner, tol=1e-10, table=None, xs=None):
     for iterations in range(1, MAX_ITER + 1):
         psi1, psi2 = _split_derivatives(psi, h, A + B, step.ys, g0, g1)
         n_tab = _nonlinear_density(psi, psi1, psi2)
-        psi_next = step.ys + duhamel(n_tab)
+        # linear data (A = -B) have the density 0 exactly, and D(0) = 0
+        psi_next = (step.ys + duhamel(n_tab) if n_tab.any()
+                    else step.ys.copy())
         update = float(np.max(np.abs(psi_next - psi)))
         history.append(update)
         psi = psi_next

@@ -3,6 +3,7 @@ from math import gamma
 
 import numpy as np
 import pytest
+from scipy.fft import irfft, rfft
 from scipy.special import roots_jacobi
 
 from cornerflow import _backend, _slowpath, kernel, mild
@@ -43,10 +44,15 @@ def test_alpha_coefficient_small_and_bounded():
     assert np.max(np.abs(a - exact)) < 1e-15
 
 
-def test_linear_data_shortcut(ktable):
-    prof = solve_similarity_profile(CornerData(0.1, -0.1), table=ktable)
-    assert prof.iterations == 1
-    assert np.max(np.abs(prof.psi.ys - 0.1)) < 1e-10
+def test_linear_data_shortcut(ktable, monkeypatch):
+    # A = -B: the evolved step is A exactly and its density is 0 exactly,
+    # so the solve takes no Duhamel apply and psi is A to the bit
+    monkeypatch.setattr(mild._DuhamelOperator, "__call__", _no_nodes)
+    for A in (0.058, -0.2, 0.0, 0.1):
+        prof = solve_similarity_profile(CornerData(A, -A), table=ktable,
+                                        xs=symmetric_grid(20.0, 1024))
+        assert prof.iterations == 1 and prof.residual_history == [0.0]
+        assert np.all(prof.psi.ys == A)
 
 
 def test_picard_monotone_after_two(profile_8k):
@@ -290,6 +296,11 @@ def skew_density(ktable):
             prof.psi.xs)
 
 
+def _one_node(n_tab, n_xs, xs, mu, lam, ell, table):
+    # the convolution of one node, as a Duhamel sum of that node alone
+    return mild._duhamel_sum(n_tab, n_xs, xs, ell, table, ([mu], [lam], [1.0]))
+
+
 def _dense_skew(n_tab, n_xs, xs, mu, lam, ell, table):
     # the dense source sum of a node at every output point
     return mu * mild._spacing(n_xs) * _slowpath.skew_sum(
@@ -337,8 +348,7 @@ def test_spread_branch_matches_dense_sum(coarse_skew_density, ktable, ell):
         h = mild._spacing(xs)
         for mu, lam in ((0.3 * h, 3.0 * h), (h, 12.0 * h),
                         (2.9 * h, 150.0 * h)):
-            got = mild._rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
-                                             ktable)
+            got = _one_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
             ref = _dense_skew(n_tab, n_xs, xs, mu, lam, ell, ktable)
             bound = _spread_bound(n_tab, n_xs, xs, mu, lam, ell, ktable)
             assert np.max(np.abs(got - ref)) <= bound
@@ -349,9 +359,8 @@ def test_spread_and_fft_branches_meet(skew_density, ktable):
     n_tab, n_xs = skew_density
     h = mild._spacing(n_xs)
     for ell in (0, 1, 2):
-        lo, hi = (mild._rescaled_convolution(n_tab, n_xs, n_xs,
-                                             3.0 * h * (1.0 + s), 1.0, ell,
-                                             ktable)
+        lo, hi = (_one_node(n_tab, n_xs, n_xs, 3.0 * h * (1.0 + s), 1.0, ell,
+                            ktable)
                   for s in (-1e-9, 1e-9))
         assert np.max(np.abs(hi - lo)) <= 1e-5 * np.max(np.abs(hi))
 
@@ -402,16 +411,14 @@ def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
                         (2.9 * h, 150.0 * h), (20.0 * h, 150.0 * h),
                         *extra):
             left_out += mu * n_xs[0] - xs[0] > ktable.eta_max * lam
-            got = mild._rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
-                                             ktable)
+            got = _one_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
             ref = _full_length_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert left_out >= 4
     # an output grid that no source reaches gets zeros, spread or resampled
     xs = np.linspace(100.0, 110.0, 257)
     for mu in (0.05, 1.0):
-        assert not np.any(mild._rescaled_convolution(n_tab, n_xs, xs, mu,
-                                                     0.5, ell, ktable))
+        assert not np.any(_one_node(n_tab, n_xs, xs, mu, 0.5, ell, ktable))
         assert not np.any(_full_length_node(n_tab, n_xs, xs, mu, 0.5, ell,
                                             ktable))
 
@@ -440,8 +447,8 @@ def test_source_grid_nodes_match_dense_sum(skew_density, ktable, ell):
         for mu, lam in cases:
             H = mu * mild._spacing(n_xs)
             assert H >= 2.0 * mild._spacing(xs) and lam >= 3.0 * H
-            got = mild._rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
-                                             ktable)[::16]
+            assert mild._on_source_grid(n_xs, xs, mu, lam)
+            got = _one_node(n_tab, n_xs, xs, mu, lam, ell, ktable)[::16]
             ref = _dense_skew(n_tab, n_xs, xs[::16], mu, lam, ell, ktable)
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
     # the wide grid's Y reaches past both ends of the sources for mu <= 5
@@ -451,7 +458,7 @@ def test_source_grid_nodes_match_dense_sum(skew_density, ktable, ell):
 def test_late_reconstruction_takes_few_lagrange_taps(ktable, monkeypatch):
     # at t = 1e4 on a 2048-interval grid of half-width 20, 45 of the 64
     # nodes sit on their source grids and take no interpolation taps;
-    # only the 19 others go through a node plan
+    # only the 19 others go through a node plan, each taking its taps once
     prof = solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
                                     xs=symmetric_grid(20.0, 2048))
     calls, taps = [], mild.lagrange_taps
@@ -465,58 +472,184 @@ def test_late_reconstruction_takes_few_lagrange_taps(ktable, monkeypatch):
     assert len(calls) == 19
 
 
-def test_early_reconstruction_samples_each_lag_magnitude_once(ktable,
-                                                             monkeypatch):
-    # a node plan samples the kernel once, on the |lags| only: at most
-    # max(|d_lo|, |d_hi|) + 1 points for its d_hi - d_lo + 1 lags, which
-    # run nearly symmetric about 0, so about half as many
-    prof = solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
-                                    xs=symmetric_grid(20.0, 2048))
-    plans, inside = [], []
-    lags, sym = mild._kernel_lags, _backend.sym_eval
+def _count_blocks(monkeypatch):
+    """[(spans, sym_eval points, ...)] of every block kernel sampling from
+    now on: the spans (d_lo, d_hi, scale) of its nodes, then the size of
+    each table evaluation it made."""
+    blocks, inside = [], []
+    lags, sym = mild._block_kernel_lags, _backend.sym_eval
 
-    def counted_lags(table, ell, d_lo, d_hi, scale):
-        plans.append([d_lo, d_hi])
+    def counted_lags(table, ell, spans):
+        blocks.append([list(spans)])
         inside.append(True)
         try:
-            return lags(table, ell, d_lo, d_hi, scale)
+            return lags(table, ell, spans)
         finally:
             inside.pop()
 
     def counted_sym(tab, h, parity, q):
         if inside:
-            plans[-1].append(np.size(q))
+            blocks[-1].append(np.size(q))
         return sym(tab, h, parity, q)
 
-    monkeypatch.setattr(mild, "_kernel_lags", counted_lags)
+    monkeypatch.setattr(mild, "_block_kernel_lags", counted_lags)
     monkeypatch.setattr(_backend, "sym_eval", counted_sym)
+    return blocks
+
+
+def test_early_reconstruction_samples_each_lag_magnitude_once(ktable,
+                                                             monkeypatch):
+    # a block samples the kernel in one table evaluation, on its nodes'
+    # |lags| only: at most max(|d_lo|, |d_hi|) + 1 points a node for its
+    # d_hi - d_lo + 1 lags, which run nearly symmetric about 0, so about
+    # half as many. Every node of the sum is in one block
+    prof = solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
+                                    xs=symmetric_grid(20.0, 2048))
+    blocks = _count_blocks(monkeypatch)
     reconstruct_U(prof, 1e-2, ktable)
-    assert len(plans) == 64
-    for d_lo, d_hi, *points in plans:
+    assert 1 < len(blocks) < 64
+    assert sum(len(spans) for spans, *_ in blocks) == 64
+    for spans, *points in blocks:
         assert len(points) == 1
-        assert points[0] <= max(-d_lo, d_hi) + 1
-    total = sum(d_hi - d_lo + 1 for d_lo, d_hi, _ in plans)
-    assert sum(p for _, _, p in plans) < 0.51 * total
+        assert points[0] <= sum(max(-d_lo, d_hi) + 1
+                                for d_lo, d_hi, _ in spans)
+    spans = [span for block in blocks for span in block[0]]
+    total = sum(d_hi - d_lo + 1 for d_lo, d_hi, _ in spans)
+    assert sum(points for _, points in blocks) < 0.51 * total
 
 
-def _rolled_spectrum(node, nfft, lo):
-    # the spectrum as the zero-padded lags, rotated by np.roll
-    ker = np.zeros(nfft)
-    ker[:node.ker.size] = node.ker
-    return np.fft.rfft(np.roll(ker, -(node.a + lo))) * node.h
+def _rolled_spectrum(ker, shift, h, nfft):
+    # h rfft of the zero-padded lags, rotated by np.roll
+    buf = np.zeros(nfft)
+    buf[:ker.size] = ker
+    return rfft(np.roll(buf, -shift)) * h
 
 
-def test_kernel_spectrum_matches_rolled_lags(rng):
+def test_kernel_spectra_match_rolled_lags(ktable, monkeypatch, rng):
     # rotations a + lo before 0, at 0, inside the lags, at their end, past
-    # them and past the FFT length
-    lags = rng.standard_normal(37)
-    for nfft in (37, 40, 96):
-        for shift in (-50, -5, 0, 1, 12, 36, 37, 50, nfft - 1, nfft + 7):
-            node = mild._NodePlan._make([None] * 12)._replace(
-                ker=lags, a=shift - 3, h=0.21)
-            got = mild._kernel_spectrum(node, nfft, 3)
-            want = _rolled_spectrum(node, nfft, 3)
-            assert np.array_equal(got, want)
+    # them and past the FFT length, in one block: each row is its node's
+    # spectrum alone, scaled by its own h, bit for bit, also when the rows
+    # go through the FFT three at a time
+    span = (-18, 18, 0.3)
+    ker = kernel._kernel_lags(ktable, 1, *span)
+    for nfft, chunk in ((37, None), (40, None), (96, None), (40, 3)):
+        if chunk:
+            monkeypatch.setattr(mild, "BLOCK_BYTES", 8 * nfft * chunk)
+        shifts = (-50, -5, 0, 1, 12, 36, 37, 50, nfft - 1, nfft + 7)
+        hs = rng.uniform(0.1, 0.3, len(shifts))
+        empty = [None] * len(mild._NodePlan._fields)
+        block = [(1.0, mild._NodePlan._make(empty)._replace(
+            lags=span, a=shift - 3, h=h)) for h, shift in zip(hs, shifts)]
+        got = mild._kernel_spectra(block, 1, ktable, nfft, 3)
+        for row, h, shift in zip(got, hs, shifts):
+            assert np.array_equal(row, _rolled_spectrum(ker, shift, h, nfft))
+
+
+def _node_by_node_sum(n_tab, n_xs, xs, ell, table, quad):
+    # the Duhamel sum as it was before blocks: each planned node by itself,
+    # its kernel sampled alone and rotated into a zero buffer of its own
+    # FFT length, and three FFTs a node
+    out = np.zeros(xs.size)
+    for mu, lam, w in zip(*quad):
+        if mild._on_source_grid(n_xs, xs, mu, lam):
+            out += w * mild._rescaled_convolution(n_tab, n_xs, xs, mu, lam,
+                                                  ell, table)
+            continue
+        node = mild._fft_plan(n_xs, xs, mu, lam, ell, table)
+        if node is None:
+            continue
+        base, taps = node.base, _slowpath.lagrange_weights(node.u)
+        if node.spread is None:
+            src = taps[0] * n_tab[base]
+            for k in (1, 2, 3):
+                src += taps[k] * n_tab[base + k]
+        else:
+            v = node.spread * n_tab[node.lo:node.lo + base.size]
+            src = np.bincount((base + np.arange(4)[:, None]).ravel(),
+                              (taps * v).ravel(), minlength=node.k)
+        r, out0, nout, nfft = node.r, node.out0, node.nout, node.nfft
+        khat = _rolled_spectrum(kernel._kernel_lags(table, ell, *node.lags),
+                                node.a + r * out0, node.h, nfft)
+        conv = irfft(rfft(src, nfft) * khat, nfft)
+        part = np.zeros(xs.size)
+        part[out0:out0 + nout] = conv[:r * (nout - 1) + 1:r]
+        out += w * part
+    return out
+
+
+# (output grid, t): refined blocks at t = 1e-3 on 256 intervals, spread
+# nodes early, the foreign grid, and late t, where the middle nodes sit
+# on their source grids and one run of r = 1 needs several blocks
+BLOCK_CASES = ((symmetric_grid(20.0, 256), 1e-3),
+               (np.linspace(-13.7, 13.7, 3001), 0.05),
+               (symmetric_grid(20.0, 2048), 1e-2),
+               (symmetric_grid(20.0, 2048), 1e4))
+
+
+@pytest.mark.parametrize("method", ("tau", "s-jacobi"))
+@pytest.mark.parametrize("ell", (0, 1, 2))
+def test_block_sum_matches_node_by_node(skew_density, ktable, monkeypatch,
+                                        ell, method):
+    n_tab, n_xs = skew_density
+    seen, spectra = [], mild._kernel_spectra
+
+    def recorded(block, *args):
+        seen.append((block[0][1].r, len(block)))
+        return spectra(block, *args)
+
+    monkeypatch.setattr(mild, "_kernel_spectra", recorded)
+    runs, spread = [], []
+    for xs, t in BLOCK_CASES:
+        quad = (mild._duhamel_nodes(t, ell) if method == "tau"
+                else _s_jacobi_nodes(t, ell, 64))
+        del seen[:]
+        got = mild._duhamel_sum(n_tab, n_xs, xs, ell, ktable, quad)
+        ref = _node_by_node_sum(n_tab, n_xs, xs, ell, ktable, quad)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        runs.append(list(seen))
+        spread.append(np.min(quad[0]) < 3.0 * mild._spacing(xs))
+    # refined blocks; spread nodes; a run of one r in several blocks; the
+    # nodes on their source grids outside the blocks
+    assert all(r > 1 for r, _ in runs[0])
+    assert spread[0] and spread[2]
+    assert any(a[0] == b[0] for a, b in zip(runs[2], runs[2][1:]))
+    assert sum(n for _, n in runs[3]) < 64
+
+
+def test_held_operator_matches_node_by_node_assembly(skew_density, ktable):
+    # the operator built through the block sampler holds the CSR and the
+    # spectra of one assembled node by node, each node's kernel sampled
+    # and transformed alone, and applies bit for bit alike
+    n_tab, n_xs = skew_density
+    for xs, t in ((symmetric_grid(20.0, 256), 1.0),
+                  (symmetric_grid(20.0, 1024), 1.0),
+                  (symmetric_grid(20.0, 256), 1e-3)):
+        dens = np.interp(xs, n_xs, n_tab)
+        quad = mild._duhamel_nodes(t, 2)
+        op = mild._DuhamelOperator(xs, 2, ktable, quad)
+        nodes = [(wt, mild._fft_plan(xs, xs, mu, lam, 2, ktable))
+                 for mu, lam, wt in reversed(list(zip(*quad)))]
+        nodes = [(wt, node) for wt, node in nodes if node is not None]
+        at = 0
+        ref = np.zeros(xs.size)
+        for matrix, W, N, spectra, keep, r in op.blocks:
+            block, at = nodes[at:at + spectra.shape[0]], at + spectra.shape[0]
+            assert len({node.r for _, node in block}) == 1
+            assert W == max(node.k for _, node in block)
+            rows = [mild._window_rows(node) for _, node in block]
+            assert np.array_equal(matrix.data, np.concatenate(
+                [vals for _, _, vals in rows]))
+            assert np.array_equal(matrix.indices, np.concatenate(
+                [cols for _, cols, _ in rows]))
+            for i, (wt, node) in enumerate(block):
+                ker = kernel._kernel_lags(ktable, 2, *node.lags)
+                assert np.array_equal(spectra[i], wt * _rolled_spectrum(
+                    ker, node.a + r * keep.start, node.h, N))
+            fs = rfft((matrix @ dens).reshape(-1, W), N) * spectra
+            ref[keep] += irfft(fs.sum(axis=0),
+                               N)[:r * (keep.stop - keep.start - 1) + 1:r]
+        assert at == len(nodes)
+        assert np.array_equal(op(dens), ref)
 
 
 def test_late_duhamel_term_matches_finer_profile(ktable):
@@ -566,36 +699,28 @@ PLAN_GRID = symmetric_grid(20.0, 1024)
 
 
 def test_solve_samples_each_fft_kernel_once(new_table, monkeypatch):
-    # a node's kernel samples depend on the node, not the density: a solve
-    # takes them once per node, as it builds the grid's Duhamel operator,
-    # not once per node and iteration, and a second solve on the grid
-    # takes none
-    samples, inside = [], []
-    plan, sym = mild._fft_plan, _backend.sym_eval
-
-    def counted_plan(*args):
-        inside.append(True)
-        try:
-            return plan(*args)
-        finally:
-            inside.pop()
-
-    def counted_sym(*args):
-        if inside:
-            samples.append(args)
-        return sym(*args)
-
-    monkeypatch.setattr(mild, "_fft_plan", counted_plan)
-    monkeypatch.setattr(_backend, "sym_eval", counted_sym)
+    # a node's kernel samples depend on the node, not the density: a cold
+    # solve takes them as it builds the grid's Duhamel operator, in one
+    # table evaluation per chunk of BLOCK_BYTES of each block, each node's
+    # lags once, not once per node and iteration; a second solve on the
+    # grid takes none
+    blocks = _count_blocks(monkeypatch)
     table = new_table()
     prof = solve_similarity_profile(CornerData(0.2, 0.03), table=table,
                                     xs=PLAN_GRID)
     assert prof.iterations >= 5
-    assert len(samples) == 64
-    del samples[:]
+    chunks = []
+    for _, _, N, spectra, *_ in table._picard_plan[1].blocks:
+        step = max(1, mild.BLOCK_BYTES // (8 * N))
+        chunks += [min(step, spectra.shape[0] - i)
+                   for i in range(0, spectra.shape[0], step)]
+    assert [len(spans) for spans, *_ in blocks] == chunks
+    assert [len(points) for _, *points in blocks] == [1] * len(chunks)
+    assert sum(chunks) == 64 and len(chunks) < 64
+    del blocks[:]
     solve_similarity_profile(CornerData(0.1, 0.1), table=table,
                              xs=PLAN_GRID)
-    assert not samples
+    assert not blocks
 
 
 def _count_plans(monkeypatch):
@@ -728,7 +853,9 @@ def test_held_operator_within_memory_budget(ktable):
     plans = 0
     for mu, lam, _ in zip(*quad):
         node = mild._fft_plan(PLAN_GRID, PLAN_GRID, mu, lam, 2, ktable)
-        plans += node.base.nbytes + node.w.nbytes + 16 * (node.nfft // 2 + 1)
+        # the 4 weights a tap, which the plans held
+        plans += (node.base.nbytes + 4 * node.u.nbytes
+                  + 16 * (node.nfft // 2 + 1))
     assert held <= 1.5 * plans
 
 
@@ -756,7 +883,8 @@ def test_no_convergence_path(ktable, monkeypatch):
 def test_divergence_guard(ktable, monkeypatch):
     # a Duhamel operator whose output 2^k - 1 on call k doubles the update
     # on each call: the updates read 1, 2, 4, 8, 16, 32, and the fifth
-    # growing one in a row, at iteration 6, aborts the solve
+    # growing one in a row, at iteration 6, aborts the solve. g_0 = 1
+    # keeps the density nonzero, so that every iteration applies it
     calls = []
 
     def doubling(n_tab):
@@ -764,7 +892,7 @@ def test_divergence_guard(ktable, monkeypatch):
         return np.full(n_tab.size, 2.0 ** len(calls) - 1.0)
 
     monkeypatch.setattr(mild, "_picard_plan", lambda table, xs: (
-        doubling, np.zeros(xs.size), np.zeros(xs.size)))
+        doubling, np.ones(xs.size), np.zeros(xs.size)))
     with pytest.raises(PicardDivergence, match="5 consecutive") as err:
         solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
                                  xs=symmetric_grid(20.0, 256))
