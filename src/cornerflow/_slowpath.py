@@ -10,8 +10,9 @@ cubic_eval and lagrange_taps share one 4-point Lagrange stencil;
 lagrange_taps returns the taps themselves, each point's stencil and its
 offset in it, so that the mild solver's node plans for sources off the
 output nodes, which resample or spread the density by them, compute them
-once per node, and their weights (`lagrange_weights` of the offsets) for
-a whole block of nodes at once. quintic_eval is the 6-point stencil,
+once per node and hold only the offsets while a block of nodes is
+gathered; the weights (`lagrange_weights` of the offsets) are made as
+each node's sources are. quintic_eval is the 6-point stencil,
 with the same end cells, for the smooth convolutions that the mild
 solver takes from a coarser grid onto its output grid. The stencils
 build their weights and sums in place, from one gather index shifted by

@@ -240,8 +240,8 @@ def _block_kernel_lags(table, ell, spans):
     """[g_ell(d scale) at the lags d = d_lo .. d_hi for each span (d_lo,
     d_hi, scale)], the table sampled once per |d| of each span: one
     `sym_eval` on the spans' min|d| .. max|d| (from 0 when the lags
-    straddle 0), concatenated; a span's lags d < 0 read its samples
-    backwards, negated for odd ell, and its lags d >= 0 forwards.
+    straddle 0), concatenated, then gathered span by span by |d|,
+    negated at d < 0 for odd ell.
 
     Bit for bit the samples of the lags themselves: |d| scale is the
     magnitude of d scale, and g_ell(-x) = +-g_ell(x) holds exactly in
@@ -254,14 +254,13 @@ def _block_kernel_lags(table, ell, spans):
                              np.concatenate(mags))
     kers, off = [], 0
     for m0, mag, (d_lo, d_hi, _) in zip(starts, mags, spans):
-        # the samples of |d| = m0, m0 + 1, ...
-        seg = vals[off:off + mag.size]
+        # the samples of |d| = m0, m0 + 1, ..., gathered by |d|
+        ker = vals[off:off + mag.size][np.abs(np.arange(d_lo, d_hi + 1))
+                                       - m0]
         off += mag.size
-        neg = seg[max(-d_hi, 1) - m0:-d_lo - m0 + 1][::-1]
-        if _PARITY[ell]:
-            neg = -neg
-        kers.append(np.concatenate((neg, seg[max(d_lo, 0) - m0:
-                                             d_hi - m0 + 1])))
+        if _PARITY[ell] and d_lo < 0:
+            np.negative(ker[:-d_lo], out=ker[:-d_lo])
+        kers.append(ker)
     return kers
 
 

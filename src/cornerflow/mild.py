@@ -40,11 +40,11 @@ MAX_ITER = 50
 # tau (`_duhamel_nodes`), read-only
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 _GL_X.flags.writeable = _GL_W.flags.writeable = False
-# the rows of a one-shot block of Duhamel nodes at its FFT length, and of
-# the share of a held block's kernel spectra transformed at once
-# (`_kernel_spectra`); a block's tap weights take up to 4 times as much.
-# With twice as much, reconstructions at t = 10 to 1e4 on a 2048-interval
-# grid raised the peak resident size by 1.6 MiB
+# the kernel spectra of a one-shot block of Duhamel nodes, the largest of
+# its arrays (`_spectrum_bytes`), and of the share of a held block's
+# spectra transformed at once (`_kernel_spectra`). With twice as much,
+# reconstructions at t = 10 to 1e4 on a 2048-interval grid peaked 1.2 MiB
+# higher in resident size
 BLOCK_BYTES = 1 << 17
 
 
@@ -155,11 +155,11 @@ def _fft_plan(n_xs, xs, mu, lam, ell, table):
     reaches xs. For mu >= 3h spread is None and the window is the
     k = base.size padded points that fall on the profile grid, with
     4-point Lagrange taps (base, u) into n_tab: the stencils base + 0..3
-    and the weights lagrange_weights(u) on them, which the block of nodes
-    evaluates at once. For mu < 3h the points mu n_xs[lo:lo + base.size]
-    fall on the padded grid and deposit spread times their density by the
-    taps (base, u) onto the k-cell window, base counted from its first
-    cell. The kernel g_ell(d h / lam) is needed only on the lags
+    and the weights lagrange_weights(u) on them, evaluated as the node's
+    sources are made (`_window_sources`, `_window_rows`). For mu < 3h the
+    points mu n_xs[lo:lo + base.size] fall on the padded grid and deposit
+    spread times their density by the taps (base, u) onto the k-cell
+    window, base counted from its first cell. The kernel g_ell(d h / lam) is needed only on the lags
     d = d_lo .. d_hi that join a window point to an output; lags =
     (d_lo, d_hi, h / lam) are the arguments of `_block_kernel_lags`, which
     samples them for a whole block of nodes. a is the index of output 0
@@ -187,9 +187,8 @@ def _fft_plan(n_xs, xs, mu, lam, ell, table):
     pr = min(reach, max(0, int(np.ceil((mu * n_xs[-1] - xs[-1]) / h))))
     spread = None
     if mu >= 3.0 * h:
-        pts = xs / mu if not pl + pr else np.concatenate(
-            [xs[0] - h * np.arange(pl, 0, -1), xs,
-             xs[-1] + h * np.arange(1, pr + 1)]) / mu
+        pts = np.concatenate([xs[0] - h * np.arange(pl, 0, -1), xs,
+                              xs[-1] + h * np.arange(1, pr + 1)]) / mu
         lo, base, u = lagrange_taps(n_xs[0], _spacing(n_xs), n_xs.size,
                                     pts)
         k, first = base.size, lo - pl
@@ -314,14 +313,15 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
     nodes set this; the resampled ones need only r >= ceil(3h / lam).
 
     The planned nodes go in blocks of consecutive nodes of one r
-    (`_node_blocks`), each held to BLOCK_BYTES an array: one
-    `_block_kernel_lags` call samples the kernel for the whole block
-    (`_kernel_spectra`), one `lagrange_weights` call weighs the taps of
-    all its nodes, the resampled or spread sources of its nodes fill the
-    rows of one array, and one batched rfft of it, the weighted node sum
-    in Fourier space and one irfft that keeps every r-th output give the
-    block's share (`_add_block`). That matches the node-by-node sum to
-    rounding.
+    (`_node_blocks`) whose kernel spectra stay within BLOCK_BYTES
+    (`_fits_bytes`); a node whose spectrum alone passes it is a block by
+    itself. One `_block_kernel_lags` call samples the kernel for the
+    whole block (`_kernel_spectra`), the resampled or spread sources of
+    its nodes fill the rows of one array, each node's tap weights made
+    and dropped in turn, and one batched rfft of it, the weighted node
+    sum in Fourier space and one irfft that keeps every r-th output give
+    the block's share (`_add_block`). That matches the node-by-node sum
+    to rounding.
     """
     out = np.zeros(xs.size)
     planned = []
@@ -336,35 +336,27 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
     for block in _node_blocks(plans, _fits_bytes):
         N, keep, r = _block_layout(block)
         spectra = _kernel_spectra(block, ell, table, N, r * keep.start)
-        sizes = [node.base.size for _, node in block]
-        taps = np.split(lagrange_weights(
-            np.concatenate([node.u for _, node in block])),
-            np.cumsum(sizes[:-1]), axis=1)
         src = np.zeros((len(block), N))
         # each node's quadrature weight goes onto its k sources
-        for row, (wt, node), w in zip(src, block, taps):
-            _window_sources(row[:node.k], node, w, n_tab)
+        for row, (wt, node) in zip(src, block):
+            _window_sources(row[:node.k], node, n_tab)
             row[:node.k] *= wt
         _add_block(out, rfft(src), spectra, N, keep, r)
     return out
 
 
 def _fits_bytes(block, item):
-    """Whether a node joins a one-shot block: the block's rows at its FFT
-    length stay within BLOCK_BYTES, or the block holds one node so far.
+    """Whether a node joins a one-shot block: the block's kernel spectra
+    stay within BLOCK_BYTES."""
+    N = _block_layout(block + [item])[0]
+    return _spectrum_bytes(N) * (len(block) + 1) <= BLOCK_BYTES
 
-    A block of one node pays the block's costs and batches nothing: on
-    the default grid, where one row passes BLOCK_BYTES, such blocks made
-    reconstructions 9% slower than the node-by-node sum, and blocks of two
-    made them 11% faster.
-    """
-    if len(block) < 2:
-        return True
-    # unrefined nodes all give every output, so their block's length is
-    # that of its longest node
-    N = (max(item[1].nfft, *(node.nfft for _, node in block))
-         if item[1].r == 1 else _block_layout(block + [item])[0])
-    return 8 * N * (len(block) + 1) <= BLOCK_BYTES
+
+def _spectrum_bytes(N):
+    """The bytes of one row of a block's spectra at FFT length N, the
+    largest row of its arrays (its rows of sources, their rfft and its
+    kernel spectra)."""
+    return 16 * (N // 2 + 1)
 
 
 def _node_blocks(items, fits):
@@ -406,13 +398,14 @@ def _kernel_spectra(block, ell, table, N, lo):
 
     Lag p goes to index (p - a - lo) mod N of a zero row: the lags from
     (a + lo) mod N on open it, the lags before that close it. The rows go
-    in chunks of at most BLOCK_BYTES, a one-shot block in one: one
-    `_block_kernel_lags` call samples the chunk's lags and one batched
-    rfft transforms its rows, each spectrum that of its row alone, bit for
-    bit. Sampling a held 16-node block in one call raised the Python peak
-    of the operator build on the default grid from 25.5 to 29.4 MiB.
+    in chunks of at most BLOCK_BYTES of spectra, so a one-shot block in
+    one (`_fits_bytes`): one `_block_kernel_lags` call samples the chunk's
+    lags and one batched rfft transforms its rows, each spectrum that of
+    its row alone, bit for bit. Sampling a held 16-node block in one call
+    raised the Python peak of the operator build on the default grid from
+    25.5 to 29.4 MiB.
     """
-    step = max(1, BLOCK_BYTES // (8 * N))
+    step = max(1, BLOCK_BYTES // _spectrum_bytes(N))
     spectra = (np.empty((len(block), N // 2 + 1), dtype=complex)
                if len(block) > step else None)
     for i in range(0, len(block), step):
@@ -433,11 +426,10 @@ def _kernel_spectra(block, ell, table, N, lo):
     return spectra
 
 
-def _window_sources(row, node, w, n_tab):
+def _window_sources(row, node, n_tab):
     """A node's sources on its window, into row (length node.k): n_tab
-    resampled by the 4 taps of weights w, summed in order, or spread by
-    them."""
-    base = node.base
+    resampled by its 4 taps, summed in order, or spread by them."""
+    base, w = node.base, lagrange_weights(node.u)
     if node.spread is None:
         # n_tab[k:][base] is n_tab[base + k]
         np.multiply(w[0], n_tab[base], out=row)
@@ -494,13 +486,13 @@ class _DuhamelOperator:
     block's longest window) and zero beyond each window; its rows are the
     4-tap resample of a mu >= 3h node or the transposed spread of a
     mu < 3h one. Its kernel spectra are those of the one-shot sum
-    (`_kernel_spectra`, one kernel sampling per chunk of rows) times the
-    quadrature weights, held, bit for bit those of nodes sampled and
-    transformed one by one. A call
-    takes one batched rfft per block at its length N, the product with
-    the spectra summed over the nodes in Fourier space, and one irfft that
-    keeps every r-th output of the outputs its nodes give (all of xs when
-    r = 1). The result matches the node-by-node sum to rounding.
+    (`_kernel_spectra`, one kernel sampling per BLOCK_BYTES chunk of
+    rows) times the quadrature weights, held, bit for bit those of nodes
+    sampled and transformed one by one. A call takes one batched rfft per
+    block at its length N, the product with the spectra summed over the
+    nodes in Fourier space, and one irfft that keeps every r-th output of
+    the outputs its nodes give (all of xs when r = 1). The result matches
+    the node-by-node sum to rounding.
     """
 
     # nodes per block: bounds the temporaries of the build and the apply

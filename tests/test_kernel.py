@@ -269,9 +269,10 @@ def _same_bits(got, want):
 
 @pytest.mark.parametrize("ell", range(4))
 def test_kernel_lags_equal_direct_samples(ktable, monkeypatch, ell):
-    # symmetric, lopsided either way, entirely positive or negative, the
-    # single lag 0 and single lags off it; the last range reaches past the
-    # table, where both read 0. One table evaluation, on min|d| .. max|d|.
+    # symmetric, lopsided either way, entirely positive or negative (also
+    # from lag 1 or -1 on), the single lag 0 and single lags off it; the
+    # last range reaches past the table, where both read 0. One table
+    # evaluation, on min|d| .. max|d|.
     points, sym = [], _backend.sym_eval
 
     def counted(tab, h, parity, q):
@@ -280,7 +281,8 @@ def test_kernel_lags_equal_direct_samples(ktable, monkeypatch, ell):
 
     monkeypatch.setattr(_backend, "sym_eval", counted)
     for d_lo, d_hi in ((-40, 40), (-7, 300), (-300, 12), (5, 90),
-                       (-90, -5), (0, 0), (-3, -3), (4, 4), (0, 17),
+                       (-90, -5), (1, 90), (-90, -1), (1, 2), (0, 0),
+                       (-3, -3), (4, 4), (0, 17),
                        (-17, 0), (-4000, 2500)):
         for scale in (0.37, 2.0, 0.0123):
             got = kernel._kernel_lags(ktable, ell, d_lo, d_hi, scale)
@@ -289,6 +291,26 @@ def test_kernel_lags_equal_direct_samples(ktable, monkeypatch, ell):
             near = 0 if d_lo <= 0 <= d_hi else min(abs(d_lo), abs(d_hi))
             assert points == [max(-d_lo, d_hi) - near + 1]
             del points[:]
+
+
+@pytest.mark.parametrize("ell", range(4))
+def test_block_kernel_lags_equal_direct_samples(ktable, monkeypatch, ell):
+    # the spans of one block, each with its own scale, sampled in one table
+    # evaluation and split back bit for bit
+    spans = [(-40, 40, 0.37), (1, 90, 2.0), (-90, -1, 0.0123), (5, 9, 0.5),
+             (-7, 300, 0.37), (0, 0, 1.0), (-300, -12, 2.0), (1, 1, 0.37)]
+    calls, sym = [], _backend.sym_eval
+
+    def counted(tab, h, parity, q):
+        calls.append(np.size(q))
+        return sym(tab, h, parity, q)
+
+    monkeypatch.setattr(_backend, "sym_eval", counted)
+    kers = kernel._block_kernel_lags(ktable, ell, spans)
+    assert len(calls) == 1
+    assert len(kers) == len(spans)
+    for ker, span in zip(kers, spans):
+        assert _same_bits(ker, _direct_lags(ktable, ell, *span))
 
 
 @given(d_lo=st.integers(-3000, 3000), width=st.integers(0, 3000),

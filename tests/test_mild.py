@@ -518,6 +518,38 @@ def test_early_reconstruction_samples_each_lag_magnitude_once(ktable,
     assert sum(points for _, points in blocks) < 0.51 * total
 
 
+@pytest.mark.parametrize("t", (1e-2, 1e4))
+@pytest.mark.parametrize("grid", ((20.0, 2048), (mild.DEFAULT_HALF_WIDTH,
+                                                mild.DEFAULT_INTERVALS)))
+def test_one_shot_blocks_hold_the_byte_bound(ktable, monkeypatch, grid, t):
+    # every block's kernel spectra stay within BLOCK_BYTES unless it holds
+    # one node, and every block samples its kernel in one table
+    # evaluation: on a 2048-interval grid, where a block holds up to 7
+    # nodes, and on the default grid, where a node's spectrum takes 67 KiB
+    # at t = 1e-2 and up to 189 KiB at 1e4, so that each node is a block
+    xs = symmetric_grid(*grid)
+    n_tab = np.exp(-0.25 * xs * xs)
+    seen, spectra = [], mild._kernel_spectra
+
+    def recorded(block, ell, table, N, lo):
+        seen.append((len(block), N))
+        return spectra(block, ell, table, N, lo)
+
+    monkeypatch.setattr(mild, "_kernel_spectra", recorded)
+    blocks = _count_blocks(monkeypatch)
+    mild._duhamel_sum(n_tab, xs, xs, 2, ktable, mild._duhamel_nodes(t, 2))
+    assert len(blocks) == len(seen) > 1
+    assert [len(spans) for spans, *_ in blocks] == [n for n, _ in seen]
+    assert all(len(points) == 1 for _, *points in blocks)
+    assert all(n == 1 or n * mild._spectrum_bytes(N) <= mild.BLOCK_BYTES
+               for n, N in seen)
+    if grid[1] == 2048:
+        assert max(n for n, _ in seen) >= 6
+    elif t > 1.0:
+        assert max(mild._spectrum_bytes(N)
+                   for _, N in seen) > mild.BLOCK_BYTES
+
+
 def _rolled_spectrum(ker, shift, h, nfft):
     # h rfft of the zero-padded lags, rotated by np.roll
     buf = np.zeros(nfft)
@@ -534,7 +566,8 @@ def test_kernel_spectra_match_rolled_lags(ktable, monkeypatch, rng):
     ker = kernel._kernel_lags(ktable, 1, *span)
     for nfft, chunk in ((37, None), (40, None), (96, None), (40, 3)):
         if chunk:
-            monkeypatch.setattr(mild, "BLOCK_BYTES", 8 * nfft * chunk)
+            monkeypatch.setattr(mild, "BLOCK_BYTES",
+                                mild._spectrum_bytes(nfft) * chunk)
         shifts = (-50, -5, 0, 1, 12, 36, 37, 50, nfft - 1, nfft + 7)
         hs = rng.uniform(0.1, 0.3, len(shifts))
         empty = [None] * len(mild._NodePlan._fields)
@@ -711,7 +744,7 @@ def test_solve_samples_each_fft_kernel_once(new_table, monkeypatch):
     assert prof.iterations >= 5
     chunks = []
     for _, _, N, spectra, *_ in table._picard_plan[1].blocks:
-        step = max(1, mild.BLOCK_BYTES // (8 * N))
+        step = max(1, mild.BLOCK_BYTES // mild._spectrum_bytes(N))
         chunks += [min(step, spectra.shape[0] - i)
                    for i in range(0, spectra.shape[0], step)]
     assert [len(spans) for spans, *_ in blocks] == chunks
