@@ -31,6 +31,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from .errors import GridMismatch, NumericalFailure
 
 SKEW_CHUNK = 2048  # source nodes per block of skew_sum's pair matrix
+GROWTH_CAP = 10.0  # a march step that grows sup|u| more than this is unstable
 
 
 def lagrange_weights(u):
@@ -310,7 +311,7 @@ def _explicit_u(u, h, A, B):
     return out
 
 
-def penta_march_u(u, nsteps, dt, h, A, B, growth_cap=10.0):
+def penta_march_u(u, nsteps, dt, h, A, B, growth_cap=GROWTH_CAP):
     """Advance the height march nsteps with fixed dt.
 
     Implicit fourth derivative (pentadiagonal solve, factored once per

@@ -22,7 +22,7 @@ from .kernel import (_check_time, _check_times, build_kernel_table,
                      regularizing_constants)
 from .mild import (CornerData, _self_similarity_gap, reconstruct_U,
                    save_profile, solve_similarity_profile)
-from . import diagnostics
+from . import diagnostics, kernel, mild, oracle
 from .oracle import MarchConfig, mild_gaps, time_march
 
 
@@ -338,8 +338,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernel", help="build and export the kernel table")
-    p.add_argument("--eta-max", type=float, default=40.0)
-    p.add_argument("--nodes", type=int, default=16384)
+    p.add_argument("--eta-max", type=float, default=kernel.DEFAULT_ETA_MAX)
+    p.add_argument("--nodes", type=int, default=kernel.DEFAULT_NODES)
     p.add_argument("--t-lo", type=float, default=0.01)
     p.add_argument("--t-hi", type=float, default=100.0)
     _add_common(p)
@@ -348,8 +348,9 @@ def build_parser():
     p = sub.add_parser("solve", help="compute a similarity profile")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--half-width", type=float, default=40.0)
-    p.add_argument("--intervals", type=int, default=8192)
+    p.add_argument("--half-width", type=float,
+                   default=mild.DEFAULT_HALF_WIDTH)
+    p.add_argument("--intervals", type=int, default=mild.DEFAULT_INTERVALS)
     p.add_argument("--times", default="0.1,1,10",
                    help="comma-separated reconstruction times")
     p.add_argument("--sweep", default=None,
@@ -369,8 +370,9 @@ def build_parser():
     p.add_argument("--b", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--mollified", action="store_true")
-    p.add_argument("--half-width", type=float, default=40.0)
-    p.add_argument("--intervals", type=int, default=8192)
+    p.add_argument("--half-width", type=float,
+                   default=mild.DEFAULT_HALF_WIDTH)
+    p.add_argument("--intervals", type=int, default=mild.DEFAULT_INTERVALS)
     _add_common(p)
     p.set_defaults(func=cmd_diagnose)
 
@@ -378,9 +380,11 @@ def build_parser():
                        help="cross-validate against the time marcher")
     p.add_argument("--a", type=float, default=0.1)
     p.add_argument("--b", type=float, default=0.1)
-    p.add_argument("--half-width", type=float, default=20.0)
-    p.add_argument("--intervals", type=int, default=4096)
-    p.add_argument("--dt-max", type=float, default=2e-5)
+    p.add_argument("--half-width", type=float,
+                   default=oracle.DEFAULT_MARCH_HALF_WIDTH)
+    p.add_argument("--intervals", type=int,
+                   default=oracle.DEFAULT_MARCH_INTERVALS)
+    p.add_argument("--dt-max", type=float, default=oracle.DEFAULT_DT_MAX)
     p.add_argument("--times", default="1",
                    help="comma-separated snapshot times")
     _add_common(p)

@@ -132,16 +132,20 @@ def esp_check(phi, alpha, beta):
 
 
 class L1Bound:
-    """Outcome of the integrable-slope linear bound check."""
+    """Outcome of the integrable-slope linear bound check.
+
+    tol is the allowance worst_gap was judged by, 4 h (|a0| + 1).
+    """
 
     def __init__(self, applicable, beta=np.nan, a0=np.nan, bound_holds=None,
-                 worst_gap=np.nan, tail_gap=np.nan):
+                 worst_gap=np.nan, tail_gap=np.nan, tol=np.nan):
         self.applicable = bool(applicable)
         self.beta = float(beta)
         self.a0 = float(a0)
         self.bound_holds = bound_holds
         self.worst_gap = float(worst_gap)
         self.tail_gap = float(tail_gap)
+        self.tol = float(tol)
 
     def __repr__(self):
         if not self.applicable:
@@ -161,14 +165,14 @@ def l1_linear_bound(phi, a0):
     dphi = _fd(phi.ys, phi.h, 1)
     w = np.abs(dphi - a0)
     tail_gap = float(max(w[0], w[-1]))
+    tol = 4.0 * phi.h * (abs(a0) + 1.0)
     if tail_gap > 1e-3:
-        return L1Bound(False, a0=a0, tail_gap=tail_gap)
+        return L1Bound(False, a0=a0, tail_gap=tail_gap, tol=tol)
     beta = float(_simpson(w, phi.h))
     gap = phi.ys - (phi.ys[i0] + a0 * phi.xs + beta)
     worst = float(np.max(gap))
-    return L1Bound(True, beta=beta, a0=a0,
-                   bound_holds=bool(worst <= 4.0 * phi.h * (abs(a0) + 1.0)),
-                   worst_gap=worst, tail_gap=tail_gap)
+    return L1Bound(True, beta=beta, a0=a0, bound_holds=bool(worst <= tol),
+                   worst_gap=worst, tail_gap=tail_gap, tol=tol)
 
 
 def peg_bound_check(phi):
@@ -292,7 +296,8 @@ def refinement_threshold(r_coarse, r_fine):
     (r_coarse - r_fine)/(2^4 - 1) estimates the fine-level discretization
     error when the residual converges at the nominal order 4; a
     stagnating residual pair yields a threshold near zero or negative,
-    which fails the comparison.
+    which fails the comparison. r_fine passes it when r_fine <= 0.4
+    r_coarse.
     """
     return 10.0 * (r_coarse - r_fine) / 15.0
 
@@ -344,24 +349,33 @@ class DiagnosticsReport:
 def run_diagnostics(phi, phi_fine=None, eval_stride=1):
     """Run the full identity/inequality battery on a graph.
 
-    With phi_fine (the same object recomputed at doubled resolution) the
-    identity residuals pass when they drop by at least 2.5x between the
-    two levels, i.e. they extrapolate to zero. Without it they are
-    compared against ABS_TOL. eval_stride coarsens the stencil spacing
-    for solver output whose node-level noise would otherwise dominate
-    the divided differences.
+    The three residual rows (key_identity, profile_equation and
+    q_convexity_identity) share one rule. With phi_fine, the same object
+    recomputed at doubled resolution, a row reports the fine-level sup r_f
+    and passes when r_f <= refinement_threshold(r_c, r_f), r_c being the
+    coarse-level sup: that is r_f <= r_c / 2.5, a residual that
+    extrapolates to zero. Without phi_fine a row reports the sup r and
+    passes when r <= ABS_TOL (1 + sup|phi|). The Q row also needs
+    min d_s^2 Q >= -threshold. eval_stride coarsens the stencil spacing
+    for solver output whose node-level noise would otherwise dominate the
+    divided differences.
     """
     rep = DiagnosticsReport(phi)
     pe = subsample(phi, eval_stride)
     pf = subsample(phi_fine, eval_stride) if phi_fine is not None else None
-
     abs_thr = ABS_TOL * (1.0 + interior_sup(pe.ys))
+
+    def _judged(sup_coarse, sup_fine):
+        # (sup, threshold) of a residual row under the rule above
+        if sup_fine is None:
+            return sup_coarse, abs_thr
+        return sup_fine, refinement_threshold(sup_coarse, sup_fine)
+
     for name, fn in (("key_identity", key_identity_residual),
                      ("profile_equation", profile_equation_residual)):
         field = fn(pe)
-        sup, thr = interior_sup(field.ys), abs_thr
-        if pf is not None:
-            sup, thr = interior_sup(fn(pf).ys), sup / 2.5
+        sup, thr = _judged(interior_sup(field.ys),
+                           None if pf is None else interior_sup(fn(pf).ys))
         rep.add(name, sup, thr, sup <= thr, field)
 
     # forward and backward residuals differ by exactly d_s^2(|x|^2/2) - 1
@@ -394,12 +408,11 @@ def run_diagnostics(phi, phi_fine=None, eval_stride=1):
         return (interior_sup(d2q.ys - 2.0 * ds_of_array(g.curvature, g) ** 2),
                 d2q, min_d2q)
 
-    sup0, d2q0, min_d2q = _q_identity(pe)
-    thr0 = abs_thr
+    sup_c, d2q0, min_d2q = _q_identity(pe)
+    sup_f = None
     if pf is not None:
-        sup_c = sup0
-        sup0, _, min_d2q = _q_identity(pf)
-        thr0 = refinement_threshold(sup_c, sup0)
+        sup_f, _, min_d2q = _q_identity(pf)
+    sup0, thr0 = _judged(sup_c, sup_f)
     rep.add("q_convexity_identity", sup0, thr0,
             sup0 <= thr0 and min_d2q >= -thr0, d2q0)
 
@@ -409,7 +422,8 @@ def run_diagnostics(phi, phi_fine=None, eval_stride=1):
             float(np.min(peg.ys)) >= -peg_tol, peg)
 
     phi0 = phi.ys[_origin(phi.xs)]
-    if abs(phi0) > 1e-3:
+    nonlinear = bool(abs(phi0) > 1e-3)
+    if nonlinear:
         # nonlinear candidate: no (alpha, beta) in the scan may certify
         passes = sum(esp_check(phi, alpha, beta)[1]
                      for alpha in (-1.0, 0.0, 1.0)
@@ -421,10 +435,8 @@ def run_diagnostics(phi, phi_fine=None, eval_stride=1):
 
     a0 = phi.right_far if phi.far_kind == "linear" else 0.0
     l1 = l1_linear_bound(phi, a0)
-    rep.add("l1_linear_bound",
-            l1.worst_gap if l1.applicable else 0.0,
-            4.0 * phi.h * (abs(a0) + 1.0),
-            (l1.bound_holds if l1.applicable else True))
+    rep.add("l1_linear_bound", l1.worst_gap if l1.applicable else 0.0,
+            l1.tol, l1.bound_holds if l1.applicable else True)
     rep.fields["d0"] = d0
 
     # informational flags: nonlinearity of the profile and per-direction
@@ -432,7 +444,7 @@ def run_diagnostics(phi, phi_fine=None, eval_stride=1):
     izero = _origin(pe.xs)
     rep.flags = {
         "phi0": float(phi0),
-        "phi0_nonzero": bool(abs(phi0) > 1e-3),
+        "phi0_nonzero": nonlinear,
         "l1_applicable": l1.applicable,
         "d0_max_right": float(np.max(np.abs(d0.ys[izero:]))),
         "d0_max_left": float(np.max(np.abs(d0.ys[:izero + 1]))),

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import GridMismatch, NonFiniteGeometry, ValidationError
 from .grid import (GridFunction, _cumulative_simpson, _fd, _origin,
-                   uniform_grid)
+                   _spacing, uniform_grid)
 
 
 class CurveGeometry:
@@ -29,7 +29,7 @@ class CurveGeometry:
             raise ValidationError("metric fell below 1")
         if np.min(np.diff(arclength)) <= 0.0:
             raise ValidationError("arclength not strictly increasing")
-        h = (xs[-1] - xs[0]) / (xs.size - 1)
+        h = _spacing(xs)
         if np.any(arclength[xs < -1e-9 * h] >= 0.0):
             raise ValidationError("arclength must be negative left of origin")
         self.xs = xs

@@ -18,6 +18,11 @@ from .errors import ValidationError
 _UNIFORM_RTOL = 1e-9
 
 
+def _spacing(xs):
+    """The spacing of the uniform grid xs, from its end nodes."""
+    return (xs[-1] - xs[0]) / (xs.size - 1)
+
+
 def uniform_grid(xs):
     """(xs, h): xs as a float array, checked to be a uniform grid.
 
@@ -34,7 +39,7 @@ def uniform_grid(xs):
         raise ValidationError(f"grid too short: {xs.size} < 16 nodes")
     if not np.all(np.isfinite(xs)):
         raise ValidationError("grid nodes must be finite")
-    h = (xs[-1] - xs[0]) / (xs.size - 1)
+    h = _spacing(xs)
     if h <= 0.0:
         raise ValidationError("xs must be strictly increasing")
     if np.max(np.abs(np.diff(xs) - h)) > _UNIFORM_RTOL * max(1.0, abs(h)):
@@ -45,7 +50,7 @@ def uniform_grid(xs):
 def _origin(xs):
     """Index of the node at x = 0 (within 1e-9 h) of the uniform grid xs."""
     i0 = int(np.argmin(np.abs(xs)))
-    if abs(xs[i0]) > 1e-9 * (xs[-1] - xs[0]) / (xs.size - 1):
+    if abs(xs[i0]) > 1e-9 * _spacing(xs):
         raise ValidationError("grid must contain x = 0 as a node")
     return i0
 

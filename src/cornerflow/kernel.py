@@ -33,6 +33,9 @@ from .grid import (GridFunction, _cumulative_simpson, _read_csv, _simpson,
 _PARITY = (0, 1, 0, 1)  # g even, g' odd, g'' even, g''' odd
 ENVELOPE_RATE = 3.0 / 2.0 ** (11.0 / 3.0)  # stationary-phase decay exponent
 ENVELOPE_FLOOR = 1e-13  # rounding floor of the tables, relative to g(0)
+# the defaults of build_kernel_table and of `cornerflow kernel`
+DEFAULT_ETA_MAX = 40.0
+DEFAULT_NODES = 16384
 
 
 class KernelTable:
@@ -129,7 +132,7 @@ class KernelTable:
         return cls(etas, (g0, g1, g2, g3), G)
 
 
-def build_kernel_table(eta_max=40.0, n_nodes=16384):
+def build_kernel_table(eta_max=DEFAULT_ETA_MAX, n_nodes=DEFAULT_NODES):
     """Tabulate the kernel family by one inverse FFT per derivative order,
     batched.
 

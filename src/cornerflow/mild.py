@@ -11,7 +11,11 @@ nonlinearity inherits the similarity scaling, its space-time integral
 reduces to a one-dimensional quadrature in tau = s^{1/4} over rescaled
 convolutions of a single profile-dependent density n(xi). The s = 0
 endpoint carries the genuine s^{-1/2} singularity; the tau substitution
-absorbs it, and plain Gauss-Legendre in tau then converges spectrally.
+absorbs it. The rule is 64-point Gauss-Legendre in tau, and it was
+measured converged only inside SLOPE_CAP: there a 192-node rule graded
+toward s = t moves psi by at most 6e-10 (half-width 40, 2048 intervals).
+Past the cap the factor exp(-k^4 (t - s)) varies near s = t faster than
+the rule resolves, and the rule is the largest error of a solve.
 """
 import numbers
 from collections import namedtuple
@@ -23,13 +27,14 @@ from scipy.sparse import csr_matrix
 from ._slowpath import lagrange_taps, lagrange_weights, quintic_eval
 from .errors import (ConfigError, NoConvergence, PicardDivergence,
                      StaleProfile, ValidationError)
-from .grid import (GridFunction, _fd, _inner, _read_csv, _write_csv,
-                   symmetric_grid, uniform_grid)
+from .grid import (GridFunction, _fd, _inner, _read_csv, _spacing,
+                   _write_csv, symmetric_grid, uniform_grid)
 from .kernel import (_block_kernel_lags, _check_time, _sampled_convolution,
-                     apply_to_step, corner_height)
+                     corner_height)
 # unused here, but bench/tracer.py wraps mild.fftconvolve by that name
 from .kernel import _fftconvolve as fftconvolve  # noqa: F401
 
+# the default solve grid, also of `cornerflow solve` and `diagnose`
 DEFAULT_HALF_WIDTH = 40.0
 DEFAULT_INTERVALS = 8192
 # Picard runs only below SLOPE_CAP, the small-data hypothesis of its
@@ -106,16 +111,20 @@ def alpha_coefficient(v):
     return v2 * (2.0 + v2) / (1.0 + v2) ** 2
 
 
+def _evolved_step(A, B, table, xs):
+    """The step -B (x<0) -> A (x>0) evolved to t = 1: -B + (A + B) G(xs)."""
+    return -B + (A + B) * table.eval_G(xs)
+
+
 def _profile_derivatives(psi_ys, xs, h, A, B, table):
     """psi', psi'' via the step/remainder split.
 
     The evolved step carries the non-decaying part of psi; its derivatives
     are kernel evaluations. Only the decaying remainder is differenced.
-    Profiles live at t = 1, where the step is -B + (A + B) G(xs).
+    Profiles live at t = 1, where the step is `_evolved_step`.
     """
-    step = -B + (A + B) * table.eval_G(xs)
-    return _split_derivatives(psi_ys, h, A + B, step, table.eval_g(0, xs),
-                              table.eval_g(1, xs))
+    return _split_derivatives(psi_ys, h, A + B, _evolved_step(A, B, table, xs),
+                              table.eval_g(0, xs), table.eval_g(1, xs))
 
 
 def _split_derivatives(psi_ys, h, jump, step, g0, g1):
@@ -134,10 +143,6 @@ def _nonlinear_density(psi_ys, psi1, psi2):
     v2 = psi_ys ** 2
     return (alpha_coefficient(psi_ys) * psi2
             + 3.0 * psi_ys * psi1 ** 2 / (1.0 + v2) ** 3)
-
-
-def _spacing(xs):
-    return (xs[-1] - xs[0]) / (xs.size - 1)
 
 
 # the grid-only part of one planned node of `_duhamel_sum`; see `_fft_plan`
@@ -639,7 +644,8 @@ def solve_similarity_profile(corner, tol=1e-10, table=None, xs=None):
     ConfigError. Five consecutive growing updates abort with
     PicardDivergence; MAX_ITER iterations without convergence raise
     NoConvergence. xs is any uniform grid with xs[0] < 0 < xs[-1]
-    (default: half-width 40, 8192 intervals), checked before any work.
+    (default: DEFAULT_HALF_WIDTH, DEFAULT_INTERVALS), checked before any
+    work.
 
     The table keeps the grid plan of its last solve (`_picard_plan`): the
     Duhamel operator of the grid, which applies the sum over the
@@ -669,19 +675,18 @@ def solve_similarity_profile(corner, tol=1e-10, table=None, xs=None):
             f"corner size {corner.size:.3g} exceeds slope_cap "
             f"{SLOPE_CAP:.3g}; the contraction argument needs small data")
     A, B = corner.A, corner.B
-    step = apply_to_step(A, B, 1.0, 0, table, xs)
-    psi = step.ys.copy()
+    step = _evolved_step(A, B, table, xs)
+    psi = step.copy()
     duhamel, g0, g1 = _picard_plan(table, xs)
     history = []
     growing = 0
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        psi1, psi2 = _split_derivatives(psi, h, A + B, step.ys, g0, g1)
+        psi1, psi2 = _split_derivatives(psi, h, A + B, step, g0, g1)
         n_tab = _nonlinear_density(psi, psi1, psi2)
         # linear data (A = -B) have the density 0 exactly, and D(0) = 0
-        psi_next = (step.ys + duhamel(n_tab) if n_tab.any()
-                    else step.ys.copy())
+        psi_next = step + duhamel(n_tab) if n_tab.any() else step.copy()
         update = float(np.max(np.abs(psi_next - psi)))
         history.append(update)
         psi = psi_next
@@ -700,7 +705,7 @@ def solve_similarity_profile(corner, tol=1e-10, table=None, xs=None):
         raise NoConvergence(
             f"no convergence within the iteration limit MAX_ITER = "
             f"{MAX_ITER} (last update {history[-1]:.3e})", history)
-    psi1, psi2 = _split_derivatives(psi, h, A + B, step.ys, g0, g1)
+    psi1, psi2 = _split_derivatives(psi, h, A + B, step, g0, g1)
     tail_gap = max(abs(psi[0] + B), abs(psi[-1] - A))
     psi_gf = GridFunction(xs, psi, -B, A, "constant",
                           max(4.0 * tail_gap, 1e-9))

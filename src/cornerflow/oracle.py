@@ -20,6 +20,7 @@ import numbers
 import numpy as np
 
 from . import _backend
+from ._slowpath import GROWTH_CAP
 from .errors import OracleInstability, ValidationError
 from .grid import (GridFunction, corner_function, smoothed_abs,
                    symmetric_grid, whole_number)
@@ -28,7 +29,10 @@ from .kernel import _check_times, apply_semigroup, corner_height
 
 DT_INIT = 1e-8  # the first step of every march
 RAMP = 1.6  # dt grows by this factor per step, up to dt_max
-GROWTH_CAP = 10.0  # a step that grows sup|u| more than this is unstable
+# the defaults of MarchConfig and of `cornerflow oracle-compare`
+DEFAULT_MARCH_HALF_WIDTH = 20.0
+DEFAULT_MARCH_INTERVALS = 4096
+DEFAULT_DT_MAX = 2e-5
 
 
 class MarchConfig:
@@ -39,7 +43,8 @@ class MarchConfig:
     marching, since the scheme assumes four bounded derivatives.
     """
 
-    def __init__(self, A, B, half_width=20.0, intervals=4096, dt_max=2e-5):
+    def __init__(self, A, B, half_width=DEFAULT_MARCH_HALF_WIDTH,
+                 intervals=DEFAULT_MARCH_INTERVALS, dt_max=DEFAULT_DT_MAX):
         settings = {"A": A, "B": B, "dt_max": dt_max}
         bad = [key for key, val in settings.items()
                if not (isinstance(val, numbers.Real) and np.isfinite(val))]

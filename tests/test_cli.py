@@ -8,7 +8,7 @@ import pytest
 
 import cornerflow
 from cornerflow import GridFunction, symmetric_grid
-from cornerflow import cli, mild
+from cornerflow import cli, diagnostics, kernel, mild, oracle
 from cornerflow.errors import PicardDivergence
 
 
@@ -434,6 +434,44 @@ def test_oracle_compare_checks_march_flags_first(tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_parser_defaults_are_the_library_defaults(monkeypatch):
+    # the CLI reads each shared default from the module that owns it, when
+    # the parser is built: build_kernel_table and MarchConfig default to
+    # the very constants the parser reads, and a changed constant shows
+    import inspect
+
+    def defaults(*argv):
+        return vars(cli.build_parser().parse_args(list(argv)))
+
+    table = inspect.signature(kernel.build_kernel_table).parameters
+    march = inspect.signature(oracle.MarchConfig).parameters
+    got = defaults("kernel")
+    assert got["eta_max"] is table["eta_max"].default is kernel.DEFAULT_ETA_MAX
+    assert got["nodes"] is table["n_nodes"].default is kernel.DEFAULT_NODES
+    got = defaults("oracle-compare")
+    for key, const in (("half_width", oracle.DEFAULT_MARCH_HALF_WIDTH),
+                       ("intervals", oracle.DEFAULT_MARCH_INTERVALS),
+                       ("dt_max", oracle.DEFAULT_DT_MAX)):
+        assert got[key] is march[key].default is const
+
+    owners = {
+        (mild, "DEFAULT_HALF_WIDTH"): 12.5, (mild, "DEFAULT_INTERVALS"): 1000,
+        (kernel, "DEFAULT_ETA_MAX"): 30.0, (kernel, "DEFAULT_NODES"): 4096,
+        (oracle, "DEFAULT_MARCH_HALF_WIDTH"): 10.0,
+        (oracle, "DEFAULT_MARCH_INTERVALS"): 1024,
+        (oracle, "DEFAULT_DT_MAX"): 1e-4}
+    for (module, name), value in owners.items():
+        monkeypatch.setattr(module, name, value)
+    got = defaults("kernel")
+    assert (got["eta_max"], got["nodes"]) == (30.0, 4096)
+    for argv in (("solve", "--a", "0.1", "--b", "0.1"), ("diagnose",)):
+        got = defaults(*argv)
+        assert (got["half_width"], got["intervals"]) == (12.5, 1000)
+    got = defaults("oracle-compare")
+    assert (got["half_width"], got["intervals"], got["dt_max"]) == (
+        10.0, 1024, 1e-4)
+
+
 def test_console_entry_point():
     # the child imports the package from where this process found it
     src = os.path.dirname(os.path.dirname(cornerflow.__file__))
@@ -452,12 +490,15 @@ def test_import_leaves_scipy_signal_and_integrate_unloaded():
     # convolution and Simpson rules. A later user of SciPy's heavier
     # modules (say `newton_krylov` for a Newton-Krylov solve, or
     # `solve_bvp` for the profile's boundary-value problem) imports them
-    # inside the function that needs them, not at module level
+    # inside the function that needs them, not at module level: watching
+    # scipy.optimize catches a module-level `newton_krylov`, which loads
+    # neither of the other two
     src = os.path.dirname(os.path.dirname(cornerflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, cornerflow, cornerflow.cli; "
-            "loaded = {'scipy.signal', 'scipy.integrate'} & set(sys.modules); "
+            "loaded = {'scipy.signal', 'scipy.integrate', 'scipy.optimize'}"
+            " & set(sys.modules); "
             "assert not loaded, loaded")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
@@ -496,3 +537,16 @@ def test_manifest_checksums_match_files(tmp_path):
             assert text == json.dumps(json.loads(
                 text, parse_constant=_refuse_constant), indent=2,
                 sort_keys=True), path
+    # the two-level residual rows judge by one rule: the threshold cell is
+    # refinement_threshold of the coarse sup, read from the row's field,
+    # and the fine sup. The half-width 10 pair fails the profile equation
+    # (the domain is too narrow), the half-width 40 pair passes throughout
+    for name, failing in (("df", set()), ("df1000", {"profile_equation"})):
+        with open(tmp_path / name / "report.json") as fh:
+            rows = {row["name"]: row for row in json.load(fh)["checks"]}
+        assert {key for key, row in rows.items() if not row["pass"]} == failing
+        for key in ("key_identity", "profile_equation"):
+            field = GridFunction.from_csv(str(tmp_path / name / f"{key}.csv"))
+            coarse = diagnostics.interior_sup(field.ys)
+            assert rows[key]["threshold"] == diagnostics.refinement_threshold(
+                coarse, rows[key]["sup_residual"])

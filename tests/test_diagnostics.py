@@ -122,6 +122,23 @@ def test_l1_bound_arctan_and_not_applicable():
     assert "NotApplicable" in repr(res2)
 
 
+def test_l1_row_threshold_is_the_bound_tolerance():
+    # the l1_linear_bound row shows the allowance the bound was judged by,
+    # whether the bound applies (a line) or not (a corner)
+    xs = symmetric_grid(10.0, 2048)
+    for phi, applicable in (
+            (GridFunction(xs, 0.25 * xs, 0.25, 0.25, "linear"), True),
+            (corner_function(0.3, 0.7, xs), False)):
+        res = dg.l1_linear_bound(phi, phi.right_far)
+        assert res.applicable == applicable
+        assert res.tol == 4.0 * phi.h * (abs(phi.right_far) + 1.0)
+        if applicable:
+            assert res.bound_holds == (res.worst_gap <= res.tol)
+        row = next(row for row in dg.run_diagnostics(phi).summary
+                   if row["name"] == "l1_linear_bound")
+        assert row["threshold"] == res.tol
+
+
 def test_origin_checks_need_a_node_at_zero():
     # the nearest nodes of linspace(-20, 20, 2048) sit at x = +-h/2; the
     # peg margin of a straight line taken about one of them reads -0.39

@@ -249,13 +249,13 @@ BAD_GRIDS = (np.linspace(20.0, -20.0, 513),
 def test_output_grid_checked_before_any_node(profile_8k, ktable, monkeypatch,
                                              xs, match):
     monkeypatch.setattr(mild, "_duhamel_sum", _no_nodes)
-    monkeypatch.setattr(mild, "apply_to_step", _no_nodes)
+    monkeypatch.setattr(mild, "_evolved_step", _no_nodes)
     with pytest.raises(ValidationError, match=match):
         duhamel_integral(profile_8k.psi, 1.0, 1, ktable, xs=xs)
     with pytest.raises(ValidationError, match=match):
         reconstruct_U(profile_8k, 1.0, ktable, xs=xs)
-    # the solve grid too, before the evolved step's tail bound or the
-    # interpolation taps can warn on a reversed or NaN grid
+    # the solve grid too, before the evolved step or the interpolation
+    # taps can warn on a reversed or NaN grid
     with pytest.raises(ValidationError, match=match):
         solve_similarity_profile(CornerData(0.1, 0.1), table=ktable, xs=xs)
 
@@ -267,7 +267,7 @@ def test_solve_grid_must_straddle_zero(ktable, monkeypatch, xs):
     # the profile joins -B and A across 0: a grid on one side is refused,
     # naming it, before the evolved step or any node
     monkeypatch.setattr(mild, "_picard_plan", _no_nodes)
-    monkeypatch.setattr(mild, "apply_to_step", _no_nodes)
+    monkeypatch.setattr(mild, "_evolved_step", _no_nodes)
     with pytest.raises(ValidationError, match=r"solve grid \[.*\] must "
                                               r"straddle 0"):
         solve_similarity_profile(CornerData(0.1, 0.1), table=ktable, xs=xs)
