@@ -29,8 +29,7 @@ from .errors import (ConfigError, NoConvergence, PicardDivergence,
                      StaleProfile, ValidationError)
 from .grid import (GridFunction, _fd, _inner, _read_csv, _spacing,
                    _write_csv, symmetric_grid, uniform_grid)
-from .kernel import (_block_kernel_lags, _check_time, _sampled_convolution,
-                     corner_height)
+from .kernel import _block_kernel_lags, _check_time, corner_height
 # unused here, but bench/tracer.py wraps mild.fftconvolve by that name
 from .kernel import _fftconvolve as fftconvolve  # noqa: F401
 
@@ -147,7 +146,9 @@ def _nonlinear_density(psi_ys, psi1, psi2):
 
 # the grid-only part of one planned node of `_duhamel_sum`; see `_fft_plan`
 _NodePlan = namedtuple("_NodePlan",
-                       "lo base u k nfft lags a h spread r out0 nout")
+                       "lo base u k span lags a h spread r out0 nout")
+# what sets the FFT length of a block of nodes; see `_wrap_free_length`
+_Span = namedtuple("_Span", "r lower upper fixed start end")
 
 
 def _fft_plan(n_xs, xs, mu, lam, ell, table):
@@ -174,10 +175,11 @@ def _fft_plan(n_xs, xs, mu, lam, ell, table):
     zero. Unrefined, they are all of xs; refined, they are the outputs of
     xs that some source reaches, which at small t are a few per cent of
     them. With the sources src on the window and lo = r out0, they are
-    irfft(rfft(src, N) khat, N)[:r (nout - 1) + 1:r] for any N >= nfft,
-    where khat is h rfft of the lags rotated by a + lo at length N
-    (`_kernel_spectra`): the block of nodes chooses the FFT length, at
-    least nfft (`_wrap_free_length`, `_block_layout`).
+    irfft(rfft(src, N) khat, N)[:r (nout - 1) + 1:r] for any N at least
+    the wrap-free length of the node's span, where khat is h rfft of the
+    lags rotated by a + lo at length N (`_kernel_spectra`): the block of
+    nodes chooses the FFT length from the join of their spans
+    (`_wrap_free_length`, `_block_layout`).
     """
     h = _spacing(xs)
     r = 1 if lam >= 3.0 * h else int(np.ceil(24.0 * h / lam))
@@ -220,70 +222,120 @@ def _fft_plan(n_xs, xs, mu, lam, ell, table):
         nout = (min(n, k + lags - 1 - a) - 1) // r + 1 - out0
         if nout < 1:
             return None
-    nfft = next_fast_len(_wrap_free_length(a, k, lags, r * out0,
-                                           r * (out0 + nout - 1) + 1),
-                         real=True)
-    return _NodePlan(lo, base, u, k, nfft, (d_lo, d_hi, h / lam), a, h,
+    # the node keeps the outputs r out0 .. r (out0 + nout - 1) of the
+    # refined xs; its linear convolution holds the outputs -a .. past - 1
+    span = _Span(r, r * out0, r * (out0 + nout - 1) + 1, max(k, lags), -a,
+                 k + lags - 1 - a)
+    return _NodePlan(lo, base, u, k, span, (d_lo, d_hi, h / lam), a, h,
                      spread, r, out0, nout)
 
 
-def _wrap_free_length(a, k, lags, lo, hi):
-    """The shortest FFT length that gives outputs lo..hi-1 unwrapped.
+def _wrap_free_length(span):
+    """The shortest FFT length at which a block's circular convolutions
+    give its kept outputs unwrapped.
 
-    The linear convolution of k window points with `lags` kernel lags
-    holds output o at index o + a. With the kernel rotated by a + lo, the
-    circular convolution of length N holds output lo + i at index i. That
-    is exact for i < hi - lo when N holds both factors and those outputs,
-    when the entries past them (up to index k + lags - 1 - a - lo) do not
-    wrap, and, where entries lie before lo (a + lo > 0), when those,
-    wrapped round to the end, stay past the kept outputs: N >= hi + a.
+    A node convolves k window points with `lags` kernel lags. In a block of
+    planned nodes the nodes share the kept outputs lower .. upper - 1, and
+    each has its own window, whose linear convolution holds the outputs
+    start .. end - 1. With the kernel rotated so that output `lower` sits
+    at index 0, the circular convolution of length N is exact on the kept
+    outputs when N holds both factors (fixed = max(k, lags)) and the kept
+    outputs, when the entries from `lower` on do not wrap (N >= end -
+    lower), and when those before it, wrapped round to the end, stay past
+    the kept outputs (N >= upper - start). A block of source-grid nodes
+    is the transpose (`_source_node`): the nodes share the window of
+    sources lower .. upper - 1 and each keeps its own outputs, which the
+    sources start .. end - 1 reach; the same bounds hold, with fixed =
+    max(lags, kept outputs). A block's span joins its nodes' ones
+    (`_joined`), so its length is the largest of its nodes' lengths with
+    the shared range joined.
     """
-    need = max(k, lags, hi - lo, k + lags - 1 - a - lo)
-    if a + lo > 0:
-        need = max(need, hi + a)
-    return need
+    return max(span.fixed, span.upper - span.lower, span.end - span.lower,
+               span.upper - span.start)
+
+
+def _joined(a, b):
+    """The span of a block of the nodes of spans a and b, of one r."""
+    return _Span(a.r, min(a.lower, b.lower), max(a.upper, b.upper),
+                 max(a.fixed, b.fixed), min(a.start, b.start),
+                 max(a.end, b.end))
 
 
 def _on_source_grid(n_xs, xs, mu, lam):
-    """Whether a node is convolved on its source grid: H = mu nh >= 2h and
+    """Whether a node is convolved on its source grid: H = mu nh >= h and
     the kernel resolved there, lam >= 3H (`_rescaled_convolution`)."""
     H = mu * _spacing(n_xs)
-    return H >= 2.0 * _spacing(xs) and lam >= 3.0 * H
+    return H >= _spacing(xs) and lam >= 3.0 * H
 
 
-def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
-    """C(x) = int g_ell((x-y)/lam) n(y/mu) dy on xs, convolved on the
-    node's source grid.
+# one node of `_duhamel_sum` on its source grid; see `_source_node`
+_SourceNode = namedtuple("_SourceNode", "lags a h y0 nout span")
 
-    The density n is sampled as n_tab on the profile grid n_xs; xs is any
-    uniform grid of spacing h. The sources mu n_xs[j] lie on the source
-    grid Y = mu (n_xs[0] + nh j), of spacing H = mu nh. `_duhamel_sum`
-    sends here the nodes with H >= 2h whose kernel is resolved on Y
-    (lam >= 3H, `_on_source_grid`): `_sampled_convolution` on the nodes of
-    Y that cover xs with 3 to spare on each side takes the density as
-    sampled (the trapezoid rule on its own nodes, no upsampling), and a
-    6-point Lagrange evaluator (`quintic_eval`) takes the smooth result
-    from Y to xs. Against the dense source sum it is within 2e-11 of the
-    node's sup at (mu, lam) = (2.5, 1), (5, 4) and (10, 9) on a
-    2048-interval density, where a node plan, which upsamples the density
-    up to H/h-fold by 4-point interpolation, is off by up to 3.4e-8. Why
-    2h: with the switch at H > h, the nodes with 1 < H/h < 2 made a
-    reconstruction 1-3% slower (t = 10 on a 2048-interval grid of
-    half-width 20, and t = 1 on a 4096-interval output grid). Why 6
-    points: with 4-point interpolation from Y the late Duhamel term sat
-    1.2e-8 to 1.6e-8 of its sup from that of a profile solved on twice
-    the intervals, against 4e-10 with 6 points.
 
-    Each node comes here by itself, under this module-level name, which
-    bench/tracer.py wraps.
+def _source_node(n_xs, xs, mu, lam, table):
+    """The grid-only part of one node on its source grid, or None when no
+    source reaches xs.
+
+    The node's outputs are the nodes lo .. hi - 1 of its source grid Y =
+    mu (n_xs[0] + nh j), of spacing h = H = mu nh, that cover xs with 3
+    to spare on each side: nout of them, from y0 = Y_lo. Output i takes
+    H sum_j g_ell((i - j) H / lam) n_tab[j] over the lags d = i - j = d_lo
+    .. d_hi within the kernel reach, lags = (d_lo, d_hi, H / lam), as in
+    `_fft_plan`. A block of such nodes convolves the window n_tab[lower:
+    upper] of its span, which holds the sources of every node; there
+    output lo sits at index a - lower of the linear convolution, a = lo -
+    d_lo.
     """
     nh = _spacing(n_xs)
     H = mu * nh
     lo = int(np.floor((xs[0] / mu - n_xs[0]) / nh)) - 3
     hi = int(np.ceil((xs[-1] / mu - n_xs[0]) / nh)) + 4
-    return quintic_eval(
-        H * _sampled_convolution(n_tab, H / lam, ell, table, lo, hi),
-        mu * (n_xs[0] + nh * lo), H, xs)
+    reach = int(np.ceil(table.eta_max / (H / lam)))
+    d_lo, d_hi = max(-reach, lo - (n_xs.size - 1)), min(reach, hi - 1)
+    if d_lo > d_hi:
+        return None
+    # the sources lo - d_hi .. hi - 1 - d_lo reach the outputs
+    start, end = lo - d_hi, hi - d_lo
+    span = _Span(1, max(0, start), min(n_xs.size, end),
+                 max(d_hi - d_lo + 1, hi - lo), start, end)
+    return _SourceNode((d_lo, d_hi, H / lam), lo - d_lo, H,
+                       mu * (n_xs[0] + nh * lo), hi - lo, span)
+
+
+def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
+    """C(x) = int g_ell((x-y)/lam) n(y/mu) dy on xs, convolved on the
+    node's source grid: a source-grid block of this node alone.
+
+    The density n is sampled as n_tab on the profile grid n_xs; xs is any
+    uniform grid of spacing h. The sources mu n_xs[j] lie on the source
+    grid Y = mu (n_xs[0] + nh j), of spacing H = mu nh. `_duhamel_sum`
+    sends the nodes with H >= h whose kernel is resolved on Y (lam >= 3H,
+    `_on_source_grid`) to its source-grid blocks (`_add_source_block`):
+    the trapezoid rule on the density's own samples (no upsampling) on
+    the nodes of Y that cover xs with 3 to spare on each side, and a
+    6-point Lagrange evaluator (`quintic_eval`) takes the smooth result
+    from Y to xs. Against the dense source sum it is within 2e-11 of the
+    node's sup at (mu, lam) = (2.5, 1), (5, 4) and (10, 9) on a
+    2048-interval density, where a node plan, which upsamples the density
+    up to H/h-fold by 4-point interpolation, is off by up to 3.4e-8. Why
+    h: with both paths in blocks, moving the switch from H >= 2h down to
+    H >= h made `reconstruct_U` 11% faster at t = 10 and 2-7% at t = 100
+    to 1e4 on a 2048-interval grid of half-width 20, and 11% at t = 1 on
+    a 4096-interval output grid (medians of 25 interleaved rounds); at
+    t = 10 it took the Duhamel term from 8.6e-9 to 6.7e-10 of its sup off
+    the dense source sum. Why 6 points: with 4-point interpolation from Y
+    the late Duhamel term sat 1.2e-8 to 1.6e-8 of its sup from that of a
+    profile solved on twice the intervals, against 4e-10 with 6 points.
+
+    `_duhamel_sum` does not call it: bench/tracer.py wraps this name, and
+    the tests take it as the sum of one node.
+    """
+    out = np.zeros(xs.size)
+    node = _source_node(n_xs, xs, mu, lam, table)
+    if node is not None:
+        _add_source_block(out, [(1.0, node)], node.span, n_tab, xs, ell,
+                          table)
+    return out
 
 
 def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
@@ -295,10 +347,13 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
     solve, which sums on one grid many times, applies the
     `_DuhamelOperator` its table holds instead.
 
-    A node on its source grid (`_on_source_grid`) goes by itself through
-    the module's `_rescaled_convolution`, looked up at call time with
-    these positional arguments, so that bench/tracer.py, which wraps it,
-    sees it.
+    A node on its source grid (`_on_source_grid`, `_source_node`) is
+    convolved there and interpolated to xs (`_rescaled_convolution`).
+    Such nodes share their sources, the density as sampled, so they go in
+    blocks of consecutive nodes whose kernel spectra stay within
+    BLOCK_BYTES (`_fits_bytes`): one rfft of the block's density window,
+    one batched irfft of its products with the nodes' kernel spectra, and
+    a `quintic_eval` a node (`_add_source_block`).
 
     Every other node, its sources off the nodes of xs, takes its plan on
     xs (`_fft_plan`): the sources go onto xs, padded out to the kernel
@@ -329,17 +384,18 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
     to rounding.
     """
     out = np.zeros(xs.size)
-    planned = []
+    on_grid, planned = [], []
     for mu, lam, w in zip(*quad):
         if _on_source_grid(n_xs, xs, mu, lam):
-            out += w * _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell,
-                                             table)
+            on_grid.append((w, _source_node(n_xs, xs, mu, lam, table)))
         else:
             planned.append((mu, lam, w))
+    for block, span in _node_blocks(on_grid, _fits_bytes):
+        _add_source_block(out, block, span, n_tab, xs, ell, table)
     plans = ((w, _fft_plan(n_xs, xs, mu, lam, ell, table))
              for mu, lam, w in planned)
-    for block in _node_blocks(plans, _fits_bytes):
-        N, keep, r = _block_layout(block)
+    for block, span in _node_blocks(plans, _fits_bytes):
+        N, keep, r = _block_layout(span)
         spectra = _kernel_spectra(block, ell, table, N, r * keep.start)
         src = np.zeros((len(block), N))
         # each node's quadrature weight goes onto its k sources
@@ -350,11 +406,27 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
     return out
 
 
-def _fits_bytes(block, item):
-    """Whether a node joins a one-shot block: the block's kernel spectra
-    stay within BLOCK_BYTES."""
-    N = _block_layout(block + [item])[0]
-    return _spectrum_bytes(N) * (len(block) + 1) <= BLOCK_BYTES
+def _add_source_block(out, block, span, n_tab, xs, ell, table):
+    """out += each node's weight times its convolution, taken from its
+    source grid to xs, for a block of (weight, `_SourceNode`) of this span.
+
+    The nodes share the density window n_tab[span.lower:span.upper], so
+    one rfft of it at the block's length N, times the kernel spectra of
+    the nodes (`_kernel_spectra`, H in place of h), and one batched irfft
+    give each node's outputs on its own source grid, from index 0. Each
+    row goes to xs by `quintic_eval`.
+    """
+    N = _block_layout(span)[0]
+    spectra = _kernel_spectra(block, ell, table, N, -span.lower)
+    spectra *= rfft(n_tab[span.lower:span.upper], N)
+    for (wt, node), row in zip(block, irfft(spectra, N)):
+        out += wt * quintic_eval(row[:node.nout], node.y0, node.h, xs)
+
+
+def _fits_bytes(span, count):
+    """Whether a one-shot block of count nodes and this joined span keeps
+    its kernel spectra within BLOCK_BYTES."""
+    return _spectrum_bytes(_block_layout(span)[0]) * count <= BLOCK_BYTES
 
 
 def _spectrum_bytes(N):
@@ -365,35 +437,37 @@ def _spectrum_bytes(N):
 
 
 def _node_blocks(items, fits):
-    """The items (weight, node plan, ...) in blocks of consecutive nodes of
-    one refinement r; items whose plan is None are dropped, and a block
-    also closes before an item that fits(block, item) refuses."""
-    block = []
+    """The items (weight, node, ...) in blocks of consecutive nodes of one
+    refinement r, each block with the join of its nodes' spans (`_Span`);
+    items whose node is None are dropped, and a block also closes before
+    an item that fits(span, count) refuses, given the span and the node
+    count the block would have with it. The span is carried as the block
+    grows, so each item costs the same whatever the block's size."""
+    block, span = [], None
     for item in items:
         node = item[1]
         if node is None:
             continue
-        if block and (node.r != block[0][1].r or not fits(block, item)):
-            yield block
-            block = []
-        block.append(item)
+        if block:
+            joined = _joined(span, node.span)
+            if node.span.r == span.r and fits(joined, len(block) + 1):
+                block.append(item)
+                span = joined
+                continue
+            yield block, span
+        block, span = [item], node.span
     if block:
-        yield block
+        yield block, span
 
 
-def _block_layout(block):
-    """(N, kept outputs, r) of a block of (weight, node plan, ...): the
-    outputs are the union of the nodes' ones, and N the shortest fast
-    length that gives them all unwrapped."""
-    r = block[0][1].r
-    out0 = min(node.out0 for _, node, *_ in block)
-    end = max(node.out0 + node.nout for _, node, *_ in block)
-    lo, hi = r * out0, r * (end - 1) + 1
-    N = next_fast_len(max(_wrap_free_length(node.a, node.k,
-                                            node.lags[1] - node.lags[0] + 1,
-                                            lo, hi)
-                          for _, node, *_ in block), real=True)
-    return N, slice(out0, end), r
+def _block_layout(span):
+    """(N, kept outputs, r) of a block of this span: N is the shortest
+    fast length that gives all its outputs unwrapped, and the kept
+    outputs of a planned block, the union of its nodes' ones, are those
+    of xs. A source-grid block takes N alone."""
+    r = span.r
+    N = next_fast_len(_wrap_free_length(span), real=True)
+    return N, slice(span.lower // r, (span.upper - 1) // r + 1), r
 
 
 def _kernel_spectra(block, ell, table, N, lo):
@@ -479,25 +553,24 @@ def _window_rows(node):
 class _DuhamelOperator:
     """The Duhamel sum on one grid xs as a linear map of n_tab, held.
 
-    Built once from the node plans (`_fft_plan`) of one (xs, ell, table)
-    and the nodes quad = (mu, lam, w), with n_tab sampled on xs itself;
-    calling it on n_tab gives the sum on xs. Every node takes its plan on
-    xs: on its own grid a node reaches the source-grid path of
-    `_duhamel_sum` only at mu >= 2, and a Picard solve at t = 1 has
-    mu <= 1. The nodes go in blocks of up to BLOCK consecutive nodes of
-    one refinement r (`_node_blocks`), the layout of the one-shot sum with
-    a count in place of its byte bound. A block's CSR matrix takes n_tab
-    to the source windows of its nodes, stacked with stride W (the
-    block's longest window) and zero beyond each window; its rows are the
-    4-tap resample of a mu >= 3h node or the transposed spread of a
-    mu < 3h one. Its kernel spectra are those of the one-shot sum
-    (`_kernel_spectra`, one kernel sampling per BLOCK_BYTES chunk of
-    rows) times the quadrature weights, held, bit for bit those of nodes
-    sampled and transformed one by one. A call takes one batched rfft per
-    block at its length N, the product with the spectra summed over the
-    nodes in Fourier space, and one irfft that keeps every r-th output of
-    the outputs its nodes give (all of xs when r = 1). The result matches
-    the node-by-node sum to rounding.
+    Built once from the node plans (`_fft_plan`) of one (xs, ell, table) and
+    the nodes quad = (mu, lam, w), with n_tab sampled on xs itself; calling
+    it on n_tab gives the sum on xs. Every node takes its plan on xs: on its
+    own grid a node reaches the source-grid path of `_duhamel_sum` only at
+    mu >= 1 (H >= h), and every node of a Picard solve at t = 1 has mu < 1.
+    The nodes go in blocks of up to BLOCK consecutive nodes of one
+    refinement r (`_node_blocks`), the layout of the one-shot sum with a
+    count in place of its byte bound. A block's CSR matrix takes n_tab to
+    the source windows of its nodes, stacked with stride W (the block's
+    longest window) and zero beyond each window; its rows are the 4-tap
+    resample of a mu >= 3h node or the transposed spread of a mu < 3h one.
+    Its kernel spectra are those of the one-shot sum (`_kernel_spectra`, one
+    kernel sampling per BLOCK_BYTES chunk of rows) times the quadrature
+    weights, held, bit for bit those of nodes sampled and transformed one by
+    one. A call takes one batched rfft per block at its length N, the
+    product with the spectra summed over the nodes in Fourier space, and one
+    irfft that keeps every r-th output of the outputs its nodes give (all of
+    xs when r = 1). The result matches the node-by-node sum to rounding.
     """
 
     # nodes per block: bounds the temporaries of the build and the apply
@@ -506,10 +579,10 @@ class _DuhamelOperator:
     def __init__(self, xs, ell, table, quad):
         self.n = xs.size
         blocks = _node_blocks(_operator_nodes(xs, ell, table, quad),
-                              lambda block, _: len(block) < self.BLOCK)
+                              lambda _, count: count <= self.BLOCK)
         # (CSR matrix, W, N, spectra, kept outputs, r) of each block
-        self.blocks = [_operator_block(block, xs.size, ell, table)
-                       for block in blocks]
+        self.blocks = [_operator_block(block, span, xs.size, ell, table)
+                       for block, span in blocks]
 
     def __call__(self, n_tab):
         out = np.zeros(self.n)
@@ -530,11 +603,11 @@ def _operator_nodes(xs, ell, table, quad):
             yield wt, node._replace(base=None, u=None), _window_rows(node)
 
 
-def _operator_block(block, n_src, ell, table):
+def _operator_block(block, span, n_src, ell, table):
     """(CSR matrix, W, N, spectra, kept outputs, r) of a block of (weight,
-    node plan, window rows)."""
+    node plan, window rows) and its span."""
     W = max(node.k for _, node, _ in block)
-    N, keep, r = _block_layout(block)
+    N, keep, r = _block_layout(span)
     counts = [np.zeros(1, dtype=np.int32)]
     for _, _, (cnt, _, _) in block:
         counts += [cnt, np.zeros(W - cnt.size, dtype=np.int32)]
@@ -591,15 +664,17 @@ def duhamel_integral(psi, t, target_deriv, table, xs=None):
     alpha(psi) psi'' + F(psi) is formed on the profile grid psi.xs; the
     result lives on xs (default psi.xs), which may be any uniform grid.
     The quadrature (`_duhamel_nodes`) substitutes s = tau^4 and uses
-    64-point Gauss-Legendre in tau, which is spectrally accurate: on a
-    2048-interval grid of half-width 20 it is within 2e-7 of a 128-point
-    rule, relative to the Duhamel sup, for ell = 1 and 2, corners up to
-    (0.29, 0.29) and t from 1e-2 to 1e4. Each node is the trapezoid sum
-    over the density's samples up to the interpolation of
-    `_rescaled_convolution`; at late t most nodes take its source-grid
-    path, which convolves the samples as they are, and at t = 1e4 the
-    term on that grid is within 4e-10 of the sup of the term of the
-    profile solved on twice the intervals.
+    64-point Gauss-Legendre in tau: on a 2048-interval grid of half-width
+    20 it is within 2e-7 of a 128-point rule, relative to the Duhamel
+    sup, for ell = 1 and 2, corners up to (0.29, 0.29) and t from 1e-2 to
+    1e4; past SLOPE_CAP it is the largest error (module docstring). Each
+    node is the trapezoid sum over the density's samples up to the
+    interpolation of `_duhamel_sum`; from t = 10 on that grid 29 to 51 of
+    the 64 nodes take the source-grid path, which convolves the samples
+    as they are. For the (0.1, 0.1) profile there, the term is within
+    6.7e-10 (t = 10) to 1.8e-11 (t = 1e4) of the sup from the dense
+    source sum, and within 1.9e-9 (t = 10) and 2.9e-10 (t = 1e4) of the
+    sup from the term of the profile solved on twice the intervals.
     """
     _check_time(t)
     if target_deriv not in (0, 1, 2):

@@ -69,11 +69,11 @@ def test_traced_solve_matches_untraced(new_table):
 
 
 def test_traced_reconstruction_matches_untraced(new_table):
-    # a reconstruction takes each node on its source grid through the
-    # wrapped mild._rescaled_convolution, where the tracer reads its
-    # arguments, and the other nodes in blocks, each block's kernel
-    # sampled in one sym_eval: every node shows once, and U is
-    # bit-identical to an untraced one
+    # a reconstruction sums every node in a block: the nodes on their
+    # source grids in blocks of their own (mild._add_source_block), the
+    # others in planned blocks, and each block samples its kernel in one
+    # sym_eval. Every node shows once, none goes through the wrapped
+    # mild._rescaled_convolution, and U is bit-identical to an untraced one
     tracing = _load_tracer()
     table = new_table()
     profile = mild.solve_similarity_profile(
@@ -85,6 +85,8 @@ def test_traced_reconstruction_matches_untraced(new_table):
         tracing.install(tracer)
         tracer.wrap(mild, "_kernel_spectra", "block",
                     lambda args, kwargs: len(args[0]))
+        tracer.wrap(mild, "_add_source_block", "source-block",
+                    lambda args, kwargs: len(args[1]))
         try:
             got = mild.reconstruct_U(profile, t, table)
         finally:
@@ -95,9 +97,11 @@ def test_traced_reconstruction_matches_untraced(new_table):
                       in zip(*mild._duhamel_nodes(t, 1)))
         assert (on_grid > 0) == (t > 1.0)
         spans = tracer.summary()
-        assert sum(row["calls"] for name, row in spans.items()
-                   if name.startswith("mild.convolution.")) == on_grid
-        assert spans["block"]["count"] == 64 - on_grid
+        assert not any(name.startswith("mild.convolution.") for name in spans)
+        assert spans["block"]["count"] == 64
+        source = spans.get("source-block", {"calls": 0, "count": 0})
+        assert source["count"] == on_grid
+        assert source["calls"] < on_grid or on_grid == 0
         blocks = [i for i, (name, *_) in enumerate(tracer.spans)
                   if name == "block"]
         assert [sum(1 for name, parent, *_ in tracer.spans
@@ -113,7 +117,7 @@ def test_traced_solve_run_reports_every_metric(tmp_path, workload):
     # repository: it must exit 0 and end with one JSON line in which every
     # metric is a number, no operation failed and every check of the
     # outputs passed. The early reconstructions take every node through
-    # the blocks, the late ones most nodes through the source-grid path
+    # planned blocks, the late ones most nodes through source-grid blocks
     root = TRACER.parents[1]
     (tmp_path / "bench").mkdir()
     for path in (root / "bench").glob("*.py"):

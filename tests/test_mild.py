@@ -3,7 +3,7 @@ from math import gamma
 
 import numpy as np
 import pytest
-from scipy.fft import irfft, rfft
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import roots_jacobi
 
 from cornerflow import _backend, _slowpath, kernel, mild
@@ -397,11 +397,12 @@ def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
     # the planned path convolves only the sources that reach xs, with only
     # the kernel lags that join them to xs, at the shortest wrap-free
     # length: any wrap-around or lost lag shows against the uncut
-    # convolution. (1.5, 1) and (0.5, 5) on the finer grids take the
-    # source-grid path (test_source_grid_nodes_match_dense_sum)
+    # convolution. A node with H = mu nh >= h and lam >= 3H takes the
+    # source-grid path (test_source_grid_nodes_match_dense_sum), so mu > 1
+    # is planned here only with lam < 3H, and mu = 0.45 on the foreign grid
     n_tab, n_xs = skew_density
     left_out = 0
-    planned = (((1.5, 1.0), (0.5, 5.0)), ((0.5, 5.0),), ())
+    planned = (((1.5, 0.08), (0.5, 5.0)), ((0.45, 5.0),), ())
     for (left, right, intervals), extra in zip(SPREAD_GRIDS, planned):
         xs = np.linspace(left, right, intervals + 1)
         h = mild._spacing(xs)
@@ -410,6 +411,7 @@ def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
         for mu, lam in ((0.3 * h, 3.0 * h), (3.1 * h, 3.0 * h),
                         (2.9 * h, 150.0 * h), (20.0 * h, 150.0 * h),
                         *extra):
+            assert not mild._on_source_grid(n_xs, xs, mu, lam)
             left_out += mu * n_xs[0] - xs[0] > ktable.eta_max * lam
             got = _one_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
             ref = _full_length_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
@@ -424,10 +426,13 @@ def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
 
 
 # SPREAD_GRIDS, then an output grid wider than mu n_xs for every mu, whose
-# source grid Y starts below the first source, each with its (mu, lam)
+# source grid Y starts below the first source, each with its (mu, lam);
+# (1.5, 1) on the own grid and (0.5, 5) on the foreign one have
+# h <= H < 2h
 SOURCE_GRID_CASES = (
-    ((-20.0, 20.0, 2048), ((2.5, 1.0), (5.0, 4.0), (10.0, 9.0))),
-    ((-13.7, 13.7, 3000), ((2.5, 1.0), (5.0, 4.0), (10.0, 9.0), (1.5, 1.0))),
+    ((-20.0, 20.0, 2048), ((2.5, 1.0), (5.0, 4.0), (10.0, 9.0), (1.5, 1.0))),
+    ((-13.7, 13.7, 3000), ((2.5, 1.0), (5.0, 4.0), (10.0, 9.0), (1.5, 1.0),
+                           (0.5, 5.0))),
     ((-0.4, 0.25, 256), ((2.5, 1.0), (5.0, 4.0), (10.0, 9.0), (1.5, 1.0),
                          (0.5, 5.0))),
     ((-120.0, 120.0, 12000), ((2.5, 1.0), (5.0, 4.0))))
@@ -435,7 +440,7 @@ SOURCE_GRID_CASES = (
 
 @pytest.mark.parametrize("ell", (0, 1, 2))
 def test_source_grid_nodes_match_dense_sum(skew_density, ktable, ell):
-    # H = mu nh >= 2h and lam >= 3H: the node is convolved on its source
+    # H = mu nh >= h and lam >= 3H: the node is convolved on its source
     # grid, with the density as sampled, and taken to xs by 6-point
     # interpolation. The dense sum is exact up to the kernel table, so the
     # gap is the interpolation's; resampling the density onto xs instead
@@ -446,7 +451,7 @@ def test_source_grid_nodes_match_dense_sum(skew_density, ktable, ell):
         xs = np.linspace(left, right, intervals + 1)
         for mu, lam in cases:
             H = mu * mild._spacing(n_xs)
-            assert H >= 2.0 * mild._spacing(xs) and lam >= 3.0 * H
+            assert H >= mild._spacing(xs) and lam >= 3.0 * H
             assert mild._on_source_grid(n_xs, xs, mu, lam)
             got = _one_node(n_tab, n_xs, xs, mu, lam, ell, ktable)[::16]
             ref = _dense_skew(n_tab, n_xs, xs[::16], mu, lam, ell, ktable)
@@ -455,12 +460,19 @@ def test_source_grid_nodes_match_dense_sum(skew_density, ktable, ell):
     assert xs[0] / 5.0 < n_xs[0] and xs[-1] / 5.0 > n_xs[-1]
 
 
-def test_late_reconstruction_takes_few_lagrange_taps(ktable, monkeypatch):
-    # at t = 1e4 on a 2048-interval grid of half-width 20, 45 of the 64
-    # nodes sit on their source grids and take no interpolation taps;
-    # only the 19 others go through a node plan, each taking its taps once
-    prof = solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
+@pytest.fixture(scope="module")
+def bench_profile(ktable):
+    """The (0.1, 0.1) profile on a 2048-interval grid of half-width 20."""
+    return solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
                                     xs=symmetric_grid(20.0, 2048))
+
+
+def test_late_reconstruction_takes_few_lagrange_taps(bench_profile, ktable,
+                                                     monkeypatch):
+    # at t = 1e4 on a 2048-interval grid of half-width 20, 51 of the 64
+    # nodes sit on their source grids and take no interpolation taps;
+    # only the 13 others go through a node plan, each taking its taps once
+    prof = bench_profile
     calls, taps = [], mild.lagrange_taps
 
     def counted(*args):
@@ -469,7 +481,115 @@ def test_late_reconstruction_takes_few_lagrange_taps(ktable, monkeypatch):
 
     monkeypatch.setattr(mild, "lagrange_taps", counted)
     reconstruct_U(prof, 1e4, ktable)
-    assert len(calls) == 19
+    assert len(calls) == 13
+
+
+def test_t10_duhamel_term_matches_dense_sum(bench_profile, ktable):
+    # at t = 10 on the 2048-interval grid, 29 of the 64 nodes have
+    # h <= H < 2h and sit on their source grids, which convolve the density
+    # as sampled. Node plans, which upsample it by 4-point interpolation,
+    # put the term 8.7e-9 of its sup off the dense source sum. The dense
+    # sum runs on every 32nd output
+    psi = bench_profile.psi
+    xs = psi.xs
+    nodes = mild._duhamel_nodes(10.0, 1)
+    assert sum(mild._on_source_grid(xs, xs, mu, lam)
+               for mu, lam, _ in zip(*nodes)) == 29
+    n_tab = _density(bench_profile, ktable)
+    got = duhamel_integral(psi, 10.0, 1, ktable).ys[::32]
+    ref = sum(w * _dense_skew(n_tab, xs, xs[::32], mu, lam, 1, ktable)
+              for mu, lam, w in zip(*nodes))
+    assert np.max(np.abs(got - ref)) <= 2e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid", ((20.0, 2048), (mild.DEFAULT_HALF_WIDTH,
+                                                mild.DEFAULT_INTERVALS)))
+def test_no_picard_node_sits_on_its_source_grid(grid):
+    # a Picard solve's operator takes every node's plan: on its own grid a
+    # node reaches the source-grid path only at mu >= 1, and at t = 1 every
+    # Gauss node has mu < 1
+    xs = symmetric_grid(*grid)
+    mus, lams, _ = mild._duhamel_nodes(1.0, 2)
+    assert mus.max() < 1.0
+    assert not any(mild._on_source_grid(xs, xs, mu, lam)
+                   for mu, lam in zip(mus, lams))
+
+
+def _parent_wrap_free_length(a, k, lags, lo, hi):
+    # the shortest wrap-free length of one node, as first written
+    need = max(k, lags, hi - lo, k + lags - 1 - a - lo)
+    if a + lo > 0:
+        need = max(need, hi + a)
+    return need
+
+
+def _parent_layout(block):
+    # (N, kept outputs, r) of a block, rebuilt from all of its nodes: a
+    # planned block keeps the union of its nodes' outputs, each node with
+    # its own window; a source-grid block convolves the union of its
+    # nodes' windows, each node with its own outputs
+    node = block[0][1]
+    if isinstance(node, mild._SourceNode):
+        lower = min(node.span.lower for _, node in block)
+        upper = max(node.span.upper for _, node in block)
+        need = max(_parent_wrap_free_length(
+            node.a - lower, upper - lower, node.lags[1] - node.lags[0] + 1,
+            0, node.nout) for _, node in block)
+        return next_fast_len(need, real=True), None, 1
+    r = node.r
+    out0 = min(node.out0 for _, node in block)
+    end = max(node.out0 + node.nout for _, node in block)
+    lo, hi = r * out0, r * (end - 1) + 1
+    need = max(_parent_wrap_free_length(node.a, node.k,
+                                        node.lags[1] - node.lags[0] + 1,
+                                        lo, hi) for _, node in block)
+    return next_fast_len(need, real=True), slice(out0, end), r
+
+
+def _parent_blocks(items):
+    # the byte rule as first written: each candidate rebuilds the layout
+    # of the block it would join
+    block = []
+    for item in items:
+        node = item[1]
+        if node is None:
+            continue
+        if block and (node.span.r != block[0][1].span.r
+                      or mild._spectrum_bytes(_parent_layout(
+                          block + [item])[0]) * (len(block) + 1)
+                      > mild.BLOCK_BYTES):
+            yield block
+            block = []
+        block.append(item)
+    if block:
+        yield block
+
+
+@pytest.mark.parametrize("t", (1e-2, 10.0, 1e4))
+@pytest.mark.parametrize("grid", ((20.0, 2048), (mild.DEFAULT_HALF_WIDTH,
+                                                mild.DEFAULT_INTERVALS)))
+def test_carried_spans_give_the_rebuilt_layouts(ktable, grid, t):
+    # a block carries the join of its nodes' spans, so the byte rule costs
+    # the same for each candidate; it must form the blocks and layouts
+    # that rebuilding each candidate block from its nodes gives, for the
+    # planned and the source-grid nodes of a one-shot sum
+    xs = symmetric_grid(*grid)
+    planned, on_grid = [], []
+    for mu, lam, w in zip(*mild._duhamel_nodes(t, 1)):
+        if mild._on_source_grid(xs, xs, mu, lam):
+            on_grid.append((w, mild._source_node(xs, xs, mu, lam, ktable)))
+        else:
+            planned.append((w, mild._fft_plan(xs, xs, mu, lam, 1, ktable)))
+    assert bool(on_grid) == (t > 1.0)
+    for items in (planned, on_grid):
+        got = [(block, mild._block_layout(span)) for block, span
+               in mild._node_blocks(items, mild._fits_bytes)]
+        ref = list(_parent_blocks(items))
+        assert [len(block) for block, _ in got] == [len(b) for b in ref]
+        for (block, layout), parent in zip(got, ref):
+            N, keep, r = _parent_layout(parent)
+            assert block == parent and layout[0] == N and layout[2] == r
+            assert keep is None or layout[1] == keep
 
 
 def _count_blocks(monkeypatch):
@@ -525,15 +645,21 @@ def test_one_shot_blocks_hold_the_byte_bound(ktable, monkeypatch, grid, t):
     # every block's kernel spectra stay within BLOCK_BYTES unless it holds
     # one node, and every block samples its kernel in one table
     # evaluation: on a 2048-interval grid, where a block holds up to 7
-    # nodes, and on the default grid, where a node's spectrum takes 67 KiB
-    # at t = 1e-2 and up to 189 KiB at 1e4, so that each node is a block
+    # nodes and no array of a block passes BLOCK_BYTES, its source-grid
+    # blocks' irfft rows included, and on the default grid, where a
+    # planned node's spectrum takes 67 KiB at t = 1e-2 and up to 125 KiB
+    # at 1e4, so that each planned node is a block; source-grid nodes
+    # (t = 1e4) go up to 3 a block there
     xs = symmetric_grid(*grid)
     n_tab = np.exp(-0.25 * xs * xs)
     seen, spectra = [], mild._kernel_spectra
 
     def recorded(block, ell, table, N, lo):
         seen.append((len(block), N))
+        kinds.append(type(block[0][1]))
         return spectra(block, ell, table, N, lo)
+
+    kinds = []
 
     monkeypatch.setattr(mild, "_kernel_spectra", recorded)
     blocks = _count_blocks(monkeypatch)
@@ -543,11 +669,15 @@ def test_one_shot_blocks_hold_the_byte_bound(ktable, monkeypatch, grid, t):
     assert all(len(points) == 1 for _, *points in blocks)
     assert all(n == 1 or n * mild._spectrum_bytes(N) <= mild.BLOCK_BYTES
                for n, N in seen)
+    assert (mild._SourceNode in kinds) == (t > 1.0)
     if grid[1] == 2048:
         assert max(n for n, _ in seen) >= 6
-    elif t > 1.0:
-        assert max(mild._spectrum_bytes(N)
-                   for _, N in seen) > mild.BLOCK_BYTES
+        assert all(n * max(mild._spectrum_bytes(N), 8 * N)
+                   <= mild.BLOCK_BYTES for n, N in seen)
+    else:
+        assert all(n == 1 for (n, _), kind in zip(seen, kinds)
+                   if kind is mild._NodePlan)
+        assert max(n for n, _ in seen) == (3 if t > 1.0 else 1)
 
 
 def _rolled_spectrum(ker, shift, h, nfft):
@@ -579,14 +709,22 @@ def test_kernel_spectra_match_rolled_lags(ktable, monkeypatch, rng):
 
 
 def _node_by_node_sum(n_tab, n_xs, xs, ell, table, quad):
-    # the Duhamel sum as it was before blocks: each planned node by itself,
-    # its kernel sampled alone and rotated into a zero buffer of its own
-    # FFT length, and three FFTs a node
+    # the Duhamel sum as it was before blocks: each node by itself, its
+    # kernel sampled alone. A source-grid node is one full-length linear
+    # convolution on its source grid, interpolated to xs; a planned node's
+    # kernel is rotated into a zero buffer of its own FFT length, and
+    # takes three FFTs
     out = np.zeros(xs.size)
+    nh = mild._spacing(n_xs)
     for mu, lam, w in zip(*quad):
         if mild._on_source_grid(n_xs, xs, mu, lam):
-            out += w * mild._rescaled_convolution(n_tab, n_xs, xs, mu, lam,
-                                                  ell, table)
+            H = mu * nh
+            lo = int(np.floor((xs[0] / mu - n_xs[0]) / nh)) - 3
+            hi = int(np.ceil((xs[-1] / mu - n_xs[0]) / nh)) + 4
+            conv = kernel._sampled_convolution(n_tab, H / lam, ell, table,
+                                               lo, hi)
+            out += w * _slowpath.quintic_eval(H * conv,
+                                              mu * (n_xs[0] + nh * lo), H, xs)
             continue
         node = mild._fft_plan(n_xs, xs, mu, lam, ell, table)
         if node is None:
@@ -600,7 +738,8 @@ def _node_by_node_sum(n_tab, n_xs, xs, ell, table, quad):
             v = node.spread * n_tab[node.lo:node.lo + base.size]
             src = np.bincount((base + np.arange(4)[:, None]).ravel(),
                               (taps * v).ravel(), minlength=node.k)
-        r, out0, nout, nfft = node.r, node.out0, node.nout, node.nfft
+        r, out0, nout = node.r, node.out0, node.nout
+        nfft = mild._block_layout(node.span)[0]
         khat = _rolled_spectrum(kernel._kernel_lags(table, ell, *node.lags),
                                 node.a + r * out0, node.h, nfft)
         conv = irfft(rfft(src, nfft) * khat, nfft)
@@ -616,6 +755,8 @@ def _node_by_node_sum(n_tab, n_xs, xs, ell, table, quad):
 BLOCK_CASES = ((symmetric_grid(20.0, 256), 1e-3),
                (np.linspace(-13.7, 13.7, 3001), 0.05),
                (symmetric_grid(20.0, 2048), 1e-2),
+               (symmetric_grid(20.0, 2048), 10.0),
+               (symmetric_grid(20.0, 2048), 100.0),
                (symmetric_grid(20.0, 2048), 1e4))
 
 
@@ -627,7 +768,8 @@ def test_block_sum_matches_node_by_node(skew_density, ktable, monkeypatch,
     seen, spectra = [], mild._kernel_spectra
 
     def recorded(block, *args):
-        seen.append((block[0][1].r, len(block)))
+        node = block[0][1]
+        seen.append((node.span.r, len(block), type(node)))
         return spectra(block, *args)
 
     monkeypatch.setattr(mild, "_kernel_spectra", recorded)
@@ -641,12 +783,16 @@ def test_block_sum_matches_node_by_node(skew_density, ktable, monkeypatch,
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         runs.append(list(seen))
         spread.append(np.min(quad[0]) < 3.0 * mild._spacing(xs))
-    # refined blocks; spread nodes; a run of one r in several blocks; the
-    # nodes on their source grids outside the blocks
-    assert all(r > 1 for r, _ in runs[0])
+    # refined blocks; spread nodes; a run of one r in several blocks; late,
+    # the nodes on their source grids in blocks of their own, several a
+    # block, and with the tau rule planned nodes beside them
+    assert all(r > 1 for r, *_ in runs[0])
     assert spread[0] and spread[2]
     assert any(a[0] == b[0] for a, b in zip(runs[2], runs[2][1:]))
-    assert sum(n for _, n in runs[3]) < 64
+    for run in runs[3:]:
+        assert max(n for _, n, kind in run if kind is mild._SourceNode) > 1
+        assert (method != "tau"
+                or any(kind is mild._NodePlan for *_, kind in run))
 
 
 def test_held_operator_matches_node_by_node_assembly(skew_density, ktable):
@@ -702,7 +848,11 @@ def test_late_duhamel_term_matches_finer_profile(ktable):
 def test_wrap_free_length_is_exact_and_shortest(rng):
     # over all small windows, lags, rotations and kept outputs lo..hi-1:
     # at the length given, the rotated circular convolution holds the
-    # linear one's outputs; one shorter, it does not
+    # linear one's outputs; one shorter, it does not. First the span of a
+    # planned node (its own window, a the index of output 0), then that of
+    # a source-grid node (`_source_node`: the window J0..J1-1 of the
+    # sources, the lags d_lo.., the sources lo - d_hi .. hi - 1 - d_lo
+    # reach the kept outputs)
     from scipy.fft import irfft, rfft
 
     def kept(src, ker, a, lo, hi, N):
@@ -720,12 +870,34 @@ def test_wrap_free_length_is_exact_and_shortest(rng):
                     for hi in range(lo + 1, lo + 6):
                         want = [lin[o + a] if 0 <= o + a < lin.size else 0.0
                                 for o in range(lo, hi)]
-                        N = mild._wrap_free_length(a, k, lags, lo, hi)
+                        N = mild._wrap_free_length(mild._Span(
+                            1, lo, hi, max(k, lags), -a, k + lags - 1 - a))
                         got = kept(src, ker, a, lo, hi, N)
                         assert np.max(np.abs(got - want)) <= 1e-12
                         if N - 1 >= max(k, lags, hi - lo):
                             got = kept(src, ker, a, lo, hi, N - 1)
                             assert np.max(np.abs(got - want)) > 1e-12
+    for J0 in range(-2, 3):
+        for k in range(1, 5):
+            for d_lo in (-2, 0, 1):
+                for lags in range(1, 5):
+                    src = rng.standard_normal(k)
+                    ker = rng.standard_normal(lags)
+                    # entry p of the linear convolution is output J0 + d_lo + p
+                    lin, a = np.convolve(src, ker), -(J0 + d_lo)
+                    d_hi = d_lo + lags - 1
+                    for lo in range(-1, 3):
+                        for hi in range(lo + 1, lo + 5):
+                            want = [lin[o + a] if 0 <= o + a < lin.size
+                                    else 0.0 for o in range(lo, hi)]
+                            N = mild._wrap_free_length(mild._Span(
+                                1, J0, J0 + k, max(lags, hi - lo), lo - d_hi,
+                                hi - d_lo))
+                            got = kept(src, ker, a, lo, hi, N)
+                            assert np.max(np.abs(got - want)) <= 1e-12
+                            if N - 1 >= max(k, lags, hi - lo):
+                                got = kept(src, ker, a, lo, hi, N - 1)
+                                assert np.max(np.abs(got - want)) > 1e-12
 
 
 PLAN_GRID = symmetric_grid(20.0, 1024)
@@ -820,12 +992,16 @@ def test_warm_solve_matches_cold(new_table):
         assert hot.residual_history == cold.residual_history
 
 
-def test_fft_plan_reused_across_densities(skew_density, ktable):
+def test_fft_plan_reused_across_densities(skew_density, ktable,
+                                          monkeypatch):
     # the held operator keeps only what the grid and the nodes fix: built
     # once, it gives the node-by-node sum for two different densities. At
     # t = 2 mu runs from below 3h (spread sources) past 1 (the density
     # stretched past xs on both sides). The operator lives on one grid, so
-    # each grid gets the densities interpolated onto it
+    # each grid gets the densities interpolated onto it. It takes every
+    # node's plan, so the one-shot sum here does too: at mu >= 1 it would
+    # take the source-grid path
+    monkeypatch.setattr(mild, "_on_source_grid", lambda *args: False)
     n_tab, n_xs = skew_density
     for left, right, intervals in SPREAD_GRIDS:
         xs = np.linspace(left, right, intervals + 1)
@@ -888,7 +1064,7 @@ def test_held_operator_within_memory_budget(ktable):
         node = mild._fft_plan(PLAN_GRID, PLAN_GRID, mu, lam, 2, ktable)
         # the 4 weights a tap, which the plans held
         plans += (node.base.nbytes + 4 * node.u.nbytes
-                  + 16 * (node.nfft // 2 + 1))
+                  + mild._spectrum_bytes(mild._block_layout(node.span)[0]))
     assert held <= 1.5 * plans
 
 
