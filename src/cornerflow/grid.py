@@ -267,6 +267,13 @@ def _cumulative_simpson(y, dx):
     return out
 
 
+def _check_instance(value, cls, name):
+    """ValidationError, naming the argument, unless value is a cls."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got "
+                              f"{type(value).__name__}")
+
+
 def whole_number(value):
     """value as an int if it is an integer or an integral float, else None."""
     if isinstance(value, numbers.Integral) or (

@@ -27,12 +27,15 @@ from scipy.fft import irfft, next_fast_len, rfft
 from . import _backend
 from .errors import (ConfigError, InvalidTime, UnsupportedFarField,
                      ValidationError)
-from .grid import (GridFunction, _cumulative_simpson, _read_csv, _simpson,
-                   _write_csv, symmetric_grid, uniform_grid, whole_number)
+from .grid import (GridFunction, _check_instance, _cumulative_simpson,
+                   _read_csv, _simpson, _write_csv, symmetric_grid,
+                   uniform_grid, whole_number)
 
 _PARITY = (0, 1, 0, 1)  # g even, g' odd, g'' even, g''' odd
 ENVELOPE_RATE = 3.0 / 2.0 ** (11.0 / 3.0)  # stationary-phase decay exponent
 ENVELOPE_FLOOR = 1e-13  # rounding floor of the tables, relative to g(0)
+# the |eta| (about 37.8) where the envelope meets ENVELOPE_FLOOR
+ENVELOPE_REACH = (-np.log(ENVELOPE_FLOOR) / ENVELOPE_RATE) ** 0.75
 # the defaults of build_kernel_table and of `cornerflow kernel`
 DEFAULT_ETA_MAX = 40.0
 DEFAULT_NODES = 16384
@@ -104,8 +107,7 @@ class KernelTable:
     # -- pointwise evaluation, zero (or asymptote) beyond eta_max --
 
     def eval_g(self, ell, eta):
-        if ell not in (0, 1, 2, 3):
-            raise ValidationError(f"derivative order {ell} not tabulated")
+        ell = _check_order(ell, range(4), "the derivative order")
         return _backend.sym_eval(self.g_ell[ell], self.h, _PARITY[ell], eta)
 
     def eval_G(self, x):
@@ -117,9 +119,11 @@ class KernelTable:
 
     def l1_norm(self, ell):
         """integral of |g_ell| over the line (tables are even/odd)."""
+        ell = _check_order(ell, range(4))
         return 2.0 * _simpson(np.abs(self.g_ell[ell]), self.h)
 
     def sup_norm(self, ell):
+        ell = _check_order(ell, range(4))
         return float(np.max(np.abs(self.g_ell[ell])))
 
     def to_csv(self, path):
@@ -155,14 +159,9 @@ def build_kernel_table(eta_max=DEFAULT_ETA_MAX, n_nodes=DEFAULT_NODES):
         raise ConfigError("table spacing eta_max/(n_nodes - 1) must be "
                           "<= 0.5")
     m = 1 << (4 * n_nodes - 1).bit_length()  # smallest power of 2 >= 4 n
-    k = 2.0 * np.pi * np.fft.rfftfreq(m, h)
-    # exp(-k^4) underflows to 0 past k^4 = 746: only the bins below carry
-    # the symbol
-    k = k[:np.searchsorted(k, 746.0 ** 0.25)]
-    damp = np.exp(-k ** 4)
+    symbols = _kernel_symbols(2.0 * np.pi * np.fft.rfftfreq(m, h), range(4))
     spectra = np.zeros((4, m // 2 + 1), dtype=complex)
-    spectra[:, :k.size] = (damp, 1j * k * damp, -(k * k) * damp,
-                           -1j * (k * k * k) * damp)  # (ik)^ell exp(-k^4)
+    spectra[:, :symbols[0].size] = symbols
     # one batched irfft, bit for bit four single ones; freeing its 2 MiB
     # block lifts glibc's dynamic mmap and trim thresholds above what a
     # Picard apply allocates and frees per block (about 1.2 MiB on the
@@ -171,6 +170,45 @@ def build_kernel_table(eta_max=DEFAULT_ETA_MAX, n_nodes=DEFAULT_NODES):
     g_tables = tuple(np.fft.irfft(spectra, n=m)[:, :n_nodes] / h)
     G = 0.5 + _cumulative_simpson(g_tables[0], h)
     return KernelTable(etas, g_tables, G)
+
+
+# (ik)^ell for ell = 1, 2, 3, multiplied out
+_IK_POWERS = (None, lambda k: 1j * k, lambda k: -(k * k),
+              lambda k: -1j * (k * k * k))
+
+
+def _kernel_symbols(k, ells, scale=None):
+    """[(ik)^ell exp(-k^4) for ell in ells], the Fourier symbols of the
+    g_ell, at the ascending k >= 0, each times scale if given (a column of
+    row factors), on the first P of them: those where some row's k is
+    below the underflow cut k^4 < 746.
+
+    Past the cut exp(-k^4) underflows to 0, so the bins from P on carry no
+    symbol; within the P bins, a row's bins past its own cut read 0 too.
+    """
+    cut = 746.0 ** 0.25  # exp(-k^4) underflows to 0 from k^4 = 746 on
+    k = k[:np.searchsorted(k, cut if scale is None else cut / np.min(scale))]
+    k4 = k ** 4
+    if scale is not None:
+        # a power by 4 costs far more than a product: one per bin
+        k, k4 = scale * k, scale ** 4 * k4
+    damp = np.exp(-k4)
+    return [damp if ell == 0 else _IK_POWERS[ell](k) * damp for ell in ells]
+
+
+def _check_order(ell, orders, name="ell"):
+    """ell as an int; ValidationError unless it is a whole number
+    (`grid.whole_number`) in orders."""
+    order = whole_number(ell)
+    if order not in orders:
+        raise ValidationError(f"{name} must be a whole number in "
+                              f"{orders[0]}..{orders[-1]}, got {ell!r}")
+    return order
+
+
+def _check_table(table):
+    """ValidationError unless table is a KernelTable."""
+    _check_instance(table, KernelTable, "table")
 
 
 def _check_time(t, name="t"):
@@ -196,6 +234,8 @@ def _check_times(times):
 def apply_to_step(A, B, t, ell, table, xs):
     """Closed-form semigroup action on the step -B (x<0) -> A (x>0)."""
     _check_time(t)
+    ell = _check_order(ell, range(5))
+    _check_table(table)
     xs = np.asarray(xs, dtype=float)
     lam = t ** -0.25
     if ell == 0:
@@ -224,6 +264,7 @@ def corner_height(A, B, t, table, xs):
     so that A = B evolves to an exactly even profile.
     """
     _check_time(t)
+    _check_table(table)
     xs = np.asarray(xs, dtype=float)
     ax = np.abs(xs)
     xi = ax * t ** -0.25
@@ -309,8 +350,8 @@ def apply_semigroup(f, t, ell, table):
     f - step is convolved numerically (trapezoid sum, `_sampled_convolution`).
     """
     _check_time(t)
-    if ell not in (0, 1, 2, 3):
-        raise ValidationError(f"ell must be in 0..3, got {ell!r}")
+    ell = _check_order(ell, range(4))
+    _check_table(table)
     if not isinstance(f, GridFunction):
         raise ValidationError("apply_semigroup expects a GridFunction")
     if f.far_kind != "constant":
@@ -340,8 +381,7 @@ def regularizing_constants(table, ell, t_range):
     Returns (c_ell, exponent) from log-log regression of
     sup |d^ell exp(-t d^4) step| against t; exponent should be -ell/4.
     """
-    if ell not in (0, 1, 2, 3):
-        raise ValidationError("ell must be in 0..3")
+    ell = _check_order(ell, range(4))
     t_range = np.asarray(t_range, dtype=float)
     for t in t_range:
         _check_time(t, "every time in t_range")

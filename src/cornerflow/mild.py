@@ -27,9 +27,11 @@ from scipy.sparse import csr_matrix
 from ._slowpath import lagrange_taps, lagrange_weights, quintic_eval
 from .errors import (ConfigError, NoConvergence, PicardDivergence,
                      StaleProfile, ValidationError)
-from .grid import (GridFunction, _fd, _inner, _read_csv, _spacing,
-                   _write_csv, symmetric_grid, uniform_grid)
-from .kernel import _block_kernel_lags, _check_time, corner_height
+from .grid import (GridFunction, _check_instance, _fd, _inner, _read_csv,
+                   _spacing, _write_csv, symmetric_grid, uniform_grid)
+from .kernel import (ENVELOPE_REACH, _block_kernel_lags,
+                     _check_order, _check_table, _check_time, _kernel_symbols,
+                     corner_height)
 # unused here, but bench/tracer.py wraps mild.fftconvolve by that name
 from .kernel import _fftconvolve as fftconvolve  # noqa: F401
 
@@ -44,11 +46,11 @@ MAX_ITER = 50
 # tau (`_duhamel_nodes`), read-only
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 _GL_X.flags.writeable = _GL_W.flags.writeable = False
-# the kernel spectra of a one-shot block of Duhamel nodes, the largest of
-# its arrays (`_spectrum_bytes`), and of the share of a held block's
-# spectra transformed at once (`_kernel_spectra`). With twice as much,
-# reconstructions at t = 10 to 1e4 on a 2048-interval grid peaked 1.2 MiB
-# higher in resident size
+# the bound on the rfft rows of a one-shot block of Duhamel nodes'
+# sources, the largest of its arrays (`_spectrum_bytes`), and on the share
+# of a held block's sampled lags transformed at once (`_sampled_spectra`).
+# With twice as much, reconstructions at t = 10 to 1e4 on a 2048-interval
+# grid peaked 1.2 MiB higher in resident size
 BLOCK_BYTES = 1 << 17
 
 
@@ -350,10 +352,10 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
     A node on its source grid (`_on_source_grid`, `_source_node`) is
     convolved there and interpolated to xs (`_rescaled_convolution`).
     Such nodes share their sources, the density as sampled, so they go in
-    blocks of consecutive nodes whose kernel spectra stay within
-    BLOCK_BYTES (`_fits_bytes`): one rfft of the block's density window,
-    one batched irfft of its products with the nodes' kernel spectra, and
-    a `quintic_eval` a node (`_add_source_block`).
+    blocks of consecutive nodes whose rfft rows stay within BLOCK_BYTES
+    (`_fits_bytes`): one rfft of the block's density window, one batched
+    irfft of its products with the nodes' kernel spectra, and a
+    `quintic_eval` a node (`_add_source_block`).
 
     Every other node, its sources off the nodes of xs, takes its plan on
     xs (`_fft_plan`): the sources go onto xs, padded out to the kernel
@@ -373,15 +375,26 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
     nodes set this; the resampled ones need only r >= ceil(3h / lam).
 
     The planned nodes go in blocks of consecutive nodes of one r
-    (`_node_blocks`) whose kernel spectra stay within BLOCK_BYTES
-    (`_fits_bytes`); a node whose spectrum alone passes it is a block by
-    itself. One `_block_kernel_lags` call samples the kernel for the
-    whole block (`_kernel_spectra`), the resampled or spread sources of
-    its nodes fill the rows of one array, each node's tap weights made
-    and dropped in turn, and one batched rfft of it, the weighted node
-    sum in Fourier space and one irfft that keeps every r-th output give
-    the block's share (`_add_block`). That matches the node-by-node sum
-    to rounding.
+    (`_node_blocks`) whose rfft rows stay within BLOCK_BYTES
+    (`_fits_bytes`); a node whose row alone passes it is a block by
+    itself. The resampled or spread sources of a block's nodes fill the
+    rows of one array, each node's tap weights made and dropped in turn,
+    and one batched rfft of it, the weighted node sum in Fourier space and
+    one irfft that keeps every r-th output give the block's share
+    (`_add_block`).
+
+    Each block, of either kind, takes its kernel spectra by one of two
+    routes (`_kernel_spectra`). Where its FFT length holds every node's
+    whole kernel reach (`_images_clear`), they are the kernel's symbol in
+    closed form on the bins where it has not underflowed, and the
+    products and the node sum run over those bins alone; else one
+    `_block_kernel_lags` call samples the lags of the whole block and one
+    batched rfft transforms them. On the 2048-interval grid of half-width
+    20 every block takes the closed form at t = 1e-4 to 4.6e-2, 9 of 11 at
+    t = 0.1, 5 of 13 at t = 1, and 1 to 3 of 12 to 15 from t = 10 to 1e4;
+    the Duhamel terms of the two routes agree to 3.4e-13 of their sup
+    there (t = 1e-4 to 1e4, ell = 0 to 2). With the sampled lags the block
+    sum matches the node-by-node sum to rounding.
     """
     out = np.zeros(xs.size)
     on_grid, planned = [], []
@@ -396,7 +409,8 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
              for mu, lam, w in planned)
     for block, span in _node_blocks(plans, _fits_bytes):
         N, keep, r = _block_layout(span)
-        spectra = _kernel_spectra(block, ell, table, N, r * keep.start)
+        spectra = _kernel_spectra(block, ell, table, N, r * keep.start,
+                                  _planned_extents(block, span))
         src = np.zeros((len(block), N))
         # each node's quadrature weight goes onto its k sources
         for row, (wt, node) in zip(src, block):
@@ -412,27 +426,30 @@ def _add_source_block(out, block, span, n_tab, xs, ell, table):
 
     The nodes share the density window n_tab[span.lower:span.upper], so
     one rfft of it at the block's length N, times the kernel spectra of
-    the nodes (`_kernel_spectra`, H in place of h), and one batched irfft
-    give each node's outputs on its own source grid, from index 0. Each
-    row goes to xs by `quintic_eval`.
+    the nodes (`_kernel_spectra`, H in place of h) on the spectra's bins,
+    and one batched irfft give each node's outputs on its own source grid,
+    from index 0. Each row goes to xs by `quintic_eval`.
     """
     N = _block_layout(span)[0]
-    spectra = _kernel_spectra(block, ell, table, N, -span.lower)
-    spectra *= rfft(n_tab[span.lower:span.upper], N)
+    window = span.upper - span.lower
+    spectra = _kernel_spectra(block, ell, table, N, -span.lower,
+                              [(window, node.nout) for _, node in block])
+    spectra *= rfft(n_tab[span.lower:span.upper], N)[:spectra.shape[1]]
     for (wt, node), row in zip(block, irfft(spectra, N)):
         out += wt * quintic_eval(row[:node.nout], node.y0, node.h, xs)
 
 
 def _fits_bytes(span, count):
     """Whether a one-shot block of count nodes and this joined span keeps
-    its kernel spectra within BLOCK_BYTES."""
+    the rfft rows of its sources within BLOCK_BYTES."""
     return _spectrum_bytes(_block_layout(span)[0]) * count <= BLOCK_BYTES
 
 
 def _spectrum_bytes(N):
-    """The bytes of one row of a block's spectra at FFT length N, the
-    largest row of its arrays (its rows of sources, their rfft and its
-    kernel spectra)."""
+    """The bytes of one rfft row at FFT length N: a row of the rfft of a
+    block's sources, the largest row of its arrays. A row of its sources
+    takes half as many, a row of sampled kernel spectra as many, and a
+    closed-form row fewer (`_kernel_spectra`)."""
     return 16 * (N // 2 + 1)
 
 
@@ -470,10 +487,78 @@ def _block_layout(span):
     return N, slice(span.lower // r, (span.upper - 1) // r + 1), r
 
 
-def _kernel_spectra(block, ell, table, N, lo):
-    """The (nodes, N // 2 + 1) kernel spectra of a block of (weight, node
-    plan, ...): row i is h_i rfft of node i's lags rotated by a_i + lo at
-    length N.
+def _kernel_spectra(block, ell, table, N, lo, extents):
+    """The kernel spectra of a block of (weight, node, ...) at FFT length N:
+    row i is h_i times the DFT of node i's lags rotated by a_i + lo.
+
+    extents lists each node's (sources, outputs): its row convolves
+    sources points, from index 0, into outputs points, from index 0, and
+    its index j holds the lag c + j mod N, c = a + lo + d_lo. Where N holds
+    every node's whole kernel reach (`_images_clear`) the rows are the
+    kernel's symbol in closed form on the bins where it has not
+    underflowed (`_symbol_spectra`), else the rfft of the sampled lags on
+    all N // 2 + 1 bins (`_sampled_spectra`). Either way a product with
+    the rows' sources runs over the rows' bins alone (`_add_block`,
+    `_add_source_block`): the bins past them are 0.
+    """
+    if _images_clear(block, table, N, lo, extents):
+        return _symbol_spectra(block, ell, N, lo)
+    return _sampled_spectra(block, ell, table, N, lo)
+
+
+def _images_clear(block, table, N, lo, extents):
+    """Whether at length N every periodic image of a node's lags lies past
+    its kernel reach, for every node of the block.
+
+    A node's sources reach its outputs through the lags c - sources + 1 ..
+    c + outputs - 1 (`_kernel_spectra`). Their images d + jN, j != 0, lie
+    past R = ceil(max(eta_max, ENVELOPE_REACH) lam / h) lags, where the
+    kernel is under the tables' rounding floor and past every lag a
+    sampled row holds, when N >= R + 1 + max(d_max, -d_min). Then the
+    circular convolution of the rows of `_symbol_spectra`, which sum the
+    kernel over every lag, gives each output the kernel's lags to its
+    sources alone, as the sampled rows do.
+    """
+    eta = max(table.eta_max, ENVELOPE_REACH)
+    for (_, node, *_), (sources, outputs) in zip(block, extents):
+        d_lo, _, scale = node.lags
+        c = node.a + lo + d_lo
+        if N < np.ceil(eta / scale) + max(c + outputs, sources - c):
+            return False
+    return True
+
+
+def _planned_extents(block, span):
+    """The (sources, outputs) of each planned node of a block of this span
+    (`_kernel_spectra`): its k window points and the block's kept outputs,
+    every refined output from the first kept one to the last."""
+    return [(node.k, span.upper - span.lower) for _, node, *_ in block]
+
+
+def _symbol_spectra(block, ell, N, lo):
+    """The (nodes, P) closed-form rows of `_kernel_spectra` for a block
+    whose length N holds every node's kernel reach (`_images_clear`).
+
+    By Poisson summation h sum_d g_ell(d h / lam) exp(-2 pi i p d / N) is
+    lam (i kappa)^ell exp(-kappa^4), kappa = 2 pi p lam / (N h), up to the
+    aliases at kappa + 2 pi j lam / h, j != 0, which vanish (lam >= 3h);
+    the rotation by c = a + lo + d_lo multiplies bin p by exp(2 pi i p c /
+    N). The rows hold the P bins below the underflow cut of their widest
+    symbol (`kernel._kernel_symbols`); the phase is taken of p c mod N, so
+    that it stays exact however far the rotation runs.
+    """
+    scale = np.array([node.lags[2] for _, node, *_ in block])[:, None]
+    c = np.array([node.a + lo + node.lags[0] for _, node, *_ in block])
+    sym = _kernel_symbols(2.0 * np.pi / N * np.arange(N // 2 + 1), (ell,),
+                          1.0 / scale)[0]
+    turns = np.arange(sym.shape[1]) * c[:, None] % N
+    lam = np.array([node.h for _, node, *_ in block])[:, None] / scale
+    return lam * sym * np.exp(2j * np.pi / N * turns)
+
+
+def _sampled_spectra(block, ell, table, N, lo):
+    """The rows of `_kernel_spectra` from the sampled lags: h_i rfft of
+    node i's lags rotated by a_i + lo at length N.
 
     Lag p goes to index (p - a - lo) mod N of a zero row: the lags from
     (a + lo) mod N on open it, the lags before that close it. The rows go
@@ -524,7 +609,10 @@ def _window_sources(row, node, n_tab):
 
 def _add_block(out, fs, spectra, N, keep, r):
     """out[keep] += every r-th output of the block's node sum, from the
-    rffts fs of its nodes' sources at length N (overwritten)."""
+    rffts fs of its nodes' sources at length N (overwritten): the products
+    with the spectra and their sum run over the spectra's bins, the bins
+    past them are 0."""
+    fs = fs[:, :spectra.shape[1]]
     fs *= spectra
     out[keep] += irfft(fs.sum(axis=0),
                        N)[:r * (keep.stop - keep.start - 1) + 1:r]
@@ -564,13 +652,20 @@ class _DuhamelOperator:
     the source windows of its nodes, stacked with stride W (the block's
     longest window) and zero beyond each window; its rows are the 4-tap
     resample of a mu >= 3h node or the transposed spread of a mu < 3h one.
-    Its kernel spectra are those of the one-shot sum (`_kernel_spectra`, one
-    kernel sampling per BLOCK_BYTES chunk of rows) times the quadrature
-    weights, held, bit for bit those of nodes sampled and transformed one by
-    one. A call takes one batched rfft per block at its length N, the
-    product with the spectra summed over the nodes in Fourier space, and one
-    irfft that keeps every r-th output of the outputs its nodes give (all of
-    xs when r = 1). The result matches the node-by-node sum to rounding.
+    Its kernel spectra are those of the one-shot sum (`_kernel_spectra`)
+    times the quadrature weights, held: in closed form on the P bins below
+    the symbol's underflow where the block's length N holds its nodes'
+    kernel reach, else sampled, one kernel sampling per BLOCK_BYTES chunk of
+    rows, bit for bit those of nodes sampled and transformed one by one. A
+    call takes one batched rfft per block at its length N, the product with
+    the spectra summed over the nodes in Fourier space on the spectra's
+    bins, and one irfft that keeps every r-th output of the outputs its
+    nodes give (all of xs when r = 1). With the sampled lags the result
+    matches the node-by-node sum to rounding. Of the four blocks at t = 1,
+    the two of the narrowest kernels take the closed form on the
+    2048-interval grid of half-width 20, whose spectra then hold 0.76 MiB
+    (1.57 MiB all sampled), and all four on the default grid (0.18 MiB,
+    against 5.1 MiB).
     """
 
     # nodes per block: bounds the temporaries of the build and the apply
@@ -616,7 +711,8 @@ def _operator_block(block, span, n_src, ell, table):
          np.concatenate([rows[1] for _, _, rows in block]),
          np.cumsum(np.concatenate(counts))),
         shape=(len(block) * W, n_src))
-    spectra = _kernel_spectra(block, ell, table, N, r * keep.start)
+    spectra = _kernel_spectra(block, ell, table, N, r * keep.start,
+                              _planned_extents(block, span))
     # the quadrature weights go onto the spectra, the node sum of a call
     # then needs none
     spectra *= np.array([wt for wt, _, _ in block])[:, None]
@@ -632,7 +728,7 @@ def _picard_plan(table, xs):
     such plan, keyed by the exact grid; a solve on the same grid reuses it
     and one on any other replaces it. Nothing else releases it: the plan
     lives as long as the table, also when the table solves only once. The
-    operator holds 5.8 MiB on a 2048-interval grid and 21 MiB on the
+    operator holds 5.0 MiB on a 2048-interval grid and 16 MiB on the
     default grid.
     """
     held = table._picard_plan
@@ -672,13 +768,17 @@ def duhamel_integral(psi, t, target_deriv, table, xs=None):
     interpolation of `_duhamel_sum`; from t = 10 on that grid 29 to 51 of
     the 64 nodes take the source-grid path, which convolves the samples
     as they are. For the (0.1, 0.1) profile there, the term is within
-    6.7e-10 (t = 10) to 1.8e-11 (t = 1e4) of the sup from the dense
-    source sum, and within 1.9e-9 (t = 10) and 2.9e-10 (t = 1e4) of the
-    sup from the term of the profile solved on twice the intervals.
+    8.7e-9 (t = 1e-2), 8.6e-9 (t = 0.1), 6.7e-10 (t = 10) and 1.8e-11
+    (t = 1e4) of the sup from the dense source sum, and within 8.3e-9,
+    8.1e-9, 1.9e-9 and 2.9e-10 of the sup from the term of the profile
+    solved on twice the intervals. These figures are the same whether a
+    block takes its kernel spectra in closed form or from sampled lags
+    (`_kernel_spectra`): the two routes differ by under 6e-13 of the sup.
     """
     _check_time(t)
-    if target_deriv not in (0, 1, 2):
-        raise ValidationError("target_deriv must be 0, 1 or 2")
+    target_deriv = _check_order(target_deriv, range(3), "target_deriv")
+    _check_table(table)
+    _check_instance(psi, GridFunction, "psi")
     xs = psi.xs if xs is None else uniform_grid(xs)[0]
     A, B = psi.right_far, -psi.left_far
     psi1, psi2 = _profile_derivatives(psi.ys, psi.xs, psi.h, A, B, table)
@@ -728,13 +828,13 @@ def solve_similarity_profile(corner, tol=1e-10, table=None, xs=None):
     FFTs and the node sum in Fourier space, and the kernel samples on xs.
     A solve on the same grid reuses them, with results bit-identical to a
     solve on a fresh table; a solve on another grid replaces them. They
-    stay with the table until then (21 MiB on the default grid), so a
+    stay with the table until then (16 MiB on the default grid), so a
     caller that solves once and keeps the table keeps them too. Linear
     data (A = -B) have the density 0 exactly, so their solve applies no
     Duhamel sum and returns psi = A, bit for bit, at iteration 1.
     """
-    if table is None:
-        raise ValidationError("a KernelTable is required")
+    _check_instance(corner, CornerData, "corner")
+    _check_table(table)
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
         raise ValidationError(f"tol must be a positive finite number, "
                               f"got {tol!r}")
@@ -794,6 +894,8 @@ def reconstruct_U(profile, t, table, xs=None):
 
     U lives on xs, the profile grid by default; any uniform grid works.
     """
+    _check_instance(profile, SimilarityProfile, "profile")
+    _check_table(table)
     if not profile.converged:
         raise StaleProfile("profile did not converge; refusing to reconstruct")
     _check_time(t)
@@ -822,6 +924,8 @@ def self_similarity_residual(profile, sigma, t, table):
     _check_time(t)
     _check_time(sigma, "sigma")
     _check_time(sigma * t, "sigma * t")
+    _check_instance(profile, SimilarityProfile, "profile")
+    _check_table(table)
     if sigma == 1.0 and profile.converged:  # reconstruct_U refuses the rest
         return 0.0
     return _self_similarity_gap(reconstruct_U(profile, t, table),
@@ -846,6 +950,8 @@ def constant_shift_residual(solution, c, table):
     """
     if not (isinstance(c, numbers.Real) and np.isfinite(c)):
         raise ValidationError(f"c must be a finite number, got {c!r}")
+    _check_instance(solution, ReconstructedSolution, "solution")
+    _check_table(table)
     U, t, corner = solution.U, solution.t, solution.corner
     shifted = U.shift_values(c)
     # psi(xi) = U_x(xi t^{1/4}), sampled on the nodes xs t^{-1/4}

@@ -71,8 +71,10 @@ def test_traced_solve_matches_untraced(new_table):
 def test_traced_reconstruction_matches_untraced(new_table):
     # a reconstruction sums every node in a block: the nodes on their
     # source grids in blocks of their own (mild._add_source_block), the
-    # others in planned blocks, and each block samples its kernel in one
-    # sym_eval. Every node shows once, none goes through the wrapped
+    # others in planned blocks. A block takes its kernel spectra in closed
+    # form (mild._symbol_spectra), with no sym_eval, or samples its lags in
+    # one; at t = 1e-2 every block takes the closed form, at 1e3 most
+    # sample. Every node shows once, none goes through the wrapped
     # mild._rescaled_convolution, and U is bit-identical to an untraced one
     tracing = _load_tracer()
     table = new_table()
@@ -87,6 +89,7 @@ def test_traced_reconstruction_matches_untraced(new_table):
                     lambda args, kwargs: len(args[0]))
         tracer.wrap(mild, "_add_source_block", "source-block",
                     lambda args, kwargs: len(args[1]))
+        tracer.wrap(mild, "_symbol_spectra", "closed")
         try:
             got = mild.reconstruct_U(profile, t, table)
         finally:
@@ -104,9 +107,15 @@ def test_traced_reconstruction_matches_untraced(new_table):
         assert source["calls"] < on_grid or on_grid == 0
         blocks = [i for i, (name, *_) in enumerate(tracer.spans)
                   if name == "block"]
-        assert [sum(1 for name, parent, *_ in tracer.spans
-                    if parent == i and name == "backend.sym_eval")
-                for i in blocks] == [1] * len(blocks)
+        inside = [[name for name, parent, *_ in tracer.spans if parent == i]
+                  for i in blocks]
+        assert all(sorted(names) in (["closed"], ["backend.sym_eval"])
+                   for names in inside)
+        closed = sum(names == ["closed"] for names in inside)
+        if t < 1.0:
+            assert closed == len(blocks)
+        else:
+            assert 0 < closed < len(blocks) / 2
 
 
 @pytest.mark.parametrize("workload", ("solve", "reconstruct-early",
