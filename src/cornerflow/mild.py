@@ -512,18 +512,22 @@ def _images_clear(block, table, N, lo, extents):
 
     A node's sources reach its outputs through the lags c - sources + 1 ..
     c + outputs - 1 (`_kernel_spectra`). Their images d + jN, j != 0, lie
-    past R = ceil(max(eta_max, ENVELOPE_REACH) lam / h) lags, where the
-    kernel is under the tables' rounding floor and past every lag a
-    sampled row holds, when N >= R + 1 + max(d_max, -d_min). Then the
-    circular convolution of the rows of `_symbol_spectra`, which sum the
-    kernel over every lag, gives each output the kernel's lags to its
-    sources alone, as the sampled rows do.
+    past R = ceil(eta_max lam / h) lags, the reach of the sampled rows,
+    when N >= R + 1 + max(d_max, -d_min). Then the circular convolution
+    of the rows of `_symbol_spectra`, which sum the kernel over every lag,
+    gives each output the kernel's lags to its sources alone, as the
+    sampled rows do, up to the kernel past eta_max. That is under the
+    tables' rounding floor when eta_max >= ENVELOPE_REACH; a narrower
+    table cuts the kernel off where it is not, so its blocks all keep
+    the sampled lags, with one cut-off for every node.
     """
-    eta = max(table.eta_max, ENVELOPE_REACH)
+    if table.eta_max < ENVELOPE_REACH:
+        return False
     for (_, node, *_), (sources, outputs) in zip(block, extents):
         d_lo, _, scale = node.lags
         c = node.a + lo + d_lo
-        if N < np.ceil(eta / scale) + max(c + outputs, sources - c):
+        if N < np.ceil(table.eta_max / scale) + max(c + outputs,
+                                                    sources - c):
             return False
     return True
 

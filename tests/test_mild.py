@@ -8,9 +8,10 @@ from scipy.special import roots_jacobi
 
 from cornerflow import _backend, _slowpath, kernel, mild
 from cornerflow import (ConfigError, CornerData, ValidationError,
-                        alpha_coefficient, constant_shift_residual,
-                        corner_height, duhamel_integral, inner_sup,
-                        load_profile, reconstruct_U, save_profile,
+                        alpha_coefficient, build_kernel_table,
+                        constant_shift_residual, corner_height,
+                        duhamel_integral, inner_sup, load_profile,
+                        reconstruct_U, save_profile,
                         self_similarity_residual, solve_similarity_profile,
                         symmetric_grid)
 from cornerflow.errors import NoConvergence, PicardDivergence, StaleProfile
@@ -435,15 +436,27 @@ def test_spread_and_fft_branches_meet(skew_density, ktable):
         assert np.max(np.abs(hi - lo)) <= 1e-5 * np.max(np.abs(hi))
 
 
-def _full_length_node(n_tab, n_xs, xs, mu, lam, ell, table):
+def _symbol_lags(ell, m, scale):
+    # g_ell(d scale) for d = -m .. m, from the symbol (ik)^ell exp(-k^4) by
+    # one inverse FFT whose period puts every alias past |eta| = 80
+    M = next_fast_len(m + 1 + int(np.ceil(80.0 / scale)), real=True)
+    k = 2.0 * np.pi / (M * scale) * np.arange(M // 2 + 1)
+    g = irfft((1j * k) ** ell * np.exp(-k ** 4), M) / scale
+    return np.concatenate([g[M - m:], g[:m + 1]])
+
+
+def _full_length_node(n_tab, n_xs, xs, mu, lam, ell, table, closed=False):
     # the FFT-branch node as one direct linear convolution of all ne padded
-    # sources with all 2m + 1 kernel lags (ne + 2m outputs), sliced to xs
+    # sources with all 2m + 1 kernel lags (ne + 2m outputs), sliced to xs:
+    # the table's lags within the kernel reach, as a block of sampled lags
+    # takes them, or, closed, the kernel from its symbol on every lag of
+    # the padded grid, as a closed-form block takes it
     h, nh, n = mild._spacing(xs), mild._spacing(n_xs), xs.size
     reach = int(np.ceil(table.eta_max * lam / h))
     pl = min(reach, max(0, int(np.ceil((xs[0] - mu * n_xs[0]) / h))))
     pr = min(reach, max(0, int(np.ceil((mu * n_xs[-1] - xs[-1]) / h))))
     ne = pl + n + pr
-    m = min(ne - 1, reach)
+    m = ne - 1 if closed else min(ne - 1, reach)
     xe = np.concatenate([xs[0] - h * np.arange(pl, 0, -1), xs,
                          xs[-1] + h * np.arange(1, pr + 1)])
     if mu >= 3.0 * h:
@@ -456,22 +469,19 @@ def _full_length_node(n_tab, n_xs, xs, mu, lam, ell, table):
         src = np.zeros(ne)
         for r, wr in enumerate(_slowpath.lagrange_weights(t[keep] - j)):
             np.add.at(src, j - 1 + r, wr * (mu * nh / h) * n_tab[keep])
-    ker = _slowpath.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
-                             np.arange(-m, m + 1) * (h / lam))
+    if closed:
+        ker = _symbol_lags(ell, m, h / lam)
+    else:
+        ker = _slowpath.sym_eval(table.g_ell[ell], table.h, _PARITY[ell],
+                                 np.arange(-m, m + 1) * (h / lam))
     return h * np.convolve(src, ker)[m + pl:m + pl + n]
 
 
-@pytest.mark.parametrize("ell", (0, 1, 2))
-def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
-                                                    ell, sampled_route):
-    # the planned path convolves only the sources that reach xs, with only
-    # the kernel lags that join them to xs, at the shortest wrap-free
-    # length: any wrap-around or lost lag shows against the uncut
-    # convolution. A node with H = mu nh >= h and lam >= 3H takes the
-    # source-grid path (test_source_grid_nodes_match_dense_sum), so mu > 1
-    # is planned here only with lam < 3H, and mu = 0.45 on the foreign grid
-    n_tab, n_xs = skew_density
-    left_out = 0
+def _planned_node_cases():
+    # (xs, mu, lam) of planned nodes on SPREAD_GRIDS. A node with H = mu nh
+    # >= h and lam >= 3H takes the source-grid path
+    # (test_source_grid_nodes_match_dense_sum), so mu > 1 is planned here
+    # only with lam < 3H, and mu = 0.45 on the foreign grid
     planned = (((1.5, 0.08), (0.5, 5.0)), ((0.45, 5.0),), ())
     for (left, right, intervals), extra in zip(SPREAD_GRIDS, planned):
         xs = np.linspace(left, right, intervals + 1)
@@ -481,11 +491,24 @@ def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
         for mu, lam in ((0.3 * h, 3.0 * h), (3.1 * h, 3.0 * h),
                         (2.9 * h, 150.0 * h), (20.0 * h, 150.0 * h),
                         *extra):
-            assert not mild._on_source_grid(n_xs, xs, mu, lam)
-            left_out += mu * n_xs[0] - xs[0] > ktable.eta_max * lam
-            got = _one_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
-            ref = _full_length_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            yield xs, mu, lam
+
+
+@pytest.mark.parametrize("ell", (0, 1, 2))
+def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
+                                                    ell, sampled_route):
+    # the planned path convolves only the sources that reach xs, with only
+    # the kernel lags that join them to xs, at the shortest wrap-free
+    # length: any wrap-around or lost lag shows against the uncut
+    # convolution
+    n_tab, n_xs = skew_density
+    left_out = 0
+    for xs, mu, lam in _planned_node_cases():
+        assert not mild._on_source_grid(n_xs, xs, mu, lam)
+        left_out += mu * n_xs[0] - xs[0] > ktable.eta_max * lam
+        got = _one_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
+        ref = _full_length_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert left_out >= 4
     # an output grid that no source reaches gets zeros, spread or resampled
     xs = np.linspace(100.0, 110.0, 257)
@@ -493,6 +516,27 @@ def test_fft_branch_matches_full_length_convolution(skew_density, ktable,
         assert not np.any(_one_node(n_tab, n_xs, xs, mu, 0.5, ell, ktable))
         assert not np.any(_full_length_node(n_tab, n_xs, xs, mu, 0.5, ell,
                                             ktable))
+
+
+@pytest.mark.parametrize("ell", (0, 1, 2))
+def test_fft_branch_on_its_route_matches_full_length_convolution(
+        skew_density, ktable, monkeypatch, ell):
+    # the nodes of test_fft_branch_matches_full_length_convolution, each on
+    # the route its block takes, against the full-length convolution with
+    # that route's kernel, to the same bound: the narrowest kernels take
+    # the closed form (4e-13 off the table's lags at ell = 2, 1.2e-14 off
+    # the symbol's), the widest the sampled lags
+    n_tab, n_xs = skew_density
+    routes, taken = _record_node_routes(monkeypatch), set()
+    for xs, mu, lam in _planned_node_cases():
+        routes.clear()
+        got = _one_node(n_tab, n_xs, xs, mu, lam, ell, ktable)
+        (closed,) = routes.values()
+        taken.add(closed)
+        ref = _full_length_node(n_tab, n_xs, xs, mu, lam, ell, ktable,
+                                closed)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert taken == {False, True}
 
 
 # SPREAD_GRIDS, then an output grid wider than mu n_xs for every mu, whose
@@ -785,6 +829,20 @@ def test_kernel_spectra_match_rolled_lags(ktable, monkeypatch, rng):
             assert np.array_equal(row, _rolled_spectrum(ker, shift, h, nfft))
 
 
+def _record_node_routes(monkeypatch):
+    """The dict that maps each node's lags (d_lo, d_hi, h / lam) to its
+    block's route (True for the closed form) from now on."""
+    routes, clear = {}, mild._images_clear
+
+    def recorded(block, *args):
+        route = clear(block, *args)
+        routes.update((node.lags, route) for _, node, *_ in block)
+        return route
+
+    monkeypatch.setattr(mild, "_images_clear", recorded)
+    return routes
+
+
 def _record_routes(monkeypatch):
     """The list that every block's route (True for the closed form) is
     appended to from now on."""
@@ -815,11 +873,32 @@ def test_block_routes_follow_the_images(ktable, monkeypatch):
             assert len(routes) == 12 and sum(routes) <= 1
 
 
+def test_narrow_table_keeps_the_sampled_lags(skew_density, ktable,
+                                             monkeypatch):
+    # a table of eta_max = 15 < kernel.ENVELOPE_REACH cuts the kernel off
+    # where its envelope reads 1.6e-4 g_env, which the closed form would
+    # not: its
+    # blocks all take the sampled lags, one-shot and held, with one
+    # cut-off for every node, where the default table's blocks take both
+    # routes
+    n_tab, n_xs = skew_density
+    narrow = build_kernel_table(15.0, 2048)
+    assert narrow.eta_max < kernel.ENVELOPE_REACH <= ktable.eta_max
+    routes = _record_routes(monkeypatch)
+    for table in (narrow, ktable):
+        del routes[:]
+        for t in (1e-2, 1.0, 1e4):
+            mild._duhamel_sum(n_tab, n_xs, n_xs, 1, table,
+                              mild._duhamel_nodes(t, 1))
+        mild._DuhamelOperator(n_xs, 2, table, mild._duhamel_nodes(1.0, 2))
+        assert set(routes) == ({False} if table is narrow else {False, True})
+
+
 def _wrapped_spectrum(node, ell, table, N, lo):
     # h rfft of the kernel sampled on every lag of its reach, |d| <= R,
     # each lag d added at index d - c mod N, c = a + lo + d_lo
     d_lo, _, scale = node.lags
-    R = int(np.ceil(max(table.eta_max, kernel.ENVELOPE_REACH) / scale))
+    R = int(np.ceil(table.eta_max / scale))
     buf = np.zeros(N)
     np.add.at(buf, (np.arange(-R, R + 1) - (node.a + lo + d_lo)) % N,
               kernel._kernel_lags(table, ell, -R, R, scale))
@@ -983,19 +1062,19 @@ def test_block_sum_matches_node_by_node(skew_density, ktable, monkeypatch,
                 or any(kind is mild._NodePlan for *_, kind in run))
 
 
-def test_held_operator_matches_node_by_node_assembly(skew_density, ktable,
-                                                     sampled_route):
-    # the operator built through the block sampler holds the CSR and the
-    # spectra of one assembled node by node, each node's kernel sampled
-    # and transformed alone, and applies bit for bit alike
+def _assert_node_by_node_assembly(skew_density, table, check_row):
+    # the held operator of each case holds the CSR of one assembled node by
+    # node, each row of its spectra passes check_row(row, weight, node, N,
+    # lo) for the rotation lo of its block, and it applies bit for bit as
+    # its blocks assembled by hand
     n_tab, n_xs = skew_density
     for xs, t in ((symmetric_grid(20.0, 256), 1.0),
                   (symmetric_grid(20.0, 1024), 1.0),
                   (symmetric_grid(20.0, 256), 1e-3)):
         dens = np.interp(xs, n_xs, n_tab)
         quad = mild._duhamel_nodes(t, 2)
-        op = mild._DuhamelOperator(xs, 2, ktable, quad)
-        nodes = [(wt, mild._fft_plan(xs, xs, mu, lam, 2, ktable))
+        op = mild._DuhamelOperator(xs, 2, table, quad)
+        nodes = [(wt, mild._fft_plan(xs, xs, mu, lam, 2, table))
                  for mu, lam, wt in reversed(list(zip(*quad)))]
         nodes = [(wt, node) for wt, node in nodes if node is not None]
         at = 0
@@ -1009,15 +1088,62 @@ def test_held_operator_matches_node_by_node_assembly(skew_density, ktable,
                 [vals for _, _, vals in rows]))
             assert np.array_equal(matrix.indices, np.concatenate(
                 [cols for _, cols, _ in rows]))
-            for i, (wt, node) in enumerate(block):
-                ker = kernel._kernel_lags(ktable, 2, *node.lags)
-                assert np.array_equal(spectra[i], wt * _rolled_spectrum(
-                    ker, node.a + r * keep.start, node.h, N))
-            fs = rfft((matrix @ dens).reshape(-1, W), N) * spectra
+            for row, (wt, node) in zip(spectra, block):
+                check_row(row, wt, node, N, r * keep.start)
+            fs = rfft((matrix @ dens).reshape(-1, W),
+                      N)[:, :spectra.shape[1]] * spectra
             ref[keep] += irfft(fs.sum(axis=0),
                                N)[:r * (keep.stop - keep.start - 1) + 1:r]
         assert at == len(nodes)
         assert np.array_equal(op(dens), ref)
+
+
+def test_held_operator_matches_node_by_node_assembly(skew_density, ktable,
+                                                     sampled_route):
+    # the operator built through the block sampler holds the CSR and the
+    # spectra of one assembled node by node, each node's kernel sampled
+    # and transformed alone, and applies bit for bit alike
+    def sampled_alone(row, wt, node, N, lo):
+        ker = kernel._kernel_lags(ktable, 2, *node.lags)
+        assert np.array_equal(row, wt * _rolled_spectrum(ker, node.a + lo,
+                                                         node.h, N))
+
+    _assert_node_by_node_assembly(skew_density, ktable, sampled_alone)
+
+
+def test_held_operator_on_its_routes_matches_node_by_node_assembly(
+        skew_density, ktable):
+    # as test_held_operator_matches_node_by_node_assembly, each block on
+    # its own route: a sampled row is its node's lags sampled and
+    # transformed alone, and a closed-form row its node's symbol taken
+    # alone, bit for bit, zero on the block's bins past the node's own
+    # cut; the closed-form row is also within 1e-14 of its max of h rfft
+    # of the kernel from its symbol on every lag, wrapped at N (1.2e-15
+    # read)
+    kinds = set()
+
+    def alone(row, wt, node, N, lo):
+        kinds.add(row.size < N // 2 + 1)
+        if row.size == N // 2 + 1:
+            ker = kernel._kernel_lags(ktable, 2, *node.lags)
+            assert np.array_equal(row, wt * _rolled_spectrum(
+                ker, node.a + lo, node.h, N))
+            return
+        own = wt * mild._symbol_spectra([(wt, node)], 2, N, lo)[0]
+        assert np.array_equal(row[:own.size], own)
+        assert not np.any(row[own.size:])
+        d_lo, _, scale = node.lags
+        R = int(np.ceil(2.0 * ktable.eta_max / scale))
+        buf = np.zeros(N)
+        np.add.at(buf, (np.arange(-R, R + 1) - (node.a + lo + d_lo)) % N,
+                  _symbol_lags(2, R, scale))
+        ref = wt * node.h * rfft(buf)
+        assert np.max(np.abs(ref[:row.size] - row)) <= 1e-14 * np.max(
+            np.abs(ref))
+        assert np.max(np.abs(ref[row.size:])) <= 1e-14 * np.max(np.abs(ref))
+
+    _assert_node_by_node_assembly(skew_density, ktable, alone)
+    assert kinds == {False, True}
 
 
 def test_late_duhamel_term_matches_finer_profile(ktable):
@@ -1210,6 +1336,68 @@ def test_fft_plan_reused_across_densities(skew_density, ktable,
                         <= 1e-14 * np.max(np.abs(ref)))
 
 
+def test_fft_plan_reused_across_densities_on_its_routes(skew_density,
+                                                        ktable, monkeypatch):
+    # the grids, densities and nodes of test_fft_plan_reused_across_densities,
+    # each block on its own route: the held operator, built once, and the
+    # one-shot sum against the full-length sum of the nodes on their
+    # blocks' routes. On the own grid the narrowest kernels take the
+    # closed form, the others the sampled lags
+    monkeypatch.setattr(mild, "_on_source_grid", lambda *args: False)
+    n_tab, n_xs = skew_density
+    routes, taken = _record_node_routes(monkeypatch), set()
+    for left, right, intervals in SPREAD_GRIDS:
+        xs = np.linspace(left, right, intervals + 1)
+        densities = [np.interp(xs, n_xs, dens)
+                     for dens in (n_tab, np.cos(n_xs) * n_tab[::-1])]
+        for ell in (0, 1, 2):
+            _, held = _assert_sums_on_their_routes(
+                densities, xs, ell, ktable, mild._duhamel_nodes(2.0, ell),
+                routes)
+            taken.update(held.values())
+    assert taken == {False, True}
+
+
+def _full_length_sums(dens, xs, ell, table, quad, *route_maps):
+    # for each route map, the sum on xs of the planned nodes of quad, each
+    # one full-length convolution (`_full_length_node`) on its refined
+    # grid with the kernel of its block's route, routes[node.lags]
+    sums = np.zeros((len(route_maps), xs.size))
+    for mu, lam, w in zip(*quad):
+        assert not mild._on_source_grid(xs, xs, mu, lam)
+        node = mild._fft_plan(xs, xs, mu, lam, ell, table)
+        if node is None:
+            continue
+        fine = np.linspace(xs[0], xs[-1], node.r * (xs.size - 1) + 1)
+        done = {}
+        for out, routes in zip(sums, route_maps):
+            closed = routes[node.lags]
+            if closed not in done:
+                done[closed] = _full_length_node(dens, xs, fine, mu, lam, ell,
+                                                 table, closed)[::node.r]
+            out += w * done[closed]
+    return sums
+
+
+def _assert_sums_on_their_routes(densities, xs, ell, table, quad, routes):
+    # the held operator, built once, and the one-shot sum, each block on
+    # its own route, are each within 1e-14 of its sup of the full-length
+    # sums of the nodes on the routes their blocks take (7e-16 read): held
+    # and one-shot blocks differ, so one node may take two routes, which
+    # differ by the table's interpolation. Returns the held operator and
+    # its nodes' routes
+    routes.clear()
+    op = mild._DuhamelOperator(xs, ell, table, quad)
+    held = dict(routes)
+    for dens in densities:
+        routes.clear()
+        got = mild._duhamel_sum(dens, xs, xs, ell, table, quad)
+        refs = _full_length_sums(dens, xs, ell, table, quad, held, routes)
+        for out, ref in zip((op(dens), got), refs):
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+    return op, held
+
+
 @pytest.mark.parametrize("method", ("tau", "s-jacobi"))
 @pytest.mark.parametrize("ell", (0, 1, 2))
 def test_duhamel_operator_matches_node_sum(skew_density, ktable, ell,
@@ -1227,6 +1415,24 @@ def test_duhamel_operator_matches_node_sum(skew_density, ktable, ell,
     assert np.min(quad[0]) < 3.0 * mild._spacing(xs)
     ref = mild._duhamel_sum(dens, xs, xs, ell, ktable, quad)
     assert np.max(np.abs(op(dens) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("method", ("tau", "s-jacobi"))
+@pytest.mark.parametrize("ell", (0, 1, 2))
+def test_duhamel_operator_on_its_routes_matches_node_sum(
+        skew_density, ktable, monkeypatch, ell, method):
+    # the nodes of test_duhamel_operator_matches_node_sum, each block on
+    # its own route, against the full-length sum of the nodes on their
+    # blocks' routes; the held blocks take both routes
+    n_tab, n_xs = skew_density
+    xs = symmetric_grid(20.0, 256)
+    quad = (mild._duhamel_nodes(1.0, ell) if method == "tau"
+            else _s_jacobi_nodes(1.0, ell, 64))
+    op, held = _assert_sums_on_their_routes(
+        [np.interp(xs, n_xs, n_tab)], xs, ell, ktable, quad,
+        _record_node_routes(monkeypatch))
+    assert len({r for *_, r in op.blocks} - {1}) >= 2
+    assert set(held.values()) == {False, True}
 
 
 def test_duhamel_operator_trims_refined_blocks(skew_density, ktable):
