@@ -13,9 +13,10 @@ import numpy as np
 
 from . import _backend
 from .errors import ValidationError
-from .grid import (GridFunction, _fd, _origin, _simpson, _write_json,
-                   smoothed_abs, whole_number)
+from .grid import (GridFunction, _check_instance, _fd, _origin, _simpson,
+                   _write_json, smoothed_abs, whole_number)
 from .geometry import arclength_from_zero, ds_of_array, geometry
+from .mild import SimilarityProfile
 
 INTERIOR_MARGIN = 8  # nodes per side dropped from sup norms
 # run_diagnostics: the residual tolerance of a single-level run, relative
@@ -97,6 +98,7 @@ def d0_and_d(phi):
     D[phi] = phi^2 + x^2 - s^2 vanishes identically on corner data; on a
     genuine nonlinear profile D0 must grow unboundedly along a direction.
     """
+    _check_instance(phi, GridFunction, "phi")
     s = arclength_from_zero(phi.xs, phi.ys)
     phi0 = phi.ys[_origin(phi.xs)]
     r2 = phi.xs ** 2 + phi.ys ** 2
@@ -113,6 +115,7 @@ def esp_check(phi, alpha, beta):
     non-decaying at both ends: slope >= -ESP_TOL in s at the right end
     and <= +ESP_TOL at the left end. meta carries the pieces.
     """
+    _check_instance(phi, GridFunction, "phi")
     s = arclength_from_zero(phi.xs, phi.ys)
     phi0 = phi.ys[_origin(phi.xs)]
     margin = alpha * s + beta - phi0 * phi.ys
@@ -161,6 +164,7 @@ def l1_linear_bound(phi, a0):
     grid ends; otherwise the slope defect is not integrable at grid
     precision and the result records NotApplicable. x = 0 must be a node.
     """
+    _check_instance(phi, GridFunction, "phi")
     i0 = _origin(phi.xs)
     dphi = _fd(phi.ys, phi.h, 1)
     w = np.abs(dphi - a0)
@@ -184,6 +188,7 @@ def peg_bound_check(phi):
     inequality, so it is nonnegative to roundoff on every graph whose grid
     has a node at x = 0.
     """
+    _check_instance(phi, GridFunction, "phi")
     xs, ys = phi.xs, phi.ys
     i0 = _origin(xs)
     seg = np.hypot(np.diff(xs), np.diff(ys))
@@ -243,6 +248,7 @@ def x_infty_norm(profile, density=1):
     R^{2/7} ||u_xx||_{L^7(B_R(x0) x (R^4/2, R^4))}, all suprema over log
     or coarse scan grids whose density scales with `density` (whole, >= 1).
     """
+    _check_instance(profile, SimilarityProfile, "profile")
     d = whole_number(density) or 0
     if d < 1:
         raise ValidationError(f"density must be a whole number >= 1, got "
@@ -280,6 +286,7 @@ def subsample(phi, stride):
     level, so residuals of solver output are evaluated at a stencil
     spacing coarse enough for truncation to dominate.
     """
+    _check_instance(phi, GridFunction, "phi")
     stride = whole_number(stride) or 0
     if stride < 1:
         raise ValidationError("stride must be a whole number >= 1")
@@ -360,6 +367,7 @@ def run_diagnostics(phi, phi_fine=None, eval_stride=1):
     for solver output whose node-level noise would otherwise dominate the
     divided differences.
     """
+    _check_instance(phi, GridFunction, "phi")
     rep = DiagnosticsReport(phi)
     pe = subsample(phi, eval_stride)
     pf = subsample(phi_fine, eval_stride) if phi_fine is not None else None

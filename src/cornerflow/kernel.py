@@ -381,6 +381,7 @@ def regularizing_constants(table, ell, t_range):
     Returns (c_ell, exponent) from log-log regression of
     sup |d^ell exp(-t d^4) step| against t; exponent should be -ell/4.
     """
+    _check_table(table)
     ell = _check_order(ell, range(4))
     t_range = np.asarray(t_range, dtype=float)
     for t in t_range:

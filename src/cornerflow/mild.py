@@ -46,12 +46,16 @@ MAX_ITER = 50
 # tau (`_duhamel_nodes`), read-only
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 _GL_X.flags.writeable = _GL_W.flags.writeable = False
-# the bound on the rfft rows of a one-shot block of Duhamel nodes'
-# sources, the largest of its arrays (`_spectrum_bytes`), and on the share
-# of a held block's sampled lags transformed at once (`_sampled_spectra`).
-# With twice as much, reconstructions at t = 10 to 1e4 on a 2048-interval
-# grid peaked 1.2 MiB higher in resident size
-BLOCK_BYTES = 1 << 17
+# nodes per block of the Duhamel sum, the one block rule of both
+# evaluators: a block holds at most BLOCK consecutive nodes of one
+# refinement r, held (`_DuhamelOperator`) or one-shot (`_duhamel_sum`). It
+# bounds a block's temporaries. Against a bound of 128 KiB on a block's
+# rfft rows, which made every planned node of the default grid a block
+# by itself, a one-shot reconstruction there peaks at up to 11.1 MiB of
+# Python allocations (was 1.7) and takes 13.8 ms (was 22.7) at t = 1e-2
+# and 22.8 ms (was 36.4) at t = 10 (2 cores, medians of 7 interleaved
+# runs)
+BLOCK = 16
 
 
 class CornerData:
@@ -329,8 +333,8 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
     the late Duhamel term sat 1.2e-8 to 1.6e-8 of its sup from that of a
     profile solved on twice the intervals, against 4e-10 with 6 points.
 
-    `_duhamel_sum` does not call it: bench/tracer.py wraps this name, and
-    the tests take it as the sum of one node.
+    `_duhamel_sum` does not call it; bench/tracer.py wraps this name. It
+    is, bit for bit, the `_duhamel_sum` of this node alone at weight 1.
     """
     out = np.zeros(xs.size)
     node = _source_node(n_xs, xs, mu, lam, table)
@@ -352,10 +356,10 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
     A node on its source grid (`_on_source_grid`, `_source_node`) is
     convolved there and interpolated to xs (`_rescaled_convolution`).
     Such nodes share their sources, the density as sampled, so they go in
-    blocks of consecutive nodes whose rfft rows stay within BLOCK_BYTES
-    (`_fits_bytes`): one rfft of the block's density window, one batched
-    irfft of its products with the nodes' kernel spectra, and a
-    `quintic_eval` a node (`_add_source_block`).
+    blocks of up to BLOCK consecutive nodes (`_node_blocks`): one rfft of
+    the block's density window, one batched irfft of its products with
+    the nodes' kernel spectra, and a `quintic_eval` a node
+    (`_add_source_block`).
 
     Every other node, its sources off the nodes of xs, takes its plan on
     xs (`_fft_plan`): the sources go onto xs, padded out to the kernel
@@ -374,14 +378,12 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
     1e-10 at 24h, below the 8e-10 of the dense source sum. The spread
     nodes set this; the resampled ones need only r >= ceil(3h / lam).
 
-    The planned nodes go in blocks of consecutive nodes of one r
-    (`_node_blocks`) whose rfft rows stay within BLOCK_BYTES
-    (`_fits_bytes`); a node whose row alone passes it is a block by
-    itself. The resampled or spread sources of a block's nodes fill the
-    rows of one array, each node's tap weights made and dropped in turn,
-    and one batched rfft of it, the weighted node sum in Fourier space and
-    one irfft that keeps every r-th output give the block's share
-    (`_add_block`).
+    The planned nodes go in blocks of up to BLOCK consecutive nodes of
+    one r (`_node_blocks`), as in the held operator. The resampled or
+    spread sources of a block's nodes fill the rows of one array, each
+    node's tap weights made and dropped in turn, and one batched rfft of
+    it, the weighted node sum in Fourier space and one irfft that keeps
+    every r-th output give the block's share (`_add_block`).
 
     Each block, of either kind, takes its kernel spectra by one of two
     routes (`_kernel_spectra`). Where its FFT length holds every node's
@@ -390,11 +392,11 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
     products and the node sum run over those bins alone; else one
     `_block_kernel_lags` call samples the lags of the whole block and one
     batched rfft transforms them. On the 2048-interval grid of half-width
-    20 every block takes the closed form at t = 1e-4 to 4.6e-2, 9 of 11 at
-    t = 0.1, 5 of 13 at t = 1, and 1 to 3 of 12 to 15 from t = 10 to 1e4;
-    the Duhamel terms of the two routes agree to 3.4e-13 of their sup
-    there (t = 1e-4 to 1e4, ell = 0 to 2). With the sampled lags the block
-    sum matches the node-by-node sum to rounding.
+    20 every block takes the closed form at t = 1e-4 to 4.6e-2 (4 of 4 at
+    t = 1e-2), 3 of 4 at t = 0.1, 2 of 4 at t = 1, and 0 or 1 of 5 from
+    t = 10 to 1e4; the Duhamel terms of the two routes agree to 3.4e-13
+    of their sup there (t = 1e-4 to 1e4, ell = 0 to 2). With the sampled
+    lags the block sum matches the node-by-node sum to rounding.
     """
     out = np.zeros(xs.size)
     on_grid, planned = [], []
@@ -403,11 +405,11 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
             on_grid.append((w, _source_node(n_xs, xs, mu, lam, table)))
         else:
             planned.append((mu, lam, w))
-    for block, span in _node_blocks(on_grid, _fits_bytes):
+    for block, span in _node_blocks(on_grid):
         _add_source_block(out, block, span, n_tab, xs, ell, table)
     plans = ((w, _fft_plan(n_xs, xs, mu, lam, ell, table))
              for mu, lam, w in planned)
-    for block, span in _node_blocks(plans, _fits_bytes):
+    for block, span in _node_blocks(plans):
         N, keep, r = _block_layout(span)
         spectra = _kernel_spectra(block, ell, table, N, r * keep.start,
                                   _planned_extents(block, span))
@@ -439,37 +441,19 @@ def _add_source_block(out, block, span, n_tab, xs, ell, table):
         out += wt * quintic_eval(row[:node.nout], node.y0, node.h, xs)
 
 
-def _fits_bytes(span, count):
-    """Whether a one-shot block of count nodes and this joined span keeps
-    the rfft rows of its sources within BLOCK_BYTES."""
-    return _spectrum_bytes(_block_layout(span)[0]) * count <= BLOCK_BYTES
-
-
-def _spectrum_bytes(N):
-    """The bytes of one rfft row at FFT length N: a row of the rfft of a
-    block's sources, the largest row of its arrays. A row of its sources
-    takes half as many, a row of sampled kernel spectra as many, and a
-    closed-form row fewer (`_kernel_spectra`)."""
-    return 16 * (N // 2 + 1)
-
-
-def _node_blocks(items, fits):
-    """The items (weight, node, ...) in blocks of consecutive nodes of one
-    refinement r, each block with the join of its nodes' spans (`_Span`);
-    items whose node is None are dropped, and a block also closes before
-    an item that fits(span, count) refuses, given the span and the node
-    count the block would have with it. The span is carried as the block
-    grows, so each item costs the same whatever the block's size."""
+def _node_blocks(items):
+    """The items (weight, node, ...) in blocks of up to BLOCK consecutive
+    nodes of one refinement r, each block with the join of its nodes'
+    spans (`_Span`); items whose node is None are dropped."""
     block, span = [], None
     for item in items:
         node = item[1]
         if node is None:
             continue
         if block:
-            joined = _joined(span, node.span)
-            if node.span.r == span.r and fits(joined, len(block) + 1):
+            if node.span.r == span.r and len(block) < BLOCK:
                 block.append(item)
-                span = joined
+                span = _joined(span, node.span)
                 continue
             yield block, span
         block, span = [item], node.span
@@ -565,31 +549,19 @@ def _sampled_spectra(block, ell, table, N, lo):
     node i's lags rotated by a_i + lo at length N.
 
     Lag p goes to index (p - a - lo) mod N of a zero row: the lags from
-    (a + lo) mod N on open it, the lags before that close it. The rows go
-    in chunks of at most BLOCK_BYTES of spectra, so a one-shot block in
-    one (`_fits_bytes`): one `_block_kernel_lags` call samples the chunk's
-    lags and one batched rfft transforms its rows, each spectrum that of
-    its row alone, bit for bit. Sampling a held 16-node block in one call
-    raised the Python peak of the operator build on the default grid from
-    25.5 to 29.4 MiB.
+    (a + lo) mod N on open it, the lags before that close it. One
+    `_block_kernel_lags` call samples the lags of the whole block, of up
+    to BLOCK nodes, and one batched rfft transforms its rows, each
+    spectrum that of its row alone, bit for bit.
     """
-    step = max(1, BLOCK_BYTES // _spectrum_bytes(N))
-    spectra = (np.empty((len(block), N // 2 + 1), dtype=complex)
-               if len(block) > step else None)
-    for i in range(0, len(block), step):
-        chunk = block[i:i + step]
-        kers = _block_kernel_lags(table, ell,
-                                  [node.lags for _, node, *_ in chunk])
-        rows = np.zeros((len(chunk), N))
-        for row, (_, node, *_), ker in zip(rows, chunk, kers):
-            k, s = ker.size, (node.a + lo) % N
-            head = min(s, k)
-            row[N - s:N - s + head] = ker[:head]
-            row[:k - head] = ker[head:]
-        if spectra is None:
-            spectra = rfft(rows)
-        else:
-            spectra[i:i + len(chunk)] = rfft(rows)
+    kers = _block_kernel_lags(table, ell, [node.lags for _, node, *_ in block])
+    rows = np.zeros((len(block), N))
+    for row, (_, node, *_), ker in zip(rows, block, kers):
+        k, s = ker.size, (node.a + lo) % N
+        head = min(s, k)
+        row[N - s:N - s + head] = ker[:head]
+        row[:k - head] = ker[head:]
+    spectra = rfft(rows)
     spectra *= np.array([node.h for _, node, *_ in block])[:, None]
     return spectra
 
@@ -651,34 +623,30 @@ class _DuhamelOperator:
     own grid a node reaches the source-grid path of `_duhamel_sum` only at
     mu >= 1 (H >= h), and every node of a Picard solve at t = 1 has mu < 1.
     The nodes go in blocks of up to BLOCK consecutive nodes of one
-    refinement r (`_node_blocks`), the layout of the one-shot sum with a
-    count in place of its byte bound. A block's CSR matrix takes n_tab to
-    the source windows of its nodes, stacked with stride W (the block's
-    longest window) and zero beyond each window; its rows are the 4-tap
-    resample of a mu >= 3h node or the transposed spread of a mu < 3h one.
-    Its kernel spectra are those of the one-shot sum (`_kernel_spectra`)
-    times the quadrature weights, held: in closed form on the P bins below
-    the symbol's underflow where the block's length N holds its nodes'
-    kernel reach, else sampled, one kernel sampling per BLOCK_BYTES chunk of
-    rows, bit for bit those of nodes sampled and transformed one by one. A
-    call takes one batched rfft per block at its length N, the product with
-    the spectra summed over the nodes in Fourier space on the spectra's
-    bins, and one irfft that keeps every r-th output of the outputs its
-    nodes give (all of xs when r = 1). With the sampled lags the result
-    matches the node-by-node sum to rounding. Of the four blocks at t = 1,
+    refinement r (`_node_blocks`), the layout of the one-shot sum. A
+    block's CSR matrix takes n_tab to the source windows of its nodes,
+    stacked with stride W (the block's longest window) and zero beyond
+    each window; its rows are the 4-tap resample of a mu >= 3h node or
+    the transposed spread of a mu < 3h one. Its kernel spectra are those
+    of the one-shot sum (`_kernel_spectra`) times the quadrature weights,
+    held: in closed form on the P bins below the symbol's underflow where
+    the block's length N holds its nodes' kernel reach, else sampled, one
+    kernel sampling and one batched rfft a block, bit for bit those of
+    nodes sampled and transformed one by one. A call takes one batched
+    rfft per block at its length N, the product with the spectra summed
+    over the nodes in Fourier space on the spectra's bins, and one irfft
+    that keeps every r-th output of the outputs its nodes give (all of xs
+    when r = 1). With the sampled lags the result matches the node-by-node
+    sum to rounding. Of the four blocks at t = 1,
     the two of the narrowest kernels take the closed form on the
     2048-interval grid of half-width 20, whose spectra then hold 0.76 MiB
     (1.57 MiB all sampled), and all four on the default grid (0.18 MiB,
     against 5.1 MiB).
     """
 
-    # nodes per block: bounds the temporaries of the build and the apply
-    BLOCK = 16
-
     def __init__(self, xs, ell, table, quad):
         self.n = xs.size
-        blocks = _node_blocks(_operator_nodes(xs, ell, table, quad),
-                              lambda _, count: count <= self.BLOCK)
+        blocks = _node_blocks(_operator_nodes(xs, ell, table, quad))
         # (CSR matrix, W, N, spectra, kept outputs, r) of each block
         self.blocks = [_operator_block(block, span, xs.size, ell, table)
                        for block, span in blocks]
@@ -973,6 +941,7 @@ def constant_shift_residual(solution, c, table):
 def save_profile(profile, csv_path):
     """CSV `xi,psi` plus a .meta.json sidecar with the solve record;
     returns both paths."""
+    _check_instance(profile, SimilarityProfile, "profile")
     meta = {
         "A": profile.corner.A,
         "B": profile.corner.B,
@@ -992,6 +961,7 @@ def load_profile(csv_path, table):
     (xs, ys), meta = _read_csv(
         csv_path, 2, ("A", "B", "iterations", "residual_history",
                       "decay_constants", "converged"), ".meta.json")
+    _check_table(table)
     # an older sidecar's "slope_cap" key is ignored
     corner = CornerData(meta["A"], meta["B"])
     psi = GridFunction(xs, ys, -corner.B, corner.A, "constant",

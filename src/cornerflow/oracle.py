@@ -22,9 +22,10 @@ import numpy as np
 from . import _backend
 from ._slowpath import GROWTH_CAP
 from .errors import OracleInstability, ValidationError
-from .grid import (GridFunction, corner_function, smoothed_abs,
-                   symmetric_grid, whole_number)
+from .grid import (GridFunction, _check_instance, corner_function,
+                   smoothed_abs, symmetric_grid, whole_number)
 from .kernel import _check_times, apply_semigroup, corner_height
+from .mild import SimilarityProfile, inner_sup, reconstruct_U
 
 
 DT_INIT = 1e-8  # the first step of every march
@@ -113,6 +114,7 @@ def time_march(u0, cfg, times):
     order in space for the nonlinear terms and unconditionally stable in
     the linear part.
     """
+    _check_instance(cfg, MarchConfig, "cfg")
     if (not isinstance(u0, GridFunction) or u0.n != cfg.xs.size
             or np.max(np.abs(u0.xs - cfg.xs)) > 1e-9):
         raise ValidationError("initial data must be a GridFunction on the "
@@ -143,7 +145,7 @@ def mild_gaps(marched, profile, table, cfg, t):
 
     Returns a dict with both gaps, the Duhamel size and the mild field.
     """
-    from .mild import inner_sup, reconstruct_U
+    _check_instance(marched, GridFunction, "marched")
     sol = reconstruct_U(profile, t, table, xs=cfg.xs)
     cab = corner_function(cfg.A, cfg.B, cfg.xs)
     bump = GridFunction(cfg.xs, cfg.mollified_corner().ys - cab.ys,
@@ -166,6 +168,7 @@ def compare_with_mild(profile, table, cfg=None, t_final=1.0):
     Returns a dict with both gaps, the Duhamel size, the mollification
     width and the two fields.
     """
+    _check_instance(profile, SimilarityProfile, "profile")
     if cfg is None:
         cfg = MarchConfig(profile.corner.A, profile.corner.B)
     marched = time_march(cfg.mollified_corner(), cfg, [t_final])[0]

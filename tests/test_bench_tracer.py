@@ -73,8 +73,8 @@ def test_traced_reconstruction_matches_untraced(new_table):
     # source grids in blocks of their own (mild._add_source_block), the
     # others in planned blocks. A block takes its kernel spectra in closed
     # form (mild._symbol_spectra), with no sym_eval, or samples its lags in
-    # one; at t = 1e-2 every block takes the closed form, at 1e3 most
-    # sample. Every node shows once, none goes through the wrapped
+    # one; at t = 1e-2 every block takes the closed form, at 1e3 every
+    # block samples. Every node shows once, none goes through the wrapped
     # mild._rescaled_convolution, and U is bit-identical to an untraced one
     tracing = _load_tracer()
     table = new_table()
@@ -112,10 +112,7 @@ def test_traced_reconstruction_matches_untraced(new_table):
         assert all(sorted(names) in (["closed"], ["backend.sym_eval"])
                    for names in inside)
         closed = sum(names == ["closed"] for names in inside)
-        if t < 1.0:
-            assert closed == len(blocks)
-        else:
-            assert 0 < closed < len(blocks) / 2
+        assert closed == (len(blocks) if t < 1.0 else 0)
 
 
 @pytest.mark.parametrize("workload", ("solve", "reconstruct-early",

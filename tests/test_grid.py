@@ -4,8 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from cornerflow import GridFunction, KernelTable, ValidationError, \
-    corner_function, diagnostics, load_profile, smoothed_abs, symmetric_grid
+from cornerflow import GridFunction, KernelTable, MarchConfig, \
+    ValidationError, corner_function, diagnostics, load_profile, oracle, \
+    regularizing_constants, save_profile, smoothed_abs, symmetric_grid
 from cornerflow.grid import _cumulative_simpson, _fd, _simpson
 
 
@@ -254,3 +255,47 @@ def test_simpson_pair_is_scipys_on_the_package_inputs(ktable, monkeypatch):
     assert {ys.size % 2 for ys, _ in seen} == {0, 1} and len(seen) == 8
     for ys, dx in seen:
         _assert_simpson_pair_is_scipys(ys, dx)
+
+
+# (argument name, call of (table, profile, saved profile path)) that hands
+# an entry point an object of the wrong type in that argument
+WRONG_TYPES = {
+    "load_profile": ("table", lambda tab, prof, path: load_profile(path,
+                                                                   None)),
+    "save_profile": ("profile", lambda tab, prof, path: save_profile(
+        None, path)),
+    "regularizing_constants": ("table", lambda tab, prof, path:
+                               regularizing_constants(
+                                   None, 1, np.geomspace(1e-2, 10.0, 4))),
+    "time_march": ("cfg", lambda tab, prof, path: oracle.time_march(
+        corner_function(0.1, 0.1, symmetric_grid(10.0, 64)), None, [1.0])),
+    "compare_with_mild": ("profile", lambda tab, prof, path:
+                          oracle.compare_with_mild(None, tab)),
+    "mild_gaps": ("marched", lambda tab, prof, path: oracle.mild_gaps(
+        None, prof, tab, MarchConfig(0.1, 0.1), 1.0)),
+    "x_infty_norm": ("profile", lambda tab, prof, path:
+                     diagnostics.x_infty_norm(None)),
+    "run_diagnostics": ("phi", lambda tab, prof, path:
+                        diagnostics.run_diagnostics(np.zeros(5))),
+    "l1_linear_bound": ("phi", lambda tab, prof, path:
+                        diagnostics.l1_linear_bound(None, 0.1)),
+    "esp_check": ("phi", lambda tab, prof, path:
+                  diagnostics.esp_check(None, 1.0, 0.0)),
+    "peg_bound_check": ("phi", lambda tab, prof, path:
+                        diagnostics.peg_bound_check(None)),
+    "d0_and_d": ("phi", lambda tab, prof, path: diagnostics.d0_and_d(None)),
+    # stride 1 would hand the object back unchecked
+    "subsample": ("phi", lambda tab, prof, path:
+                  diagnostics.subsample(None, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", WRONG_TYPES)
+def test_wrong_object_type_is_a_typed_error(ktable, profile_8k, tmp_path,
+                                            entry):
+    # an object of the wrong type raises ValidationError naming its
+    # argument, where an attribute lookup would raise a bare AttributeError
+    path = save_profile(profile_8k, tmp_path / "profile.csv")[0]
+    name, call = WRONG_TYPES[entry]
+    with pytest.raises(ValidationError, match=f"^{name} must be a "):
+        call(ktable, profile_8k, path)

@@ -629,6 +629,22 @@ def test_no_picard_node_sits_on_its_source_grid(grid):
                    for mu, lam in zip(mus, lams))
 
 
+@pytest.mark.parametrize("t", (10.0, 1e4))
+def test_rescaled_convolution_is_the_sum_of_its_node(skew_density, ktable, t):
+    # the name bench/tracer.py wraps gives, for each node on its source
+    # grid, the Duhamel sum of that node alone, bit for bit
+    n_tab, n_xs = skew_density
+    nodes = [(mu, lam) for mu, lam, _ in zip(*mild._duhamel_nodes(t, 1))
+             if mild._on_source_grid(n_xs, n_xs, mu, lam)]
+    assert len(nodes) >= 29
+    for mu, lam in nodes:
+        got = mild._rescaled_convolution(n_tab, n_xs, n_xs, mu, lam, 1,
+                                         ktable)
+        assert got.any()
+        assert np.array_equal(got, _one_node(n_tab, n_xs, n_xs, mu, lam, 1,
+                                             ktable))
+
+
 def _parent_wrap_free_length(a, k, lags, lo, hi):
     # the shortest wrap-free length of one node, as first written
     need = max(k, lags, hi - lo, k + lags - 1 - a - lo)
@@ -661,17 +677,15 @@ def _parent_layout(block):
 
 
 def _parent_blocks(items):
-    # the byte rule as first written: each candidate rebuilds the layout
-    # of the block it would join
+    # the count rule from the nodes alone: a block closes before a node of
+    # another r or once it holds BLOCK nodes
     block = []
     for item in items:
         node = item[1]
         if node is None:
             continue
         if block and (node.span.r != block[0][1].span.r
-                      or mild._spectrum_bytes(_parent_layout(
-                          block + [item])[0]) * (len(block) + 1)
-                      > mild.BLOCK_BYTES):
+                      or len(block) == mild.BLOCK):
             yield block
             block = []
         block.append(item)
@@ -683,10 +697,10 @@ def _parent_blocks(items):
 @pytest.mark.parametrize("grid", ((20.0, 2048), (mild.DEFAULT_HALF_WIDTH,
                                                 mild.DEFAULT_INTERVALS)))
 def test_carried_spans_give_the_rebuilt_layouts(ktable, grid, t):
-    # a block carries the join of its nodes' spans, so the byte rule costs
-    # the same for each candidate; it must form the blocks and layouts
-    # that rebuilding each candidate block from its nodes gives, for the
-    # planned and the source-grid nodes of a one-shot sum
+    # a block carries the join of its nodes' spans as it grows; it must
+    # form the blocks of the count rule and the layouts that rebuilding
+    # each block from its nodes gives, for the planned and the source-grid
+    # nodes of a one-shot sum
     xs = symmetric_grid(*grid)
     planned, on_grid = [], []
     for mu, lam, w in zip(*mild._duhamel_nodes(t, 1)):
@@ -697,7 +711,7 @@ def test_carried_spans_give_the_rebuilt_layouts(ktable, grid, t):
     assert bool(on_grid) == (t > 1.0)
     for items in (planned, on_grid):
         got = [(block, mild._block_layout(span)) for block, span
-               in mild._node_blocks(items, mild._fits_bytes)]
+               in mild._node_blocks(items)]
         ref = list(_parent_blocks(items))
         assert [len(block) for block, _ in got] == [len(b) for b in ref]
         for (block, layout), parent in zip(got, ref):
@@ -737,15 +751,15 @@ def test_early_reconstruction_samples_each_lag_magnitude_once(ktable,
     # on its nodes' |lags| only: at most max(|d_lo|, |d_hi|) + 1 points a
     # node for its d_hi - d_lo + 1 lags, which run nearly symmetric about
     # 0, so about half as many. At t = 1e-2 every block takes its spectra
-    # in closed form and samples none; at t = 0.1 the blocks of the
-    # widest kernels take sampled lags (`mild._images_clear`)
+    # in closed form and samples none; at t = 0.1 the block of the widest
+    # kernels, 16 nodes, takes sampled lags (`mild._images_clear`)
     prof = solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
                                     xs=symmetric_grid(20.0, 2048))
     blocks = _count_blocks(monkeypatch)
     reconstruct_U(prof, 1e-2, ktable)
     assert blocks == []
     reconstruct_U(prof, 0.1, ktable)
-    assert len(blocks) >= 2
+    assert len(blocks) == 1
     for spans, *points in blocks:
         assert len(spans) > 1 and len(points) == 1
         assert points[0] <= sum(max(-d_lo, d_hi) + 1
@@ -758,16 +772,13 @@ def test_early_reconstruction_samples_each_lag_magnitude_once(ktable,
 @pytest.mark.parametrize("t", (1e-2, 1e4))
 @pytest.mark.parametrize("grid", ((20.0, 2048), (mild.DEFAULT_HALF_WIDTH,
                                                 mild.DEFAULT_INTERVALS)))
-def test_one_shot_blocks_hold_the_byte_bound(ktable, monkeypatch, grid, t):
-    # every block's kernel spectra stay within BLOCK_BYTES unless it holds
-    # one node, every block of sampled lags samples its kernel in one table
-    # evaluation and every closed-form block in none: on a 2048-interval
-    # grid, where a block holds up to 7
-    # nodes and no array of a block passes BLOCK_BYTES, its source-grid
-    # blocks' irfft rows included, and on the default grid, where a
-    # planned node's spectrum takes 67 KiB at t = 1e-2 and up to 125 KiB
-    # at 1e4, so that each planned node is a block; source-grid nodes
-    # (t = 1e4) go up to 3 a block there
+def test_one_shot_blocks_hold_the_count_rule(ktable, monkeypatch, grid, t):
+    # every block holds at most BLOCK nodes of one r, every block of
+    # sampled lags samples its kernel in one table evaluation and every
+    # closed-form block in none. On both grids some planned block holds
+    # more than one node: a bound on a block's bytes made each planned
+    # node of the default grid a block by itself. Source-grid nodes
+    # (t = 1e4) go in blocks of up to BLOCK too
     xs = symmetric_grid(*grid)
     n_tab = np.exp(-0.25 * xs * xs)
     seen, spectra = [], mild._kernel_spectra
@@ -775,30 +786,24 @@ def test_one_shot_blocks_hold_the_byte_bound(ktable, monkeypatch, grid, t):
     def recorded(block, ell, table, N, *args):
         out = spectra(block, ell, table, N, *args)
         # the sampled lags fill every bin, the closed form fewer
-        seen.append((len(block), N, out.shape[1] == N // 2 + 1))
-        kinds.append(type(block[0][1]))
+        seen.append((len(block), {node.span.r for _, node in block},
+                     type(block[0][1]), out.shape[1] == N // 2 + 1))
         return out
-
-    kinds = []
 
     monkeypatch.setattr(mild, "_kernel_spectra", recorded)
     blocks = _count_blocks(monkeypatch)
     mild._duhamel_sum(n_tab, xs, xs, 2, ktable, mild._duhamel_nodes(t, 2))
     assert len(seen) > 1
-    assert [len(spans) for spans, *_ in blocks] == [n for n, _, sampled
+    assert all(n <= mild.BLOCK and len(r) == 1 for n, r, *_ in seen)
+    assert [len(spans) for spans, *_ in blocks] == [n for n, *_, sampled
                                                     in seen if sampled]
     assert all(len(points) == 1 for _, *points in blocks)
-    assert all(n == 1 or n * mild._spectrum_bytes(N) <= mild.BLOCK_BYTES
-               for n, N, _ in seen)
+    kinds = [kind for _, _, kind, _ in seen]
     assert (mild._SourceNode in kinds) == (t > 1.0)
-    if grid[1] == 2048:
-        assert max(n for n, *_ in seen) >= 6
-        assert all(n * max(mild._spectrum_bytes(N), 8 * N)
-                   <= mild.BLOCK_BYTES for n, N, _ in seen)
-    else:
-        assert all(n == 1 for (n, *_), kind in zip(seen, kinds)
-                   if kind is mild._NodePlan)
-        assert max(n for n, *_ in seen) == (3 if t > 1.0 else 1)
+    assert max(n for n, _, kind, _ in seen if kind is mild._NodePlan) > 1
+    if t > 1.0:
+        assert max(n for n, _, kind, _ in seen
+                   if kind is mild._SourceNode) == mild.BLOCK
 
 
 def _rolled_spectrum(ker, shift, h, nfft):
@@ -808,17 +813,14 @@ def _rolled_spectrum(ker, shift, h, nfft):
     return rfft(np.roll(buf, -shift)) * h
 
 
-def test_kernel_spectra_match_rolled_lags(ktable, monkeypatch, rng):
+def test_kernel_spectra_match_rolled_lags(ktable, rng):
     # rotations a + lo before 0, at 0, inside the lags, at their end, past
-    # them and past the FFT length, in one block: each row of sampled lags
-    # is its node's spectrum alone, scaled by its own h, bit for bit, also
-    # when the rows go through the FFT three at a time
+    # them and past the FFT length, in one block: each row of sampled lags,
+    # all of them in one batched rfft, is its node's spectrum alone, scaled
+    # by its own h, bit for bit
     span = (-18, 18, 0.3)
     ker = kernel._kernel_lags(ktable, 1, *span)
-    for nfft, chunk in ((37, None), (40, None), (96, None), (40, 3)):
-        if chunk:
-            monkeypatch.setattr(mild, "BLOCK_BYTES",
-                                mild._spectrum_bytes(nfft) * chunk)
+    for nfft in (37, 40, 96):
         shifts = (-50, -5, 0, 1, 12, 36, 37, 50, nfft - 1, nfft + 7)
         hs = rng.uniform(0.1, 0.3, len(shifts))
         empty = [None] * len(mild._NodePlan._fields)
@@ -868,9 +870,9 @@ def test_block_routes_follow_the_images(ktable, monkeypatch):
         del routes[:]
         mild._duhamel_sum(n_tab, xs, xs, 1, ktable, mild._duhamel_nodes(t, 1))
         if t < 1.0:
-            assert len(routes) == 10 and all(routes)
+            assert len(routes) == 4 and all(routes)
         else:
-            assert len(routes) == 12 and sum(routes) <= 1
+            assert len(routes) == 5 and sum(routes) <= 1
 
 
 def test_narrow_table_keeps_the_sampled_lags(skew_density, ktable,
@@ -939,13 +941,16 @@ def test_symbol_spectra_match_sampled_lags(skew_density, ktable,
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-# (output grid, t) of test_block_routes_agree: early t, where nearly every
-# block takes the closed form; late t, where the source-grid blocks sample
+# (output grid, t) of test_block_routes_agree: early t, where every block
+# takes the closed form; t = 1 and late t, where the blocks of the widest
+# kernels sample (on the foreign grid every block at t = 1e4, 1 of 5
+# closed at t = 1)
 ROUTE_CASES = ((symmetric_grid(20.0, 2048), 1e-4),
                (symmetric_grid(20.0, 2048), 1e-2),
                (symmetric_grid(20.0, 2048), 1.0),
                (symmetric_grid(20.0, 2048), 1e4),
                (np.linspace(-13.7, 13.7, 3001), 1e-2),
+               (np.linspace(-13.7, 13.7, 3001), 1.0),
                (np.linspace(-13.7, 13.7, 3001), 1e4))
 
 
@@ -953,16 +958,19 @@ ROUTE_CASES = ((symmetric_grid(20.0, 2048), 1e-4),
 def test_block_routes_agree(skew_density, ktable, monkeypatch, ell):
     # the Duhamel term with each block on its own route is within 1e-12 of
     # its sup of the term with every block on the sampled lags, on the own
-    # grid and a foreign one; so is the held operator's sum
+    # grid and a foreign one, each of which takes both routes; so is the
+    # held operator's sum
     n_tab, n_xs = skew_density
     routes = _record_routes(monkeypatch)
-    got = []
+    got, taken = [], set()
     for xs, t in ROUTE_CASES:
         got.append(mild._duhamel_sum(n_tab, n_xs, xs, ell, ktable,
                                      mild._duhamel_nodes(t, ell)))
-        # both routes are taken at late t
-        assert any(routes) and (t < 1.0 or not all(routes))
+        assert all(routes) or t >= 1.0
+        taken.update((xs.size, route) for route in routes)
         del routes[:]
+    assert taken == {(n, route) for n in (2049, 3001)
+                     for route in (False, True)}
     quad = mild._duhamel_nodes(1.0, ell)
     held = mild._DuhamelOperator(n_xs, ell, ktable, quad)(n_tab)
     assert any(routes) and not all(routes)
@@ -1222,26 +1230,24 @@ def test_solve_samples_each_fft_kernel_once(new_table, monkeypatch):
     # a node's kernel spectrum depends on the node, not the density: a cold
     # solve takes it as it builds the grid's Duhamel operator, and a second
     # solve on the grid takes none. A block of sampled lags samples them
-    # in one table evaluation per chunk of BLOCK_BYTES of the block, each
-    # node's lags once, not once per node and iteration; a closed-form
-    # block, whose spectra hold fewer than N // 2 + 1 bins, samples none
+    # in one table evaluation, each node's lags once, not once per node
+    # and iteration; a closed-form block, whose spectra hold fewer than
+    # N // 2 + 1 bins, samples none
     blocks = _count_blocks(monkeypatch)
     table = new_table()
     prof = solve_similarity_profile(CornerData(0.2, 0.03), table=table,
                                     xs=PLAN_GRID)
     assert prof.iterations >= 5
-    chunks, closed = [], 0
+    sampled, closed = [], 0
     for _, _, N, spectra, *_ in table._picard_plan[1].blocks:
         if spectra.shape[1] < N // 2 + 1:
             closed += spectra.shape[0]
-            continue
-        step = max(1, mild.BLOCK_BYTES // mild._spectrum_bytes(N))
-        chunks += [min(step, spectra.shape[0] - i)
-                   for i in range(0, spectra.shape[0], step)]
-    assert [len(spans) for spans, *_ in blocks] == chunks
-    assert [len(points) for _, *points in blocks] == [1] * len(chunks)
-    assert sum(chunks) + closed == 64 and 0 < closed < 64
-    assert len(chunks) < sum(chunks)
+        else:
+            sampled.append(spectra.shape[0])
+    assert [len(spans) for spans, *_ in blocks] == sampled
+    assert [len(points) for _, *points in blocks] == [1] * len(sampled)
+    assert sum(sampled) + closed == 64 and 0 < closed < 64
+    assert max(sampled) == mild.BLOCK
     del blocks[:]
     solve_similarity_profile(CornerData(0.1, 0.1), table=table,
                              xs=PLAN_GRID)
@@ -1464,7 +1470,7 @@ def test_held_operator_within_memory_budget(ktable):
         node = mild._fft_plan(PLAN_GRID, PLAN_GRID, mu, lam, 2, ktable)
         # the 4 weights a tap, which the plans held
         plans += (node.base.nbytes + 4 * node.u.nbytes
-                  + mild._spectrum_bytes(mild._block_layout(node.span)[0]))
+                  + 16 * (mild._block_layout(node.span)[0] // 2 + 1))
     assert held <= 1.5 * plans
 
 
