@@ -6,13 +6,11 @@ bounds its temporaries by evaluating SKEW_CHUNK source nodes at a time.
 No code in the package calls skew_sum: the tests use it as their dense
 reference, and `_backend` exports it only because the benchmark's tracer
 wraps it there, until the benchmark records its own spans.
-cubic_eval and lagrange_taps share one 4-point Lagrange stencil;
-lagrange_taps returns the taps themselves, each point's stencil and its
-offset in it, so that the mild solver's node plans for sources off the
-output nodes, which resample or spread the density by them, compute them
-once per node and hold only the offsets while a block of nodes is
-gathered; the weights (`lagrange_weights` of the offsets) are made as
-each node's sources are. quintic_eval is the 6-point stencil,
+cubic_eval and the mild solver's block taps share one 4-point Lagrange
+stencil: `_cells` gives each point's stencil and its offset in it, and
+`lagrange_weights` the weights, which the mild solver makes for all the
+points of a block of nodes at once to resample or spread the density by
+them. quintic_eval is the 6-point stencil,
 with the same end cells, for the smooth convolutions that the mild
 solver takes from a coarser grid onto its output grid. The stencils
 build their weights and sums in place, from one gather index shifted by
@@ -43,20 +41,23 @@ def lagrange_weights(u):
     node -1; a negative weight is negated last, which rounds alike since
     negation is exact.
     """
-    um1, um2, up1 = u - 1.0, u - 2.0, u + 1.0
     w = np.empty((4,) + u.shape)
     w0, w1, w2, w3 = w
+    # u - 1 and u - 2 wait in w3 and w2, u + 1 in w1, for their rows
+    um1 = np.subtract(u, 1.0, out=w3)
+    um2 = np.subtract(u, 2.0, out=w2)
     np.multiply(u, um1, out=w0)
     w0 *= um2
     w0 /= 6.0
     np.negative(w0, out=w0)
-    np.multiply(up1, um1, out=w1)
+    up1 = np.add(u, 1.0, out=w1)
+    opening = up1 * u  # (u+1) u opens both w2 and w3
+    w1 *= um1
     w1 *= um2
     w1 /= 2.0
-    np.multiply(up1, u, out=w2)  # (u+1) u opens both w2 and w3
-    np.multiply(w2, um1, out=w3)
+    w3 *= opening
     w3 /= 6.0
-    w2 *= um2
+    w2 *= opening
     w2 /= 2.0
     np.negative(w2, out=w2)
     return w
@@ -66,28 +67,13 @@ def _cells(t, n):
     """Base node j of the 4-point stencil on j-1..j+2 at grid coordinates
     t, and the offsets t - j, whose `lagrange_weights` are its weights.
 
-    The stencil of a point in an end cell is the nearest interior one.
+    The stencil of a point in an end cell is the nearest interior one. n,
+    the count of grid nodes, may be an array that broadcasts against t.
     """
     j = np.floor(t).astype(np.int64)
     np.maximum(j, 1, out=j)
     np.minimum(j, n - 3, out=j)
     return j, t - j
-
-
-def lagrange_taps(x0, h, n, q):
-    """The 4-point Lagrange taps of the increasing points q on x0 + h*i.
-
-    Returns (lo, base, u): the points q[lo:lo + k] are those on the grid
-    (x0 <= q <= x0 + (n-1)h), and lagrange_weights(u) is the (4, k) array
-    of their weights on the nodes base + 0..3. End cells and rounding are
-    those of `cubic_eval`, whose zero fill covers the points outside the
-    window.
-    """
-    t = (np.asarray(q, dtype=float) - x0) / h
-    lo = int(np.searchsorted(t, 0.0, side="left"))
-    hi = max(lo, int(np.searchsorted(t, n - 1.0, side="right")))
-    j, u = _cells(t[lo:hi], n)
-    return lo, j - 1, u
 
 
 def cubic_eval(tab, x0, h, q, fill_left, fill_right):

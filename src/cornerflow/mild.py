@@ -17,6 +17,7 @@ toward s = t moves psi by at most 6e-10 (half-width 40, 2048 intervals).
 Past the cap the factor exp(-k^4 (t - s)) varies near s = t faster than
 the rule resolves, and the rule is the largest error of a solve.
 """
+import math
 import numbers
 from collections import namedtuple
 
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.sparse import csr_matrix
 
-from ._slowpath import lagrange_taps, lagrange_weights, quintic_eval
+from ._slowpath import _cells, lagrange_weights, quintic_eval
 from .errors import (ConfigError, NoConvergence, PicardDivergence,
                      StaleProfile, ValidationError)
 from .grid import (GridFunction, _check_instance, _fd, _inner, _read_csv,
@@ -56,6 +57,14 @@ _GL_X.flags.writeable = _GL_W.flags.writeable = False
 # and 22.8 ms (was 36.4) at t = 10 (2 cores, medians of 7 interleaved
 # runs)
 BLOCK = 16
+# window and spread points a run of a block's taps (`_block_taps`) takes
+# at most, unless one node has more: it bounds the temporaries of the
+# pass. On the 2048-interval grid of half-width 20 a one-shot
+# reconstruction at t = 1e-2 peaks at 1.44 MiB of Python allocations
+# (1.24 MiB a node at a time), 2.28 MiB at 32768 points a run and 3.9 MiB
+# with a block of 16 spread nodes of 2049 points in one run; 8192 points
+# a run gave up a third of the runs' gain in speed
+TAP_POINTS = 16384
 
 
 class CornerData:
@@ -150,32 +159,46 @@ def _nonlinear_density(psi_ys, psi1, psi2):
             + 3.0 * psi_ys * psi1 ** 2 / (1.0 + v2) ** 3)
 
 
-# the grid-only part of one planned node of `_duhamel_sum`; see `_fft_plan`
-_NodePlan = namedtuple("_NodePlan",
-                       "lo base u k span lags a h spread r out0 nout")
+# one planned node of `_duhamel_sum`, grid only and all scalars; see
+# `_fft_plan`
+_NodePlan = namedtuple("_NodePlan", "lo k first count mu pad padded spread "
+                                    "lags a h r out0 nout span")
 # what sets the FFT length of a block of nodes; see `_wrap_free_length`
 _Span = namedtuple("_Span", "r lower upper fixed start end")
+# the four taps of a 4-point stencil, nodes base + 0..3
+_TAPS = np.arange(4)
 
 
 def _fft_plan(n_xs, xs, mu, lam, ell, table):
-    """The grid-only part of one planned node of `_duhamel_sum`.
+    """The grid-only part of one planned node of `_duhamel_sum`: scalars
+    alone, the taps of its window are made for a whole block of nodes at
+    once (`_block_taps`).
 
-    On xs, refined r-fold when lam < 3h, with spacing h and n points, the
-    sources are padded out to mu * n_xs (or the kernel reach, if nearer)
-    on each side, and only the window of k padded points that some source
-    reaches is convolved. Returns a `_NodePlan`, or None when no source
-    reaches xs. For mu >= 3h spread is None and the window is the
-    k = base.size padded points that fall on the profile grid, with
-    4-point Lagrange taps (base, u) into n_tab: the stencils base + 0..3
-    and the weights lagrange_weights(u) on them, evaluated as the node's
-    sources are made (`_window_sources`, `_window_rows`). For mu < 3h the
-    points mu n_xs[lo:lo + base.size] fall on the padded grid and deposit
-    spread times their density by the taps (base, u) onto the k-cell
-    window, base counted from its first cell. The kernel g_ell(d h / lam) is needed only on the lags
-    d = d_lo .. d_hi that join a window point to an output; lags =
-    (d_lo, d_hi, h / lam) are the arguments of `_block_kernel_lags`, which
-    samples them for a whole block of nodes. a is the index of output 0
-    in the linear convolution of the window with the lags.
+    On xs, refined r-fold when lam < 3h, with spacing h and n points
+    (`_grid_points`), the sources are padded out to mu * n_xs (or the
+    kernel reach, if nearer) on each side: the padded grid has `padded`
+    points, `pad` of them before xs. Only the window of k padded points
+    that some source reaches is convolved: the points first .. first + k -
+    1 of xs, counted from xs[0] and running into the pads. Returns a
+    `_NodePlan`, or None when no source reaches xs. For mu >= 3h spread
+    is None and the window is the padded points lo = pad + first .. lo +
+    k - 1, those that fall on the profile grid once divided by mu; each
+    takes n_tab by its 4-point Lagrange stencil there. For mu < 3h the
+    count points mu n_xs[lo:lo + count] fall on the padded grid and
+    deposit spread times their density by their stencils there onto the
+    window, the k cells from the first stencil's first node on.
+
+    The window ends are those np.searchsorted finds on the points' grid
+    coordinates, which rise with the index, found by arithmetic: the
+    inverse of the grid map gives a guess, which moves point by point
+    until its neighbours agree (`_first_past`). Each coordinate is the
+    one the block's taps compute, so no node builds its padded grid.
+
+    The kernel g_ell(d h / lam) is needed only on the lags d = d_lo ..
+    d_hi that join a window point to an output; lags = (d_lo, d_hi, h /
+    lam) are the arguments of `_block_kernel_lags`, which samples them for
+    a whole block of nodes. a is the index of output 0 in the linear
+    convolution of the window with the lags.
 
     The node gives the nout outputs xs[out0:out0 + nout]; the others are
     zero. Unrefined, they are all of xs; refined, they are the outputs of
@@ -187,34 +210,61 @@ def _fft_plan(n_xs, xs, mu, lam, ell, table):
     nodes chooses the FFT length from the join of their spans
     (`_wrap_free_length`, `_block_layout`).
     """
-    h = _spacing(xs)
-    r = 1 if lam >= 3.0 * h else int(np.ceil(24.0 * h / lam))
+    mu, lam, h = float(mu), float(lam), float(_spacing(xs))
+    r = 1 if lam >= 3.0 * h else math.ceil(24.0 * h / lam)
+    n = r * (xs.size - 1) + 1
+    point = _grid_point(xs, r)
+    x0, x1 = point(0), point(n - 1)
     if r > 1:
-        xs = np.linspace(xs[0], xs[-1], r * (xs.size - 1) + 1)
-        h = _spacing(xs)
-    n = xs.size
+        h = (x1 - x0) / (n - 1)
+    nx0, nx1, nh = n_xs.item(0), n_xs.item(-1), float(_spacing(n_xs))
+    top = n_xs.size
     # sources up to a kernel reach outside xs still reach xs: pad the
     # output grid out to mu * n_xs (or that reach) on each side
-    reach = int(np.ceil(table.eta_max * lam / h))
-    pl = min(reach, max(0, int(np.ceil((xs[0] - mu * n_xs[0]) / h))))
-    pr = min(reach, max(0, int(np.ceil((mu * n_xs[-1] - xs[-1]) / h))))
-    spread = None
+    reach = math.ceil(table.eta_max * lam / h)
+    pl = min(reach, max(0, math.ceil((x0 - mu * nx0) / h)))
+    pr = min(reach, max(0, math.ceil((mu * nx1 - x1) / h)))
+    padded = pl + n + pr
     if mu >= 3.0 * h:
-        pts = np.concatenate([xs[0] - h * np.arange(pl, 0, -1), xs,
-                              xs[-1] + h * np.arange(1, pr + 1)]) / mu
-        lo, base, u = lagrange_taps(n_xs[0], _spacing(n_xs), n_xs.size,
-                                    pts)
-        k, first = base.size, lo - pl
+        spread, count, size = None, 0, padded
+
+        def coord(i):
+            # padded point i divided by mu, on the profile grid
+            m = i - pl
+            if m < 0:
+                x = x0 - h * -m
+            elif m < n:
+                x = point(m)
+            else:
+                x = x1 + h * (m - n + 1)
+            return (x / mu - nx0) / nh
+
+        def guess(q):
+            return pl + (mu * (nx0 + q * nh) - x0) / h
     else:
-        spread = mu * _spacing(n_xs) / h
-        lo, base, u = lagrange_taps(xs[0] - pl * h, h, pl + n + pr,
-                                    mu * n_xs)
-        if base.size:
-            # the grid cells the taps deposit onto, from base[0] on
-            k, first = int(base[-1]) + 4 - int(base[0]), int(base[0]) - pl
-            base = base - base[0]
-    if not base.size:
+        spread, xp, size = mu * nh / h, x0 - pl * h, top
+
+        def coord(j):
+            # source j on the padded grid
+            return (mu * n_xs.item(j) - xp) / h
+
+        def guess(q):
+            return ((xp + q * h) / mu - nx0) / nh
+    # the window: the points whose coordinates lie on the grid they fall
+    # on, 0 <= coord <= bound
+    bound = (top if spread is None else padded) - 1.0
+    lo = _first_past(coord, guess(0.0), size, 0.0, False)
+    hi = max(lo, _first_past(coord, guess(bound), size, bound, True))
+    if hi == lo:
         return None
+    if spread is None:
+        k, first = hi - lo, lo - pl
+    else:
+        # the grid cells the taps deposit onto, from the first stencil's
+        # first node on
+        count = hi - lo
+        j0 = _cell(coord(lo), padded)
+        k, first = _cell(coord(hi - 1), padded) + 4 - j0, j0 - 1 - pl
     # lags d = output - source index, within the kernel reach
     d_lo = max(-reach, -(first + k - 1))
     d_hi = min(reach, n - 1 - first)
@@ -232,8 +282,53 @@ def _fft_plan(n_xs, xs, mu, lam, ell, table):
     # refined xs; its linear convolution holds the outputs -a .. past - 1
     span = _Span(r, r * out0, r * (out0 + nout - 1) + 1, max(k, lags), -a,
                  k + lags - 1 - a)
-    return _NodePlan(lo, base, u, k, span, (d_lo, d_hi, h / lam), a, h,
-                     spread, r, out0, nout)
+    return _NodePlan(lo, k, first, count, mu, pl, padded, spread,
+                     (d_lo, d_hi, h / lam), a, h, r, out0, nout, span)
+
+
+def _grid_point(xs, r):
+    """The function that gives point m of xs refined r-fold as a Python
+    float, as np.linspace(xs[0], xs[-1], r (xs.size - 1) + 1) gives it."""
+    if r == 1:
+        return xs.item
+    start, stop, last = float(xs[0]), float(xs[-1]), r * (xs.size - 1)
+    step = (stop - start) / last
+    return lambda m: stop if m == last else m * step + start
+
+
+def _grid_points(xs, r, m):
+    """The points m (an integer array) of xs refined r-fold, each as
+    `_grid_point` and np.linspace give it."""
+    if r == 1:
+        return xs[m]
+    last = r * (xs.size - 1)
+    out = m * ((xs[-1] - xs[0]) / last)
+    out += xs[0]
+    out[m == last] = xs[-1]
+    return out
+
+
+def _cell(t, n):
+    """The stencil node j of `_slowpath._cells` at the grid coordinate t."""
+    return min(max(math.floor(t), 1), n - 3)
+
+
+def _first_past(coord, guess, size, bound, strict):
+    """np.searchsorted(coord(0 .. size - 1), bound, "right" if strict else
+    "left") for a nondecreasing coord, with no array made: the first i
+    with coord(i) > bound (>= bound if not strict), or size. It starts
+    just past guess, the index at which the grid map puts bound, and
+    steps to the answer, each step checked on a neighbour."""
+    i = int(min(max(guess + 1.0, 0.0), size))
+
+    def past(i):
+        c = coord(i)
+        return c > bound if strict else c >= bound
+    while i > 0 and past(i - 1):
+        i -= 1
+    while i < size and not past(i):
+        i += 1
+    return i
 
 
 def _wrap_free_length(span):
@@ -379,11 +474,17 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
     nodes set this; the resampled ones need only r >= ceil(3h / lam).
 
     The planned nodes go in blocks of up to BLOCK consecutive nodes of
-    one r (`_node_blocks`), as in the held operator. The resampled or
-    spread sources of a block's nodes fill the rows of one array, each
-    node's tap weights made and dropped in turn, and one batched rfft of
-    it, the weighted node sum in Fourier space and one irfft that keeps
-    every r-th output give the block's share (`_add_block`).
+    one r (`_node_blocks`), as in the held operator. A plan is scalars
+    alone; the block makes the taps of its nodes' windows in one pass a
+    run of nodes (`_block_taps`, at most TAP_POINTS points a run), and
+    scatters the resampled or spread sources straight into the rows of
+    its rfft input (`_block_sources`). One batched rfft of it, the
+    weighted node sum in Fourier space and one irfft that keeps every
+    r-th output give the block's share (`_add_block`). The plans' windows
+    and the sources are bit for bit those of nodes planned and resampled
+    one by one; on the 2048-interval grid of half-width 20 the sum at the
+    four reconstruct-early times (t = 1e-2 to 0.1) took 4.8 ms against
+    6.1 ms node by node (2 cores, medians of 16 interleaved rounds).
 
     Each block, of either kind, takes its kernel spectra by one of two
     routes (`_kernel_spectra`). Where its FFT length holds every node's
@@ -413,11 +514,7 @@ def _duhamel_sum(n_tab, n_xs, xs, ell, table, quad):
         N, keep, r = _block_layout(span)
         spectra = _kernel_spectra(block, ell, table, N, r * keep.start,
                                   _planned_extents(block, span))
-        src = np.zeros((len(block), N))
-        # each node's quadrature weight goes onto its k sources
-        for row, (wt, node) in zip(src, block):
-            _window_sources(row[:node.k], node, n_tab)
-            row[:node.k] *= wt
+        src = _block_sources(block, n_tab, n_xs, xs, N)
         _add_block(out, rfft(src), spectra, N, keep, r)
     return out
 
@@ -533,7 +630,13 @@ def _symbol_spectra(block, ell, N, lo):
     the rotation by c = a + lo + d_lo multiplies bin p by exp(2 pi i p c /
     N). The rows hold the P bins below the underflow cut of their widest
     symbol (`kernel._kernel_symbols`); the phase is taken of p c mod N, so
-    that it stays exact however far the rotation runs.
+    that it stays exact however far the rotation runs. When the rows hold
+    more than 2N phases, the N phases exp(2 pi i m / N) are taken once and
+    gathered at m = p c mod N, each entry the same expression on the same
+    integer, bit for bit: the complex exponential is the largest cost of
+    the rows, and the table, made anew for each block, took a block's
+    rows from 350 to 240 us (16 rows of 575 bins at N = 2160), where
+    rows of 100 bins read the same either way.
     """
     scale = np.array([node.lags[2] for _, node, *_ in block])[:, None]
     c = np.array([node.a + lo + node.lags[0] for _, node, *_ in block])
@@ -541,6 +644,9 @@ def _symbol_spectra(block, ell, N, lo):
                           1.0 / scale)[0]
     turns = np.arange(sym.shape[1]) * c[:, None] % N
     lam = np.array([node.h for _, node, *_ in block])[:, None] / scale
+    if turns.size > 2 * N:
+        # the phases of all N turns, once, then gathered
+        return lam * sym * np.exp(2j * np.pi / N * np.arange(N))[turns]
     return lam * sym * np.exp(2j * np.pi / N * turns)
 
 
@@ -566,21 +672,196 @@ def _sampled_spectra(block, ell, table, N, lo):
     return spectra
 
 
-def _window_sources(row, node, n_tab):
-    """A node's sources on its window, into row (length node.k): n_tab
-    resampled by its 4 taps, summed in order, or spread by them."""
-    base, w = node.base, lagrange_weights(node.u)
-    if node.spread is None:
-        # n_tab[k:][base] is n_tab[base + k]
-        np.multiply(w[0], n_tab[base], out=row)
-        for k in (1, 2, 3):
-            tap = n_tab[k:][base]
-            tap *= w[k]
-            row += tap
-    else:
-        v = node.spread * n_tab[node.lo:node.lo + base.size]
-        row[:] = np.bincount((base + np.arange(4)[:, None]).ravel(),
-                             (w * v).ravel(), minlength=node.k)
+def _tap_runs(nodes):
+    """The indices of the nodes in runs of consecutive nodes of one kind,
+    resampled or spread, of at most TAP_POINTS window or spread points
+    each, or of one node."""
+    run, points = [], 0
+    for i, node in enumerate(nodes):
+        size = node.k if node.spread is None else node.count
+        if run and (points + size > TAP_POINTS or (node.spread is None)
+                    != (nodes[run[0]].spread is None)):
+            yield run
+            run, points = [], 0
+        run.append(i)
+        points += size
+    if run:
+        yield run
+
+
+def _block_taps(block, n_xs, xs, stride):
+    """The 4-point taps of the windows of a block of planned nodes
+    (`_fft_plan`) on xs, made run by run (`_tap_runs`), each run in one
+    pass.
+
+    Node i's window takes the cells i stride .. i stride + k - 1 of the
+    block's rows of length stride, C order. Each window point of a
+    resampled node and each spread point of a spread node gets its grid
+    coordinate as its plan computed it, every point of a refined block
+    from the block's one refined grid (`_grid_points`); one `_cells` and
+    one `lagrange_weights` call then give the stencils and weights of all
+    the points of a run.
+
+    Yields (resampled, spread) a run, the taps of its kind and None
+    (`_resampled_taps`, `_spread_taps`). A caller drops a run's taps
+    before it asks for the next: no two runs' are held at once.
+    """
+    nodes = [node for _, node, *_ in block]
+    for run in _tap_runs(nodes):
+        if nodes[run[0]].spread is None:
+            yield _resampled_taps(nodes, run, n_xs, xs, stride), None
+        else:
+            yield None, _spread_taps(nodes, run, n_xs, xs, stride)
+
+
+def _resampled_taps(nodes, run, n_xs, xs, stride):
+    """(at, base, w) of the resampled nodes `run` of a block
+    (`_block_taps`): the cell of each window point, the first node of its
+    stencil on n_tab and the (4, points) weights of the stencil's nodes.
+
+    Window point m of a node is point m of xs, refined, or before it or
+    past it on the padded grid, divided by mu, on the profile grid.
+    """
+    node = nodes[run[0]]
+    r, h = node.r, node.h
+    n = r * (xs.size - 1) + 1
+    k = np.array([nodes[i].k for i in run])
+    first = np.array([nodes[i].first for i in run])
+    m = np.arange(k.sum()) + np.repeat(first - (np.cumsum(k) - k), k)
+    # only a window's ends show whether it runs into the pads
+    before, past = first.min() < 0, (first + k).max() > n
+    x = _grid_points(xs, r, np.clip(m, 0, n - 1) if before or past else m)
+    point = _grid_point(xs, r)
+    if before:
+        before = m < 0
+        x[before] = point(0) - h * -m[before]
+    if past:
+        past = m >= n
+        x[past] = point(n - 1) + h * (m[past] - n + 1)
+    x /= np.repeat([nodes[i].mu for i in run], k)
+    x -= n_xs[0]
+    x /= _spacing(n_xs)
+    j, u = _cells(x, n_xs.size)
+    del x
+    m += np.repeat(np.array(run) * stride - first, k)
+    j -= 1
+    return m, j, lagrange_weights(u)
+
+
+def _spread_taps(nodes, run, n_xs, xs, stride):
+    """(cell, src, factor, w) of the spread nodes `run` of a block
+    (`_block_taps`), their points in a (points, nodes) layout: a node's
+    points mu n_xs[src] go down its column, padded with copies of its
+    last point up to the longest column.
+
+    cell is the cell of the first node of each point's stencil on the
+    padded grid (nodes * stride for a pad), src its index in n_tab,
+    factor each node's `spread` and w the (4, points, nodes) weights. Side
+    by side, the nodes' deposits onto their disjoint cells interleave
+    (`_block_sources`).
+    """
+    members = [nodes[i] for i in run]
+    h = members[0].h
+    count = np.array([node.count for node in members])
+    pad = np.array([node.pad for node in members])
+    down = np.arange(count.max())[:, None]
+    src = np.array([node.lo for node in members]) + np.minimum(down, count - 1)
+    y = np.array([node.mu for node in members]) * n_xs[src]
+    y -= _grid_point(xs, members[0].r)(0) - pad * h
+    y /= h
+    cell, u = _cells(y, np.array([node.padded for node in members]))
+    del y
+    # a stencil's first node, from its window's first cell
+    cell += np.array(run) * stride - pad - 1 - [node.first for node in members]
+    cell[down >= count] = len(nodes) * stride
+    return cell, src, np.array([node.spread for node in members]), (
+        lagrange_weights(u))
+
+
+def _block_sources(block, n_tab, n_xs, xs, N):
+    """The (nodes, N) rfft input of a block of (weight, node plan): each
+    node's sources (`_block_taps`) times its weight, zero past its window.
+
+    n_tab is resampled by the taps, the four terms summed in order, or
+    spread by them, each spread node's points deposited onto its cells
+    tap by tap, the nodes of a run side by side (np.add.at, in order, as
+    np.bincount sums).
+    """
+    rows = len(block) * N
+    # a pad's deposits go to the cells past the rows
+    out = np.zeros(rows + 4)
+    for resampled, spread in _block_taps(block, n_xs, xs, N):
+        if spread is None:
+            _resample_into(out, *resampled, n_tab)
+        else:
+            _spread_into(out, *spread, n_tab)
+        # this run's taps go before the next run's are made
+        del resampled, spread
+    out = out[:rows].reshape(len(block), N)
+    out *= np.array([wt for wt, _ in block])[:, None]
+    return out
+
+
+def _resample_into(out, at, base, w, n_tab):
+    """out[at] = n_tab resampled by the taps (base, w), the four terms
+    summed in order."""
+    # n_tab[i:][base] is n_tab[base + i]
+    vals = w[0] * n_tab[base]
+    for i in (1, 2, 3):
+        tap = n_tab[i:][base]
+        tap *= w[i]
+        vals += tap
+    out[at] = vals
+
+
+def _spread_into(out, cell, src, factor, w, n_tab):
+    """out += the spread points' densities deposited by their taps, tap
+    by tap, the (points, nodes) layout raveled: the nodes interleave, and
+    each cell sums its points in order. w is overwritten."""
+    v = n_tab[src]
+    v *= factor
+    w *= v
+    for tap in range(4):
+        np.add.at(out, (cell + tap).ravel(), w[tap].ravel())
+
+
+def _block_rows(block, xs, W):
+    """(data, indices, indptr) of the CSR matrix that takes n_tab to the
+    sources of a block of (weight, node plan) on xs (`_block_taps`), its
+    rows the cells of the block's rows of length W, C order.
+
+    A resampled window point's row takes n_tab at base + 0..3, in that
+    order; a spread window cell's row takes n_tab at the points that
+    deposit onto it, in order, each with its weight times spread: listed
+    tap 3 first, each tap's points in order, they come by point once
+    stably sorted by cell, since a stencil's first node rises with the
+    point. A run's rows follow the last run's.
+    """
+    rows = len(block) * W
+    counts = np.zeros(rows, dtype=np.int64)
+    data, indices = [], []
+    for resampled, spread in _block_taps(block, xs, xs, W):
+        if spread is None:
+            at, base, w = resampled
+            counts[at] = 4
+            indices.append((base.astype(np.int32)[:, None]
+                            + _TAPS.astype(np.int32)).ravel())
+            data.append(w.T.ravel())
+            del at, base
+        else:
+            cell, src, factor, w = spread
+            real = cell < rows
+            cell = (cell + _TAPS[::-1, None, None])[:, real].ravel()
+            counts += np.bincount(cell, minlength=rows)
+            order = np.argsort(cell, kind="stable")
+            indices.append(np.tile(src[real].astype(np.int32), 4)[order])
+            data.append((w[::-1] * factor)[:, real].ravel()[order])
+            del cell, src, real, order
+        # this run's taps go before the next run's are made
+        del resampled, spread, w
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return np.concatenate(data), np.concatenate(indices), indptr
 
 
 def _add_block(out, fs, spectra, N, keep, r):
@@ -592,26 +873,6 @@ def _add_block(out, fs, spectra, N, keep, r):
     fs *= spectra
     out[keep] += irfft(fs.sum(axis=0),
                        N)[:r * (keep.stop - keep.start - 1) + 1:r]
-
-
-def _window_rows(node):
-    """(counts, cols, vals): the CSR rows that take n_tab to a node's window.
-
-    Row p of the k window points holds counts[p] entries; cols and vals
-    list them row by row, each row's columns in increasing order.
-    """
-    taps = (node.base[:, None] + np.arange(4)).ravel()
-    points = np.repeat(np.arange(node.base.size, dtype=np.int32), 4)
-    w = lagrange_weights(node.u)
-    if node.spread is None:
-        # window point p takes n_tab at base[p] + 0..3
-        return (np.full(node.k, 4, dtype=np.int32), taps.astype(np.int32),
-                w.T.ravel())
-    # n_tab at lo + j goes onto the window cells base[j] + 0..3; listed
-    # point by point, a stable sort by cell keeps each cell's points in order
-    order = np.argsort(taps, kind="stable")
-    return (np.bincount(taps, minlength=node.k).astype(np.int32),
-            node.lo + points[order], (w.T * node.spread).ravel()[order])
 
 
 class _DuhamelOperator:
@@ -627,7 +888,9 @@ class _DuhamelOperator:
     block's CSR matrix takes n_tab to the source windows of its nodes,
     stacked with stride W (the block's longest window) and zero beyond
     each window; its rows are the 4-tap resample of a mu >= 3h node or
-    the transposed spread of a mu < 3h one. Its kernel spectra are those
+    the transposed spread of a mu < 3h one, made from the taps of the
+    one-shot sum's block pass (`_block_taps`, `_block_rows`), bit for bit
+    the rows of nodes tapped one by one. Its kernel spectra are those
     of the one-shot sum (`_kernel_spectra`) times the quadrature weights,
     held: in closed form on the P bins below the symbol's underflow where
     the block's length N holds its nodes' kernel reach, else sampled, one
@@ -648,7 +911,7 @@ class _DuhamelOperator:
         self.n = xs.size
         blocks = _node_blocks(_operator_nodes(xs, ell, table, quad))
         # (CSR matrix, W, N, spectra, kept outputs, r) of each block
-        self.blocks = [_operator_block(block, span, xs.size, ell, table)
+        self.blocks = [_operator_block(block, span, xs, ell, table)
                        for block, span in blocks]
 
     def __call__(self, n_tab):
@@ -660,34 +923,32 @@ class _DuhamelOperator:
 
 
 def _operator_nodes(xs, ell, table, quad):
-    """(weight, node plan, window rows) of the nodes on xs: the taps go
-    into CSR rows at once, and the plan keeps no taps."""
+    """(weight, node plan) of the nodes on xs that some source reaches.
+
+    The plans are scalars alone: a block's taps are made as its CSR
+    matrix is (`_operator_block`), and dropped.
+    """
     # the widest windows first: the build's temporaries peak while little
     # of the operator is held yet
     for mu, lam, wt in reversed(list(zip(*quad))):
         node = _fft_plan(xs, xs, mu, lam, ell, table)
         if node is not None:
-            yield wt, node._replace(base=None, u=None), _window_rows(node)
+            yield wt, node
 
 
-def _operator_block(block, span, n_src, ell, table):
+def _operator_block(block, span, xs, ell, table):
     """(CSR matrix, W, N, spectra, kept outputs, r) of a block of (weight,
-    node plan, window rows) and its span."""
-    W = max(node.k for _, node, _ in block)
+    node plan) and its span: the matrix from the block's taps
+    (`_block_taps`, `_block_rows`), W its longest window."""
+    W = max(node.k for _, node in block)
     N, keep, r = _block_layout(span)
-    counts = [np.zeros(1, dtype=np.int32)]
-    for _, _, (cnt, _, _) in block:
-        counts += [cnt, np.zeros(W - cnt.size, dtype=np.int32)]
-    matrix = csr_matrix(
-        (np.concatenate([rows[2] for _, _, rows in block]),
-         np.concatenate([rows[1] for _, _, rows in block]),
-         np.cumsum(np.concatenate(counts))),
-        shape=(len(block) * W, n_src))
+    matrix = csr_matrix(_block_rows(block, xs, W),
+                        shape=(len(block) * W, xs.size))
     spectra = _kernel_spectra(block, ell, table, N, r * keep.start,
                               _planned_extents(block, span))
     # the quadrature weights go onto the spectra, the node sum of a call
     # then needs none
-    spectra *= np.array([wt for wt, _, _ in block])[:, None]
+    spectra *= np.array([wt for wt, _ in block])[:, None]
     return matrix, W, N, spectra, keep, r
 
 

@@ -146,6 +146,7 @@ def mild_gaps(marched, profile, table, cfg, t):
     Returns a dict with both gaps, the Duhamel size and the mild field.
     """
     _check_instance(marched, GridFunction, "marched")
+    _check_instance(cfg, MarchConfig, "cfg")
     sol = reconstruct_U(profile, t, table, xs=cfg.xs)
     cab = corner_function(cfg.A, cfg.B, cfg.xs)
     bump = GridFunction(cfg.xs, cfg.mollified_corner().ys - cab.ys,
@@ -171,6 +172,7 @@ def compare_with_mild(profile, table, cfg=None, t_final=1.0):
     _check_instance(profile, SimilarityProfile, "profile")
     if cfg is None:
         cfg = MarchConfig(profile.corner.A, profile.corner.B)
+    _check_instance(cfg, MarchConfig, "cfg")
     marched = time_march(cfg.mollified_corner(), cfg, [t_final])[0]
     out = mild_gaps(marched, profile, table, cfg, t_final)
     out.update(moll_width=cfg.moll_width, t=t_final, marched=marched)

@@ -273,6 +273,11 @@ WRONG_TYPES = {
                           oracle.compare_with_mild(None, tab)),
     "mild_gaps": ("marched", lambda tab, prof, path: oracle.mild_gaps(
         None, prof, tab, MarchConfig(0.1, 0.1), 1.0)),
+    "mild_gaps cfg": ("cfg", lambda tab, prof, path: oracle.mild_gaps(
+        corner_function(0.1, 0.1, symmetric_grid(10.0, 64)), prof, tab,
+        None, 1.0)),
+    "compare_with_mild cfg": ("cfg", lambda tab, prof, path:
+                              oracle.compare_with_mild(prof, tab, cfg="x")),
     "x_infty_norm": ("profile", lambda tab, prof, path:
                      diagnostics.x_infty_norm(None)),
     "run_diagnostics": ("phi", lambda tab, prof, path:

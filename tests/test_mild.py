@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from collections import namedtuple
 from math import gamma
 
 import numpy as np
@@ -7,7 +9,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import roots_jacobi
 
 from cornerflow import _backend, _slowpath, kernel, mild
-from cornerflow import (ConfigError, CornerData, ValidationError,
+from cornerflow import (ConfigError, CornerData, MarchConfig, ValidationError,
                         alpha_coefficient, build_kernel_table,
                         constant_shift_residual, corner_height,
                         duhamel_integral, inner_sup, load_profile,
@@ -585,17 +587,23 @@ def test_late_reconstruction_takes_few_lagrange_taps(bench_profile, ktable,
                                                      monkeypatch):
     # at t = 1e4 on a 2048-interval grid of half-width 20, 51 of the 64
     # nodes sit on their source grids and take no interpolation taps;
-    # only the 13 others go through a node plan, each taking its taps once
-    prof = bench_profile
-    calls, taps = [], mild.lagrange_taps
+    # only the 13 others go through a node plan, and the block pass makes
+    # the taps of each once
+    plans, tapped = [], []
+    fft_plan, block_taps = mild._fft_plan, mild._block_taps
 
-    def counted(*args):
-        calls.append(args)
-        return taps(*args)
+    def counted_plan(*args):
+        plans.append(args)
+        return fft_plan(*args)
 
-    monkeypatch.setattr(mild, "lagrange_taps", counted)
-    reconstruct_U(prof, 1e4, ktable)
-    assert len(calls) == 13
+    def counted_taps(block, *args):
+        tapped.extend(node for _, node in block)
+        return block_taps(block, *args)
+
+    monkeypatch.setattr(mild, "_fft_plan", counted_plan)
+    monkeypatch.setattr(mild, "_block_taps", counted_taps)
+    reconstruct_U(bench_profile, 1e4, ktable)
+    assert len(plans) == 13 and len(tapped) == 13
 
 
 def test_t10_duhamel_term_matches_dense_sum(bench_profile, ktable):
@@ -983,6 +991,209 @@ def test_block_routes_agree(skew_density, ktable, monkeypatch, ell):
     assert np.max(np.abs(held - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+# The per-node reference of the block taps (`mild._block_taps`): each
+# planned node's window and taps as the node made them alone, from the
+# whole padded output grid, the window ends by np.searchsorted. Kept here,
+# as _slowpath.skew_sum is kept for the convolutions, to check the block
+# pass bit for bit.
+
+
+def _lagrange_taps(x0, h, n, q):
+    """The 4-point Lagrange taps of the increasing points q on x0 + h*i.
+
+    Returns (lo, base, u): the points q[lo:lo + k] are those on the grid
+    (x0 <= q <= x0 + (n-1)h), and lagrange_weights(u) is the (4, k) array
+    of their weights on the nodes base + 0..3. End cells and rounding are
+    those of `cubic_eval`, whose zero fill covers the points outside the
+    window.
+    """
+    t = (np.asarray(q, dtype=float) - x0) / h
+    lo = int(np.searchsorted(t, 0.0, side="left"))
+    hi = max(lo, int(np.searchsorted(t, n - 1.0, side="right")))
+    j, u = _slowpath._cells(t[lo:hi], n)
+    return lo, j - 1, u
+
+
+def test_lagrange_taps_reproduce_cubic_eval():
+    # the taps gathered over a table are cubic_eval on the window, end
+    # cells included, and cubic_eval's zero fill outside it
+    tab = np.sin(np.linspace(0.0, 3.0, 40))
+    x0, h = -1.0, 0.1
+    q = np.linspace(x0 - 0.55, x0 + 39 * h + 0.3, 301)
+    q = np.concatenate([q, [x0, x0 + 39 * h]])
+    q.sort()
+    lo, base, u = _lagrange_taps(x0, h, tab.size, q)
+    w = _slowpath.lagrange_weights(u)
+    ref = _slowpath.cubic_eval(tab, x0, h, q, 0.0, 0.0)
+    got = np.zeros(q.size)
+    got[lo:lo + base.size] = sum(w[r] * tab[base + r] for r in range(4))
+    assert np.array_equal(got, ref)
+    inside = (q >= x0) & (q <= x0 + 39 * h)
+    assert base.size == inside.sum() and inside[lo:lo + base.size].all()
+    off = _lagrange_taps(x0, h, tab.size, q + 10.0)
+    assert off[1].size == 0 and off[2].shape == (0,)
+
+
+# a planned node's window and taps, made by the node alone; see _node_taps
+_NodeTaps = namedtuple("_NodeTaps", "lo base u k first spread pad padded")
+
+
+def _node_taps(n_xs, xs, mu, lam, table):
+    # the window of the planned node (mu, lam) on xs and its taps (base,
+    # u): for mu >= 3h the padded points lo .. lo + k - 1, each resampled
+    # from n_tab by its stencil base + 0..3; for mu < 3h the points mu
+    # n_xs[lo:lo + base.size], spread onto the k window cells by their
+    # stencils, base counted from the window's first cell; first, the
+    # window's first point on xs (None if no source reaches xs)
+    h = mild._spacing(xs)
+    r = 1 if lam >= 3.0 * h else int(np.ceil(24.0 * h / lam))
+    if r > 1:
+        xs = np.linspace(xs[0], xs[-1], r * (xs.size - 1) + 1)
+        h = mild._spacing(xs)
+    n = xs.size
+    reach = int(np.ceil(table.eta_max * lam / h))
+    pl = min(reach, max(0, int(np.ceil((xs[0] - mu * n_xs[0]) / h))))
+    pr = min(reach, max(0, int(np.ceil((mu * n_xs[-1] - xs[-1]) / h))))
+    if mu >= 3.0 * h:
+        pts = np.concatenate([xs[0] - h * np.arange(pl, 0, -1), xs,
+                              xs[-1] + h * np.arange(1, pr + 1)]) / mu
+        lo, base, u = _lagrange_taps(n_xs[0], mild._spacing(n_xs),
+                                     n_xs.size, pts)
+        return _NodeTaps(lo, base, u, base.size, lo - pl, None, pl,
+                         pl + n + pr)
+    spread = mu * mild._spacing(n_xs) / h
+    lo, base, u = _lagrange_taps(xs[0] - pl * h, h, pl + n + pr, mu * n_xs)
+    if not base.size:
+        return _NodeTaps(lo, base, u, 0, None, spread, pl, pl + n + pr)
+    return _NodeTaps(lo, base - base[0], u, int(base[-1]) + 4 - int(base[0]),
+                     int(base[0]) - pl, spread, pl, pl + n + pr)
+
+
+def _node_sources(taps, n_tab):
+    # a node's k sources on its window: n_tab resampled by its 4 taps,
+    # summed in order, or spread by them
+    base, w = taps.base, _slowpath.lagrange_weights(taps.u)
+    if taps.spread is not None:
+        v = taps.spread * n_tab[taps.lo:taps.lo + base.size]
+        return np.bincount((base + np.arange(4)[:, None]).ravel(),
+                           (w * v).ravel(), minlength=taps.k)
+    row = w[0] * n_tab[base]
+    for k in (1, 2, 3):
+        tap = n_tab[k:][base]
+        tap *= w[k]
+        row += tap
+    return row
+
+
+def _node_rows(taps):
+    # (counts, cols, vals): the CSR rows that take n_tab to a node's
+    # window, row by row, each row's columns in increasing order
+    cells = (taps.base[:, None] + np.arange(4)).ravel()
+    points = np.repeat(np.arange(taps.base.size, dtype=np.int32), 4)
+    w = _slowpath.lagrange_weights(taps.u)
+    if taps.spread is None:
+        # window point p takes n_tab at base[p] + 0..3
+        return (np.full(taps.k, 4, dtype=np.int32), cells.astype(np.int32),
+                w.T.ravel())
+    # n_tab at lo + j goes onto the window cells base[j] + 0..3; listed
+    # point by point, a stable sort by cell keeps each cell's points in order
+    order = np.argsort(cells, kind="stable")
+    return (np.bincount(cells, minlength=taps.k).astype(np.int32),
+            taps.lo + points[order], (w.T * taps.spread).ravel()[order])
+
+
+def _stacked_rows(rows, W):
+    # (data, indices, indptr) of the nodes' CSR rows stacked with stride W
+    counts = [np.zeros(1, dtype=np.int32)]
+    for cnt, _, _ in rows:
+        counts += [cnt, np.zeros(W - cnt.size, dtype=np.int32)]
+    return (np.concatenate([vals for _, _, vals in rows]),
+            np.concatenate([cols for _, cols, _ in rows]),
+            np.cumsum(np.concatenate(counts)))
+
+
+# (output grid, t) of test_block_taps_match_per_node_reference: the bench
+# grid from t = 1e-4, refined, to 1e4; the foreign grid, whose windows run
+# into the pads; a wide grid, refined 16-fold at t = 1e-2
+TAP_CASES = tuple((symmetric_grid(20.0, 2048), t)
+                  for t in (1e-4, 1e-2, 0.1, 1.0, 10.0, 1e4)) + (
+    (np.linspace(-13.7, 13.7, 3001), 1e-2),
+    (np.linspace(-13.7, 13.7, 3001), 1.0),
+    (np.linspace(-30.0, 30.0, 1501), 1e-2))
+
+
+@pytest.mark.parametrize("ell", (0, 1, 2))
+def test_block_taps_match_per_node_reference(skew_density, ktable,
+                                             monkeypatch, ell):
+    # every plan's window is the one np.searchsorted finds on the node's
+    # whole padded grid, and the block pass makes each node's taps as the
+    # node alone made them: the one-shot sum's rfft input and the held
+    # operator's CSR are those of the nodes' sources and rows made one by
+    # one, bit for bit, resampled and spread nodes in one block
+    n_tab, n_xs = skew_density
+    seen, block_taps, block_sources = [], mild._block_taps, mild._block_sources
+
+    def recorded_taps(block, *args):
+        seen.append([block])
+        return block_taps(block, *args)
+
+    def recorded_sources(*args):
+        out = block_sources(*args)
+        seen[-1].append(out.copy())
+        return out
+
+    monkeypatch.setattr(mild, "_block_taps", recorded_taps)
+    monkeypatch.setattr(mild, "_block_sources", recorded_sources)
+    refined, pads, mixed = set(), 0, 0
+    for xs, t in TAP_CASES:
+        quad = mild._duhamel_nodes(t, ell)
+        lams = {float(mu): lam for mu, lam, _ in zip(*quad)}
+        for grid, built in ((n_xs, lambda: mild._duhamel_sum(
+                n_tab, n_xs, xs, ell, ktable, quad)), (xs, lambda: mild.
+                _DuhamelOperator(xs, ell, ktable, quad))):
+            del seen[:]
+            op = built()
+            for item, held in zip(seen, getattr(op, "blocks", None)
+                                  or [None] * len(seen)):
+                block = item[0]
+                refs = [_node_taps(grid, xs, node.mu, lams[node.mu], ktable)
+                        for _, node in block]
+                for (_, node), ref in zip(block, refs):
+                    assert (node.lo, node.k, node.first, node.spread,
+                            node.pad, node.padded) == (
+                        ref.lo, ref.k, ref.first, ref.spread, ref.pad,
+                        ref.padded)
+                    assert node.count == (0 if ref.spread is None
+                                          else ref.base.size)
+                    refined.add(node.r)
+                    pads += node.spread is None and (
+                        node.first < 0
+                        or node.first + node.k > node.r * (xs.size - 1) + 1)
+                mixed += len({node.spread is None for _, node in block}) > 1
+                if held is None:
+                    N = item[1].shape[1]
+                    ref = np.zeros((len(block), N))
+                    for row, (wt, _), taps in zip(ref, block, refs):
+                        row[:taps.k] = _node_sources(taps, n_tab)
+                        row[:taps.k] *= wt
+                    assert np.array_equal(item[1], ref)
+                else:
+                    matrix, W = held[:2]
+                    data, cols, indptr = _stacked_rows(
+                        [_node_rows(taps) for taps in refs], W)
+                    assert np.array_equal(matrix.data, data)
+                    assert np.array_equal(matrix.indices, cols)
+                    assert np.array_equal(matrix.indptr, indptr)
+        # a node that no source reaches has no plan, and no taps
+        for mu, lam, _ in zip(*quad):
+            if not mild._on_source_grid(n_xs, xs, mu, lam):
+                if not _node_taps(n_xs, xs, mu, lam, ktable).k:
+                    assert mild._fft_plan(n_xs, xs, mu, lam, ell,
+                                          ktable) is None
+    assert 16 in refined and max(refined) > 16
+    assert pads > 0 and mixed > 0
+
+
 def _node_by_node_sum(n_tab, n_xs, xs, ell, table, quad):
     # the Duhamel sum as it was before blocks: each node by itself, its
     # kernel sampled alone. A source-grid node is one full-length linear
@@ -1004,15 +1215,7 @@ def _node_by_node_sum(n_tab, n_xs, xs, ell, table, quad):
         node = mild._fft_plan(n_xs, xs, mu, lam, ell, table)
         if node is None:
             continue
-        base, taps = node.base, _slowpath.lagrange_weights(node.u)
-        if node.spread is None:
-            src = taps[0] * n_tab[base]
-            for k in (1, 2, 3):
-                src += taps[k] * n_tab[base + k]
-        else:
-            v = node.spread * n_tab[node.lo:node.lo + base.size]
-            src = np.bincount((base + np.arange(4)[:, None]).ravel(),
-                              (taps * v).ravel(), minlength=node.k)
+        src = _node_sources(_node_taps(n_xs, xs, mu, lam, table), n_tab)
         r, out0, nout = node.r, node.out0, node.nout
         nfft = mild._block_layout(node.span)[0]
         khat = _rolled_spectrum(kernel._kernel_lags(table, ell, *node.lags),
@@ -1082,21 +1285,21 @@ def _assert_node_by_node_assembly(skew_density, table, check_row):
         dens = np.interp(xs, n_xs, n_tab)
         quad = mild._duhamel_nodes(t, 2)
         op = mild._DuhamelOperator(xs, 2, table, quad)
-        nodes = [(wt, mild._fft_plan(xs, xs, mu, lam, 2, table))
+        nodes = [(wt, mild._fft_plan(xs, xs, mu, lam, 2, table),
+                  _node_taps(xs, xs, mu, lam, table))
                  for mu, lam, wt in reversed(list(zip(*quad)))]
-        nodes = [(wt, node) for wt, node in nodes if node is not None]
+        nodes = [node for node in nodes if node[1] is not None]
         at = 0
         ref = np.zeros(xs.size)
         for matrix, W, N, spectra, keep, r in op.blocks:
             block, at = nodes[at:at + spectra.shape[0]], at + spectra.shape[0]
-            assert len({node.r for _, node in block}) == 1
-            assert W == max(node.k for _, node in block)
-            rows = [mild._window_rows(node) for _, node in block]
-            assert np.array_equal(matrix.data, np.concatenate(
-                [vals for _, _, vals in rows]))
-            assert np.array_equal(matrix.indices, np.concatenate(
-                [cols for _, cols, _ in rows]))
-            for row, (wt, node) in zip(spectra, block):
+            assert len({node.r for _, node, _ in block}) == 1
+            assert W == max(node.k for _, node, _ in block)
+            data, cols, _ = _stacked_rows(
+                [_node_rows(taps) for _, _, taps in block], W)
+            assert np.array_equal(matrix.data, data)
+            assert np.array_equal(matrix.indices, cols)
+            for row, (wt, node, _) in zip(spectra, block):
                 check_row(row, wt, node, N, r * keep.start)
             fs = rfft((matrix @ dens).reshape(-1, W),
                       N)[:, :spectra.shape[1]] * spectra
@@ -1254,15 +1457,22 @@ def test_solve_samples_each_fft_kernel_once(new_table, monkeypatch):
     assert not blocks
 
 
-def _count_plans(monkeypatch):
-    """The list that every node plan built from now on appends to."""
-    built, fft_plan = [], mild._fft_plan
+def _count_plans(monkeypatch, tapped=None):
+    """The list that every node plan built from now on appends to; each
+    node whose taps a block pass makes from now on goes on tapped."""
+    built, fft_plan, block_taps = [], mild._fft_plan, mild._block_taps
 
     def counted(*args):
         built.append(args)
         return fft_plan(*args)
 
+    def counted_taps(block, *args):
+        tapped.extend(node for _, node in block)
+        return block_taps(block, *args)
+
     monkeypatch.setattr(mild, "_fft_plan", counted)
+    if tapped is not None:
+        monkeypatch.setattr(mild, "_block_taps", counted_taps)
     return built
 
 
@@ -1276,11 +1486,14 @@ def _plans_built(built, corner=(0.1, -0.1), **kwargs):
 
 def test_solves_on_one_grid_share_the_plan(new_table, monkeypatch):
     # the plan depends on the grid, the nodes and the table, not on the
-    # corner: two solves build the 64 node plans once
-    built = _count_plans(monkeypatch)
+    # corner: two solves build the 64 node plans, and their taps, once
+    tapped = []
+    built = _count_plans(monkeypatch, tapped)
     table = new_table()
     assert _plans_built(built, (0.2, 0.03), table=table) == 64
+    assert len(tapped) == 64
     assert _plans_built(built, (0.1, 0.1), table=table) == 0
+    assert len(tapped) == 64
     # another table builds its own and leaves the first one's in place
     other = new_table()
     assert _plans_built(built, table=other) == 64
@@ -1468,10 +1681,31 @@ def test_held_operator_within_memory_budget(ktable):
     plans = 0
     for mu, lam, _ in zip(*quad):
         node = mild._fft_plan(PLAN_GRID, PLAN_GRID, mu, lam, 2, ktable)
+        taps = _node_taps(PLAN_GRID, PLAN_GRID, mu, lam, ktable)
         # the 4 weights a tap, which the plans held
-        plans += (node.base.nbytes + 4 * node.u.nbytes
+        plans += (taps.base.nbytes + 4 * taps.u.nbytes
                   + 16 * (mild._block_layout(node.span)[0] // 2 + 1))
     assert held <= 1.5 * plans
+
+
+@pytest.mark.parametrize(("t", "march", "parent"), ((1e-2, False, 1.24),
+                                                    (10.0, False, 3.60),
+                                                    (1.0, True, 5.92)))
+def test_reconstruction_allocations_within_budget(bench_profile, ktable, t,
+                                                  march, parent):
+    # one reconstruct_U of the bench profile, on its own grid or on the
+    # 4096-interval march grid, peaks in Python allocations (tracemalloc)
+    # at most 1 MiB above the node-by-node windows' peak (parent, MiB).
+    # The block pass read 1.44, 2.89 and 4.94 MiB; in one run a block of
+    # 16 spread nodes put t = 1e-2 at 3.9 MiB (`mild.TAP_POINTS`)
+    xs = MarchConfig(0.1, 0.1).xs if march else None
+    tracemalloc.start()
+    try:
+        reconstruct_U(bench_profile, t, ktable, xs=xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (parent + 1.0) * 2 ** 20
 
 
 def test_reconstruct_validation(profile_8k, ktable):

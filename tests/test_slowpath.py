@@ -25,26 +25,6 @@ def test_skew_sum_rejects_size_mismatch():
     assert out.shape == z.shape
 
 
-def test_lagrange_taps_reproduce_cubic_eval():
-    # the taps gathered over a table are cubic_eval on the window, end
-    # cells included, and cubic_eval's zero fill outside it
-    tab = np.sin(np.linspace(0.0, 3.0, 40))
-    x0, h = -1.0, 0.1
-    q = np.linspace(x0 - 0.55, x0 + 39 * h + 0.3, 301)
-    q = np.concatenate([q, [x0, x0 + 39 * h]])
-    q.sort()
-    lo, base, u = _slowpath.lagrange_taps(x0, h, tab.size, q)
-    w = _slowpath.lagrange_weights(u)
-    ref = _slowpath.cubic_eval(tab, x0, h, q, 0.0, 0.0)
-    got = np.zeros(q.size)
-    got[lo:lo + base.size] = sum(w[r] * tab[base + r] for r in range(4))
-    assert np.array_equal(got, ref)
-    inside = (q >= x0) & (q <= x0 + 39 * h)
-    assert base.size == inside.sum() and inside[lo:lo + base.size].all()
-    off = _slowpath.lagrange_taps(x0, h, tab.size, q + 10.0)
-    assert off[1].size == 0 and off[2].shape == (0,)
-
-
 def test_march_steps_go_through_the_module_globals(monkeypatch):
     # bench/tracer.py times oracle.banded_solve and oracle.explicit_flux by
     # wrapping solve_banded and _explicit_u; a march that bypassed them
