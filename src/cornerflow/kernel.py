@@ -79,16 +79,18 @@ class KernelTable:
         self.h = float(etas[1] - etas[0])
         self.g_ell = g_tables  # tuple of 4 arrays
         self.G = G
+        # the envelope's exponent at every node, for g_env and the check
         rate = ENVELOPE_RATE * etas ** (4.0 / 3.0)
         core = rate < -np.log(ENVELOPE_FLOOR)
         self.g_env = float(np.max(np.abs(g_tables[0][core])
                                   * np.exp(rate[core])))
-        self._check()
+        self._check(rate)
         # the grid plan of the last Picard solve on this table (see
         # mild._picard_plan); one slot, replaced by a solve on another grid
         self._picard_plan = None
 
-    def _check(self):
+    def _check(self, rate):
+        """The mass and envelope checks, rate = ENVELOPE_RATE etas^(4/3)."""
         self.mass = mass = float(2.0 * _simpson(self.g_ell[0], self.h))
         # the window integral misses the tail beyond eta_max; budget it by
         # the envelope bound int_L^inf e^{-c m^{4/3}} dm <= 3/(4c) L^{-1/3}
@@ -98,7 +100,7 @@ class KernelTable:
                 * np.exp(-ENVELOPE_RATE * self.eta_max ** (4.0 / 3.0)))
         if abs(mass - 1.0) > 1e-8 + 2.0 * tail:
             raise ValidationError(f"kernel mass off by {mass - 1.0:.3e}")
-        env = self.g_env * np.exp(-ENVELOPE_RATE * self.etas ** (4.0 / 3.0))
+        env = self.g_env * np.exp(-rate)
         floor = ENVELOPE_FLOOR * abs(self.g_ell[0][0])
         if np.any(np.abs(self.g_ell[0]) > np.maximum(env * (1.0 + 1e-12),
                                                      floor)):
@@ -162,11 +164,17 @@ def build_kernel_table(eta_max=DEFAULT_ETA_MAX, n_nodes=DEFAULT_NODES):
     symbols = _kernel_symbols(2.0 * np.pi * np.fft.rfftfreq(m, h), range(4))
     spectra = np.zeros((4, m // 2 + 1), dtype=complex)
     spectra[:, :symbols[0].size] = symbols
-    # one batched irfft, bit for bit four single ones; freeing its 2 MiB
+    # one batched irfft, bit for bit four single ones. Freeing its 2 MiB
     # block lifts glibc's dynamic mmap and trim thresholds above what a
     # Picard apply allocates and frees per block (about 1.2 MiB on the
     # 2048-interval grid), which 0.5 MiB per-order transforms left to be
-    # handed back to the system, and faulted in again, at every apply
+    # handed back to the system, and faulted in again, at every apply. The
+    # same thresholds keep the warm rounds of late reconstructions free of
+    # page faults, so the block pins m: with a shorter m (next_fast_len of
+    # (eta_max + 45) / h, 34992 in place of 65536 by default) the default
+    # build takes 2.0-2.4 ms in place of 3.8-4.2 ms (2 cores), but such
+    # rounds fault about 500 pages each in most processes
+    # (test_warm_rounds_take_no_page_faults guards this)
     g_tables = tuple(np.fft.irfft(spectra, n=m)[:, :n_nodes] / h)
     G = 0.5 + _cumulative_simpson(g_tables[0], h)
     return KernelTable(etas, g_tables, G)

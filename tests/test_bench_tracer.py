@@ -47,11 +47,14 @@ def test_tracer_finds_every_traced_name():
 
 def test_traced_solve_matches_untraced(new_table):
     # the tracer's wrappers time calls and change no number: cold and warm
-    # solves give the same profile traced and untraced, bit for bit
+    # solves give the same profile traced and untraced, bit for bit. The
+    # cold solve evaluates the table through the traced layers; the warm
+    # one takes every kernel sample from the table's held plan and calls
+    # none of them
     tracing = _load_tracer()
     traced, plain = new_table(), new_table()
     xs = symmetric_grid(20.0, 1024)
-    for corner in ((0.2, 0.03), (0.1, 0.1)):
+    for cold, corner in ((True, (0.2, 0.03)), (False, (0.1, 0.1))):
         tracer = tracing.Tracer()
         tracing.install(tracer)
         try:
@@ -59,7 +62,7 @@ def test_traced_solve_matches_untraced(new_table):
                                                 table=traced, xs=xs)
         finally:
             tracer.restore()
-        assert tracer.spans
+        assert bool(tracer.spans) == cold
         ref = mild.solve_similarity_profile(mild.CornerData(*corner),
                                             table=plain, xs=xs)
         for a, b in ((got.psi.ys, ref.psi.ys), (got.psi1, ref.psi1),
@@ -86,9 +89,9 @@ def test_traced_reconstruction_matches_untraced(new_table):
         tracer = tracing.Tracer()
         tracing.install(tracer)
         tracer.wrap(mild, "_kernel_spectra", "block",
-                    lambda args, kwargs: len(args[0]))
+                    lambda args, kwargs: args[0].w.size)
         tracer.wrap(mild, "_add_source_block", "source-block",
-                    lambda args, kwargs: len(args[1]))
+                    lambda args, kwargs: args[1].w.size)
         tracer.wrap(mild, "_symbol_spectra", "closed")
         try:
             got = mild.reconstruct_U(profile, t, table)

@@ -293,7 +293,7 @@ def test_sweep_worker_solves_on_one_table(tmp_path, monkeypatch, new_table):
 
     def counted(*args):
         plan = picard_plan(*args)
-        held.append(plan[0])
+        held.append(plan.operator)
         return plan
 
     monkeypatch.setattr(cli, "build_kernel_table", build)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -439,3 +443,57 @@ def test_time_and_far_field_validation(ktable):
     for ell in (-1, 4, 1.5):
         with pytest.raises(ValidationError, match="ell"):
             apply_semigroup(f, 1.0, ell, ktable)
+
+
+# One process of the benchmark's reconstruct-late and solve workloads:
+# three tables as the benchmark builds them and the (0.1, 0.1) profile on
+# its grid, then two warm-up rounds and a measured one of each, the late
+# reconstructions first; it prints the minor page faults of each measured
+# round. A first round of late reconstructions faults 230-400 pages as the
+# heap grows, a second one up to 63 more
+_WARM_ROUNDS = """
+import resource
+from cornerflow import kernel, mild
+from cornerflow.grid import symmetric_grid
+
+table = [kernel.build_kernel_table() for _ in range(3)][-1]
+xs = symmetric_grid(20.0, 2048)
+
+
+def solve(corner):
+    return mild.solve_similarity_profile(mild.CornerData(*corner),
+                                         table=table, xs=xs)
+
+
+profile = solve((0.1, 0.1))
+rounds = (
+    lambda: [mild.reconstruct_U(profile, t, table)
+             for t in (10.0, 100.0, 1e3, 1e4)],
+    lambda: [solve(c) for c in ((0.1, 0.1), (0.2, 0.03), (0.03, 0.2),
+                                (0.1, -0.1), (-0.1, 0.1))])
+for run in rounds:
+    run()
+    run()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_warm_rounds_take_no_page_faults():
+    # freeing the table build's 2 MiB irfft block lifts glibc's dynamic
+    # mmap and trim thresholds above the per-block temporaries of a Picard
+    # apply and of a late reconstruction, so warm rounds reuse their pages
+    # (0 faults a round in 6 of 6 processes). A table FFT of 34992 points
+    # (next_fast_len of (eta_max + 45) / h) left them low: the measured
+    # late round faulted 498-559 pages in 5 of 6 processes
+    src = os.path.dirname(os.path.dirname(kernel.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _WARM_ROUNDS],
+                         capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    late, solve = map(int, out.stdout.split())
+    assert late <= 64 and solve <= 64, (late, solve)

@@ -1,6 +1,8 @@
 import json
+import math
 import tracemalloc
 from collections import namedtuple
+from functools import reduce
 from math import gamma
 
 import numpy as np
@@ -590,17 +592,18 @@ def test_late_reconstruction_takes_few_lagrange_taps(bench_profile, ktable,
     # only the 13 others go through a node plan, and the block pass makes
     # the taps of each once
     plans, tapped = [], []
-    fft_plan, block_taps = mild._fft_plan, mild._block_taps
+    plan_nodes, block_taps = mild._plan_nodes, mild._block_taps
 
     def counted_plan(*args):
-        plans.append(args)
-        return fft_plan(*args)
+        on_grid, planned = plan_nodes(*args)
+        plans.extend(planned.mu.tolist())
+        return on_grid, planned
 
     def counted_taps(block, *args):
-        tapped.extend(node for _, node in block)
+        tapped.extend(block.mu.tolist())
         return block_taps(block, *args)
 
-    monkeypatch.setattr(mild, "_fft_plan", counted_plan)
+    monkeypatch.setattr(mild, "_plan_nodes", counted_plan)
     monkeypatch.setattr(mild, "_block_taps", counted_taps)
     reconstruct_U(bench_profile, 1e4, ktable)
     assert len(plans) == 13 and len(tapped) == 13
@@ -667,7 +670,7 @@ def _parent_layout(block):
     # its own window; a source-grid block convolves the union of its
     # nodes' windows, each node with its own outputs
     node = block[0][1]
-    if isinstance(node, mild._SourceNode):
+    if isinstance(node, _SourceNode):
         lower = min(node.span.lower for _, node in block)
         upper = max(node.span.upper for _, node in block)
         need = max(_parent_wrap_free_length(
@@ -710,21 +713,20 @@ def test_carried_spans_give_the_rebuilt_layouts(ktable, grid, t):
     # each block from its nodes gives, for the planned and the source-grid
     # nodes of a one-shot sum
     xs = symmetric_grid(*grid)
-    planned, on_grid = [], []
-    for mu, lam, w in zip(*mild._duhamel_nodes(t, 1)):
-        if mild._on_source_grid(xs, xs, mu, lam):
-            on_grid.append((w, mild._source_node(xs, xs, mu, lam, ktable)))
-        else:
-            planned.append((w, mild._fft_plan(xs, xs, mu, lam, 1, ktable)))
-    assert bool(on_grid) == (t > 1.0)
-    for items in (planned, on_grid):
+    quad = mild._duhamel_nodes(t, 1)
+    on_grid = mild._on_source_grid(xs, xs, *quad[:2])
+    refs = _reference_nodes(xs, xs, quad, ktable, on_grid)
+    assert bool(refs[0]) == (t > 1.0)
+    for nodes, items in zip(mild._plan_nodes(xs, xs, quad, ktable, on_grid),
+                            refs):
         got = [(block, mild._block_layout(span)) for block, span
-               in mild._node_blocks(items)]
+               in mild._node_blocks(nodes)]
         ref = list(_parent_blocks(items))
-        assert [len(block) for block, _ in got] == [len(b) for b in ref]
+        assert [block.w.size for block, _ in got] == [len(b) for b in ref]
         for (block, layout), parent in zip(got, ref):
             N, keep, r = _parent_layout(parent)
-            assert block == parent and layout[0] == N and layout[2] == r
+            assert _rows(block) == [_flat(*item) for item in parent]
+            assert layout[0] == N and layout[2] == r
             assert keep is None or layout[1] == keep
 
 
@@ -794,8 +796,8 @@ def test_one_shot_blocks_hold_the_count_rule(ktable, monkeypatch, grid, t):
     def recorded(block, ell, table, N, *args):
         out = spectra(block, ell, table, N, *args)
         # the sampled lags fill every bin, the closed form fewer
-        seen.append((len(block), {node.span.r for _, node in block},
-                     type(block[0][1]), out.shape[1] == N // 2 + 1))
+        seen.append((block.w.size, set(block.r.tolist()), type(block),
+                     out.shape[1] == N // 2 + 1))
         return out
 
     monkeypatch.setattr(mild, "_kernel_spectra", recorded)
@@ -807,11 +809,11 @@ def test_one_shot_blocks_hold_the_count_rule(ktable, monkeypatch, grid, t):
                                                     in seen if sampled]
     assert all(len(points) == 1 for _, *points in blocks)
     kinds = [kind for _, _, kind, _ in seen]
-    assert (mild._SourceNode in kinds) == (t > 1.0)
-    assert max(n for n, _, kind, _ in seen if kind is mild._NodePlan) > 1
+    assert (mild._SourceNodes in kinds) == (t > 1.0)
+    assert max(n for n, _, kind, _ in seen if kind is mild._NodePlans) > 1
     if t > 1.0:
         assert max(n for n, _, kind, _ in seen
-                   if kind is mild._SourceNode) == mild.BLOCK
+                   if kind is mild._SourceNodes) == mild.BLOCK
 
 
 def _rolled_spectrum(ker, shift, h, nfft):
@@ -831,9 +833,11 @@ def test_kernel_spectra_match_rolled_lags(ktable, rng):
     for nfft in (37, 40, 96):
         shifts = (-50, -5, 0, 1, 12, 36, 37, 50, nfft - 1, nfft + 7)
         hs = rng.uniform(0.1, 0.3, len(shifts))
-        empty = [None] * len(mild._NodePlan._fields)
-        block = [(1.0, mild._NodePlan._make(empty)._replace(
-            lags=span, a=shift - 3, h=h)) for h, shift in zip(hs, shifts)]
+        empty = [None] * len(mild._NodePlans._fields)
+        block = mild._NodePlans._make(empty)._replace(
+            w=np.ones(hs.size), d_lo=np.full(hs.size, span[0]),
+            d_hi=np.full(hs.size, span[1]), scale=np.full(hs.size, span[2]),
+            a=np.array(shifts) - 3, h=hs)
         got = mild._sampled_spectra(block, 1, ktable, nfft, 3)
         for row, h, shift in zip(got, hs, shifts):
             assert np.array_equal(row, _rolled_spectrum(ker, shift, h, nfft))
@@ -846,7 +850,8 @@ def _record_node_routes(monkeypatch):
 
     def recorded(block, *args):
         route = clear(block, *args)
-        routes.update((node.lags, route) for _, node, *_ in block)
+        routes.update((lags, route) for lags in zip(
+            block.d_lo.tolist(), block.d_hi.tolist(), block.scale.tolist()))
         return route
 
     monkeypatch.setattr(mild, "_images_clear", recorded)
@@ -907,11 +912,10 @@ def test_narrow_table_keeps_the_sampled_lags(skew_density, ktable,
 def _wrapped_spectrum(node, ell, table, N, lo):
     # h rfft of the kernel sampled on every lag of its reach, |d| <= R,
     # each lag d added at index d - c mod N, c = a + lo + d_lo
-    d_lo, _, scale = node.lags
-    R = int(np.ceil(table.eta_max / scale))
+    R = int(np.ceil(table.eta_max / node.scale))
     buf = np.zeros(N)
-    np.add.at(buf, (np.arange(-R, R + 1) - (node.a + lo + d_lo)) % N,
-              kernel._kernel_lags(table, ell, -R, R, scale))
+    np.add.at(buf, (np.arange(-R, R + 1) - (node.a + lo + node.d_lo)) % N,
+              kernel._kernel_lags(table, ell, -R, R, node.scale))
     return node.h * rfft(buf)
 
 
@@ -929,8 +933,8 @@ def test_symbol_spectra_match_sampled_lags(skew_density, ktable,
     def recorded(block, ell, N, lo):
         out = symbol(block, ell, N, lo)
         # the callers scale the rows in place
-        rows.extend((node, ell, N, lo, row) for (_, node, *_), row
-                    in zip(block, out.copy()))
+        rows.extend((node, ell, N, lo, row) for node, row
+                    in zip(_rows(block), out.copy()))
         return out
 
     monkeypatch.setattr(mild, "_symbol_spectra", recorded)
@@ -939,8 +943,8 @@ def test_symbol_spectra_match_sampled_lags(skew_density, ktable,
                           mild._duhamel_nodes(t, ell))
     mild._DuhamelOperator(n_xs, 2, ktable, mild._duhamel_nodes(1.0, 2))
     kinds = {type(node) for node, *_ in rows}
-    assert kinds == {mild._NodePlan, mild._SourceNode}
-    assert any(node.span.r > 1 for node, *_ in rows)
+    assert kinds == {mild._NodePlans, mild._SourceNodes}
+    assert any(node.r > 1 for node, *_ in rows)
     for node, ell, N, lo, row in rows:
         ref = _wrapped_spectrum(node, ell, ktable, N, lo)
         assert row.size < ref.size
@@ -989,6 +993,272 @@ def test_block_routes_agree(skew_density, ktable, monkeypatch, ell):
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
     ref = mild._DuhamelOperator(n_xs, ell, ktable, quad)(n_tab)
     assert np.max(np.abs(held - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# The per-node reference of the planner (`mild._plan_nodes`): each node
+# planned by itself in scalar arithmetic, its window ends found point by
+# point from a guess. Kept here, as _node_taps is kept for the taps, to
+# check the array planner, its spans and its blocks bit for bit.
+
+# one planned node, all scalars; see _fft_plan
+_NodePlan = namedtuple("_NodePlan", "lo k first count mu pad padded spread "
+                                    "lags a h r out0 nout span")
+# one node on its source grid; see _source_node
+_SourceNode = namedtuple("_SourceNode", "lags a h y0 nout span")
+
+
+def _grid_point(xs, r):
+    # point m of xs refined r-fold as a Python float, as np.linspace gives it
+    if r == 1:
+        return xs.item
+    start, stop, last = float(xs[0]), float(xs[-1]), r * (xs.size - 1)
+    step = (stop - start) / last
+    return lambda m: stop if m == last else m * step + start
+
+
+def _cell(t, n):
+    # the stencil node j of `_slowpath._cells` at the grid coordinate t
+    return min(max(math.floor(t), 1), n - 3)
+
+
+def _first_past(coord, guess, size, bound, strict):
+    # np.searchsorted(coord(0 .. size - 1), bound, "right" if strict else
+    # "left") for a nondecreasing coord: from just past guess, step by
+    # step, each step checked on a neighbour
+    i = int(min(max(guess + 1.0, 0.0), size))
+
+    def past(i):
+        c = coord(i)
+        return c > bound if strict else c >= bound
+    while i > 0 and past(i - 1):
+        i -= 1
+    while i < size and not past(i):
+        i += 1
+    return i
+
+
+def _fft_plan(n_xs, xs, mu, lam, table):
+    # the planned node (mu, lam) on xs (`mild._plan_nodes`), or None when
+    # no source reaches xs; lags = (d_lo, d_hi, h / lam), spread None for a
+    # resampled node, span the node's `mild._Span`
+    mu, lam, h = float(mu), float(lam), float(mild._spacing(xs))
+    r = 1 if lam >= 3.0 * h else math.ceil(24.0 * h / lam)
+    n = r * (xs.size - 1) + 1
+    point = _grid_point(xs, r)
+    x0, x1 = point(0), point(n - 1)
+    if r > 1:
+        h = (x1 - x0) / (n - 1)
+    nx0, nx1, nh = n_xs.item(0), n_xs.item(-1), float(mild._spacing(n_xs))
+    top = n_xs.size
+    reach = math.ceil(table.eta_max * lam / h)
+    pl = min(reach, max(0, math.ceil((x0 - mu * nx0) / h)))
+    pr = min(reach, max(0, math.ceil((mu * nx1 - x1) / h)))
+    padded = pl + n + pr
+    if mu >= 3.0 * h:
+        spread, count, size = None, 0, padded
+
+        def coord(i):
+            # padded point i divided by mu, on the profile grid
+            m = i - pl
+            if m < 0:
+                x = x0 - h * -m
+            elif m < n:
+                x = point(m)
+            else:
+                x = x1 + h * (m - n + 1)
+            return (x / mu - nx0) / nh
+
+        def guess(q):
+            return pl + (mu * (nx0 + q * nh) - x0) / h
+    else:
+        spread, xp, size = mu * nh / h, x0 - pl * h, top
+
+        def coord(j):
+            # source j on the padded grid
+            return (mu * n_xs.item(j) - xp) / h
+
+        def guess(q):
+            return ((xp + q * h) / mu - nx0) / nh
+    bound = (top if spread is None else padded) - 1.0
+    lo = _first_past(coord, guess(0.0), size, 0.0, False)
+    hi = max(lo, _first_past(coord, guess(bound), size, bound, True))
+    if hi == lo:
+        return None
+    if spread is None:
+        k, first = hi - lo, lo - pl
+    else:
+        count = hi - lo
+        j0 = _cell(coord(lo), padded)
+        k, first = _cell(coord(hi - 1), padded) + 4 - j0, j0 - 1 - pl
+    d_lo = max(-reach, -(first + k - 1))
+    d_hi = min(reach, n - 1 - first)
+    lags = d_hi - d_lo + 1
+    a = -(first + d_lo)
+    out0, nout = 0, (n - 1) // r + 1
+    if r > 1:
+        out0 = -(-max(0, -a) // r)
+        nout = (min(n, k + lags - 1 - a) - 1) // r + 1 - out0
+        if nout < 1:
+            return None
+    span = mild._Span(r, r * out0, r * (out0 + nout - 1) + 1, max(k, lags),
+                      -a, k + lags - 1 - a)
+    return _NodePlan(lo, k, first, count, mu, pl, padded, spread,
+                     (d_lo, d_hi, h / lam), a, h, r, out0, nout, span)
+
+
+def _source_node(n_xs, xs, mu, lam, table):
+    # the node (mu, lam) on its source grid (`mild._plan_nodes`), or None
+    # when no source reaches xs
+    nh = mild._spacing(n_xs)
+    H = mu * nh
+    lo = int(np.floor((xs[0] / mu - n_xs[0]) / nh)) - 3
+    hi = int(np.ceil((xs[-1] / mu - n_xs[0]) / nh)) + 4
+    reach = int(np.ceil(table.eta_max / (H / lam)))
+    d_lo, d_hi = max(-reach, lo - (n_xs.size - 1)), min(reach, hi - 1)
+    if d_lo > d_hi:
+        return None
+    start, end = lo - d_hi, hi - d_lo
+    span = mild._Span(1, max(0, start), min(n_xs.size, end),
+                      max(d_hi - d_lo + 1, hi - lo), start, end)
+    return _SourceNode((d_lo, d_hi, H / lam), lo - d_lo, H,
+                       mu * (n_xs[0] + nh * lo), hi - lo, span)
+
+
+def _reference_nodes(n_xs, xs, quad, table, on_grid):
+    # ([(w, _SourceNode)], [(w, _NodePlan)]) of the nodes that some source
+    # reaches, each planned by itself, in the order of quad
+    on, planned = [], []
+    for (mu, lam, w), here in zip(zip(*quad), np.broadcast_to(
+            on_grid, np.shape(quad[0]))):
+        if here:
+            on.append((w, _source_node(n_xs, xs, mu, lam, table)))
+        else:
+            planned.append((w, _fft_plan(n_xs, xs, mu, lam, table)))
+    return ([item for item in on if item[1] is not None],
+            [item for item in planned if item[1] is not None])
+
+
+def _flat(w, node):
+    # a reference node's fields in the order of mild._SourceNodes or
+    # mild._NodePlans, a resampled node's spread 0
+    if isinstance(node, _SourceNode):
+        return (w, *node.lags, node.a, node.h, node.y0, node.nout, *node.span)
+    return (w, node.mu, node.lo, node.k, node.first, node.count, node.pad,
+            node.padded, node.spread or 0.0, *node.lags, node.a, node.h,
+            node.r, node.out0, node.nout, *node.span[1:])
+
+
+def _rows(nodes):
+    # the nodes of a mild._NodePlans or _SourceNodes, a block's too, one
+    # record of Python scalars a node
+    return [type(nodes)._make(row)
+            for row in zip(*(field.tolist() for field in nodes))]
+
+
+def _block_of(items):
+    # the mild._NodePlans of the reference items (w, _NodePlan)
+    return mild._NodePlans._make(
+        map(np.array, zip(*(_flat(w, node) for w, node in items))))
+
+
+def _joined(a, b):
+    # the span of a block of the nodes of spans a and b, of one r
+    return mild._Span(a.r, min(a.lower, b.lower), max(a.upper, b.upper),
+                      max(a.fixed, b.fixed), min(a.start, b.start),
+                      max(a.end, b.end))
+
+
+# the output grids of test_plans_match_per_node_reference: the bench grid,
+# the foreign grid, whose windows run into the pads, the wide grid, refined
+# 16-fold at t = 1e-2, and the march grid
+PLAN_CASES = (symmetric_grid(20.0, 2048), np.linspace(-13.7, 13.7, 3001),
+              np.linspace(-30.0, 30.0, 1501), symmetric_grid(20.0, 4096))
+
+
+@pytest.mark.parametrize("ell", (0, 1, 2))
+def test_plans_match_per_node_reference(skew_density, ktable, ell):
+    # the array planner gives, bit for bit, every field and span of the
+    # nodes planned one by one in scalar arithmetic, and the blocks and
+    # joined spans of the count rule over them: the one-shot sums at t =
+    # 1e-4 .. 1e4 on four output grids, and the held operator's nodes on
+    # each grid at t = 1. The cases take pads, refined nodes, spread and
+    # resampled nodes in one block, and source-grid nodes
+    n_tab, n_xs = skew_density
+    pads, refined, mixed, sources = 0, set(), 0, 0
+    for xs in PLAN_CASES:
+        cases = []
+        for t in 10.0 ** np.arange(-4, 5):
+            quad = mild._duhamel_nodes(t, ell)
+            grid = mild._on_source_grid(n_xs, xs, *quad[:2])
+            cases.append((mild._plan_nodes(n_xs, xs, quad, ktable, grid),
+                          _reference_nodes(n_xs, xs, quad, ktable, grid)))
+        quad = mild._duhamel_nodes(1.0, ell)
+        cases.append(((None, mild._operator_nodes(xs, ktable, quad)),
+                      _reference_nodes(xs, xs, [q[::-1] for q in quad],
+                                       ktable, False)))
+        for got, ref in cases:
+            for nodes, items in zip(got, ref):
+                if nodes is None:
+                    continue
+                assert type(nodes) is (mild._NodePlans if items is ref[1]
+                                       else mild._SourceNodes)
+                assert _rows(nodes) == [_flat(*item) for item in items]
+                blocks = list(mild._node_blocks(nodes))
+                parents = list(_parent_blocks(items))
+                assert len(blocks) == len(parents)
+                for (block, span), parent in zip(blocks, parents):
+                    assert _rows(block) == [_flat(*item) for item in parent]
+                    assert span == reduce(_joined,
+                                          [node.span for _, node in parent])
+                    if items is ref[1]:
+                        mixed += len(set((block.count > 0).tolist())) > 1
+            sources += len(ref[0])
+            for _, node in ref[1]:
+                refined.add(node.r)
+                pads += node.pad > 0 or node.padded > node.pad + node.r * (
+                    xs.size - 1) + 1
+    assert pads and mixed and sources and max(refined) >= 16
+
+
+def test_reconstruction_takes_its_solves_step_samples(new_table, monkeypatch):
+    # on the table of its solve a reconstruction takes G, g_0 and g_1 on
+    # the profile grid from the table's held plan: it evaluates none of
+    # them, 3 x 2049 table points fewer than on a fresh table, and U is
+    # the same bit for bit
+    xs = symmetric_grid(20.0, 2048)
+    table = new_table()
+    prof = solve_similarity_profile(CornerData(0.1, 0.1), table=table, xs=xs)
+    calls, points = [], []
+    eval_g, eval_G, sym = (kernel.KernelTable.eval_g,
+                           kernel.KernelTable.eval_G, _backend.sym_eval)
+
+    def counted_g(self, ell, eta):
+        calls.append(("g", ell, np.array_equal(eta, xs)))
+        return eval_g(self, ell, eta)
+
+    def counted_G(self, eta):
+        calls.append(("G", None, np.array_equal(eta, xs)))
+        return eval_G(self, eta)
+
+    def counted_sym(tab, h, parity, q):
+        points.append(np.size(q))
+        return sym(tab, h, parity, q)
+
+    monkeypatch.setattr(kernel.KernelTable, "eval_g", counted_g)
+    monkeypatch.setattr(kernel.KernelTable, "eval_G", counted_G)
+    monkeypatch.setattr(_backend, "sym_eval", counted_sym)
+    for t in (1e-2, 10.0):
+        seen = []
+        for tab in (table, new_table()):
+            del calls[:], points[:]
+            seen.append((reconstruct_U(prof, t, tab).U.ys,
+                         [call[:2] for call in calls if call[2]],
+                         sum(points)))
+        (warm, held, warm_points), (cold, evaluated, cold_points) = seen
+        assert np.array_equal(warm, cold)
+        assert held == [] and sorted(evaluated, key=str) == [
+            ("G", None), ("g", 0), ("g", 1)]
+        assert cold_points - warm_points == 3 * xs.size
 
 
 # The per-node reference of the block taps (`mild._block_taps`): each
@@ -1156,24 +1426,25 @@ def test_block_taps_match_per_node_reference(skew_density, ktable,
             for item, held in zip(seen, getattr(op, "blocks", None)
                                   or [None] * len(seen)):
                 block = item[0]
-                refs = [_node_taps(grid, xs, node.mu, lams[node.mu], ktable)
-                        for _, node in block]
-                for (_, node), ref in zip(block, refs):
-                    assert (node.lo, node.k, node.first, node.spread,
-                            node.pad, node.padded) == (
+                refs = [_node_taps(grid, xs, mu, lams[mu], ktable)
+                        for mu in block.mu.tolist()]
+                for node, ref in zip(_rows(block), refs):
+                    assert (node.lo, node.k, node.first,
+                            node.spread if node.count else None, node.pad,
+                            node.padded) == (
                         ref.lo, ref.k, ref.first, ref.spread, ref.pad,
                         ref.padded)
                     assert node.count == (0 if ref.spread is None
                                           else ref.base.size)
                     refined.add(node.r)
-                    pads += node.spread is None and (
+                    pads += not node.count and (
                         node.first < 0
                         or node.first + node.k > node.r * (xs.size - 1) + 1)
-                mixed += len({node.spread is None for _, node in block}) > 1
+                mixed += len(set((block.count > 0).tolist())) > 1
                 if held is None:
                     N = item[1].shape[1]
-                    ref = np.zeros((len(block), N))
-                    for row, (wt, _), taps in zip(ref, block, refs):
+                    ref = np.zeros((block.w.size, N))
+                    for row, wt, taps in zip(ref, block.w, refs):
                         row[:taps.k] = _node_sources(taps, n_tab)
                         row[:taps.k] *= wt
                     assert np.array_equal(item[1], ref)
@@ -1188,8 +1459,8 @@ def test_block_taps_match_per_node_reference(skew_density, ktable,
         for mu, lam, _ in zip(*quad):
             if not mild._on_source_grid(n_xs, xs, mu, lam):
                 if not _node_taps(n_xs, xs, mu, lam, ktable).k:
-                    assert mild._fft_plan(n_xs, xs, mu, lam, ell,
-                                          ktable) is None
+                    assert not mild._plan_nodes(n_xs, xs, ([mu], [lam], [1.0]),
+                                                ktable, False)[1].w.size
     assert 16 in refined and max(refined) > 16
     assert pads > 0 and mixed > 0
 
@@ -1212,7 +1483,7 @@ def _node_by_node_sum(n_tab, n_xs, xs, ell, table, quad):
             out += w * _slowpath.quintic_eval(H * conv,
                                               mu * (n_xs[0] + nh * lo), H, xs)
             continue
-        node = mild._fft_plan(n_xs, xs, mu, lam, ell, table)
+        node = _fft_plan(n_xs, xs, mu, lam, table)
         if node is None:
             continue
         src = _node_sources(_node_taps(n_xs, xs, mu, lam, table), n_tab)
@@ -1246,8 +1517,7 @@ def test_block_sum_matches_node_by_node(skew_density, ktable, monkeypatch,
     seen, spectra = [], mild._kernel_spectra
 
     def recorded(block, *args):
-        node = block[0][1]
-        seen.append((node.span.r, len(block), type(node)))
+        seen.append((int(block.r[0]), block.w.size, type(block)))
         return spectra(block, *args)
 
     monkeypatch.setattr(mild, "_kernel_spectra", recorded)
@@ -1268,9 +1538,9 @@ def test_block_sum_matches_node_by_node(skew_density, ktable, monkeypatch,
     assert spread[0] and spread[2]
     assert any(a[0] == b[0] for a, b in zip(runs[2], runs[2][1:]))
     for run in runs[3:]:
-        assert max(n for _, n, kind in run if kind is mild._SourceNode) > 1
+        assert max(n for _, n, kind in run if kind is mild._SourceNodes) > 1
         assert (method != "tau"
-                or any(kind is mild._NodePlan for *_, kind in run))
+                or any(kind is mild._NodePlans for *_, kind in run))
 
 
 def _assert_node_by_node_assembly(skew_density, table, check_row):
@@ -1285,7 +1555,7 @@ def _assert_node_by_node_assembly(skew_density, table, check_row):
         dens = np.interp(xs, n_xs, n_tab)
         quad = mild._duhamel_nodes(t, 2)
         op = mild._DuhamelOperator(xs, 2, table, quad)
-        nodes = [(wt, mild._fft_plan(xs, xs, mu, lam, 2, table),
+        nodes = [(wt, _fft_plan(xs, xs, mu, lam, table),
                   _node_taps(xs, xs, mu, lam, table))
                  for mu, lam, wt in reversed(list(zip(*quad)))]
         nodes = [node for node in nodes if node[1] is not None]
@@ -1340,7 +1610,7 @@ def test_held_operator_on_its_routes_matches_node_by_node_assembly(
             assert np.array_equal(row, wt * _rolled_spectrum(
                 ker, node.a + lo, node.h, N))
             return
-        own = wt * mild._symbol_spectra([(wt, node)], 2, N, lo)[0]
+        own = wt * mild._symbol_spectra(_block_of([(wt, node)]), 2, N, lo)[0]
         assert np.array_equal(row[:own.size], own)
         assert not np.any(row[own.size:])
         d_lo, _, scale = node.lags
@@ -1442,7 +1712,7 @@ def test_solve_samples_each_fft_kernel_once(new_table, monkeypatch):
                                     xs=PLAN_GRID)
     assert prof.iterations >= 5
     sampled, closed = [], 0
-    for _, _, N, spectra, *_ in table._picard_plan[1].blocks:
+    for _, _, N, spectra, *_ in table._picard_plan.operator.blocks:
         if spectra.shape[1] < N // 2 + 1:
             closed += spectra.shape[0]
         else:
@@ -1458,19 +1728,19 @@ def test_solve_samples_each_fft_kernel_once(new_table, monkeypatch):
 
 
 def _count_plans(monkeypatch, tapped=None):
-    """The list that every node plan built from now on appends to; each
-    node whose taps a block pass makes from now on goes on tapped."""
-    built, fft_plan, block_taps = [], mild._fft_plan, mild._block_taps
+    """The list that the mu of every node planned from now on goes on;
+    each node whose taps a block pass makes from now on goes on tapped."""
+    built, plan_nodes, block_taps = [], mild._plan_nodes, mild._block_taps
 
-    def counted(*args):
-        built.append(args)
-        return fft_plan(*args)
+    def counted(n_xs, xs, quad, *args):
+        built.extend(np.asarray(quad[0]).tolist())
+        return plan_nodes(n_xs, xs, quad, *args)
 
     def counted_taps(block, *args):
-        tapped.extend(node for _, node in block)
+        tapped.extend(block.mu.tolist())
         return block_taps(block, *args)
 
-    monkeypatch.setattr(mild, "_fft_plan", counted)
+    monkeypatch.setattr(mild, "_plan_nodes", counted)
     if tapped is not None:
         monkeypatch.setattr(mild, "_block_taps", counted_taps)
     return built
@@ -1584,7 +1854,7 @@ def _full_length_sums(dens, xs, ell, table, quad, *route_maps):
     sums = np.zeros((len(route_maps), xs.size))
     for mu, lam, w in zip(*quad):
         assert not mild._on_source_grid(xs, xs, mu, lam)
-        node = mild._fft_plan(xs, xs, mu, lam, ell, table)
+        node = _fft_plan(xs, xs, mu, lam, table)
         if node is None:
             continue
         fine = np.linspace(xs[0], xs[-1], node.r * (xs.size - 1) + 1)
@@ -1680,7 +1950,7 @@ def test_held_operator_within_memory_budget(ktable):
                + spectra.nbytes for m, _, _, spectra, *_ in op.blocks)
     plans = 0
     for mu, lam, _ in zip(*quad):
-        node = mild._fft_plan(PLAN_GRID, PLAN_GRID, mu, lam, 2, ktable)
+        node = _fft_plan(PLAN_GRID, PLAN_GRID, mu, lam, ktable)
         taps = _node_taps(PLAN_GRID, PLAN_GRID, mu, lam, ktable)
         # the 4 weights a tap, which the plans held
         plans += (taps.base.nbytes + 4 * taps.u.nbytes
@@ -1741,7 +2011,8 @@ def test_divergence_guard(ktable, monkeypatch):
         return np.full(n_tab.size, 2.0 ** len(calls) - 1.0)
 
     monkeypatch.setattr(mild, "_picard_plan", lambda table, xs: (
-        doubling, np.ones(xs.size), np.zeros(xs.size)))
+        mild._PicardPlan(xs, doubling, table.eval_G(xs), np.ones(xs.size),
+                         np.zeros(xs.size))))
     with pytest.raises(PicardDivergence, match="5 consecutive") as err:
         solve_similarity_profile(CornerData(0.1, 0.1), table=ktable,
                                  xs=symmetric_grid(20.0, 256))
