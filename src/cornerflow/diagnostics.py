@@ -13,8 +13,8 @@ import numpy as np
 
 from . import _backend
 from .errors import ValidationError
-from .grid import (GridFunction, _check_instance, _fd, _origin, _simpson,
-                   _write_json, smoothed_abs, whole_number)
+from .grid import (GridFunction, _check_finite, _check_instance, _fd,
+                   _origin, _simpson, _write_json, smoothed_abs, whole_number)
 from .geometry import arclength_from_zero, ds_of_array, geometry
 from .mild import SimilarityProfile
 
@@ -116,6 +116,8 @@ def esp_check(phi, alpha, beta):
     and <= +ESP_TOL at the left end. meta carries the pieces.
     """
     _check_instance(phi, GridFunction, "phi")
+    _check_finite("alpha", alpha)
+    _check_finite("beta", beta)
     s = arclength_from_zero(phi.xs, phi.ys)
     phi0 = phi.ys[_origin(phi.xs)]
     margin = alpha * s + beta - phi0 * phi.ys
@@ -165,6 +167,7 @@ def l1_linear_bound(phi, a0):
     precision and the result records NotApplicable. x = 0 must be a node.
     """
     _check_instance(phi, GridFunction, "phi")
+    _check_finite("a0", a0)
     i0 = _origin(phi.xs)
     dphi = _fd(phi.ys, phi.h, 1)
     w = np.abs(dphi - a0)
@@ -306,6 +309,8 @@ def refinement_threshold(r_coarse, r_fine):
     which fails the comparison. r_fine passes it when r_fine <= 0.4
     r_coarse.
     """
+    _check_finite("r_coarse", r_coarse)
+    _check_finite("r_fine", r_fine)
     return 10.0 * (r_coarse - r_fine) / 15.0
 
 

@@ -7,8 +7,8 @@ it exact for piecewise-linear profiles such as corner data.
 import numpy as np
 
 from .errors import GridMismatch, NonFiniteGeometry, ValidationError
-from .grid import (GridFunction, _cumulative_simpson, _fd, _origin,
-                   _spacing, uniform_grid)
+from .grid import (GridFunction, _check_instance, _cumulative_simpson, _fd,
+                   _origin, _spacing, uniform_grid)
 
 
 class CurveGeometry:
@@ -129,6 +129,7 @@ def ds_of_array(ys, geom, order=1):
     """
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order!r}")
+    _check_instance(geom, CurveGeometry, "geom")
     ys = np.asarray(ys, dtype=float)
     if ys.shape != geom.xs.shape:
         raise GridMismatch(f"ys of shape {ys.shape} on a geometry of "

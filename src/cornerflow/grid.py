@@ -274,6 +274,16 @@ def _check_instance(value, cls, name):
                               f"{type(value).__name__}")
 
 
+def _check_finite(name, *values):
+    """ValidationError, naming the argument or arguments, unless every value
+    is a finite real number."""
+    if not all(isinstance(v, numbers.Real) and np.isfinite(v)
+               for v in values):
+        what = "a finite number" if len(values) == 1 else "finite numbers"
+        raise ValidationError(f"{name} must be {what}, got "
+                              f"{', '.join(map(repr, values))}")
+
+
 def whole_number(value):
     """value as an int if it is an integer or an integral float, else None."""
     if isinstance(value, numbers.Integral) or (

@@ -14,10 +14,11 @@ to 0 past k = 746^{1/4}, so only the bins below it are filled.
 Every application of the semigroup then reduces to interpolation in the
 similarity variable x t^{-1/4}, with far-field steps handled in closed form
 through the antiderivative G so that non-decaying inputs never meet the
-discrete convolution. The kernel solves g''' = eta g / 4; integrated once
-from -inf (by parts, int_{-inf}^eta y g = eta G - int_{-inf}^eta G) this
-gives the second antiderivative exactly as eta G - 4 g'', so corners evolve
-in closed form from the tables of G and g'' (`corner_height`).
+discrete convolution, a Duhamel source-grid block (`apply_semigroup`).
+The kernel solves g''' = eta g / 4; integrated once from -inf (by parts,
+int_{-inf}^eta y g = eta G - int_{-inf}^eta G) this gives the second
+antiderivative exactly as eta G - 4 g'', so corners evolve in closed form
+from the tables of G and g'' (`corner_height`).
 """
 import numbers
 
@@ -27,9 +28,9 @@ from scipy.fft import irfft, next_fast_len, rfft
 from . import _backend
 from .errors import (ConfigError, InvalidTime, UnsupportedFarField,
                      ValidationError)
-from .grid import (GridFunction, _check_instance, _cumulative_simpson,
-                   _read_csv, _simpson, _write_csv, symmetric_grid,
-                   uniform_grid, whole_number)
+from .grid import (GridFunction, _check_finite, _check_instance,
+                   _cumulative_simpson, _read_csv, _simpson, _write_csv,
+                   symmetric_grid, uniform_grid, whole_number)
 
 _PARITY = (0, 1, 0, 1)  # g even, g' odd, g'' even, g''' odd
 ENVELOPE_RATE = 3.0 / 2.0 ** (11.0 / 3.0)  # stationary-phase decay exponent
@@ -63,10 +64,10 @@ class KernelTable:
         if etas[0] != 0.0:
             raise ValidationError(f"a kernel table starts at eta = 0, got "
                                   f"{etas[0]!r}")
-        g_tables = tuple(g_tables)
+        g_tables = tuple(g_tables) if np.iterable(g_tables) else ()
         if len(g_tables) != 4:
-            raise ValidationError(f"a kernel table holds g0 .. g3, got "
-                                  f"{len(g_tables)} tables")
+            raise ValidationError("g_tables must be a sequence of the four "
+                                  "tables g0 .. g3")
         # nan samples would pass the mass and envelope checks (nan compares
         # false)
         for name, ys in zip(("g0", "g1", "g2", "g3", "G"), (*g_tables, G)):
@@ -240,11 +241,13 @@ def _check_times(times):
 
 
 def apply_to_step(A, B, t, ell, table, xs):
-    """Closed-form semigroup action on the step -B (x<0) -> A (x>0)."""
+    """Closed-form semigroup action on the step -B (x<0) -> A (x>0); A, B
+    and the grid xs are checked before any table is read."""
     _check_time(t)
     ell = _check_order(ell, range(5))
     _check_table(table)
-    xs = np.asarray(xs, dtype=float)
+    _check_finite("step values A, B", A, B)
+    xs, _ = uniform_grid(xs)
     lam = t ** -0.25
     if ell == 0:
         ys = -B + (A + B) * table.eval_G(xs * lam)
@@ -269,23 +272,19 @@ def corner_height(A, B, t, table, xs):
     By the second antiderivative eta G - 4 g'' (module docstring) this is
     x times the evolved step, less 4 (A + B) t^{1/4} g''(x t^{-1/4}). The
     odd part (A - B) x / 2 passes unchanged; the even part is taken at |x|,
-    so that A = B evolves to an exactly even profile.
+    so that A = B evolves to an exactly even profile. A, B and the grid xs
+    are checked before any table is read.
     """
     _check_time(t)
     _check_table(table)
-    xs = np.asarray(xs, dtype=float)
+    _check_finite("corner slopes A, B", A, B)
+    xs, _ = uniform_grid(xs)
     ax = np.abs(xs)
     xi = ax * t ** -0.25
     ys = (0.5 * (A - B) * xs
           + (A + B) * (ax * (table.eval_G(xi) - 0.5)
                        - 4.0 * t ** 0.25 * table.eval_g(2, xi)))
     return GridFunction(xs, ys, -B, A, "linear")
-
-
-def _kernel_lags(table, ell, d_lo, d_hi, scale):
-    """g_ell(d scale) at the lags d = d_lo .. d_hi (`_block_kernel_lags`
-    of the one span)."""
-    return _block_kernel_lags(table, ell, [(d_lo, d_hi, scale)])[0]
 
 
 def _block_kernel_lags(table, ell, spans):
@@ -321,8 +320,8 @@ def _fftconvolve(a, b):
     one real FFT of the next fast length >= a.size + b.size - 1.
 
     Bit for bit SciPy's `fftconvolve(a, b)`, which also multiplies without
-    an FFT where an input has length 1. Kept in the package so that
-    importing it does not load SciPy's signal module.
+    an FFT where an input has length 1. No code of the package calls it:
+    it stays only because bench/tracer.py wraps it as `mild.fftconvolve`.
     """
     if a.size == 1 or b.size == 1:
         return a * b
@@ -331,32 +330,18 @@ def _fftconvolve(a, b):
     return irfft(rfft(a, n) * rfft(b, n), n)[:size]
 
 
-def _sampled_convolution(f, scale, ell, table, lo, hi):
-    """sum_j g_ell((i - j) scale) f_j at the nodes i = lo .. hi-1 of the
-    samples' own grid, also beyond them: one FFT convolution
-    (`_fftconvolve`) of the samples and kernel lags that reach an output,
-    the kernel sampled once per |lag| (`_kernel_lags`); the other outputs
-    read 0."""
-    out = np.zeros(hi - lo)
-    reach = int(np.ceil(table.eta_max / scale))
-    d_lo, d_hi = max(-reach, lo - (f.size - 1)), min(reach, hi - 1)
-    if d_lo > d_hi:
-        return out
-    j0, j1 = max(0, lo - d_hi), min(f.size, hi - d_lo)
-    ker = _kernel_lags(table, ell, d_lo, d_hi, scale)
-    # entry p of the linear convolution is output j0 + d_lo + p
-    a, b = max(lo, j0 + d_lo), min(hi, j1 + d_hi)
-    out[a - lo:b - lo] = _fftconvolve(f[j0:j1], ker)[a - j0 - d_lo:
-                                                     b - j0 - d_lo]
-    return out
-
-
 def apply_semigroup(f, t, ell, table):
     """d^ell/dx^ell exp(-t d^4) f for f with constant far fields.
 
     The far-field step evolves in closed form; only the decaying remainder
-    f - step is convolved numerically (trapezoid sum, `_sampled_convolution`).
+    f - step is convolved numerically, by the trapezoid sum on its own
+    samples. That sum is the Duhamel node (mu, lam) = (1, t^{1/4}) on the
+    sample grid, times t^{-(ell+1)/4}: one source-grid block of
+    `mild._rescaled_convolution`, the same planner, kernel spectra and
+    interpolation as every source-grid node of a Duhamel sum.
     """
+    # mild imports this module
+    from .mild import _rescaled_convolution
     _check_time(t)
     ell = _check_order(ell, range(4))
     _check_table(table)
@@ -366,16 +351,15 @@ def apply_semigroup(f, t, ell, table):
         raise UnsupportedFarField(
             "only constant far fields evolve here; reconstruct heights "
             "through the mild solver instead")
-    xs, h = f.xs, f.h
+    xs = f.xs
     # step from left_far to right_far: A = right, B = -left
     base = apply_to_step(f.right_far, -f.left_far, t, ell, table, xs).ys
     step = np.where(xs > 0.0, f.right_far,
                     np.where(xs < 0.0, f.left_far,
                              0.5 * (f.left_far + f.right_far)))
-    r = f.ys - step
-    pref = t ** (-(ell + 1) / 4.0) * h
-    ys = base + _sampled_convolution(r, h * t ** -0.25, ell, table, 0,
-                                     xs.size) * pref
+    conv = _rescaled_convolution(f.ys - step, xs, xs, 1.0, t ** 0.25, ell,
+                                 table)
+    ys = base + conv * t ** (-(ell + 1) / 4.0)
     if ell == 0:
         return GridFunction(xs, ys, f.left_far, f.right_far, "constant",
                             max(f.tail_tol, 1e-6))

@@ -27,8 +27,9 @@ from scipy.sparse import csr_matrix
 from ._slowpath import _cells, lagrange_weights, quintic_eval
 from .errors import (ConfigError, NoConvergence, PicardDivergence,
                      StaleProfile, ValidationError)
-from .grid import (GridFunction, _check_instance, _fd, _inner, _read_csv,
-                   _spacing, _write_csv, symmetric_grid, uniform_grid)
+from .grid import (GridFunction, _check_finite, _check_instance, _fd, _inner,
+                   _read_csv, _spacing, _write_csv, symmetric_grid,
+                   uniform_grid)
 from .kernel import (ENVELOPE_REACH, _block_kernel_lags,
                      _check_order, _check_table, _check_time, _kernel_symbols,
                      corner_height)
@@ -70,10 +71,7 @@ class CornerData:
     """Corner slopes: right slope A, negated left slope B."""
 
     def __init__(self, A, B):
-        if not all(isinstance(v, numbers.Real) and np.isfinite(v)
-                   for v in (A, B)):
-            raise ValidationError(f"corner slopes must be finite numbers, "
-                                  f"got A={A!r}, B={B!r}")
+        _check_finite("corner slopes A, B", A, B)
         self.A = float(A)
         self.B = float(B)
 
@@ -458,8 +456,11 @@ def _rescaled_convolution(n_tab, n_xs, xs, mu, lam, ell, table):
     the late Duhamel term sat 1.2e-8 to 1.6e-8 of its sup from that of a
     profile solved on twice the intervals, against 4e-10 with 6 points.
 
-    `_duhamel_sum` does not call it; bench/tracer.py wraps this name. It
-    is, bit for bit, the `_duhamel_sum` of this node alone at weight 1.
+    `kernel.apply_semigroup` calls it with mu = 1 on the sample grid
+    (n_xs = xs), where it is the trapezoid sum on the samples themselves;
+    bench/tracer.py wraps this name. For a node that `_on_source_grid`
+    admits it is, bit for bit, the `_duhamel_sum` of this node alone at
+    weight 1.
     """
     out = np.zeros(xs.size)
     nodes = _plan_nodes(n_xs, xs, ([mu], [lam], [1.0]), table, True)[0]
@@ -1176,10 +1177,9 @@ def reconstruct_U(profile, t, table, xs=None):
 
 def inner_sup(values):
     """Sup norm over the central 80% of the samples (`grid._inner`)."""
-    inner = _inner(values)
+    inner = _inner(values) if np.ndim(values) == 1 else np.empty(0)
     if not inner.size:
-        raise ValidationError("inner_sup needs at least one value, got an "
-                              "empty array")
+        raise ValidationError("values must be a non-empty 1-D array")
     return float(np.max(np.abs(inner)))
 
 
@@ -1212,8 +1212,7 @@ def constant_shift_residual(solution, c, table):
     solver's own residual. The slope field is re-extracted from the shifted
     heights rather than reused, so the check exercises the full pipeline.
     """
-    if not (isinstance(c, numbers.Real) and np.isfinite(c)):
-        raise ValidationError(f"c must be a finite number, got {c!r}")
+    _check_finite("c", c)
     _check_instance(solution, ReconstructedSolution, "solution")
     _check_table(table)
     U, t, corner = solution.U, solution.t, solution.corner

@@ -15,15 +15,14 @@ transients from rough initial data.
 This solver shares nothing with the kernel/Duhamel pipeline beyond the
 grid type, which is what makes the agreement check meaningful.
 """
-import numbers
-
 import numpy as np
 
 from . import _backend
 from ._slowpath import GROWTH_CAP
 from .errors import OracleInstability, ValidationError
-from .grid import (GridFunction, _check_instance, corner_function,
-                   smoothed_abs, symmetric_grid, whole_number)
+from .grid import (GridFunction, _check_finite, _check_instance,
+                   corner_function, smoothed_abs, symmetric_grid,
+                   whole_number)
 from .kernel import _check_times, apply_semigroup, corner_height
 from .mild import SimilarityProfile, inner_sup, reconstruct_U
 
@@ -46,12 +45,7 @@ class MarchConfig:
 
     def __init__(self, A, B, half_width=DEFAULT_MARCH_HALF_WIDTH,
                  intervals=DEFAULT_MARCH_INTERVALS, dt_max=DEFAULT_DT_MAX):
-        settings = {"A": A, "B": B, "dt_max": dt_max}
-        bad = [key for key, val in settings.items()
-               if not (isinstance(val, numbers.Real) and np.isfinite(val))]
-        if bad:
-            raise ValidationError(f"march settings must be finite numbers: "
-                                  f"{', '.join(bad)}")
+        _check_finite("march settings A, B, dt_max", A, B, dt_max)
         count = whole_number(intervals)
         if count is None or count < 512:
             raise ValidationError(f"intervals must be a whole number >= 512, "

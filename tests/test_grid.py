@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cornerflow import GridFunction, KernelTable, MarchConfig, \
-    ValidationError, corner_function, diagnostics, load_profile, oracle, \
-    regularizing_constants, save_profile, smoothed_abs, symmetric_grid
+    ValidationError, corner_function, diagnostics, ds_of_array, inner_sup, \
+    load_profile, oracle, regularizing_constants, save_profile, \
+    smoothed_abs, symmetric_grid
 from cornerflow.grid import _cumulative_simpson, _fd, _simpson
 
 
@@ -292,6 +293,22 @@ WRONG_TYPES = {
     # stride 1 would hand the object back unchecked
     "subsample": ("phi", lambda tab, prof, path:
                   diagnostics.subsample(None, 1)),
+    "ds_of_array": ("geom", lambda tab, prof, path: ds_of_array(
+        np.zeros(17), None)),
+    "esp_check alpha": ("alpha", lambda tab, prof, path:
+                        diagnostics.esp_check(prof.psi, "x", 0.0)),
+    "esp_check beta": ("beta", lambda tab, prof, path:
+                       diagnostics.esp_check(prof.psi, 0.0, None)),
+    "l1_linear_bound a0": ("a0", lambda tab, prof, path:
+                           diagnostics.l1_linear_bound(prof.psi, "x")),
+    "refinement_threshold": ("r_coarse", lambda tab, prof, path:
+                             diagnostics.refinement_threshold("a", 1.0)),
+    "refinement_threshold r_fine": ("r_fine", lambda tab, prof, path:
+                                    diagnostics.refinement_threshold(
+                                        1.0, np.nan)),
+    "inner_sup": ("values", lambda tab, prof, path: inner_sup(None)),
+    "KernelTable": ("g_tables", lambda tab, prof, path: KernelTable(
+        tab.etas, None, tab.G)),
 }
 
 

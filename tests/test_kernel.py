@@ -10,11 +10,12 @@ from scipy.integrate import quad, simpson
 from scipy.signal import fftconvolve
 from scipy.special import gamma
 
-from cornerflow import _backend, _slowpath, kernel
+from cornerflow import _backend, _slowpath, kernel, mild
 from cornerflow import (ConfigError, GridFunction, InvalidTime, KernelTable,
-                        ValidationError, apply_semigroup, apply_to_step,
-                        build_kernel_table, corner_height,
-                        regularizing_constants, symmetric_grid)
+                        MarchConfig, ValidationError, apply_semigroup,
+                        apply_to_step, build_kernel_table, corner_function,
+                        corner_height, regularizing_constants,
+                        symmetric_grid)
 from cornerflow.errors import UnsupportedFarField
 from cornerflow.kernel import _PARITY, ENVELOPE_RATE
 
@@ -212,21 +213,50 @@ def test_commutation_with_derivative(ktable):
     assert np.max(np.abs(lhs.ys[inner] - rhs.ys[inner])) < 1e-6
 
 
-def test_fft_matches_direct(ktable):
+def _march_bump():
+    # the oracle's decaying bump: the mollified reference corner less the
+    # corner, on the 4096-interval march grid
+    cfg = MarchConfig(0.1, 0.1)
+    corner = corner_function(cfg.A, cfg.B, cfg.xs)
+    return GridFunction(cfg.xs, cfg.mollified_corner().ys - corner.ys, 0.0,
+                        0.0, "constant")
+
+
+def test_fft_matches_direct(ktable, monkeypatch):
     # the evolved far-field step plus the dense trapezoid sum of the
-    # decaying remainder against the kernel samples
-    f = _bump(20.0, 1024, lo=-0.3, hi=0.2)
-    t, xs = 0.7, f.xs
-    step = np.where(xs > 0.0, f.right_far,
-                    np.where(xs < 0.0, f.left_far,
-                             0.5 * (f.left_far + f.right_far)))
-    for ell in range(4):
-        got = apply_semigroup(f, t, ell, ktable)
-        base = apply_to_step(f.right_far, -f.left_far, t, ell, ktable, xs)
-        dense = _slowpath.skew_sum(ktable.g_ell[ell], ktable.h, _PARITY[ell],
-                                   xs, 1.0, xs, f.ys - step, t ** -0.25)
-        ref = base.ys + dense * t ** (-(ell + 1) / 4.0) * f.h
-        assert np.max(np.abs(got.ys - ref)) < 1e-9
+    # decaying remainder against the kernel samples, on blocks of both
+    # kernel routes: the closed form at t <= 1 and the sampled lags at
+    # t = 10. There the step evolved on the bump's 40-wide grid still
+    # climbs at its ends (by 7e-4 at ell = 0), so the bump declares a
+    # tail tolerance that admits it
+    routes = []
+    for name in ("_symbol_spectra", "_sampled_spectra"):
+        def recorded(*args, _name=name, _spectra=getattr(mild, name)):
+            routes.append(_name)
+            return _spectra(*args)
+        monkeypatch.setattr(mild, name, recorded)
+    bump = _bump(20.0, 1024, lo=-0.3, hi=0.2)
+    bump = GridFunction(bump.xs, bump.ys, -0.3, 0.2, "constant", 1e-2)
+    for f in (bump, _march_bump()):
+        xs = f.xs
+        step = np.where(xs > 0.0, f.right_far,
+                        np.where(xs < 0.0, f.left_far,
+                                 0.5 * (f.left_far + f.right_far)))
+        # the sources where the remainder is 0 add exact zeros to the sum
+        src = f.ys - step != 0.0
+        for t in (1e-4, 0.7, 10.0):
+            for ell in range(4):
+                got = apply_semigroup(f, t, ell, ktable)
+                base = apply_to_step(f.right_far, -f.left_far, t, ell,
+                                     ktable, xs)
+                dense = _slowpath.skew_sum(
+                    ktable.g_ell[ell], ktable.h, _PARITY[ell], xs, 1.0,
+                    xs[src], (f.ys - step)[src], t ** -0.25)
+                ref = base.ys + dense * t ** (-(ell + 1) / 4.0) * f.h
+                assert np.max(np.abs(got.ys - ref)) < 1e-9
+                assert routes == ["_sampled_spectra" if t > 1.0
+                                  else "_symbol_spectra"]
+                del routes[:]
 
 
 # length-1 inputs, primes, and full lengths 1024 | 1025 and 1080 | 1081
@@ -242,22 +272,43 @@ def test_fftconvolve_matches_scipy(rng, sizes):
     assert np.max(np.abs(got - np.convolve(a, b))) <= 1e-13 * scale
 
 
+def _sampled_convolution(f, scale, ell, table, lo, hi):
+    # sum_j g_ell((i - j) scale) f_j at the nodes i = lo .. hi-1 of the
+    # samples' own grid, also beyond them: one FFT convolution of the
+    # samples and the kernel lags that reach an output; the other outputs
+    # read 0. The per-node reference of a source-grid node's trapezoid sum
+    # (tests/test_mild.py::_node_by_node_sum)
+    out = np.zeros(hi - lo)
+    reach = int(np.ceil(table.eta_max / scale))
+    d_lo, d_hi = max(-reach, lo - (f.size - 1)), min(reach, hi - 1)
+    if d_lo > d_hi:
+        return out
+    j0, j1 = max(0, lo - d_hi), min(f.size, hi - d_lo)
+    ker = kernel._block_kernel_lags(table, ell, [(d_lo, d_hi, scale)])[0]
+    # entry p of the linear convolution is output j0 + d_lo + p
+    a, b = max(lo, j0 + d_lo), min(hi, j1 + d_hi)
+    out[a - lo:b - lo] = fftconvolve(f[j0:j1], ker)[a - j0 - d_lo:
+                                                    b - j0 - d_lo]
+    return out
+
+
 @pytest.mark.parametrize("ell", range(4))
 def test_sampled_convolution_matches_direct_sum(ktable, rng, ell):
-    # outputs on, across and beyond the 50 samples, against the direct sum
-    # over every sample; at scale 2 the table reaches 20 lags, so the last
-    # two windows lie past every sample's reach and must read 0
+    # the reference above: outputs on, across and beyond the 50 samples,
+    # against the direct sum over every sample; at scale 2 the table
+    # reaches 20 lags, so the last two windows lie past every sample's
+    # reach and must read 0
     f = rng.standard_normal(50)
     bound = 1e-13 * np.abs(f).sum() * ktable.sup_norm(ell)
     for lo, hi in ((0, 50), (-30, 10), (40, 100), (-5, 60), (69, 90),
                    (-100, -80), (70, 90)):
-        got = kernel._sampled_convolution(f, 2.0, ell, ktable, lo, hi)
+        got = _sampled_convolution(f, 2.0, ell, ktable, lo, hi)
         lags = np.arange(lo, hi)[:, None] - np.arange(50)
         want = ktable.eval_g(ell, 2.0 * lags) @ f
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= bound
     assert not np.any(got) and not np.any(
-        kernel._sampled_convolution(f, 2.0, ell, ktable, -100, -80))
+        _sampled_convolution(f, 2.0, ell, ktable, -100, -80))
 
 
 def _direct_lags(table, ell, d_lo, d_hi, scale):
@@ -289,7 +340,8 @@ def test_kernel_lags_equal_direct_samples(ktable, monkeypatch, ell):
                        (-3, -3), (4, 4), (0, 17),
                        (-17, 0), (-4000, 2500)):
         for scale in (0.37, 2.0, 0.0123):
-            got = kernel._kernel_lags(ktable, ell, d_lo, d_hi, scale)
+            got = kernel._block_kernel_lags(ktable, ell,
+                                            [(d_lo, d_hi, scale)])[0]
             assert _same_bits(got, _direct_lags(ktable, ell, d_lo, d_hi,
                                                 scale))
             near = 0 if d_lo <= 0 <= d_hi else min(abs(d_lo), abs(d_hi))
@@ -321,7 +373,8 @@ def test_block_kernel_lags_equal_direct_samples(ktable, monkeypatch, ell):
        scale=st.floats(1e-3, 4.0), ell=st.integers(0, 3))
 def test_kernel_lags_equal_direct_samples_drawn(ktable, d_lo, width, scale,
                                                 ell):
-    got = kernel._kernel_lags(ktable, ell, d_lo, d_lo + width, scale)
+    got = kernel._block_kernel_lags(ktable, ell,
+                                    [(d_lo, d_lo + width, scale)])[0]
     assert _same_bits(got, _direct_lags(ktable, ell, d_lo, d_lo + width,
                                         scale))
 
@@ -429,6 +482,33 @@ def test_check_times_returns_floats():
     got = kernel._check_times(np.array([1, 2]))
     assert got == [1.0, 2.0] and all(type(t) is float for t in got)
     assert kernel._check_times((t for t in (0.5, 3))) == [0.5, 3.0]
+
+
+# (A, B, xs, match) that the closed forms refuse before any table is read,
+# where they raised a RuntimeWarning from the cast of nan cells, a bare
+# TypeError or a bare ValueError
+CLOSED_FORM_MISUSE = {
+    "xs None": (0.1, 0.1, None, "1-D"),
+    "xs nan": (0.1, 0.1, np.full(20, np.nan), "finite"),
+    "xs 2-D": (0.1, 0.1, np.zeros((3, 3)), "1-D"),
+    "B inf": (0.1, np.inf, symmetric_grid(5.0, 64), "B"),
+    "A 'x'": ("x", 0.1, symmetric_grid(5.0, 64), "A"),
+}
+
+
+@pytest.mark.parametrize("closed_form", (corner_height, apply_to_step))
+@pytest.mark.parametrize("case", CLOSED_FORM_MISUSE)
+def test_closed_forms_refuse_unusable_arguments(ktable, monkeypatch,
+                                                closed_form, case):
+    def no_table(*args):
+        raise AssertionError("a table was read")
+
+    monkeypatch.setattr(_backend, "sym_eval", no_table)
+    A, B, xs, match = CLOSED_FORM_MISUSE[case]
+    args = (A, B, 1.0, ktable, xs) if closed_form is corner_height else (
+        A, B, 1.0, 0, ktable, xs)
+    with pytest.raises(ValidationError, match=match):
+        closed_form(*args)
 
 
 def test_time_and_far_field_validation(ktable):

@@ -21,6 +21,8 @@ from cornerflow import (ConfigError, CornerData, MarchConfig, ValidationError,
 from cornerflow.errors import NoConvergence, PicardDivergence, StaleProfile
 from cornerflow.kernel import _PARITY
 
+from test_kernel import _sampled_convolution
+
 PHI0_FROZEN = 0.0779566288  # A = B = 0.1 reference, grid-converged level
 
 
@@ -816,6 +818,12 @@ def test_one_shot_blocks_hold_the_count_rule(ktable, monkeypatch, grid, t):
                    if kind is mild._SourceNodes) == mild.BLOCK
 
 
+def _kernel_lags(table, ell, d_lo, d_hi, scale):
+    # g_ell(d scale) at the lags d = d_lo .. d_hi: one span of
+    # kernel._block_kernel_lags
+    return kernel._block_kernel_lags(table, ell, [(d_lo, d_hi, scale)])[0]
+
+
 def _rolled_spectrum(ker, shift, h, nfft):
     # h rfft of the zero-padded lags, rotated by np.roll
     buf = np.zeros(nfft)
@@ -829,7 +837,7 @@ def test_kernel_spectra_match_rolled_lags(ktable, rng):
     # all of them in one batched rfft, is its node's spectrum alone, scaled
     # by its own h, bit for bit
     span = (-18, 18, 0.3)
-    ker = kernel._kernel_lags(ktable, 1, *span)
+    ker = _kernel_lags(ktable, 1, *span)
     for nfft in (37, 40, 96):
         shifts = (-50, -5, 0, 1, 12, 36, 37, 50, nfft - 1, nfft + 7)
         hs = rng.uniform(0.1, 0.3, len(shifts))
@@ -915,7 +923,7 @@ def _wrapped_spectrum(node, ell, table, N, lo):
     R = int(np.ceil(table.eta_max / node.scale))
     buf = np.zeros(N)
     np.add.at(buf, (np.arange(-R, R + 1) - (node.a + lo + node.d_lo)) % N,
-              kernel._kernel_lags(table, ell, -R, R, node.scale))
+              _kernel_lags(table, ell, -R, R, node.scale))
     return node.h * rfft(buf)
 
 
@@ -1478,8 +1486,7 @@ def _node_by_node_sum(n_tab, n_xs, xs, ell, table, quad):
             H = mu * nh
             lo = int(np.floor((xs[0] / mu - n_xs[0]) / nh)) - 3
             hi = int(np.ceil((xs[-1] / mu - n_xs[0]) / nh)) + 4
-            conv = kernel._sampled_convolution(n_tab, H / lam, ell, table,
-                                               lo, hi)
+            conv = _sampled_convolution(n_tab, H / lam, ell, table, lo, hi)
             out += w * _slowpath.quintic_eval(H * conv,
                                               mu * (n_xs[0] + nh * lo), H, xs)
             continue
@@ -1489,7 +1496,7 @@ def _node_by_node_sum(n_tab, n_xs, xs, ell, table, quad):
         src = _node_sources(_node_taps(n_xs, xs, mu, lam, table), n_tab)
         r, out0, nout = node.r, node.out0, node.nout
         nfft = mild._block_layout(node.span)[0]
-        khat = _rolled_spectrum(kernel._kernel_lags(table, ell, *node.lags),
+        khat = _rolled_spectrum(_kernel_lags(table, ell, *node.lags),
                                 node.a + r * out0, node.h, nfft)
         conv = irfft(rfft(src, nfft) * khat, nfft)
         part = np.zeros(xs.size)
@@ -1585,7 +1592,7 @@ def test_held_operator_matches_node_by_node_assembly(skew_density, ktable,
     # spectra of one assembled node by node, each node's kernel sampled
     # and transformed alone, and applies bit for bit alike
     def sampled_alone(row, wt, node, N, lo):
-        ker = kernel._kernel_lags(ktable, 2, *node.lags)
+        ker = _kernel_lags(ktable, 2, *node.lags)
         assert np.array_equal(row, wt * _rolled_spectrum(ker, node.a + lo,
                                                          node.h, N))
 
@@ -1606,7 +1613,7 @@ def test_held_operator_on_its_routes_matches_node_by_node_assembly(
     def alone(row, wt, node, N, lo):
         kinds.add(row.size < N // 2 + 1)
         if row.size == N // 2 + 1:
-            ker = kernel._kernel_lags(ktable, 2, *node.lags)
+            ker = _kernel_lags(ktable, 2, *node.lags)
             assert np.array_equal(row, wt * _rolled_spectrum(
                 ker, node.a + lo, node.h, N))
             return
